@@ -203,24 +203,6 @@ impl Bench {
             .map_err(BenchError::Sim)
     }
 
-    /// As [`Bench::run`], additionally reporting wall-clock time per
-    /// section pass of the windowed engine (see
-    /// [`specmt_sim::PassTimes`]). The result is bit-identical to
-    /// [`Bench::run`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Bench::run`].
-    pub fn run_timed(
-        &self,
-        config: SimConfig,
-        table: &SpawnTable,
-    ) -> Result<(SimResult, specmt_sim::PassTimes), BenchError> {
-        Simulator::with_deps(&self.trace, self.deps(), config, table)
-            .run_timed()
-            .map_err(BenchError::Sim)
-    }
-
     /// As [`Bench::run`], additionally streaming the run's lifecycle events
     /// into `sink` (see `specmt_sim::obs`). Timing and statistics are
     /// bit-identical to an unobserved run.

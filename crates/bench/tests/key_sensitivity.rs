@@ -302,3 +302,23 @@ fn fault_plan_fields_are_keyed() {
     ];
     all_distinct("FaultPlan", &variants);
 }
+
+/// The simulator's stage keys are pinned to literal values: a change that
+/// keeps `specmt_sim::CODE_REV` and every keyed input unchanged must keep
+/// existing store entries valid, so these digests may only move together
+/// with a deliberate code-revision or fingerprint change.
+#[test]
+fn sim_stage_keys_are_pinned() {
+    assert_eq!(specmt_sim::CODE_REV, 3);
+    let t = trace_key();
+    assert_eq!(
+        cache::baseline_stage(&t).key.hex(),
+        "9433cd3f7d96bf051cff9cc8a82a9477"
+    );
+    assert_eq!(
+        cache::sim_stage(&t, &SpawnTable::empty(), &SimConfig::paper(16))
+            .key
+            .hex(),
+        "8ea8935addb44ab0af3fb97ca0dd35c6"
+    );
+}

@@ -9,7 +9,7 @@
 //!
 //! This crate is a facade: it re-exports the component crates, the
 //! [`Bench`] convenience wrapper, and the experiment harness (the
-//! [`bench`] module) that regenerates the paper's figures behind the
+//! [`mod@bench`] module) that regenerates the paper's figures behind the
 //! `specmt bench` CLI.
 //!
 //! | Module | Crate | Contents |
@@ -25,7 +25,7 @@
 //! | [`exec`] | `specmt-exec` | supervised batch executor: panic isolation, deadlines, retries |
 //! | [`store`] | `specmt-store` | content-addressed artifact store: stage keys, incremental recomputation |
 //! | [`stats`] | `specmt-stats` | means, tables, charts |
-//! | [`bench`] | `specmt-bench` | [`Bench`], the suite [`bench::Harness`], experiment specs, the figure registry |
+//! | [`mod@bench`] | `specmt-bench` | [`Bench`], the suite [`bench::Harness`], experiment specs, the figure registry |
 //!
 //! # Quick start
 //!

@@ -230,40 +230,14 @@ impl L1Cache {
     /// Performs a timing access to `addr` starting at cycle `at`; returns
     /// the cycle the data is available.
     pub fn access(&mut self, addr: u64, at: u64) -> u64 {
-        if self.probe_addr(addr) {
-            self.hit_time(at)
-        } else {
-            self.miss_time(at)
-        }
-    }
-
-    /// The timing-independent half of [`access`](L1Cache::access): probes
-    /// (and on miss installs) the block containing `addr`, updating tags,
-    /// LRU stamps and the hit/miss statistics exactly as `access` would,
-    /// and returns whether it hit. The windowed engine runs these probes as
-    /// a batched pass over a window of memory operations, then recovers
-    /// `access`'s timing per operation from [`hit_time`](L1Cache::hit_time)
-    /// / [`miss_time`](L1Cache::miss_time) inside the timing recurrence.
-    #[inline]
-    pub(crate) fn probe_addr(&mut self, addr: u64) -> bool {
         let block = self.block_of(addr);
-        let hit = self.probe(block);
-        self.hits += u64::from(hit);
-        self.misses += u64::from(!hit);
-        hit
-    }
-
-    /// Data-ready time for a probe that hit, starting at cycle `at`.
-    #[inline]
-    pub(crate) fn hit_time(&self, at: u64) -> u64 {
-        at + self.cfg.hit_latency
-    }
-
-    /// Data-ready time for a probe that missed: takes the earliest-free
-    /// MSHR (waiting for it if all are busy) and occupies it until the
-    /// fill returns. The only timing-*dependent* cache state.
-    #[inline]
-    pub(crate) fn miss_time(&mut self, at: u64) -> u64 {
+        if self.probe(block) {
+            self.hits += 1;
+            return at + self.cfg.hit_latency;
+        }
+        // Miss: the block was installed over the LRU way; take the
+        // earliest-free MSHR, waiting for it if all are busy.
+        self.misses += 1;
         let slot = min_index(&self.mshr_free);
         let start = at.max(self.mshr_free[slot]);
         let done = start + self.cfg.miss_latency;
@@ -413,30 +387,6 @@ mod tests {
             assert_eq!(s, b, "addr {a}");
         }
         assert_eq!(seq.stats(), batched.stats());
-    }
-
-    /// `probe_addr` + `hit_time`/`miss_time` is exactly `access`, state
-    /// and statistics included, over a pseudo-random access mix.
-    #[test]
-    fn split_probe_and_timing_recompose_access() {
-        let mut whole = tiny();
-        let mut split = tiny();
-        let mut x = 0x5eed_cafe_u64;
-        for i in 0..2_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let addr = x % 1024;
-            let at = (x >> 32) % 500;
-            let a = whole.access(addr, at);
-            let b = if split.probe_addr(addr) {
-                split.hit_time(at)
-            } else {
-                split.miss_time(at)
-            };
-            assert_eq!(a, b, "step {i}");
-        }
-        assert_eq!(whole.stats(), split.stats());
     }
 
     /// The MRU memo never reports a hit on an evicted block.

@@ -41,7 +41,6 @@ use specmt_predict::{Gshare, PredKey, SpawnConfidence, ValuePredictor, ValuePred
 use specmt_spawn::{AdaptiveState, SpawnTable};
 use specmt_trace::{DepGraph, Trace, NO_PRODUCER};
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::cache::min_index;
 use crate::faults::FaultInjector;
@@ -177,10 +176,6 @@ pub struct Simulator<'a> {
     deps: Arc<DepGraph>,
     config: SimConfig,
     table: SpawnTable,
-    /// `Some` when [`Simulator::with_batch_slots`] overrode the batch
-    /// capacity, which also disables the short-window scalar drain so the
-    /// pipeline is exercised at every seam.
-    batch_slots: Option<usize>,
 }
 
 impl<'a> Simulator<'a> {
@@ -217,22 +212,7 @@ impl<'a> Simulator<'a> {
             deps,
             config,
             table: table.clone(),
-            batch_slots: None,
         }
-    }
-
-    /// Overrides the windowed engine's batch capacity and disables the
-    /// short-window scalar drain (`BATCH_DRAIN_MIN`). Test-only surface:
-    /// shrinking the batch to 1–3 slots forces a pass seam between (almost)
-    /// every pair of instructions, which is how the differential suites get
-    /// seam coverage everywhere instead of every `BATCH_SLOTS` slots — and
-    /// suppressing the drain keeps those seams on the batched path however
-    /// short the window.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_batch_slots(mut self, slots: usize) -> Self {
-        self.batch_slots = Some(slots.max(1));
-        self
     }
 
     /// Runs the simulation to completion and returns aggregate statistics.
@@ -272,137 +252,11 @@ impl<'a> Simulator<'a> {
         self.config.validate()?;
         Engine::new(self, Some(sink)).run()
     }
-
-    /// As [`Simulator::run`], but forcing the instruction-at-a-time
-    /// *reference* path for every window instead of the batched
-    /// pass-per-section pipeline (DESIGN.md §16). The two are bit-identical
-    /// by contract; the reference path is the executable specification the
-    /// windowed engine is differential-tested against, in the same spirit
-    /// as the reaching analysis's naive reference.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Simulator::run`].
-    pub fn run_reference(self) -> Result<SimResult, SimError> {
-        self.config.validate()?;
-        let mut e = Engine::new(self, None);
-        e.force_scalar = true;
-        e.run()
-    }
-
-    /// As [`Simulator::run_reference`], streaming events into `sink` (see
-    /// [`Simulator::run_with_sink`]).
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Simulator::run`].
-    pub fn run_reference_with_sink(self, sink: &mut dyn EventSink) -> Result<SimResult, SimError> {
-        self.config.validate()?;
-        let mut e = Engine::new(self, Some(sink));
-        e.force_scalar = true;
-        e.run()
-    }
-
-    /// As [`Simulator::run`], additionally measuring the wall-clock time
-    /// spent in each section pass of the windowed engine. The
-    /// instrumentation lives only behind this entry point, so ordinary runs
-    /// pay nothing for it; the simulation result stays bit-identical to
-    /// [`Simulator::run`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Simulator::run`].
-    pub fn run_timed(self) -> Result<(SimResult, PassTimes), SimError> {
-        self.config.validate()?;
-        let mut times = PassTimes::default();
-        let mut e = Engine::new(self, None);
-        e.pass_times = Some(&mut times);
-        let result = e.run()?;
-        Ok((result, times))
-    }
 }
 
-impl<'a> Simulator<'a> {
-    fn into_parts(self) -> (&'a Trace, Arc<DepGraph>, SimConfig, SpawnTable, Option<usize>) {
-        (self.trace, self.deps, self.config, self.table, self.batch_slots)
-    }
-}
-
-/// Capacity of the window batch buffer (in dynamic instructions): the
-/// decode pass fills at most this many slots before the section passes
-/// sweep them. Sized so all columns together (~30 bytes/slot) stay
-/// L1-resident while still amortising per-batch setup over long windows.
-const BATCH_SLOTS: usize = 256;
-
-/// Window remainders shorter than this drain through the scalar step
-/// instead of the section passes: below it the packed-record round trip
-/// (one `Slot` written then re-read per slot) dominates what a batch can
-/// amortise, and the fused scalar step is measurably faster (EXPERIMENTS.md
-/// §window-pipeline). Suite-realistic speculative windows average ~a dozen
-/// slots, so in production the pipeline engages on the long windows —
-/// sparse spawn tables, superscalar baselines — where batching is
-/// architecturally meaningful. [`Simulator::with_batch_slots`] sets the
-/// bound to zero so differential suites cover the batched path at every
-/// window length.
-const BATCH_DRAIN_MIN: usize = 64;
-
-/// Wall-clock nanoseconds spent in each pass of the windowed engine,
-/// reported by [`Simulator::run_timed`]. `scalar_ns` covers the
-/// instruction-at-a-time slow path (spawn slots under adaptive policies,
-/// and every slot when a fault plan is active).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PassTimes {
-    /// Fill pass: decode, operand readiness (producer resolution + live-in
-    /// prediction), branch prediction, and cache touches/probes, fused
-    /// into one sweep that writes the packed per-slot records.
-    pub fill_ns: u64,
-    /// Fused timing pass (fetch hazards, issue tournaments, write-back).
-    pub timing_ns: u64,
-    /// Instruction-at-a-time slow path (spawn slots under adaptive
-    /// policies; whole windows under fault plans or `run_reference`).
-    pub scalar_ns: u64,
-    /// Number of batches decoded.
-    pub batches: u64,
-    /// Number of slots drained through the scalar path.
-    pub scalar_steps: u64,
-}
-
-/// One window-buffer slot: every pre-timing fact the timing pass needs,
-/// packed into 24 bytes so a slot costs one cache-line touch instead of a
-/// gather across parallel columns.
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    /// Readiness lower bound from producers outside the window (live-in
-    /// prediction / forwarding).
-    avail: u64,
-    /// Dynamic index whose completion bounds operand 0/1 readiness: the
-    /// in-window producer, or the slot's *own* dynamic index as a zero
-    /// sentinel (`complete[own]` is still unwritten — zero — when the
-    /// slot's readiness is read, so the max is branch-free).
-    q0: u32,
-    q1: u32,
-    /// Packed `flags | class << 8 | lat << 16 | meta << 24`. Stores
-    /// override `lat` to 1 (`done = issue + 1`), which makes them plain
-    /// slots in the timing pass. `meta`: loads get bit0 = cache hit;
-    /// conditional branches get bit0 = taken, bit1 = predicted correctly.
-    code: u32,
-}
-
-/// The window batch buffer: one fill pass populates the packed slot
-/// records and the event worklist, then the timing pass sweeps them
-/// (DESIGN.md §16).
-#[derive(Debug, Default)]
-struct WindowBuf {
-    slots: Vec<Slot>,
-    /// Slots needing non-plain timing treatment (spawn / load /
-    /// conditional branch / other control), ascending — the timing pass
-    /// runs branch-free plain-slot stretches between them.
-    ev_slot: Vec<u32>,
-}
-
-/// Per-window execution state shared by the batched section passes and the
-/// scalar (reference / slow-path) stepper: everything that was a local
-/// variable of the old instruction-at-a-time window loop.
+/// Per-window execution state threaded through [`Engine::step`]: the
+/// window loop's locals, hoisted into one struct so the step can be a
+/// separate (always-inlined) function.
 struct WinState<'a> {
     /// The trace's static-pc column, hoisted once per window: reads through
     /// a window-local field cannot alias the `&mut self` calls inside the
@@ -444,7 +298,7 @@ struct WinState<'a> {
     ports4: [u64; 4],
     fu16: [u64; 16],
     /// Window end: the start of the next more-speculative thread (or the
-    /// trace end). Only a spawn (a scalar step) can move it.
+    /// trace end). Only a spawn can move it.
     end: usize,
 }
 
@@ -475,15 +329,6 @@ struct Engine<'a, 's> {
     /// processed in program order), so each cursor only ever advances —
     /// the whole run's next-occurrence searches cost one amortised pass.
     occ_cursor: Vec<u32>,
-    /// Decode-time peek cursors into `occ_values`, one per dense CQIP,
-    /// advanced exactly like `occ_cursor` but by the decode pass: capping a
-    /// batch at the earliest occurrence any contained spawn slot's
-    /// candidates could chain a child at guarantees a mid-batch spawn
-    /// success never shrinks the window into slots the section passes have
-    /// already processed. Kept separate from `occ_cursor` so peeks at
-    /// fast-declined spawn slots (which never reach `try_spawn`) still
-    /// amortise to one pass over the occurrence list.
-    occ_peek: Vec<u32>,
     /// Active (chained or doomed-this-window) thread count per dense CQIP,
     /// replacing a chain scan on every spawn attempt.
     cqip_active: Vec<u32>,
@@ -559,31 +404,6 @@ struct Engine<'a, 's> {
     /// Buffered store-touch addresses, flushed to the unit's cache as a
     /// run before the next load and at window end.
     touch_run: Vec<u64>,
-    /// The window batch buffer's SoA columns (capacity reused across
-    /// batches and windows; taken with `mem::take` while passes run).
-    buf: WindowBuf,
-    /// Window event scratch: the batched timing pass pushes here and
-    /// `flush_obs` drains at batch boundaries, so observed streams keep
-    /// scalar order without an emit call per event in the hot loop.
-    obs_buf: Vec<Event>,
-    /// Route every window through the scalar reference path
-    /// ([`Simulator::run_reference`]).
-    force_scalar: bool,
-    /// Batch capacity (normally [`BATCH_SLOTS`]; tests shrink it to force
-    /// seams, see [`Simulator::with_batch_slots`]).
-    batch_slots: usize,
-    /// Short-window scalar-drain bound ([`BATCH_DRAIN_MIN`], or zero when
-    /// the batch capacity was overridden).
-    drain_min: usize,
-    /// Dynamic indices of every spawn slot (static pcs with `F_SPAWN`),
-    /// ascending: the production dispatch batches the spawn-free stretches
-    /// between them and drains the slots themselves scalar.
-    sp_pos: Vec<u32>,
-    /// Monotone cursor into `sp_pos` (windows are processed in program
-    /// order, so stretch lookups amortise to one pass over the list).
-    sp_cursor: usize,
-    /// Per-pass wall-clock accumulation ([`Simulator::run_timed`] only).
-    pass_times: Option<&'s mut PassTimes>,
     faults: Option<FaultInjector>,
     result: SimResult,
     /// External event consumer (from [`Simulator::run_with_sink`]).
@@ -599,7 +419,12 @@ struct Engine<'a, 's> {
 
 impl<'a, 's> Engine<'a, 's> {
     fn new(sim: Simulator<'a>, sink: Option<&'s mut dyn EventSink>) -> Engine<'a, 's> {
-        let (trace, deps, cfg, table, batch_slots) = sim.into_parts();
+        let Simulator {
+            trace,
+            deps,
+            config: cfg,
+            table,
+        } = sim;
         let program = trace.program();
         let program_len = program.len();
 
@@ -711,21 +536,6 @@ impl<'a, 's> Engine<'a, 's> {
             }
         }
 
-        // Spawn-slot positions, for the production dispatch's spawn-free
-        // stretch lookups (one trace pass; empty tables yield no slots).
-        // Dynamic indices of spawn-flagged slots, terminated by a
-        // trace-length sentinel: the cursor scan in the window dispatch
-        // then needs no bounds handling (no dynamic index ever reaches the
-        // sentinel, so the scan always stops at or before it).
-        let mut sp_pos: Vec<u32> = trace
-            .pcs()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &pc)| pre[pc as usize].flags & F_SPAWN != 0)
-            .map(|(i, _)| i as u32)
-            .collect();
-        sp_pos.push(trace.len() as u32);
-
         // Functional-unit layout: identical for every thread unit.
         let mut fu_offset = [0usize; NUM_FU_CLASSES];
         let mut fu_count = [0usize; NUM_FU_CLASSES];
@@ -761,7 +571,6 @@ impl<'a, 's> Engine<'a, 's> {
             cand_cqip,
             pairs,
             occ_cursor: occ_offsets[..occ_offsets.len() - 1].to_vec(),
-            occ_peek: occ_offsets[..occ_offsets.len() - 1].to_vec(),
             cqip_active: vec![0; occ_offsets.len() - 1],
             occ_offsets,
             occ_values,
@@ -799,18 +608,6 @@ impl<'a, 's> Engine<'a, 's> {
             live_in_valid: 0,
             succ_spawns: Vec::new(),
             touch_run: Vec::new(),
-            buf: WindowBuf::default(),
-            obs_buf: Vec::new(),
-            force_scalar: false,
-            batch_slots: batch_slots.unwrap_or(BATCH_SLOTS),
-            drain_min: if batch_slots.is_some() {
-                0
-            } else {
-                BATCH_DRAIN_MIN
-            },
-            sp_pos,
-            sp_cursor: 0,
-            pass_times: None,
             faults,
             result: SimResult::default(),
             sink,
@@ -1105,173 +902,17 @@ impl<'a, 's> Engine<'a, 's> {
         Ok(())
     }
 
-    /// Processes one thread's window; returns `(end, exec_done)` and leaves
-    /// the window's doomed children in `self.doomed`.
-    ///
-    /// Dispatch: the batched pass-per-section pipeline (DESIGN.md §16) is
-    /// the fast path; an active fault plan routes the whole window through
-    /// the instruction-at-a-time reference path (fault rolls draw RNG per
-    /// instruction, so batching would reorder the stream), as does
-    /// [`Simulator::run_reference`].
+    /// Processes one thread's window, one dynamic instruction at a time;
+    /// returns `(end, exec_done)` and leaves the window's doomed children
+    /// in `self.doomed`.
     fn process_window(&mut self, t: &PendingThread) -> (usize, u64) {
-        if self.force_scalar || self.faults.is_some() {
-            self.process_window_scalar(t)
-        } else {
-            self.process_window_batched(t)
-        }
-    }
-
-    /// The reference window loop: every slot through [`Engine::step_scalar`].
-    fn process_window_scalar(&mut self, t: &PendingThread) -> (usize, u64) {
-        let t0 = self.pass_times.is_some().then(Instant::now);
         let mut st = self.win_state(t);
         let mut k = t.start;
+        // `st.end` is re-read per instruction: a spawn can shrink it.
         while k < st.end {
-            self.step_scalar(t, k, &mut st);
+            self.step(t, k, &mut st);
             k += 1;
         }
-        self.finish_window(t, &st);
-        if let Some(pt) = self.pass_times.as_deref_mut() {
-            pt.scalar_steps += (k - t.start) as u64;
-        }
-        self.lap(t0, |pt| &mut pt.scalar_ns);
-        (k, st.last_commit)
-    }
-
-    /// The windowed pipeline: decode up to [`BATCH_SLOTS`] consecutive
-    /// slots into the window buffer's SoA columns, then sweep the batch
-    /// with one pass per section — operand readiness, branch prediction,
-    /// cache touches/probes, and the fused timing recurrence — each a tight
-    /// loop with its section's state hot. When the exact fast-decline gate
-    /// is available, spawn slots ride inside the batch as timing-pass
-    /// events (the timing pass knows the slot's exact fetch cycle, and
-    /// `try_spawn` then touches no state the other passes read); the decode
-    /// pass caps each batch at the earliest dynamic index any contained
-    /// spawn could chain a child at, so a mid-batch success only ever
-    /// shrinks the window to at-or-beyond the batch end. Under adaptive
-    /// policies (confidence gate, scoreboard, reinstatement) or fault
-    /// plans, spawn slots instead bail to [`Engine::step_scalar`] and
-    /// truncate the batch, so predictor/confidence state is exact at every
-    /// gate read. Bit-identical to the scalar path by construction: within
-    /// a batch no state change alters *which* instructions execute, and
-    /// each pass replays its section's state mutations in slot order.
-    fn process_window_batched(&mut self, t: &PendingThread) -> (usize, u64) {
-        let mut st = self.win_state(t);
-        let mut buf = std::mem::take(&mut self.buf);
-        let timed = self.pass_times.is_some();
-        let batch_spawns = self.fast_decline;
-        let forced = self.drain_min == 0;
-        let mut k = t.start;
-        if !timed && !forced {
-            // Production dispatch: batch only the spawn-free stretch ahead
-            // of `k`, and only when it is long enough to repay the
-            // packed-record round trip. Spawn slots (whose gates read state
-            // the passes may be mid-flight on) and short stretches drain
-            // through the scalar step — the slow-path contract of
-            // DESIGN.md §16. Duplicated from the instrumented loop below
-            // minus the lap plumbing: windows average ~a dozen slots, so
-            // even a few dead instrumentation checks per stretch are
-            // measurable here.
-            let drain_min = self.drain_min;
-            // A window already shorter than the batch threshold — the
-            // common case, the suite's windows average ~a dozen slots —
-            // drains scalar outright on one length check (`st.end` only
-            // shrinks, so the decision cannot go stale mid-window).
-            if st.end - k < drain_min {
-                while k < st.end {
-                    self.step_scalar(t, k, &mut st);
-                    k += 1;
-                }
-                self.buf = buf;
-                self.finish_window(t, &st);
-                return (k, st.last_commit);
-            }
-            while k < st.end {
-                let mut c = self.sp_cursor;
-                while (self.sp_pos[c] as usize) < k {
-                    c += 1;
-                }
-                self.sp_cursor = c;
-                let cap = st.end.min(self.sp_pos[c] as usize);
-                if cap - k < drain_min {
-                    // Drain the short stretch and the spawn slot bounding
-                    // it in one scalar run (re-checking `st.end` per slot:
-                    // the spawn can shrink the window mid-run).
-                    let stop = (cap + 1).min(st.end);
-                    while k < stop && k < st.end {
-                        self.step_scalar(t, k, &mut st);
-                        k += 1;
-                    }
-                    continue;
-                }
-                let k1 = self.fill_pass(t, k, cap, batch_spawns, &mut st, &mut buf);
-                self.timing_pass(t, k, &mut st, &buf);
-                if self.observing {
-                    self.flush_obs();
-                }
-                k = k1;
-            }
-            self.buf = buf;
-            self.finish_window(t, &st);
-            return (k, st.last_commit);
-        }
-        while k < st.end {
-            // Instrumented (`run_timed`) / forced (`with_batch_slots`)
-            // dispatch: the same scheduling decisions as the production
-            // loop above plus per-pass wall-clock laps. Forced mode
-            // batches through spawn slots under the occurrence cap,
-            // keeping the differential suites' seam coverage on the
-            // in-batch spawn machinery.
-            let cap = if forced {
-                st.end
-            } else {
-                let mut c = self.sp_cursor;
-                while (self.sp_pos[c] as usize) < k {
-                    c += 1;
-                }
-                self.sp_cursor = c;
-                st.end.min(self.sp_pos[c] as usize)
-            };
-            if !forced && cap - k < self.drain_min {
-                let t0 = timed.then(Instant::now);
-                let stop = (cap + 1).min(st.end);
-                let k_before = k;
-                while k < stop && k < st.end {
-                    self.step_scalar(t, k, &mut st);
-                    k += 1;
-                }
-                if let Some(pt) = self.pass_times.as_deref_mut() {
-                    pt.scalar_steps += (k - k_before) as u64;
-                }
-                self.lap(t0, |pt| &mut pt.scalar_ns);
-                continue;
-            }
-            if forced && !batch_spawns && self.pre[self.trace.pcs()[k] as usize].flags & F_SPAWN != 0
-            {
-                let t0 = timed.then(Instant::now);
-                self.step_scalar(t, k, &mut st);
-                if let Some(pt) = self.pass_times.as_deref_mut() {
-                    pt.scalar_steps += 1;
-                }
-                self.lap(t0, |pt| &mut pt.scalar_ns);
-                k += 1;
-                continue;
-            }
-            let t0 = timed.then(Instant::now);
-            let k1 = self.fill_pass(t, k, cap, batch_spawns, &mut st, &mut buf);
-            self.lap(t0, |pt| &mut pt.fill_ns);
-            if let Some(pt) = self.pass_times.as_deref_mut() {
-                pt.batches += 1;
-            }
-            let t0 = timed.then(Instant::now);
-            self.timing_pass(t, k, &mut st, &buf);
-            self.lap(t0, |pt| &mut pt.timing_ns);
-            if self.observing {
-                self.flush_obs();
-            }
-            k = k1;
-        }
-        self.buf = buf;
         self.finish_window(t, &st);
         (k, st.last_commit)
     }
@@ -1351,19 +992,16 @@ impl<'a, 's> Engine<'a, 's> {
         }
     }
 
-    /// Processes dynamic instruction `k` exactly as the pre-windowed engine
-    /// did: one pass through fetch hazards, spawn, operand readiness,
-    /// issue, memory, write-back and control-flow redirect. This is the
-    /// reference semantics the batched passes reproduce bit-for-bit, and
-    /// the slow path they drain through at spawn slots and under fault
-    /// plans.
+    /// Processes dynamic instruction `k` in one pass through fetch
+    /// hazards, spawn, operand readiness, issue, memory, write-back and
+    /// control-flow redirect.
     ///
-    /// `inline(always)`: both callers run it once per drained instruction;
-    /// out-of-line it pays a ~250-line function's call/spill traffic on
-    /// the hottest path in the simulator.
+    /// `inline(always)`: it runs once per dynamic instruction; out of line
+    /// it pays a ~250-line function's call/spill traffic on the hottest
+    /// path in the simulator.
     #[allow(clippy::too_many_lines)]
     #[inline(always)]
-    fn step_scalar(&mut self, t: &PendingThread, k: usize, st: &mut WinState<'_>) {
+    fn step(&mut self, t: &PendingThread, k: usize, st: &mut WinState<'_>) {
         let trace = self.trace;
         let pc = st.pcs[k];
         let pi = self.pre[pc as usize];
@@ -1609,438 +1247,6 @@ impl<'a, 's> Engine<'a, 's> {
         } else if pi.flags & F_CONTROL != 0 {
             st.fetch_cycle = st.fetch_cycle.max(f + 1);
             st.slots = 0;
-        }
-    }
-
-    /// The fill pass: decode, operand readiness, branch prediction, and
-    /// cache touches/probes for consecutive slots starting at `k0`, fused
-    /// into one sweep that writes each slot's packed [`Slot`] record and
-    /// the timing pass's event worklist. Stops at the caller's `cap`
-    /// (the window end, or the end of a spawn-free stretch under the
-    /// production dispatch) or after [`Engine::batch_slots`] slots,
-    /// whichever is first. With `batch_spawns` false (adaptive policies or
-    /// fault plans), it also stops at the first spawn slot, which the
-    /// caller drains scalar. With `batch_spawns` true, spawn slots decode
-    /// as timing-pass events, and the batch is additionally capped at the
-    /// earliest occurrence any of their candidate CQIPs could chain a
-    /// child at (`try_spawn` picks the first occurrence strictly after the
-    /// spawn slot, and a success always becomes the new chain front):
-    /// every slot this pass touches is then guaranteed to stay inside the
-    /// window however the in-batch spawn attempts resolve. Returns the
-    /// batch end.
-    ///
-    /// Operand resolution replicates the scalar section exactly: a
-    /// readiness lower bound from outside the window (`avail`, via the
-    /// same memoised `live_in_time` in the same first-touch order) and
-    /// in-window completion indices (`q0`/`q1`) the timing pass reads as
-    /// `complete[q]`, with the slot's *own* dynamic index as zero
-    /// sentinel. The gshare, confidence, value-predictor, and cache-tag
-    /// streams each see their updates in slot order — the same order the
-    /// scalar interleaving produces, as the streams are mutually
-    /// independent — with only the MSHR (timing) half of each load
-    /// deferred to the timing pass.
-    #[allow(clippy::too_many_lines)]
-    fn fill_pass(
-        &mut self,
-        t: &PendingThread,
-        k0: usize,
-        cap: usize,
-        batch_spawns: bool,
-        st: &mut WinState<'_>,
-        buf: &mut WindowBuf,
-    ) -> usize {
-        let trace = self.trace;
-        let pcs = trace.pcs();
-        buf.slots.clear();
-        buf.ev_slot.clear();
-        let live_const = st.live_const;
-        let mut lim = cap.min(k0 + self.batch_slots);
-        let mut k = k0;
-        while k < lim {
-            let pc = pcs[k];
-            let pi = self.pre[pc as usize];
-            let flags = pi.flags;
-            if flags & F_SPAWN != 0 {
-                if !batch_spawns {
-                    break;
-                }
-                // Cap the batch at the earliest dynamic index a spawn here
-                // could chain a child at: the first occurrence of each
-                // candidate's CQIP strictly after this slot. Batch starts
-                // are globally non-decreasing, so the peek cursors only
-                // ever advance (one amortised pass over the occurrences).
-                let c0 = self.cand_offsets[pc as usize] as usize;
-                let c1 = self.cand_offsets[pc as usize + 1] as usize;
-                for ci in c0..c1 {
-                    let cd = self.cand_cqip[ci] as usize;
-                    let hi = self.occ_offsets[cd + 1] as usize;
-                    let mut cur = self.occ_peek[cd] as usize;
-                    while cur < hi && self.occ_values[cur] as usize <= k {
-                        cur += 1;
-                    }
-                    self.occ_peek[cd] = cur as u32;
-                    if cur < hi {
-                        // Strictly greater than `k`, so this slot itself
-                        // always stays inside the batch.
-                        lim = lim.min(self.occ_values[cur] as usize);
-                    }
-                }
-            }
-            // --- Operand readiness ----------------------------------
-            let prods = self.deps.reg_producers(k);
-            let mut avail = 0u64;
-            let mut q = [k as u32; 2];
-            if let Some(v) = live_const {
-                // Spawned thread under perfect prediction: every live-in
-                // is ready at `init_done`, no predictor state or stats.
-                for (s, &p) in prods.iter().enumerate() {
-                    if p == NO_PRODUCER {
-                        continue;
-                    }
-                    if (p as usize) < t.start {
-                        avail = v;
-                    } else {
-                        q[s] = p;
-                    }
-                }
-            } else {
-                for s in 0..2 {
-                    let (r, p) = (pi.src[s], prods[s]);
-                    if r == NO_SRC || p == NO_PRODUCER {
-                        continue;
-                    }
-                    if (p as usize) >= t.start {
-                        q[s] = p;
-                    } else {
-                        avail = avail.max(self.live_in_time(t, r as usize, p as usize));
-                    }
-                }
-            }
-            let mut meta = 0u8;
-            // --- Branch prediction ----------------------------------
-            if flags & F_COND_BRANCH != 0 {
-                let taken = trace.taken_at(k);
-                let hit = self.gshares[t.tu].predict_update(Pc(pc), taken) == taken;
-                self.result.branch_predictions += 1;
-                self.result.branch_hits += u64::from(hit);
-                if self.conf_threshold > 0 {
-                    self.confs[t.tu].record(hit);
-                }
-                meta = u8::from(taken) | (u8::from(hit) << 1);
-            }
-            // --- Cache tags (stores buffered into touch runs, loads
-            // flushing the run and probing; the touch run deliberately
-            // survives batch and scalar-step boundaries within a window,
-            // as it did across loop iterations before) ----------------
-            if flags & (F_LOAD | F_STORE) != 0 {
-                if flags & F_LOAD != 0 {
-                    if !self.touch_run.is_empty() {
-                        self.caches[t.tu].touch_run(&mut self.touch_run);
-                    }
-                    meta = u8::from(self.caches[t.tu].probe_addr(trace.addr_at(k)));
-                } else {
-                    self.touch_run.push(trace.addr_at(k));
-                }
-            }
-            // A store completes at issue + 1 regardless of class latency;
-            // overriding `lat` here makes stores plain timing slots.
-            let is_store = flags & (F_LOAD | F_STORE) == F_STORE;
-            let lat = if is_store { 1 } else { pi.latency };
-            if flags & (F_LOAD | F_COND_BRANCH | F_CONTROL | F_SPAWN) != 0 {
-                buf.ev_slot.push((k - k0) as u32);
-            }
-            buf.slots.push(Slot {
-                avail,
-                q0: q[0],
-                q1: q[1],
-                code: u32::from(flags)
-                    | (u32::from(pi.class) << 8)
-                    | (u32::from(lat) << 16)
-                    | (u32::from(meta) << 24),
-            });
-            k += 1;
-        }
-        k
-    }
-
-    /// The fused timing pass: fetch-hazard stalls → dispatch → issue
-    /// tournament → completion write-back over the batch's packed slot
-    /// records. Fetch timing depends on completion through the ROB/rename
-    /// rings and on redirects, so these sections cannot be split into
-    /// separate sweeps; instead they fuse into one recurrence whose state
-    /// lives in registers, running branch-free over plain-slot stretches
-    /// between event slots (spawns, loads, branches, other control).
-    #[allow(clippy::too_many_lines)]
-    fn timing_pass(&mut self, t: &PendingThread, k0: usize, st: &mut WinState<'_>, buf: &WindowBuf) {
-        let m = buf.slots.len();
-        let recs = buf.slots.as_slice();
-        let rob = self.cfg.rob_entries;
-        let renames = self.writer_ring.len();
-        let issue_width = self.cfg.issue_width;
-        let fetch_width = self.cfg.fetch_width;
-        let forward = self.cfg.forward_latency;
-        let restart_extra = self.cfg.forward_latency + self.cfg.squash_penalty;
-        let mispredict = self.cfg.mispredict_penalty;
-        let observing = self.observing;
-        let tu = t.tu;
-
-        let mut rob_i = st.rob_i;
-        let mut rob_full = st.rob_full;
-        let mut writer_i = st.writer_i;
-        let mut writer_full = st.writer_full;
-        let mut last_commit = st.last_commit;
-        let mut fetch_cycle = st.fetch_cycle;
-        let mut slots = st.slots;
-        let rings = st.rings;
-        let fast_units = st.fast_units;
-        let pbase = st.pbase;
-        let fbase_tu = st.fbase_tu;
-        let mut ports4 = st.ports4;
-        let mut fu16 = st.fu16;
-
-        // Fetch + dispatch + issue for slot `$i`, binding `$rec` (the
-        // slot's packed record), `$f` (fetch cycle), `$wr` (writes a
-        // register) and `$t2` (issue cycle) at the call site. A macro
-        // rather than a closure so the recurrence state stays in plain
-        // locals. Identical statement-for-statement to the corresponding
-        // `step_scalar` sections.
-        macro_rules! front {
-            ($i:ident, $rec:ident, $f:ident, $wr:ident, $t2:ident) => {
-                let $rec = recs[$i];
-                let $wr = $rec.code & u32::from(F_WRITES_REG) != 0;
-                if rings {
-                    if rob_full {
-                        let oldest = self.rob_ring[rob_i];
-                        let stall = oldest > fetch_cycle;
-                        fetch_cycle = if stall { oldest } else { fetch_cycle };
-                        slots = if stall { 0 } else { slots };
-                    }
-                    if $wr && writer_full {
-                        let oldest = self.writer_ring[writer_i];
-                        let stall = oldest > fetch_cycle;
-                        fetch_cycle = if stall { oldest } else { fetch_cycle };
-                        slots = if stall { 0 } else { slots };
-                    }
-                }
-                if slots == fetch_width {
-                    fetch_cycle += 1;
-                    slots = 0;
-                }
-                let $f = fetch_cycle;
-                slots += 1;
-                let mut ready = $f + 1;
-                ready = ready.max($rec.avail);
-                ready = ready.max(u64::from(self.complete[$rec.q0 as usize]));
-                ready = ready.max(u64::from(self.complete[$rec.q1 as usize]));
-                let class = (($rec.code >> 8) & 0xff) as usize;
-                let off = self.fu_offset[class];
-                let cnt = self.fu_count[class];
-                let $t2 = if fast_units {
-                    let (i0, v0) = if ports4[1] < ports4[0] {
-                        (1, ports4[1])
-                    } else {
-                        (0, ports4[0])
-                    };
-                    let (i1, v1) = if ports4[3] < ports4[2] {
-                        (3, ports4[3])
-                    } else {
-                        (2, ports4[2])
-                    };
-                    let (port, pv) = if v1 < v0 { (i1, v1) } else { (i0, v0) };
-                    let t1 = ready.max(pv);
-                    ports4[port] = t1 + 1;
-                    let units = &mut fu16[off..off + cnt];
-                    let unit = if cnt == 2 && units[1] < units[0] { 1 } else { 0 };
-                    let t2 = t1.max(units[unit]);
-                    units[unit] = t2 + self.fu_incr[class];
-                    t2
-                } else {
-                    let ports = &mut self.ports[pbase..pbase + issue_width];
-                    let port = min_index(ports);
-                    let t1 = ready.max(ports[port]);
-                    ports[port] = t1 + 1;
-                    let units = &mut self.fu_free[fbase_tu + off..fbase_tu + off + cnt];
-                    let unit = if cnt == 2 && units[1] < units[0] {
-                        1
-                    } else if cnt <= 2 {
-                        0
-                    } else {
-                        min_index(units)
-                    };
-                    let t2 = t1.max(units[unit]);
-                    units[unit] = t2 + self.fu_incr[class];
-                    t2
-                };
-            };
-        }
-        // Completion write-back for slot `$i` finishing at `$done`.
-        macro_rules! retire {
-            ($i:ident, $wr:ident, $done:ident) => {
-                debug_assert!($done <= u64::from(u32::MAX));
-                self.complete[k0 + $i] = $done as u32;
-                last_commit = last_commit.max($done);
-                if rings {
-                    self.rob_ring[rob_i] = last_commit;
-                    rob_i += 1;
-                    if rob_i == rob {
-                        rob_i = 0;
-                        rob_full = true;
-                    }
-                    if $wr {
-                        self.writer_ring[writer_i] = last_commit;
-                        writer_i += 1;
-                        if writer_i == renames {
-                            writer_i = 0;
-                            writer_full = true;
-                        }
-                    }
-                }
-            };
-        }
-
-        let mut i = 0usize;
-        let mut ev_iter = buf.ev_slot.iter();
-        let mut next_ev = ev_iter.next().map_or(m, |&s| s as usize);
-        while i < m {
-            // Plain run: no loads, stores-as-plain-slots, no control flow.
-            while i < next_ev {
-                front!(i, rec, _f, wr, t2);
-                let done = t2 + u64::from((rec.code >> 16) & 0xff);
-                retire!(i, wr, done);
-                i += 1;
-            }
-            if i == m {
-                break;
-            }
-            // Event slot: spawn / load / conditional branch / other control.
-            front!(i, rec, f, wr, t2);
-            let flags = (rec.code & 0xff) as u8;
-            if flags & F_SPAWN != 0 {
-                // Spawn slots reach this pass only under the exact
-                // fast-decline gate (otherwise they drain scalar), where
-                // `try_spawn` touches no state the other section passes
-                // read and the decode-time occurrence cap keeps any chained
-                // child's start at or beyond the batch end. The attempt
-                // reads only `f`, which `front!` computed exactly as the
-                // scalar fetch section would.
-                if self.tu_free_count == 0 || f < self.tu_min_free {
-                    self.result.spawns_declined += 1;
-                } else {
-                    if observing {
-                        // `try_spawn` emits straight to the sink; drain the
-                        // buffered events first to keep stream order.
-                        self.flush_obs();
-                    }
-                    let pc = self.trace.pcs()[k0 + i];
-                    if let Some(d) = self.try_spawn(t, k0 + i, pc, f) {
-                        self.doomed.push(d);
-                    }
-                    // A successful spawn chained a nearer successor.
-                    st.end = self.chain.front().map_or(self.trace.len(), |c| c.start);
-                }
-            }
-            let mut done = t2 + u64::from((rec.code >> 16) & 0xff);
-            if flags & F_LOAD != 0 {
-                let hit = (rec.code >> 24) & 1 != 0;
-                // The tag probe already happened in the cache pass; only
-                // the timing half (MSHR allocation on a miss) runs here,
-                // in the same slot order the scalar path would.
-                let mut data = if hit {
-                    self.caches[tu].hit_time(done)
-                } else {
-                    self.caches[tu].miss_time(done)
-                };
-                let mp = self.deps.mem_producer(k0 + i);
-                if mp != NO_PRODUCER {
-                    let mp = mp as usize;
-                    if mp >= t.start {
-                        // Same-thread store-to-load forwarding.
-                        data = data.max(u64::from(self.complete[mp]));
-                    } else if u64::from(self.complete[mp]) > t2 {
-                        // Violation: squash and restart here.
-                        self.result.violations += 1;
-                        let restart = u64::from(self.complete[mp]) + restart_extra;
-                        data = data.max(restart);
-                        fetch_cycle = restart;
-                        slots = 0;
-                        if observing {
-                            self.obs_buf.push(Event::ViolationDetected {
-                                thread: t.id,
-                                unit: tu as u32,
-                                cycle: t2,
-                            });
-                        }
-                    } else {
-                        // Cross-thread forward out of the versioning cache.
-                        data = data.max(u64::from(self.complete[mp]) + forward);
-                    }
-                }
-                done = data;
-                if observing {
-                    self.obs_buf.push(Event::CacheAccess {
-                        thread: t.id,
-                        unit: tu as u32,
-                        cycle: done,
-                        hit,
-                    });
-                }
-            }
-            retire!(i, wr, done);
-            if flags & F_COND_BRANCH != 0 {
-                let meta = rec.code >> 24;
-                let taken = meta & 1 != 0;
-                let hit = meta & 2 != 0;
-                let redirect = if hit {
-                    if taken { f + 1 } else { fetch_cycle }
-                } else {
-                    done + mispredict
-                };
-                fetch_cycle = fetch_cycle.max(redirect);
-                slots = if hit && !taken { slots } else { 0 };
-            } else if flags & F_CONTROL != 0 {
-                fetch_cycle = fetch_cycle.max(f + 1);
-                slots = 0;
-            }
-            i += 1;
-            next_ev = ev_iter.next().map_or(m, |&s| s as usize);
-        }
-
-        st.rob_i = rob_i;
-        st.rob_full = rob_full;
-        st.writer_i = writer_i;
-        st.writer_full = writer_full;
-        st.last_commit = last_commit;
-        st.fetch_cycle = fetch_cycle;
-        st.slots = slots;
-        st.ports4 = ports4;
-        st.fu16 = fu16;
-    }
-
-    /// Drains the window event scratch into the metrics registry and sink,
-    /// preserving stream order (the timing pass buffers; scalar steps and
-    /// window retires emit directly between batches).
-    fn flush_obs(&mut self) {
-        if self.obs_buf.is_empty() {
-            return;
-        }
-        let mut buf = std::mem::take(&mut self.obs_buf);
-        for ev in buf.drain(..) {
-            if let Some(m) = self.metrics.as_mut() {
-                m.record(&ev);
-            }
-            if let Some(s) = self.sink.as_mut() {
-                s.record(&ev);
-            }
-        }
-        self.obs_buf = buf;
-    }
-
-    /// Folds the elapsed time since `t0` into the pass-times slot picked by
-    /// `which`; free when timing is off (`t0` is `None`).
-    #[inline]
-    fn lap(&mut self, t0: Option<Instant>, which: impl FnOnce(&mut PassTimes) -> &mut u64) {
-        if let (Some(t0), Some(pt)) = (t0, self.pass_times.as_deref_mut()) {
-            *which(pt) += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
     }
 

@@ -89,7 +89,7 @@ pub const CODE_REV: u32 = 3;
 
 pub use cache::L1Cache;
 pub use config::{CacheConfig, ConfigDelta, RemovalPolicy, SimConfig};
-pub use engine::{PassTimes, Simulator};
+pub use engine::Simulator;
 pub use error::SimError;
 pub use faults::FaultPlan;
 pub use result::SimResult;

@@ -277,7 +277,7 @@ pub struct GcReport {
 
 impl Store {
     /// Opens a store with `config`, sweeping temp files abandoned by
-    /// crashed writers (see [`Store::sweep_stale_tmp`]).
+    /// crashed writers (see `Store::sweep_stale_tmp`).
     pub fn open(config: StoreConfig) -> StoreHandle {
         let store = Store {
             config,

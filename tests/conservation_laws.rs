@@ -179,40 +179,6 @@ fn every_workload_and_scheme_conserves() {
     assert!(speculative_runs > 20, "only {speculative_runs} runs ever spawned");
 }
 
-/// The windowed engine buffers event emission through a per-window scratch
-/// flushed at batch boundaries; this pins the *order* of the stream, not
-/// just its totals: the windowed run's event sequence must equal the
-/// instruction-at-a-time reference's element for element, alongside the
-/// result itself.
-#[test]
-fn windowed_event_stream_matches_reference_order() {
-    for case in cases() {
-        for (scheme, table) in &case.tables {
-            let label = format!("{}/{scheme}", case.name);
-            let cfg = SimConfig::paper(16).with_observe(true);
-
-            let mut windowed = EventLog::new();
-            let rw = Simulator::with_table(&case.trace, cfg.clone(), table)
-                .run_with_sink(&mut windowed)
-                .unwrap_or_else(|e| panic!("{label}: windowed run failed: {e}"));
-            let mut reference = EventLog::new();
-            let rr = Simulator::with_table(&case.trace, cfg, table)
-                .run_reference_with_sink(&mut reference)
-                .unwrap_or_else(|e| panic!("{label}: reference run failed: {e}"));
-
-            assert_eq!(rw, rr, "{label}: windowed result diverges from reference");
-            assert_eq!(
-                windowed.events().len(),
-                reference.events().len(),
-                "{label}: stream lengths diverge"
-            );
-            for (i, (w, r)) in windowed.events().iter().zip(reference.events()).enumerate() {
-                assert_eq!(w, r, "{label}: stream diverges at event {i}");
-            }
-        }
-    }
-}
-
 /// splitmix64, used only to derive plan parameters from a master seed
 /// (same discipline as `tests/chaos_faults.rs`).
 fn mix(state: &mut u64) -> u64 {
