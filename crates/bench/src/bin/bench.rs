@@ -11,7 +11,7 @@
 //! * `sim_paper16_gcc_ms` — a full paper-configuration simulation;
 //! * `suite_load_cold_ms` / `suite_load_warm_ms` — [`Harness::load_at`]
 //!   with an empty vs populated disk cache (what `specmt bench` pays at
-//!   startup, before vs after this cache existed).
+//!   startup).
 //!
 //! The JSON is merged per scale, so tiny (CI) and medium (headline)
 //! sections coexist. A `throughput` section records
@@ -242,7 +242,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     }
     let doc = json!({
         "schema": "specmt-pipeline-bench/v1",
-        "note": "median wall-clock ms per kernel; regenerate with `cargo run --release -p specmt-bench --bin bench` (SPECMT_SCALE selects the section)",
+        "note": "best (minimum) wall-clock ms per kernel; regenerate with `cargo run --release -p specmt-bench --bin bench` (SPECMT_SCALE selects the section)",
         "scales": serde_json::Value::Object(scales),
     });
     std::fs::write(&out_path, serde_json::to_string_pretty(&doc)? + "\n")?;

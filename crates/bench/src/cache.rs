@@ -24,6 +24,15 @@
 //! provenance, so ad-hoc tables (ablation sweeps, custom schemes, merged
 //! tables) address results correctly.
 //!
+//! ## One store path
+//!
+//! Only this module and [`BenchCtx`](crate::BenchCtx) address the store.
+//! The trace stage goes through `bench_via_store`; every JSON stage
+//! (profile, tables, baseline, simulate) goes through one read-through
+//! helper: look the key up, compute on a miss, write the result. Figures,
+//! including the cross-input ones that evaluate on the reference input,
+//! reach the store only through a `BenchCtx`.
+//!
 //! ## Trust model
 //!
 //! Stale entries are unreachable by construction (the key is the content
@@ -38,7 +47,7 @@ use specmt_store::{KeyBuilder, Namespace, StageKey, Store};
 use specmt_trace::Trace;
 use specmt_workloads::Workload;
 
-use crate::{Bench, BenchError};
+use crate::{Bench, BenchError, HarnessError};
 
 /// The trace stage's key: everything that determines the generated trace.
 /// `None` if the program cannot be serialized (the store is skipped, the
@@ -100,12 +109,36 @@ pub fn sim_stage(trace_key: &StageKey, table: &SpawnTable, config: &SimConfig) -
 
 /// The baseline document stored in the `analysis` namespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BaselineDoc {
+pub(crate) struct BaselineDoc {
     /// Single-threaded cycles of the workload's trace.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
 }
 
 serde::impl_serde_struct!(BaselineDoc { cycles });
+
+/// The read-through path of every JSON stage: serve `key`'s entry from
+/// `store` when it parses, otherwise run `compute` and store its result.
+/// A `None` key (unkeyable input, fault-injected run) bypasses the store.
+pub(crate) fn read_through<T>(
+    store: &Store,
+    ns: Namespace,
+    label: &str,
+    key: Option<&StageKey>,
+    compute: impl FnOnce() -> Result<T, HarnessError>,
+) -> Result<T, HarnessError>
+where
+    T: serde::Serialize + serde::Deserialize,
+{
+    let Some(key) = key else {
+        return compute();
+    };
+    if let Some(v) = store.get_json(ns, label, key) {
+        return Ok(v);
+    }
+    let v = compute()?;
+    store.put_json(ns, label, key, &v);
+    Ok(v)
+}
 
 /// Builds a [`Bench`] for `workload`, consulting `store`'s trace namespace
 /// under the logical name `label` before generating. Returns the bench and
@@ -118,7 +151,7 @@ serde::impl_serde_struct!(BaselineDoc { cycles });
 /// # Errors
 ///
 /// As [`Bench::from_workload`].
-pub fn bench_via_store(
+pub(crate) fn bench_via_store(
     store: &Store,
     workload: Workload,
     label: &str,

@@ -23,6 +23,7 @@ use specmt_predict::ValuePredictorKind;
 use specmt_sim::{ConfigDelta, RemovalPolicy, SimConfig};
 use specmt_spawn::SchemeParams;
 use specmt_stats::{arithmetic_mean, harmonic_mean, Table};
+use specmt_workloads::InputSet;
 
 use crate::{
     f2, pct, standard_removal, ExperimentSpec, Figure, Harness, HarnessError, Metric, Variant,
@@ -846,9 +847,7 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
 ///
 /// As [`fig2`].
 pub fn crossinput(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
-    use specmt_workloads::{InputSet, SUITE_NAMES};
-
-    let scale = h.scale;
+    let cfg = crate::best_profile_config(16);
     let mut table = Table::new(&[
         "bench",
         "train-profiled",
@@ -859,108 +858,13 @@ pub fn crossinput(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     let mut cross = Vec::new();
     let mut selfp = Vec::new();
     let mut rows = Vec::new();
-    for name in SUITE_NAMES {
-        // Non-default inputs flow through the store like the training
-        // suite: each input's trace is its own root key, and the profile
-        // tables / simulation results below chain from it.
-        let load = |input, tag: &str| -> Result<_, HarnessError> {
-            let w = specmt_workloads::by_name_with_input(name, scale, input).ok_or_else(|| {
-                HarnessError::bench(
-                    name,
-                    crate::BenchError::UnknownWorkload {
-                        name: name.to_owned(),
-                    },
-                )
-            })?;
-            let label = format!("{name}-{tag}-{}", format!("{scale:?}").to_lowercase());
-            let (bench, key) = crate::cache::bench_via_store(&h.store, w, &label)
-                .map_err(|e| HarnessError::bench(name, e))?;
-            Ok((bench, key, label))
-        };
-        let (train, train_key, train_label) = load(InputSet::Train, "train")?;
-        let (reference, ref_key, ref_label) = load(InputSet::Ref, "ref")?;
-
-        // The reference input's single-threaded baseline is an analysis
-        // artifact like any other: serve it when the closure matches.
-        if let Some(t) = &ref_key {
-            let akey = crate::cache::baseline_stage(t);
-            match h.store.get_json::<crate::cache::BaselineDoc>(
-                specmt_store::Namespace::Analysis,
-                &ref_label,
-                &akey,
-            ) {
-                Some(doc) => reference.seed_baseline(doc.cycles),
-                None => {
-                    let cycles = reference
-                        .baseline_cycles()
-                        .map_err(|e| HarnessError::bench(name, e))?;
-                    h.store.put_json(
-                        specmt_store::Namespace::Analysis,
-                        &ref_label,
-                        &akey,
-                        &crate::cache::BaselineDoc { cycles },
-                    );
-                }
-            }
-        }
-
-        let pairs_for = |bench: &crate::Bench,
-                         key: &Option<specmt_store::StageKey>,
-                         label: &str|
-         -> Result<specmt_spawn::SpawnTable, HarnessError> {
-            let skey = key
-                .as_ref()
-                .map(|t| crate::cache::table_stage(t, "builtin/profile", &h.params));
-            if let Some(k) = &skey {
-                if let Some(t) = h.store.get_json::<specmt_spawn::SpawnTable>(
-                    specmt_store::Namespace::SpawnTable,
-                    label,
-                    k,
-                ) {
-                    return Ok(t);
-                }
-            }
-            let t = h.registry.select("profile", bench.trace(), &h.params)?;
-            if let Some(k) = &skey {
-                h.store
-                    .put_json(specmt_store::Namespace::SpawnTable, label, k, &t);
-            }
-            Ok(t)
-        };
-        let train_pairs = pairs_for(&train, &train_key, &train_label)?;
-        let ref_pairs = pairs_for(&reference, &ref_key, &ref_label)?;
-
-        let cfg = crate::best_profile_config(16);
-        let run_stored = |table: &specmt_spawn::SpawnTable| -> Result<_, HarnessError> {
-            let skey = ref_key
-                .as_ref()
-                .map(|t| crate::cache::sim_stage(t, table, &cfg));
-            if let Some(k) = &skey {
-                if let Some(r) = h.store.get_json::<specmt_sim::SimResult>(
-                    specmt_store::Namespace::SimResult,
-                    &ref_label,
-                    k,
-                ) {
-                    return Ok(r);
-                }
-            }
-            let r = reference
-                .run(cfg.clone(), table)
-                .map_err(|e| HarnessError::bench(name, e))?;
-            if let Some(k) = &skey {
-                h.store
-                    .put_json(specmt_store::Namespace::SimResult, &ref_label, k, &r);
-            }
-            Ok(r)
-        };
-        let r_train = run_stored(&train_pairs)?;
-        let r_self = run_stored(&ref_pairs)?;
-        let with_train = reference
-            .speedup(&r_train)
-            .map_err(|e| HarnessError::bench(name, e))?;
-        let with_self = reference
-            .speedup(&r_self)
-            .map_err(|e| HarnessError::bench(name, e))?;
+    for train in &h.benches {
+        let name = train.bench.name();
+        let reference = train.on_input(h.scale, InputSet::Ref)?;
+        let train_pairs = train.table_with_params("profile", &h.registry, &h.params)?;
+        let ref_pairs = reference.table_with_params("profile", &h.registry, &h.params)?;
+        let with_train = reference.speedup(&reference.sim(cfg.clone(), &train_pairs)?)?;
+        let with_self = reference.speedup(&reference.sim(cfg.clone(), &ref_pairs)?)?;
         cross.push(with_train);
         selfp.push(with_self);
 
@@ -1021,10 +925,7 @@ pub fn crossinput(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
 ///
 /// As [`fig2`].
 pub fn fig_adaptation(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
-    use specmt_workloads::{InputSet, SUITE_NAMES};
-
     const SCHEMES: [&str; 3] = ["profile", "scoreboard", "conf-gated"];
-    let scale = h.scale;
     let cfg = crate::best_profile_config(16);
     let mut table = Table::new(&[
         "bench",
@@ -1035,102 +936,17 @@ pub fn fig_adaptation(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     ]);
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); SCHEMES.len()];
     let mut rows = Vec::new();
-    for name in SUITE_NAMES {
-        let load = |input, tag: &str| -> Result<_, HarnessError> {
-            let w = specmt_workloads::by_name_with_input(name, scale, input).ok_or_else(|| {
-                HarnessError::bench(
-                    name,
-                    crate::BenchError::UnknownWorkload {
-                        name: name.to_owned(),
-                    },
-                )
-            })?;
-            let label = format!("{name}-{tag}-{}", format!("{scale:?}").to_lowercase());
-            let (bench, key) = crate::cache::bench_via_store(&h.store, w, &label)
-                .map_err(|e| HarnessError::bench(name, e))?;
-            Ok((bench, key, label))
-        };
-        let (train, train_key, train_label) = load(InputSet::Train, "train")?;
-        let (reference, ref_key, ref_label) = load(InputSet::Ref, "ref")?;
-
-        if let Some(t) = &ref_key {
-            let akey = crate::cache::baseline_stage(t);
-            match h.store.get_json::<crate::cache::BaselineDoc>(
-                specmt_store::Namespace::Analysis,
-                &ref_label,
-                &akey,
-            ) {
-                Some(doc) => reference.seed_baseline(doc.cycles),
-                None => {
-                    let cycles = reference
-                        .baseline_cycles()
-                        .map_err(|e| HarnessError::bench(name, e))?;
-                    h.store.put_json(
-                        specmt_store::Namespace::Analysis,
-                        &ref_label,
-                        &akey,
-                        &crate::cache::BaselineDoc { cycles },
-                    );
-                }
-            }
-        }
-
+    for train in &h.benches {
+        let name = train.bench.name();
+        let reference = train.on_input(h.scale, InputSet::Ref)?;
         let mut speeds = [0f64; 3];
         for (si, sname) in SCHEMES.iter().enumerate() {
             // The table is selected on the TRAIN input. Its store key
             // carries the scheme's cache identity, so a change to an
             // adaptive gate parameter re-keys the adaptive tables without
             // touching the base scheme's entries.
-            let identity = h.registry.get(sname).and_then(|s| s.cache_identity());
-            let tkey = train_key
-                .as_ref()
-                .zip(identity.as_ref())
-                .map(|(t, id)| crate::cache::table_stage(t, id, &h.params));
-            let stored = tkey.as_ref().and_then(|k| {
-                h.store.get_json::<specmt_spawn::SpawnTable>(
-                    specmt_store::Namespace::SpawnTable,
-                    &train_label,
-                    k,
-                )
-            });
-            let sel = match stored {
-                Some(t) => t,
-                None => {
-                    let t = h.registry.select(sname, train.trace(), &h.params)?;
-                    if let Some(k) = &tkey {
-                        h.store
-                            .put_json(specmt_store::Namespace::SpawnTable, &train_label, k, &t);
-                    }
-                    t
-                }
-            };
-
-            let rkey = ref_key
-                .as_ref()
-                .map(|t| crate::cache::sim_stage(t, &sel, &cfg));
-            let stored = rkey.as_ref().and_then(|k| {
-                h.store.get_json::<specmt_sim::SimResult>(
-                    specmt_store::Namespace::SimResult,
-                    &ref_label,
-                    k,
-                )
-            });
-            let r = match stored {
-                Some(r) => r,
-                None => {
-                    let r = reference
-                        .run(cfg.clone(), &sel)
-                        .map_err(|e| HarnessError::bench(name, e))?;
-                    if let Some(k) = &rkey {
-                        h.store
-                            .put_json(specmt_store::Namespace::SimResult, &ref_label, k, &r);
-                    }
-                    r
-                }
-            };
-            speeds[si] = reference
-                .speedup(&r)
-                .map_err(|e| HarnessError::bench(name, e))?;
+            let sel = train.table_with_params(sname, &h.registry, &h.params)?;
+            speeds[si] = reference.speedup(&reference.sim(cfg.clone(), &sel)?)?;
             cols[si].push(speeds[si]);
         }
         let best = speeds[1].max(speeds[2]);

@@ -49,7 +49,7 @@ use specmt_spawn::{
 };
 use specmt_stats::Table;
 use specmt_store::{Namespace, StageKey, Store, StoreHandle};
-use specmt_workloads::Scale;
+use specmt_workloads::{InputSet, Scale};
 
 pub use benchmark::{Bench, BenchError};
 pub use experiment::{ExperimentGrid, ExperimentSpec, MeanKind, Metric, Variant};
@@ -158,7 +158,8 @@ pub struct BenchCtx {
     /// key chains from. `None` when the workload is unkeyable (the store is
     /// then bypassed for this context).
     trace_key: Option<StageKey>,
-    /// Logical store name for this context's artifacts, `{name}-{scale}`.
+    /// Logical store name for this context's artifacts: `{name}-{scale}`,
+    /// or `{name}-ref-{scale}` on the reference input.
     label: String,
 }
 
@@ -196,10 +197,11 @@ impl BenchCtx {
         BenchCtx::load_with(name, scale, Arc::clone(Store::default_handle()))
     }
 
-    /// Loads one benchmark, consulting `store` stage by stage: the trace,
-    /// the default-parameter profile, the all-heuristics table and the
-    /// single-threaded baseline are each served from the store when their
-    /// input closure matches, and stored after being computed otherwise.
+    /// Loads one benchmark's training input, consulting `store` stage by
+    /// stage: the trace, the default-parameter profile, the all-heuristics
+    /// table and the single-threaded baseline are each served from the
+    /// store when their input closure matches, and stored after being
+    /// computed otherwise.
     ///
     /// # Errors
     ///
@@ -210,63 +212,74 @@ impl BenchCtx {
         scale: Scale,
         store: StoreHandle,
     ) -> Result<BenchCtx, HarnessError> {
-        let workload = specmt_workloads::by_name(name, scale).ok_or_else(|| {
-            HarnessError::bench(
-                name,
-                BenchError::UnknownWorkload {
-                    name: name.to_owned(),
-                },
-            )
-        })?;
-        let label = format!("{name}-{}", format!("{scale:?}").to_lowercase());
+        BenchCtx::load_input(name, scale, InputSet::Train, store)
+    }
+
+    /// As [`BenchCtx::load_with`] for either input set.
+    fn load_input(
+        name: &'static str,
+        scale: Scale,
+        input: InputSet,
+        store: StoreHandle,
+    ) -> Result<BenchCtx, HarnessError> {
+        let workload =
+            specmt_workloads::by_name_with_input(name, scale, input).ok_or_else(|| {
+                HarnessError::bench(
+                    name,
+                    BenchError::UnknownWorkload {
+                        name: name.to_owned(),
+                    },
+                )
+            })?;
+        let label = store_label(name, scale, input);
         let (bench, trace_key) = cache::bench_via_store(&store, workload, &label)
             .map_err(|e| HarnessError::bench(name, e))?;
 
         let profile_cfg = ProfileConfig::default();
         let pkey = trace_key.as_ref().map(|t| cache::profile_stage(t, &profile_cfg));
-        let profile = pkey
-            .as_ref()
-            .and_then(|k| store.get_json::<ProfileResult>(Namespace::Profile, &label, k))
-            .unwrap_or_else(|| {
-                let p = bench.profile_table(&profile_cfg);
-                if let Some(k) = &pkey {
-                    store.put_json(Namespace::Profile, &label, k, &p);
-                }
-                p
-            });
+        let profile =
+            cache::read_through(&store, Namespace::Profile, &label, pkey.as_ref(), || {
+                Ok(bench.profile_table(&profile_cfg))
+            })?;
 
         let hkey = trace_key
             .as_ref()
             .map(|t| cache::table_stage(t, "builtin/heuristics", &SchemeParams::default()));
-        let heuristics = hkey
-            .as_ref()
-            .and_then(|k| store.get_json::<SpawnTable>(Namespace::SpawnTable, &label, k))
-            .unwrap_or_else(|| {
-                let t = bench.heuristic_table(HeuristicSet::all());
-                if let Some(k) = &hkey {
-                    store.put_json(Namespace::SpawnTable, &label, k, &t);
-                }
-                t
-            });
+        let heuristics =
+            cache::read_through(&store, Namespace::SpawnTable, &label, hkey.as_ref(), || {
+                Ok(bench.heuristic_table(HeuristicSet::all()))
+            })?;
 
         let akey = trace_key.as_ref().map(cache::baseline_stage);
-        match akey
-            .as_ref()
-            .and_then(|k| store.get_json::<cache::BaselineDoc>(Namespace::Analysis, &label, k))
-        {
-            Some(doc) => bench.seed_baseline(doc.cycles),
-            None => {
-                let cycles = bench
+        let baseline =
+            cache::read_through(&store, Namespace::Analysis, &label, akey.as_ref(), || {
+                bench
                     .baseline_cycles()
-                    .map_err(|e| HarnessError::bench(name, e))?;
-                if let Some(k) = &akey {
-                    store.put_json(Namespace::Analysis, &label, k, &cache::BaselineDoc { cycles });
-                }
-            }
-        }
+                    .map(|cycles| cache::BaselineDoc { cycles })
+                    .map_err(|e| HarnessError::bench(name, e))
+            })?;
+        bench.seed_baseline(baseline.cycles);
         Ok(BenchCtx::new(
             bench, profile, heuristics, store, trace_key, label,
         ))
+    }
+
+    /// This benchmark on another input set, loaded through the same store
+    /// and carrying this context's observe flag — the cross-input figures
+    /// evaluate training-selected tables on the reference input this way.
+    ///
+    /// # Errors
+    ///
+    /// As [`BenchCtx::load_with`].
+    pub(crate) fn on_input(
+        &self,
+        scale: Scale,
+        input: InputSet,
+    ) -> Result<BenchCtx, HarnessError> {
+        let ctx = BenchCtx::load_input(self.bench.name(), scale, input, Arc::clone(&self.store))?;
+        ctx.observe
+            .store(self.observe.load(Ordering::Relaxed), Ordering::Relaxed);
+        Ok(ctx)
     }
 
     /// The spawn table scheme `name` selects for this benchmark, resolved
@@ -336,22 +349,17 @@ impl BenchCtx {
             (Some(t), Some(identity)) => Some(cache::table_stage(t, &identity, params)),
             _ => None,
         };
-        if let Some(k) = &skey {
-            if let Some(t) = self
-                .store
-                .get_json::<SpawnTable>(Namespace::SpawnTable, &self.label, k)
-            {
-                return Ok(t);
-            }
-        }
-        let table = scheme
-            .select(self.bench.trace(), params)
-            .map_err(HarnessError::Scheme)?;
-        if let Some(k) = &skey {
-            self.store
-                .put_json(Namespace::SpawnTable, &self.label, k, &table);
-        }
-        Ok(table)
+        cache::read_through(
+            &self.store,
+            Namespace::SpawnTable,
+            &self.label,
+            skey.as_ref(),
+            || {
+                scheme
+                    .select(self.bench.trace(), params)
+                    .map_err(HarnessError::Scheme)
+            },
+        )
     }
 
     /// Simulates this benchmark, naming it in any error. The result is
@@ -372,22 +380,17 @@ impl BenchCtx {
             (Some(t), false) => Some(cache::sim_stage(t, table, &config)),
             _ => None,
         };
-        if let Some(k) = &key {
-            if let Some(r) = self
-                .store
-                .get_json::<SimResult>(Namespace::SimResult, &self.label, k)
-            {
-                return Ok(r);
-            }
-        }
-        let r = self
-            .bench
-            .run(config, table)
-            .map_err(|e| HarnessError::bench(self.bench.name(), e))?;
-        if let Some(k) = &key {
-            self.store.put_json(Namespace::SimResult, &self.label, k, &r);
-        }
-        Ok(r)
+        cache::read_through(
+            &self.store,
+            Namespace::SimResult,
+            &self.label,
+            key.as_ref(),
+            || {
+                self.bench
+                    .run(config, table)
+                    .map_err(|e| HarnessError::bench(self.bench.name(), e))
+            },
+        )
     }
 
     /// Speed-up of `result` over the baseline, naming the benchmark in any
@@ -400,6 +403,16 @@ impl BenchCtx {
         self.bench
             .speedup(result)
             .map_err(|e| HarnessError::bench(self.bench.name(), e))
+    }
+}
+
+/// Logical store name for one benchmark's artifacts: `{name}-{scale}` for
+/// the training input, `{name}-ref-{scale}` for the reference input.
+fn store_label(name: &str, scale: Scale, input: InputSet) -> String {
+    let scale = format!("{scale:?}").to_lowercase();
+    match input {
+        InputSet::Train => format!("{name}-{scale}"),
+        InputSet::Ref => format!("{name}-ref-{scale}"),
     }
 }
 

@@ -8,7 +8,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use specmt_bench::BenchCtx;
+use specmt_bench::{figures, BenchCtx, Harness};
 use specmt_sim::SimConfig;
 use specmt_store::{Namespace, Store, StoreConfig, StoreHandle};
 use specmt_workloads::Scale;
@@ -213,6 +213,40 @@ fn sim_config_change_invalidates_only_the_simulate_stage() {
     assert_eq!(records[0].namespace, "simresult");
     assert_eq!(records[0].stage, "simulate");
     assert_eq!(records[0].changed, vec!["sim-config".to_owned()]);
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The cross-input figures run their reference-input simulations through
+/// the same contexts as the suite, so `Harness::set_observe` reaches them:
+/// a second `fig_adaptation` run with observation on must re-simulate
+/// instead of being served the unobserved results of the first.
+#[test]
+fn observe_reaches_cross_input_figures() {
+    let dir = test_dir("observe-adaptation");
+    let store = open(&dir);
+    let h = Harness::load_at_with(Scale::Tiny, Arc::clone(&store)).expect("suite loads");
+    figures::fig_adaptation(&h).expect("unobserved run");
+
+    h.set_observe(true);
+    let before = store.misses(Namespace::SimResult);
+    figures::fig_adaptation(&h).expect("observed run");
+    let misses = store.misses(Namespace::SimResult) - before;
+    assert!(misses > 0, "the observed run was served unobserved results");
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `crossinput` reuses the suite's training traces: the only traces it
+/// adds to the store are the 8 reference inputs.
+#[test]
+fn crossinput_adds_only_reference_traces() {
+    let dir = test_dir("crossinput-traces");
+    let store = open(&dir);
+    let h = Harness::load_at_with(Scale::Tiny, Arc::clone(&store)).expect("suite loads");
+    let before = store.misses(Namespace::Trace);
+    figures::crossinput(&h).expect("crossinput builds");
+    assert_eq!(store.misses(Namespace::Trace) - before, 8);
 
     let _ = fs::remove_dir_all(&dir);
 }

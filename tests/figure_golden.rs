@@ -140,3 +140,31 @@ fn adaptation_figure_matches_golden_and_wins_under_drift() {
         .count();
     assert!(wins >= 1, "no adaptive scheme beat static profile on any drifted input");
 }
+
+// ---------------------------------------------------------------------------
+// Cross-input validation (Extra group)
+// ---------------------------------------------------------------------------
+
+const CROSS_GOLDEN: &str = include_str!("golden/crossinput_tiny.txt");
+
+/// Pins the cross-input validation figure (train-selected pairs run on the
+/// reference input) to its committed capture.
+///
+/// To regenerate after an intentional change:
+///
+/// ```text
+/// SPECMT_CACHE=off cargo run --release -p specmt --bin specmt -- \
+///     bench crossinput --scale tiny > tests/golden/crossinput_tiny.txt
+/// ```
+#[test]
+fn crossinput_figure_matches_golden() {
+    let h = Harness::load_at_with(Scale::Tiny, Store::disabled())
+        .expect("suite loads at tiny scale");
+    let figs = figures::crossinput(&h).expect("cross-input figure builds");
+    let rendered: String = figs.iter().map(|f| f.render_block()).collect();
+    assert_eq!(
+        rendered, CROSS_GOLDEN,
+        "crossinput diverged from its capture; if intentional, regenerate \
+         tests/golden/crossinput_tiny.txt (see the test docs)"
+    );
+}
