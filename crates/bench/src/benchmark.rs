@@ -1,12 +1,13 @@
 //! The [`Bench`] convenience wrapper: one ready-to-simulate benchmark.
 
-use std::sync::{Arc, OnceLock};
+use std::fmt;
+use std::sync::{Arc, LazyLock, OnceLock};
 
 use specmt_sim::{SimConfig, SimError, SimResult, Simulator};
 use specmt_spawn::{
     heuristic_pairs, profile_pairs, HeuristicSet, ProfileConfig, ProfileResult, SpawnTable,
 };
-use specmt_trace::{DepGraph, Trace, TraceError};
+use specmt_trace::{CheckedImage, DepGraph, Trace, TraceError};
 use specmt_workloads::{Scale, Workload};
 
 /// A ready-to-simulate benchmark: the workload, its dynamic trace, and a
@@ -32,10 +33,12 @@ use specmt_workloads::{Scale, Workload};
 /// assert!(speedup > 1.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
 pub struct Bench {
     workload: Workload,
-    trace: Trace,
+    /// The trace, decoded on first use. A warm store load holds a checked
+    /// image here, so a run served entirely from the store never builds
+    /// the columns; the image's bytes are dropped once decoded.
+    trace: LazyLock<Trace, Box<dyn FnOnce() -> Trace + Send>>,
     baseline: OnceLock<u64>,
     /// The trace's dependence graph, built on first simulation and shared
     /// by every subsequent run (it is a pure function of the trace).
@@ -66,12 +69,19 @@ impl Bench {
     pub fn from_workload(workload: Workload) -> Result<Bench, BenchError> {
         let trace = Trace::generate(workload.program.clone(), workload.step_budget)
             .map_err(BenchError::Trace)?;
-        Ok(Bench {
+        Ok(Bench::with_trace(workload, trace))
+    }
+
+    /// A bench over an already decoded trace.
+    fn with_trace(workload: Workload, trace: Trace) -> Bench {
+        let bench = Bench {
             workload,
-            trace,
+            trace: LazyLock::new(Box::new(move || trace)),
             baseline: OnceLock::new(),
             deps: OnceLock::new(),
-        })
+        };
+        LazyLock::force(&bench.trace);
+        bench
     }
 
     /// Reassembles a benchmark from a previously generated (typically
@@ -94,24 +104,30 @@ impl Bench {
         baseline: Option<u64>,
     ) -> Result<Bench, BenchError> {
         trace.validate().map_err(BenchError::Trace)?;
-        let actual = trace.final_reg(specmt_isa::Reg::R10);
-        if actual != workload.expected_checksum {
-            return Err(BenchError::ChecksumMismatch {
-                name: workload.name,
-                expected: workload.expected_checksum,
-                actual,
-            });
-        }
-        let bench = Bench {
-            workload,
-            trace,
-            baseline: OnceLock::new(),
-            deps: OnceLock::new(),
-        };
+        check_checksum(&workload, trace.final_reg(specmt_isa::Reg::R10))?;
+        let bench = Bench::with_trace(workload, trace);
         if let Some(cycles) = baseline {
             let _ = bench.baseline.set(cycles);
         }
         Ok(bench)
+    }
+
+    /// A benchmark whose trace is a store image, checked against the
+    /// workload's program (see [`CheckedImage::check`]) and decoded on
+    /// first use of [`Bench::trace`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BenchError::ChecksumMismatch`] if the image does not
+    /// reproduce the workload's checksum.
+    pub(crate) fn from_image(workload: Workload, image: CheckedImage) -> Result<Bench, BenchError> {
+        check_checksum(&workload, image.final_reg(specmt_isa::Reg::R10))?;
+        Ok(Bench {
+            workload,
+            trace: LazyLock::new(Box::new(move || image.decode())),
+            baseline: OnceLock::new(),
+            deps: OnceLock::new(),
+        })
     }
 
     /// Seeds the baseline cycle count from a store hit (no-op if already
@@ -144,9 +160,16 @@ impl Bench {
     }
 
     /// The dynamic trace (shared by profiling and simulation, like the
-    /// paper's use of the same training input for both).
+    /// paper's use of the same training input for both). A store-loaded
+    /// trace is decoded by the first call.
     pub fn trace(&self) -> &Trace {
         &self.trace
+    }
+
+    /// Whether [`Bench::trace`] has been decoded yet.
+    #[cfg(test)]
+    pub(crate) fn is_decoded(&self) -> bool {
+        LazyLock::get(&self.trace).is_some()
     }
 
     /// The trace's dependence graph, built once on first use and shared by
@@ -155,7 +178,7 @@ impl Bench {
     pub fn deps(&self) -> Arc<DepGraph> {
         Arc::clone(
             self.deps
-                .get_or_init(|| Arc::new(DepGraph::build(&self.trace))),
+                .get_or_init(|| Arc::new(DepGraph::build(self.trace()))),
         )
     }
 
@@ -170,7 +193,7 @@ impl Bench {
             return Ok(cycles);
         }
         let cycles = Simulator::with_deps(
-            &self.trace,
+            self.trace(),
             self.deps(),
             SimConfig::single_threaded(),
             &SpawnTable::empty(),
@@ -183,7 +206,7 @@ impl Bench {
 
     /// Runs the profile-based selector (§3.1) on this benchmark's trace.
     pub fn profile_table(&self, config: &ProfileConfig) -> ProfileResult {
-        profile_pairs(&self.trace, config)
+        profile_pairs(self.trace(), config)
     }
 
     /// Builds the construct-heuristic table for this benchmark.
@@ -198,7 +221,7 @@ impl Bench {
     /// Returns [`BenchError::Sim`] for an invalid configuration or a failed
     /// post-run invariant audit (see [`SimError`]).
     pub fn run(&self, config: SimConfig, table: &SpawnTable) -> Result<SimResult, BenchError> {
-        Simulator::with_deps(&self.trace, self.deps(), config, table)
+        Simulator::with_deps(self.trace(), self.deps(), config, table)
             .run()
             .map_err(BenchError::Sim)
     }
@@ -216,7 +239,7 @@ impl Bench {
         table: &SpawnTable,
         sink: &mut dyn specmt_sim::EventSink,
     ) -> Result<SimResult, BenchError> {
-        Simulator::with_deps(&self.trace, self.deps(), config, table)
+        Simulator::with_deps(self.trace(), self.deps(), config, table)
             .run_with_sink(sink)
             .map_err(BenchError::Sim)
     }
@@ -228,6 +251,33 @@ impl Bench {
     /// As [`Bench::baseline_cycles`].
     pub fn speedup(&self, result: &SimResult) -> Result<f64, BenchError> {
         Ok(self.baseline_cycles()? as f64 / result.cycles as f64)
+    }
+}
+
+/// Checks a stored trace's final `r10` against the workload's expected
+/// checksum: the one policy for every constructor that trusts no trace.
+fn check_checksum(workload: &Workload, actual: u64) -> Result<(), BenchError> {
+    if actual == workload.expected_checksum {
+        return Ok(());
+    }
+    Err(BenchError::ChecksumMismatch {
+        name: workload.name,
+        expected: workload.expected_checksum,
+        actual,
+    })
+}
+
+impl fmt::Debug for Bench {
+    /// A summary: the columns (or the undecoded image) would dump
+    /// megabytes through every `Debug` that contains a bench.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("Bench");
+        d.field("name", &self.name());
+        match LazyLock::get(&self.trace) {
+            Some(trace) => d.field("trace_len", &trace.len()),
+            None => d.field("trace", &format_args!("not decoded")),
+        };
+        d.finish_non_exhaustive()
     }
 }
 

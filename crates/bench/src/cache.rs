@@ -36,15 +36,22 @@
 //! ## Trust model
 //!
 //! Stale entries are unreachable by construction (the key is the content
-//! address of the inputs). Corrupt entries are parse-and-reject: traces are
-//! structurally re-validated and checksum-verified by
-//! [`Bench::from_cached`], JSON payloads must parse; any failure falls
-//! through to regeneration, which overwrites the entry.
+//! address of the inputs). Corrupt entries are parse-and-reject, at load:
+//! a stored trace image is scanned end to end by [`CheckedImage::check`]
+//! (every check the decoder makes, with the program header compared byte
+//! for byte against the workload's program) and its final `r10` must be
+//! the workload's checksum; JSON payloads must parse. Any failure falls
+//! through to regeneration, which overwrites the entry. A checked image is
+//! decoded only when its bench's trace is first used, so a run served
+//! entirely from the store never builds trace columns. Traces handed in
+//! already decoded are validated by [`Bench::from_cached`].
+
+use std::sync::Arc;
 
 use specmt_sim::SimConfig;
 use specmt_spawn::{ProfileConfig, SchemeParams, SpawnTable};
 use specmt_store::{KeyBuilder, Namespace, StageKey, Store};
-use specmt_trace::Trace;
+use specmt_trace::CheckedImage;
 use specmt_workloads::Workload;
 
 use crate::{Bench, BenchError, HarnessError};
@@ -54,14 +61,17 @@ use crate::{Bench, BenchError, HarnessError};
 /// pipeline still runs).
 pub fn trace_stage(workload: &Workload) -> Option<StageKey> {
     let program_json = serde_json::to_vec(&workload.program).ok()?;
-    Some(
-        KeyBuilder::new("trace")
-            .component("program", program_json.as_slice())
-            .component("step-budget", &workload.step_budget)
-            .component("checksum", &workload.expected_checksum)
-            .code_rev(specmt_trace::CODE_REV)
-            .finish(),
-    )
+    Some(trace_key(workload, &program_json))
+}
+
+/// [`trace_stage`] for an already serialized program.
+fn trace_key(workload: &Workload, program_json: &[u8]) -> StageKey {
+    KeyBuilder::new("trace")
+        .component("program", program_json)
+        .component("step-budget", &workload.step_budget)
+        .component("checksum", &workload.expected_checksum)
+        .code_rev(specmt_trace::CODE_REV)
+        .finish()
 }
 
 /// The profile stage's key: the trace it read plus the `ProfileConfig`
@@ -144,9 +154,11 @@ where
 /// under the logical name `label` before generating. Returns the bench and
 /// its trace stage key (`None` when the workload is unkeyable).
 ///
-/// A stored trace is never trusted: it is structurally re-validated and
-/// must reproduce the workload's checksum ([`Bench::from_cached`]); any
-/// failure regenerates and overwrites the entry.
+/// A stored trace is never trusted: the whole image is checked against the
+/// workload's program ([`CheckedImage::check`]) and must reproduce the
+/// workload's checksum, here at load; any failure regenerates and
+/// overwrites the entry. A passing image is decoded only when the bench's
+/// trace is first used.
 ///
 /// # Errors
 ///
@@ -156,18 +168,21 @@ pub(crate) fn bench_via_store(
     workload: Workload,
     label: &str,
 ) -> Result<(Bench, Option<StageKey>), BenchError> {
-    let Some(tkey) = trace_stage(&workload) else {
+    let Ok(program_json) = serde_json::to_vec(&workload.program) else {
         return Ok((Bench::from_workload(workload)?, None));
     };
+    let tkey = trace_key(&workload, &program_json);
     if let Some(bytes) = store.get_bytes(Namespace::Trace, label, &tkey) {
-        // Decode straight from the store's buffer: `read_from` would copy
-        // the whole image into a second Vec first.
-        if let Ok(trace) = Trace::from_bytes(&bytes) {
-            if let Ok(bench) = Bench::from_cached(workload.clone(), trace, None) {
+        let program = Arc::new(workload.program.clone());
+        if let Ok(image) = CheckedImage::check(bytes, program, &program_json) {
+            if let Ok(bench) = Bench::from_image(workload.clone(), image) {
                 return Ok((bench, Some(tkey)));
             }
         }
     }
+    // Generation does not need the header; free it (up to ~0.4 MB at
+    // medium) before the trace columns grow.
+    drop(program_json);
     let bench = Bench::from_workload(workload)?;
     let mut trace_bytes = Vec::new();
     if bench.trace().write_to(&mut trace_bytes).is_ok() {
@@ -183,6 +198,36 @@ mod tests {
 
     fn workload() -> Workload {
         specmt_workloads::by_name("li", Scale::Tiny).expect("suite workload")
+    }
+
+    #[test]
+    fn warm_trace_loads_decode_on_first_use() {
+        let dir =
+            std::env::temp_dir().join(format!("specmt-cache-lazy-trace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(specmt_store::StoreConfig::at(&dir));
+        let (cold, _) = bench_via_store(&store, workload(), "li-tiny").expect("cold load");
+        assert!(
+            cold.is_decoded(),
+            "a generated trace is decoded from the start"
+        );
+
+        let (warm, key) = bench_via_store(&store, workload(), "li-tiny").expect("warm load");
+        assert_eq!(store.hits(Namespace::Trace), 1);
+        assert_eq!(
+            store.stores(Namespace::Trace),
+            1,
+            "a valid image is not rewritten"
+        );
+        assert!(key.is_some());
+        assert!(!warm.is_decoded(), "a warm load must not decode the trace");
+        assert!(format!("{warm:?}").contains("not decoded"));
+
+        assert_eq!(warm.trace().records_vec(), cold.trace().records_vec());
+        assert_eq!(warm.trace().program(), cold.trace().program());
+        assert!(warm.is_decoded());
+        assert!(format!("{warm:?}").contains(&format!("trace_len: {}", cold.trace().len())));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -68,6 +68,34 @@ fn entries_with_ext(dir: &Path, ext: &str) -> Vec<PathBuf> {
     out
 }
 
+/// `image` with the continuation bit set on a byte in the middle of its
+/// value column, the last column of the container.
+fn value_column_continued(image: &[u8]) -> Vec<u8> {
+    let word = |at: usize, n: usize| {
+        image[at..at + n]
+            .iter()
+            .rev()
+            .fold(0u64, |w, &b| w << 8 | u64::from(b))
+    };
+    // magic, version, program-JSON length, program JSON, record count.
+    let plen = word(8, 4) as usize;
+    let count = word(12 + plen, 8);
+    // The value column is the image's last `count` varints; each ends in a
+    // byte with the continuation bit clear.
+    let mut ends = 0;
+    let mut out = image.to_vec();
+    for (i, &b) in image.iter().enumerate().rev() {
+        if b & 0x80 == 0 {
+            ends += 1;
+            if ends == count / 2 + 1 {
+                out[i] |= 0x80;
+                return out;
+            }
+        }
+    }
+    panic!("no value column in the image");
+}
+
 #[test]
 fn warm_loads_are_bit_identical_and_corruption_is_survived() {
     let dir = test_dir("correctness");
@@ -116,6 +144,40 @@ fn warm_loads_are_bit_identical_and_corruption_is_survived() {
     for path in entries_with_ext(&dir, "smtr") {
         let len = fs::metadata(&path).expect("trace entry").len();
         assert!(len > 100, "corrupt entry must be rewritten, len {len}");
+    }
+
+    // Damage inside the columns is caught by the load itself, not by the
+    // first use of the trace: the load rewrites the entry before anything
+    // simulates. Setting the continuation bit of a value-column byte merges
+    // two values, so the column runs out of bytes; a one-byte truncation
+    // cuts the last value.
+    let (trace_path, intact) = {
+        let paths = entries_with_ext(&dir, "smtr");
+        assert_eq!(paths.len(), 1, "one gcc trace entry");
+        let bytes = fs::read(&paths[0]).expect("trace entry");
+        (paths[0].clone(), bytes)
+    };
+    let damaged = [
+        value_column_continued(&intact),
+        intact[..intact.len() - 1].to_vec(),
+    ];
+    for (case, image) in ["value-column byte", "truncation"].into_iter().zip(damaged) {
+        fs::write(&trace_path, &image).expect("damage trace");
+        let store = open(&dir);
+        let recovered = BenchCtx::load_with("gcc", Scale::Tiny, Arc::clone(&store))
+            .unwrap_or_else(|e| panic!("load over {case}: {e}"));
+        assert_eq!(
+            store.stores(Namespace::Trace),
+            1,
+            "the load must rewrite the entry after a {case}"
+        );
+        assert_eq!(
+            store.misses(Namespace::SimResult),
+            0,
+            "nothing simulated yet"
+        );
+        assert_eq!(fs::read(&trace_path).expect("rewritten entry"), intact);
+        assert_eq!(products(&recovered), cold_products, "{case}");
     }
 
     // Truncated JSON artifacts are likewise silent misses.

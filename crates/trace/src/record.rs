@@ -147,27 +147,30 @@ impl Trace {
     }
 
     /// Reassembles a trace directly from its column store (used by the
-    /// binary deserializer). Panics if the column lengths are inconsistent;
-    /// trailing bits of the last `taken` word are masked off so equal traces
-    /// compare equal regardless of serialization history.
+    /// binary deserializer, whose column lengths are consistent by
+    /// construction); trailing bits of the last `taken` word are masked off
+    /// so equal traces compare equal regardless of serialization history.
     pub(crate) fn from_columns(
-        program: Program,
-        pcs: Vec<u32>,
-        mut taken: Vec<u64>,
-        addrs: Vec<u64>,
-        results: Vec<u64>,
+        program: Arc<Program>,
+        columns: crate::io::Columns,
         final_regs: [u64; specmt_isa::NUM_REGS],
     ) -> Trace {
-        assert_eq!(addrs.len(), pcs.len());
-        assert_eq!(results.len(), pcs.len());
-        assert_eq!(taken.len(), pcs.len().div_ceil(64));
+        let crate::io::Columns {
+            pcs,
+            mut taken,
+            addrs,
+            results,
+        } = columns;
+        debug_assert_eq!(addrs.len(), pcs.len());
+        debug_assert_eq!(results.len(), pcs.len());
+        debug_assert_eq!(taken.len(), pcs.len().div_ceil(64));
         if !pcs.len().is_multiple_of(64) {
             if let Some(last) = taken.last_mut() {
                 *last &= (1u64 << (pcs.len() % 64)) - 1;
             }
         }
         Trace {
-            program: Arc::new(program),
+            program,
             pcs,
             taken,
             addrs,
