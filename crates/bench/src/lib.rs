@@ -631,32 +631,39 @@ pub struct MetricsRow {
 
 /// Runs `config` (with observation forced on) for every benchmark × scheme
 /// combination and returns the per-cell metrics snapshots — the aggregation
-/// behind `specmt bench --metrics json`.
+/// behind `specmt bench --metrics json`. The cells run as one supervised
+/// batch on [`Harness::exec`]; rows come back benchmark-major, in
+/// `schemes` order within each benchmark.
 ///
 /// # Errors
 ///
-/// The first failed table selection or simulation.
+/// The first failed table selection or simulation, or
+/// [`HarnessError::Supervised`] for a degraded cell.
 pub fn collect_metrics(
     h: &Harness,
     config: &SimConfig,
     schemes: &[&str],
 ) -> Result<Vec<MetricsRow>, HarnessError> {
-    let mut rows = Vec::new();
+    let mut tasks = Vec::with_capacity(h.benches.len() * schemes.len());
     for ctx in &h.benches {
         for &scheme in schemes {
             let table = ctx.table_for(scheme, &h.registry, &h.params)?;
+            let ctx = Arc::clone(ctx);
             let cfg = config.clone().with_observe(true);
-            let r = ctx.sim(cfg, &table)?;
-            let speedup = ctx.speedup(&r)?;
-            rows.push(MetricsRow {
-                bench: ctx.bench.name(),
-                scheme: scheme.to_owned(),
-                speedup,
-                metrics: r.metrics.unwrap_or_default(),
-            });
+            let scheme = scheme.to_owned();
+            tasks.push(Task::new(format!("{}/{scheme}", ctx.bench.name()), move || {
+                let r = ctx.sim(cfg.clone(), &table)?;
+                let speedup = ctx.speedup(&r)?;
+                Ok(MetricsRow {
+                    bench: ctx.bench.name(),
+                    scheme: scheme.clone(),
+                    speedup,
+                    metrics: r.metrics.unwrap_or_default(),
+                })
+            }));
         }
     }
-    Ok(rows)
+    run_supervised(&h.executor(), tasks)?.into_iter().collect()
 }
 
 /// [`collect_metrics`] rendered as the JSON document `specmt bench

@@ -11,10 +11,10 @@
 //!   pays a single branch per would-be emission site.
 //! * [`EventLog`] — a sink that records every event in emission order, for
 //!   tests and timeline export.
-//! * [`MetricsRegistry`] — a sink that folds events into named counters and
-//!   power-of-two histograms (threads in flight, squash reasons, thread
-//!   sizes, spawn-to-commit latency); [`MetricsRegistry::snapshot`] freezes
-//!   it into a serialisable [`Metrics`] value.
+//! * [`MetricsRegistry`] — a sink that folds events into fixed counter
+//!   slots and power-of-two histograms (threads in flight, squash reasons,
+//!   thread sizes, spawn-to-commit latency); [`MetricsRegistry::snapshot`]
+//!   freezes it into a serialisable [`Metrics`] value.
 //! * [`chrome`] — export an event log in Chrome's `trace_event` JSON format
 //!   for timeline viewing in `chrome://tracing` / Perfetto.
 //! * [`audit`](audit()) — replay an event stream through a per-thread state

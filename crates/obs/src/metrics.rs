@@ -1,8 +1,6 @@
-//! Named counters and histograms aggregated from the event stream.
+//! Fixed-slot counters and histograms aggregated from the event stream.
 
-use std::collections::BTreeMap;
-
-use crate::{Event, EventSink, FaultKind};
+use crate::{Event, EventSink, FaultKind, GateReason, SquashReason};
 
 /// Running state of one histogram: count/sum/min/max plus power-of-two
 /// buckets (`buckets[i]` counts observations in `[2^i, 2^(i+1))`, with 0
@@ -34,22 +32,148 @@ impl Histogram {
         }
         self.buckets[bucket] += 1;
     }
+
+    fn snapshot(&self, name: &str) -> HistogramSnapshot {
+        HistogramSnapshot {
+            name: name.to_string(),
+            count: self.count,
+            sum: self.sum,
+            min: self.min,
+            max: self.max,
+            buckets: self.buckets.clone(),
+        }
+    }
 }
 
-/// A registry of named counters and histograms that doubles as an
+/// Number of counter slots in a [`MetricsRegistry`].
+const SLOTS: usize = 20;
+
+/// One counter slot of a [`MetricsRegistry`]: the discriminant indexes the
+/// registry's counter array and its bit in the touched mask.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    ThreadsSpawned,
+    SpeculativeSpawns,
+    ThreadsSquashed,
+    ThreadsCommitted,
+    Violations,
+    CacheHits,
+    CacheMisses,
+    SpawnsGated,
+    PairsDemoted,
+    FaultsInjected,
+    FaultJitterCycles,
+    SquashedControlMisspeculation,
+    SquashedInjectedFault,
+    GatedLowConfidence,
+    GatedDemoted,
+    FaultDroppedSpawns,
+    FaultForcedSquashes,
+    FaultCorruptedValues,
+    FaultCacheJitters,
+    FaultForcedRemovals,
+}
+
+impl Slot {
+    /// Every slot, in discriminant order.
+    const ALL: [Slot; SLOTS] = [
+        Slot::ThreadsSpawned,
+        Slot::SpeculativeSpawns,
+        Slot::ThreadsSquashed,
+        Slot::ThreadsCommitted,
+        Slot::Violations,
+        Slot::CacheHits,
+        Slot::CacheMisses,
+        Slot::SpawnsGated,
+        Slot::PairsDemoted,
+        Slot::FaultsInjected,
+        Slot::FaultJitterCycles,
+        Slot::SquashedControlMisspeculation,
+        Slot::SquashedInjectedFault,
+        Slot::GatedLowConfidence,
+        Slot::GatedDemoted,
+        Slot::FaultDroppedSpawns,
+        Slot::FaultForcedSquashes,
+        Slot::FaultCorruptedValues,
+        Slot::FaultCacheJitters,
+        Slot::FaultForcedRemovals,
+    ];
+
+    /// The slot counting squashes for `reason`.
+    fn squashed(reason: SquashReason) -> Slot {
+        match reason {
+            SquashReason::ControlMisspeculation => Slot::SquashedControlMisspeculation,
+            SquashReason::InjectedFault => Slot::SquashedInjectedFault,
+        }
+    }
+
+    /// The slot counting gated spawns for `reason`.
+    fn gated(reason: GateReason) -> Slot {
+        match reason {
+            GateReason::LowConfidence => Slot::GatedLowConfidence,
+            GateReason::Demoted => Slot::GatedDemoted,
+        }
+    }
+
+    /// The slot counting injected faults of `kind`.
+    fn fault(kind: FaultKind) -> Slot {
+        match kind {
+            FaultKind::DroppedSpawn => Slot::FaultDroppedSpawns,
+            FaultKind::ForcedSquash => Slot::FaultForcedSquashes,
+            FaultKind::CorruptedValue => Slot::FaultCorruptedValues,
+            FaultKind::CacheJitter { .. } => Slot::FaultCacheJitters,
+            FaultKind::ForcedRemoval => Slot::FaultForcedRemovals,
+        }
+    }
+
+    /// The counter name the slot is snapshotted under. Reason and fault
+    /// slots take theirs from the `counter()` of the kind they count.
+    fn name(self) -> &'static str {
+        match self {
+            Slot::ThreadsSpawned => "threads_spawned",
+            Slot::SpeculativeSpawns => "speculative_spawns",
+            Slot::ThreadsSquashed => "threads_squashed",
+            Slot::ThreadsCommitted => "threads_committed",
+            Slot::Violations => "violations",
+            Slot::CacheHits => "cache_hits",
+            Slot::CacheMisses => "cache_misses",
+            Slot::SpawnsGated => "spawns_gated",
+            Slot::PairsDemoted => "pairs_demoted",
+            Slot::FaultsInjected => "faults_injected",
+            Slot::FaultJitterCycles => "fault_jitter_cycles",
+            Slot::SquashedControlMisspeculation => SquashReason::ControlMisspeculation.counter(),
+            Slot::SquashedInjectedFault => SquashReason::InjectedFault.counter(),
+            Slot::GatedLowConfidence => GateReason::LowConfidence.counter(),
+            Slot::GatedDemoted => GateReason::Demoted.counter(),
+            Slot::FaultDroppedSpawns => FaultKind::DroppedSpawn.counter(),
+            Slot::FaultForcedSquashes => FaultKind::ForcedSquash.counter(),
+            Slot::FaultCorruptedValues => FaultKind::CorruptedValue.counter(),
+            Slot::FaultCacheJitters => FaultKind::CacheJitter { cycles: 0 }.counter(),
+            Slot::FaultForcedRemovals => FaultKind::ForcedRemoval.counter(),
+        }
+    }
+}
+
+/// A registry of fixed counter slots and histograms that doubles as an
 /// [`EventSink`]: feed it the engine's event stream (directly, or by
 /// setting `SimConfig::observe`) and it aggregates the standard metric set
 /// — thread lifecycle counts, squash reasons, fault counts, cache hit/miss,
 /// threads-in-flight peak, and thread-size / spawn-to-commit-latency
 /// histograms.
 ///
-/// Counter and histogram names are `&'static str` so the hot recording
-/// path never allocates; [`snapshot`](MetricsRegistry::snapshot) converts
-/// to owned, serialisable [`Metrics`].
+/// Every counter is a slot of one fixed array, so recording an event is a
+/// few array increments with no lookup and no allocation. A bitmask
+/// remembers which slots were ever touched:
+/// [`snapshot`](MetricsRegistry::snapshot) emits only those (plus the two
+/// in-flight counters), and each histogram only once it has observed a
+/// value, so a snapshot lists exactly the metrics the run produced.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+    counters: [u64; SLOTS],
+    /// Bit `i` is set once slot `i` has been added to.
+    touched: u32,
+    thread_size: Histogram,
+    spawn_to_commit_cycles: Histogram,
     in_flight: u64,
     in_flight_peak: u64,
 }
@@ -60,24 +184,10 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Add `delta` to the named counter, creating it at zero.
-    pub fn add(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
-    }
-
-    /// Increment the named counter by one.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Record one observation into the named histogram.
-    pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().observe(value);
-    }
-
-    /// Current value of a counter (zero if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    #[inline]
+    fn add(&mut self, slot: Slot, delta: u64) {
+        self.counters[slot as usize] += delta;
+        self.touched |= 1 << slot as u32;
     }
 
     /// Freeze the registry into an owned, serialisable snapshot.
@@ -86,10 +196,13 @@ impl MetricsRegistry {
     /// `threads_in_flight` (threads spawned but not yet retired — zero for
     /// any run that drained) and `threads_in_flight_peak`.
     pub fn snapshot(&self) -> Metrics {
-        let mut counters: Vec<CounterSnapshot> = self
-            .counters
+        let mut counters: Vec<CounterSnapshot> = Slot::ALL
             .iter()
-            .map(|(name, value)| CounterSnapshot { name: (*name).to_string(), value: *value })
+            .filter(|&&slot| self.touched & (1 << slot as u32) != 0)
+            .map(|&slot| CounterSnapshot {
+                name: slot.name().to_string(),
+                value: self.counters[slot as usize],
+            })
             .collect();
         counters.push(CounterSnapshot {
             name: "threads_in_flight".to_string(),
@@ -100,58 +213,56 @@ impl MetricsRegistry {
             value: self.in_flight_peak,
         });
         counters.sort_by(|a, b| a.name.cmp(&b.name));
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(name, h)| HistogramSnapshot {
-                name: (*name).to_string(),
-                count: h.count,
-                sum: h.sum,
-                min: h.min,
-                max: h.max,
-                buckets: h.buckets.clone(),
-            })
-            .collect();
+        // Listed in name order; both are observed on every commit.
+        let histograms = [
+            ("spawn_to_commit_cycles", &self.spawn_to_commit_cycles),
+            ("thread_size", &self.thread_size),
+        ]
+        .into_iter()
+        .filter(|(_, h)| h.count > 0)
+        .map(|(name, h)| h.snapshot(name))
+        .collect();
         Metrics { counters, histograms }
     }
 }
 
 impl EventSink for MetricsRegistry {
+    #[inline]
     fn record(&mut self, event: &Event) {
         match *event {
             Event::ThreadSpawned { speculative, .. } => {
-                self.inc("threads_spawned");
+                self.add(Slot::ThreadsSpawned, 1);
                 if speculative {
-                    self.inc("speculative_spawns");
+                    self.add(Slot::SpeculativeSpawns, 1);
                 }
                 self.in_flight += 1;
                 self.in_flight_peak = self.in_flight_peak.max(self.in_flight);
             }
             Event::ThreadSquashed { reason, .. } => {
-                self.inc("threads_squashed");
-                self.inc(reason.counter());
+                self.add(Slot::ThreadsSquashed, 1);
+                self.add(Slot::squashed(reason), 1);
                 self.in_flight = self.in_flight.saturating_sub(1);
             }
             Event::ThreadCommitted { cycle, spawn_cycle, size, .. } => {
-                self.inc("threads_committed");
-                self.observe("thread_size", size);
-                self.observe("spawn_to_commit_cycles", cycle.saturating_sub(spawn_cycle));
+                self.add(Slot::ThreadsCommitted, 1);
+                self.thread_size.observe(size);
+                self.spawn_to_commit_cycles.observe(cycle.saturating_sub(spawn_cycle));
                 self.in_flight = self.in_flight.saturating_sub(1);
             }
-            Event::ViolationDetected { .. } => self.inc("violations"),
+            Event::ViolationDetected { .. } => self.add(Slot::Violations, 1),
             Event::CacheAccess { hit, .. } => {
-                self.inc(if hit { "cache_hits" } else { "cache_misses" });
+                self.add(if hit { Slot::CacheHits } else { Slot::CacheMisses }, 1);
             }
             Event::SpawnGated { reason, .. } => {
-                self.inc("spawns_gated");
-                self.inc(reason.counter());
+                self.add(Slot::SpawnsGated, 1);
+                self.add(Slot::gated(reason), 1);
             }
-            Event::PairDemoted { .. } => self.inc("pairs_demoted"),
+            Event::PairDemoted { .. } => self.add(Slot::PairsDemoted, 1),
             Event::FaultInjected { kind, .. } => {
-                self.inc("faults_injected");
-                self.inc(kind.counter());
+                self.add(Slot::FaultsInjected, 1);
+                self.add(Slot::fault(kind), 1);
                 if let FaultKind::CacheJitter { cycles } = kind {
-                    self.add("fault_jitter_cycles", cycles);
+                    self.add(Slot::FaultJitterCycles, cycles);
                 }
             }
         }
@@ -227,7 +338,6 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GateReason, SquashReason};
 
     #[test]
     fn histogram_buckets_are_powers_of_two() {
@@ -315,6 +425,80 @@ mod tests {
         assert_eq!(lat.count, 2);
         assert_eq!(lat.sum, 46); // 20 + 26
         assert!((lat.mean() - 23.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn snapshot_lists_only_what_the_run_produced() {
+        let names = |m: &Metrics| m.counters.iter().map(|c| c.name.clone()).collect::<Vec<_>>();
+        let mut reg = MetricsRegistry::new();
+        let empty = reg.snapshot();
+        assert_eq!(names(&empty), ["threads_in_flight", "threads_in_flight_peak"]);
+        assert!(empty.histograms.is_empty());
+
+        reg.record(&Event::ThreadSpawned { thread: 0, unit: 0, cycle: 0, speculative: false });
+        reg.record(&Event::CacheAccess { thread: 0, unit: 0, cycle: 1, hit: false });
+        let m = reg.snapshot();
+        // Never-touched counters (speculative_spawns, cache_hits, ...) stay
+        // absent, and no histogram exists before the first commit.
+        assert_eq!(
+            names(&m),
+            ["cache_misses", "threads_in_flight", "threads_in_flight_peak", "threads_spawned"]
+        );
+        assert!(m.histograms.is_empty());
+
+        reg.record(&Event::FaultInjected {
+            thread: 0,
+            unit: 0,
+            cycle: 2,
+            kind: FaultKind::CorruptedValue,
+        });
+        assert!(!names(&reg.snapshot()).contains(&"fault_jitter_cycles".to_string()));
+        reg.record(&Event::FaultInjected {
+            thread: 0,
+            unit: 0,
+            cycle: 3,
+            kind: FaultKind::CacheJitter { cycles: 0 },
+        });
+        let m = reg.snapshot();
+        assert!(names(&m).contains(&"fault_jitter_cycles".to_string()), "touched at zero");
+        assert_eq!(m.counter("fault_jitter_cycles"), 0);
+
+        reg.record(&Event::ThreadCommitted { thread: 0, unit: 0, cycle: 9, spawn_cycle: 0, size: 4 });
+        let m = reg.snapshot();
+        let hist: Vec<&str> = m.histograms.iter().map(|h| h.name.as_str()).collect();
+        assert_eq!(hist, ["spawn_to_commit_cycles", "thread_size"]);
+        let mut sorted = names(&m);
+        sorted.sort();
+        assert_eq!(names(&m), sorted, "counters are sorted by name");
+    }
+
+    #[test]
+    fn slot_names_match_the_event_kinds() {
+        for reason in SquashReason::ALL {
+            assert_eq!(Slot::squashed(reason).name(), reason.counter());
+        }
+        for reason in GateReason::ALL {
+            assert_eq!(Slot::gated(reason).name(), reason.counter());
+        }
+        let faults = [
+            FaultKind::DroppedSpawn,
+            FaultKind::ForcedSquash,
+            FaultKind::CorruptedValue,
+            FaultKind::CacheJitter { cycles: 7 },
+            FaultKind::ForcedRemoval,
+        ];
+        for kind in faults {
+            assert_eq!(Slot::fault(kind).name(), kind.counter());
+        }
+        // Every slot sits at its own index with its own name.
+        for (i, slot) in Slot::ALL.iter().enumerate() {
+            assert_eq!(*slot as usize, i);
+        }
+        let mut names: Vec<&str> = Slot::ALL.iter().map(|s| s.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), SLOTS);
+        assert!(SLOTS <= u32::BITS as usize, "touched mask holds every slot");
     }
 
     #[test]

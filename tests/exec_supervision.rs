@@ -9,7 +9,9 @@
 //!   unfaulted first attempt bit-for-bit (proptest over benchmarks,
 //!   thread-unit counts and fault kinds),
 //! * `BatchReport` round-trips through serde for arbitrary outcome mixes,
-//!   and its totals always partition the batch.
+//!   and its totals always partition the batch,
+//! * the `specmt bench --metrics json` report is identical at `--jobs 1`
+//!   and `--jobs 4`, rows in benchmark × scheme order.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -23,6 +25,8 @@ use specmt::exec::{
 };
 use specmt::obs::{audit_batch, TaskLog};
 use specmt::sim::{SimConfig, SimResult};
+use specmt::spawn::BUILTIN_SCHEME_NAMES;
+use specmt::store::Store;
 use specmt::workloads::Scale;
 
 /// The tiny suite, loaded once for the whole test binary.
@@ -196,4 +200,34 @@ fn harness_sweeps_share_executor_supervision() {
         h.run_scheme(&SimConfig::paper(4), "profile").expect("runs")
     };
     assert_eq!(narrow, wide);
+}
+
+#[test]
+fn metrics_report_identical_across_jobs() {
+    // A disabled store, so the wide run re-simulates every cell instead of
+    // reading the narrow run's results back.
+    let report_at = |jobs: usize| {
+        let mut h = Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("tiny suite loads");
+        h.exec.jobs = jobs;
+        let report = specmt::bench::metrics_report(&h, &SimConfig::paper(16), &BUILTIN_SCHEME_NAMES)
+            .expect("metrics report builds");
+        (h.benches.iter().map(|c| c.bench.name()).collect::<Vec<_>>(), report)
+    };
+    let (benches, serial) = report_at(1);
+    let (_, wide) = report_at(4);
+    assert_eq!(serial, wide, "metrics report must not depend on --jobs");
+
+    let Some(serde_json::Value::Array(rows)) = serial.get("rows") else {
+        panic!("report has no rows array");
+    };
+    let text = |row: &serde_json::Value, key: &str| match row.get(key) {
+        Some(serde_json::Value::Str(s)) => s.clone(),
+        other => panic!("row {key} is not a string: {other:?}"),
+    };
+    let n = BUILTIN_SCHEME_NAMES.len();
+    assert_eq!(rows.len(), benches.len() * n);
+    for (i, row) in rows.iter().enumerate() {
+        assert_eq!(text(row, "bench"), benches[i / n], "row {i} bench");
+        assert_eq!(text(row, "scheme"), BUILTIN_SCHEME_NAMES[i % n], "row {i} scheme");
+    }
 }

@@ -11,15 +11,28 @@
 //!   three run modes (plain, `observe = true` with the metrics snapshot
 //!   stripped, and `run_with_sink`), including under an active fault plan
 //!   whose RNG draws would expose any divergence in the instrumented
-//!   paths.
+//!   paths, and under an adaptive (`scoreboard`) table whose gates and
+//!   demotions exercise the remaining event kinds.
+//!
+//! Two more pins cover the metrics snapshot itself: the built-in snapshot
+//! must equal a [`MetricsRegistry`] fold of the streamed events, and every
+//! snapshot must match `tests/golden/metrics_tiny.json` byte for byte. To
+//! regenerate that golden after an *intentional* metrics change:
+//!
+//! ```text
+//! SPECMT_REGEN_METRICS_GOLDEN=1 cargo test --release --test metrics_differential
+//! ```
+//!
+//! (The regeneration run rewrites the golden and then fails, so a stale
+//! golden can never be committed by accident.)
 
 use std::collections::BTreeMap;
 
 use specmt::bench::{figures, Harness};
-use specmt::obs::EventLog;
+use specmt::obs::{EventLog, EventSink, Metrics, MetricsRegistry};
 use specmt::predict::ValuePredictorKind;
 use specmt::sim::{FaultPlan, SimConfig, SimResult, Simulator};
-use specmt::spawn::{profile_pairs, ProfileConfig};
+use specmt::spawn::{SchemeParams, SchemeRegistry};
 use specmt::store::Store;
 use specmt::trace::Trace;
 use specmt::workloads::Scale;
@@ -80,10 +93,17 @@ fn stripped(label: &str, mut r: SimResult) -> SimResult {
     r
 }
 
-#[test]
-fn sim_results_are_bit_identical_across_run_modes() {
-    // An active plan with every hook hot: any extra or missing RNG draw on
-    // the instrumented paths shifts the whole downstream sequence.
+// Tests in this workspace run with the package dir (crates/core) as CWD.
+const METRICS_GOLDEN_PATH: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/metrics_tiny.json");
+const METRICS_GOLDEN: &str = include_str!("golden/metrics_tiny.json");
+
+/// `(label, scheme, config)` for every run-mode cell. The fault plan has
+/// every hook hot: any extra or missing RNG draw on the instrumented paths
+/// shifts the whole downstream sequence. The `scoreboard` table gates
+/// spawns and demotes pairs, so its snapshots carry the `SpawnGated` and
+/// `PairDemoted` counters the other two never touch.
+fn run_mode_configs() -> Vec<(&'static str, &'static str, SimConfig)> {
     let plan = FaultPlan {
         seed: 0xfeed_f00d,
         squash_rate: 0.15,
@@ -92,22 +112,79 @@ fn sim_results_are_bit_identical_across_run_modes() {
         cache_jitter: 4,
         remove_pair_rate: 0.05,
     };
-    let configs: Vec<(&str, SimConfig)> = vec![
-        ("paper16", SimConfig::paper(16)),
+    vec![
+        ("paper16", "profile", SimConfig::paper(16)),
         (
             "paper8+faults+stride",
+            "profile",
             SimConfig::paper(8)
                 .with_faults(plan)
                 .with_value_predictor(ValuePredictorKind::Stride),
         ),
-    ];
+        (
+            "paper8+stride/scoreboard",
+            "scoreboard",
+            SimConfig::paper(8).with_value_predictor(ValuePredictorKind::Stride),
+        ),
+    ]
+}
 
+/// The observed metrics snapshot of every tiny suite workload under every
+/// run-mode configuration, keyed `workload/config`.
+fn observed_snapshots() -> BTreeMap<String, Metrics> {
+    let registry = SchemeRegistry::builtin();
+    let params = SchemeParams::default();
+    let mut out = BTreeMap::new();
+    for w in specmt::workloads::suite(Scale::Tiny) {
+        let trace = Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
+        for (cfg_name, scheme, cfg) in run_mode_configs() {
+            let label = format!("{}/{cfg_name}", w.name);
+            let table = registry.select(scheme, &trace, &params).expect("scheme selects");
+            let r = Simulator::with_table(&trace, cfg.with_observe(true), &table)
+                .run()
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            out.insert(label.clone(), r.metrics.unwrap_or_else(|| panic!("{label}: no metrics")));
+        }
+    }
+    out
+}
+
+#[test]
+fn metrics_snapshots_match_golden() {
+    let snapshots = observed_snapshots();
+    // The vendored serde has no map impls, so the golden is stored as a
+    // sorted list of (label, metrics) pairs.
+    let pairs: Vec<(String, Metrics)> = snapshots.into_iter().collect();
+    let json = serde_json::to_string_pretty(&pairs).expect("snapshots serialise") + "\n";
+    if std::env::var_os("SPECMT_REGEN_METRICS_GOLDEN").is_some() {
+        std::fs::write(METRICS_GOLDEN_PATH, json).expect("golden written");
+        panic!("regenerated {METRICS_GOLDEN_PATH}; rerun without SPECMT_REGEN_METRICS_GOLDEN");
+    }
+    let golden: Vec<(String, Metrics)> =
+        serde_json::from_str(METRICS_GOLDEN).expect("golden parses");
+    assert_eq!(golden.len(), pairs.len(), "golden and run cover the same cells");
+    for ((want_label, want), (label, got)) in golden.iter().zip(&pairs) {
+        assert_eq!(want_label, label, "golden and run disagree on cell order");
+        assert_eq!(want, got, "{label}: metrics snapshot diverged from the golden");
+    }
+    assert_eq!(json, METRICS_GOLDEN, "metrics JSON differs from the golden byte for byte");
+    // The golden is only a pin on every counter if every counter occurs.
+    let seen = |name: &str| pairs.iter().any(|(_, m)| m.counter(name) > 0);
+    for name in ["spawns_gated", "pairs_demoted", "fault_jitter_cycles", "threads_squashed"] {
+        assert!(seen(name), "no golden cell ever touched {name}");
+    }
+}
+
+#[test]
+fn sim_results_are_bit_identical_across_run_modes() {
+    let registry = SchemeRegistry::builtin();
+    let params = SchemeParams::default();
     let mut per_workload: BTreeMap<&'static str, u64> = BTreeMap::new();
     for w in specmt::workloads::suite(Scale::Tiny) {
         let trace = Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
-        let table = profile_pairs(&trace, &ProfileConfig::default()).table;
-        for (cfg_name, cfg) in &configs {
+        for (cfg_name, scheme, cfg) in &run_mode_configs() {
             let label = format!("{}/{cfg_name}", w.name);
+            let table = registry.select(scheme, &trace, &params).expect("scheme selects");
             let plain = Simulator::with_table(&trace, cfg.clone(), &table)
                 .run()
                 .expect("plain run");
@@ -115,11 +192,6 @@ fn sim_results_are_bit_identical_across_run_modes() {
             let observed = Simulator::with_table(&trace, cfg.clone().with_observe(true), &table)
                 .run()
                 .expect("observed run");
-            assert_eq!(
-                plain,
-                stripped(&label, observed),
-                "{label}: observe = true changed the result"
-            );
 
             let mut log = EventLog::new();
             let sunk = Simulator::with_table(&trace, cfg.clone(), &table)
@@ -127,6 +199,22 @@ fn sim_results_are_bit_identical_across_run_modes() {
                 .expect("sink run");
             assert_eq!(plain, sunk, "{label}: streaming events changed the result");
             assert!(!log.is_empty(), "{label}: sink run emitted nothing");
+
+            // The built-in snapshot is exactly a fold of the event stream.
+            let mut fold = MetricsRegistry::new();
+            for event in log.events() {
+                fold.record(event);
+            }
+            assert_eq!(
+                observed.metrics.as_ref(),
+                Some(&fold.snapshot()),
+                "{label}: built-in metrics differ from a fold of the sink's events"
+            );
+            assert_eq!(
+                plain,
+                stripped(&label, observed),
+                "{label}: observe = true changed the result"
+            );
             per_workload.insert(w.name, plain.cycles);
         }
     }
