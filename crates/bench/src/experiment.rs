@@ -158,21 +158,20 @@ impl ExperimentSpec {
         self
     }
 
-    /// Runs the whole grid through the supervised batch executor
-    /// configured on the harness ([`Harness::exec`]): every (benchmark,
-    /// variant) cell is an independent deterministic simulation run on a
-    /// bounded worker pool with panic isolation, deadlines, and retries —
-    /// a wedged or panicking cell degrades into a structured error
-    /// instead of taking the sweep down, and results are bit-identical at
-    /// any `jobs` count. Spawn tables are resolved through the scheme
-    /// registry up front and shared via the per-benchmark memo.
+    /// Runs the whole grid as one batch on the harness's executor
+    /// ([`Harness::exec`]): every (benchmark, variant) cell is an
+    /// independent deterministic simulation, run on a pool of `jobs`
+    /// threads with per-cell panic isolation. A panicking cell becomes a
+    /// structured error instead of taking the sweep down, and results are
+    /// bit-identical at any `jobs` count. Spawn tables are resolved
+    /// through the scheme registry up front and shared via the
+    /// per-benchmark memo.
     ///
     /// # Errors
     ///
     /// The first cell's failure: [`HarnessError::Scheme`] for an unknown
     /// scheme, [`HarnessError::Bench`] for a simulation failure, or
-    /// [`HarnessError::Supervised`] for a cell the executor had to
-    /// degrade (panic, deadline, or batch-budget skip).
+    /// [`HarnessError::Supervised`] for a cell that panicked.
     pub fn run(&self, h: &Harness) -> Result<ExperimentGrid, HarnessError> {
         // Resolve every (bench, scheme) table up front so scheme errors
         // surface before any simulation starts, and so the batch cells
@@ -196,7 +195,7 @@ impl ExperimentSpec {
                 tasks.push(Task::new(
                     format!("{}/{}", ctx.bench.name(), variant.label),
                     move || -> Result<(f64, SimResult), HarnessError> {
-                        let r = ctx.sim(cfg.clone(), &table)?;
+                        let r = ctx.sim(cfg, &table)?;
                         let v = metric.measure(&ctx, &r)?;
                         Ok((v, r))
                     },

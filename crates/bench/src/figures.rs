@@ -1194,7 +1194,6 @@ pub fn run_defs(h: &Harness, defs: &[&FigureDef], save: bool) -> RunOutcome {
                 Err(HarnessError::Supervised {
                     label: def.id.to_string(),
                     outcome: specmt_exec::CellOutcome::Panicked {
-                        attempts: 1,
                         message: specmt_exec::panic_message(payload.as_ref()),
                     },
                 })

@@ -79,10 +79,9 @@ pub enum HarnessError {
         /// The underlying I/O failure.
         source: std::io::Error,
     },
-    /// A supervised batch cell degraded (panicked, timed out, or was
-    /// skipped) where the caller needed a complete batch.
+    /// A batch cell panicked where the caller needed a complete batch.
     Supervised {
-        /// The degraded cell's label.
+        /// The panicked cell's label.
         label: String,
         /// How the cell ended.
         outcome: CellOutcome,
@@ -420,8 +419,8 @@ fn store_label(name: &str, scale: Scale, input: InputSet) -> String {
 #[derive(Debug)]
 pub struct Harness {
     /// Per-benchmark contexts, in the paper's reporting order. `Arc`'d so
-    /// supervised batch tasks can capture a context without borrowing the
-    /// harness (executor workers are detached threads).
+    /// batch tasks, which are `'static` closures, can capture a context
+    /// without borrowing the harness.
     pub benches: Vec<Arc<BenchCtx>>,
     /// The scale everything was generated at.
     pub scale: Scale,
@@ -429,24 +428,24 @@ pub struct Harness {
     pub registry: SchemeRegistry,
     /// Shared selection parameters for [`BenchCtx::table_for`].
     pub params: SchemeParams,
-    /// Supervision settings for every parallel batch the harness runs
-    /// (suite loading, scheme sweeps, experiment grids). Defaults to
-    /// unbounded time and one worker per CPU; `specmt bench --jobs N
-    /// --deadline SECS --max-retries K` overrides it.
+    /// Pool width for the parallel batches the harness runs (scheme
+    /// sweeps, experiment grids, metrics collection). Defaults to one
+    /// thread per CPU; `specmt bench --jobs N` overrides it. Suite loading
+    /// always runs at the default width.
     pub exec: ExecConfig,
     /// The artifact store every context of this harness runs against.
     pub store: StoreHandle,
 }
 
-/// Run a batch of fallible tasks under `exec` supervision and demand a
-/// complete batch: values come back in submission order, and the first
-/// degraded cell (panicked, timed out, or skipped) becomes a structured
-/// [`HarnessError::Supervised`] instead of a propagated panic.
+/// Run a batch of fallible tasks on `exec` and demand a complete batch:
+/// values come back in submission order, and the first cell that panicked
+/// becomes a structured [`HarnessError::Supervised`] instead of a
+/// propagated panic.
 ///
 /// # Errors
 ///
-/// Returns [`HarnessError::Supervised`] naming the first degraded cell.
-pub fn run_supervised<T: Send + 'static>(
+/// Returns [`HarnessError::Supervised`] naming the first panicked cell.
+pub fn run_supervised<T: Send>(
     exec: &Executor,
     tasks: Vec<Task<T>>,
 ) -> Result<Vec<T>, HarnessError> {
@@ -519,12 +518,10 @@ impl Harness {
             .iter()
             .map(|&name| {
                 let store = Arc::clone(&store);
-                Task::new(name, move || {
-                    BenchCtx::load_with(name, scale, Arc::clone(&store))
-                })
+                Task::new(name, move || BenchCtx::load_with(name, scale, store))
             })
             .collect();
-        let benches = run_supervised(&Executor::new(exec.clone()), tasks)?
+        let benches = run_supervised(&Executor::new(exec), tasks)?
             .into_iter()
             .map(|loaded| loaded.map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
@@ -538,10 +535,10 @@ impl Harness {
         })
     }
 
-    /// The supervised executor harness batches run on, configured by
+    /// The executor harness batches run on, configured by
     /// [`Harness::exec`].
     pub fn executor(&self) -> Executor {
-        Executor::new(self.exec.clone())
+        Executor::new(self.exec)
     }
 
     /// Runs `config` with each benchmark's profile table, returning
@@ -596,7 +593,7 @@ impl Harness {
                 let ctx = Arc::clone(ctx);
                 let cfg = config.clone();
                 Task::new(ctx.bench.name(), move || {
-                    let r = ctx.sim(cfg.clone(), &t)?;
+                    let r = ctx.sim(cfg, &t)?;
                     let sp = ctx.speedup(&r)?;
                     Ok((ctx.bench.name(), sp, r))
                 })
@@ -631,9 +628,9 @@ pub struct MetricsRow {
 
 /// Runs `config` (with observation forced on) for every benchmark × scheme
 /// combination and returns the per-cell metrics snapshots — the aggregation
-/// behind `specmt bench --metrics json`. The cells run as one supervised
-/// batch on [`Harness::exec`]; rows come back benchmark-major, in
-/// `schemes` order within each benchmark.
+/// behind `specmt bench --metrics json`. The cells run as one batch on
+/// [`Harness::exec`]; rows come back benchmark-major, in `schemes` order
+/// within each benchmark.
 ///
 /// # Errors
 ///
@@ -652,11 +649,11 @@ pub fn collect_metrics(
             let cfg = config.clone().with_observe(true);
             let scheme = scheme.to_owned();
             tasks.push(Task::new(format!("{}/{scheme}", ctx.bench.name()), move || {
-                let r = ctx.sim(cfg.clone(), &table)?;
+                let r = ctx.sim(cfg, &table)?;
                 let speedup = ctx.speedup(&r)?;
                 Ok(MetricsRow {
                     bench: ctx.bench.name(),
-                    scheme: scheme.clone(),
+                    scheme,
                     speedup,
                     metrics: r.metrics.unwrap_or_default(),
                 })

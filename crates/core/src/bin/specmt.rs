@@ -8,7 +8,7 @@
 //! specmt simulate <workload|trace.smtr|file.s> [--policy P] [--tus N]
 //!                 [--vp perfect|stride|fcm|hybrid|last|none] [--overhead N] [--min-size N]
 //!                 [--faults seed=N,squash=R,drop=R,corrupt=R,jitter=N,remove=R]
-//! specmt bench   <figure-id|all> [--scale S] [--json PATH] [--jobs N] [--deadline SECS] [--max-retries K]
+//! specmt bench   <figure-id|all> [--scale S] [--json PATH] [--metrics json|chrome] [--jobs N]
 //! specmt bench   --list
 //! specmt cache   stats|clear|gc [--max-bytes N]
 //! specmt run     <file.s>
@@ -165,9 +165,7 @@ fn run(raw: Vec<String>) -> Result<(), CliError> {
         "simulate" => &[
             "scale", "policy", "tus", "vp", "overhead", "min-size", "faults",
         ],
-        "bench" => &[
-            "scale", "json", "list", "metrics", "jobs", "deadline", "max-retries",
-        ],
+        "bench" => &["scale", "json", "list", "metrics", "jobs"],
         "cache" => &["max-bytes"],
         _ => &[],
     })?;
@@ -317,16 +315,10 @@ fn run(raw: Vec<String>) -> Result<(), CliError> {
             };
             let start = std::time::Instant::now();
             let mut h = Harness::load_at(scale)?;
-            // Supervision knobs for the figure sweeps: a bounded worker
-            // pool, a per-cell watchdog deadline, and a retry allowance.
+            // Pool width for the figure sweeps (0 or absent: one thread
+            // per CPU).
             if let Some(jobs) = args.flag("jobs") {
                 h.exec.jobs = jobs.parse()?;
-            }
-            if let Some(secs) = args.flag("deadline") {
-                h.exec.deadline = Some(std::time::Duration::from_secs(secs.parse()?));
-            }
-            if let Some(k) = args.flag("max-retries") {
-                h.exec.max_retries = k.parse()?;
             }
             eprintln!(
                 "suite loaded at {:?} scale in {:.1}s",
@@ -513,7 +505,7 @@ fn write_metrics(h: &Harness, mode: &str) -> Result<(), Box<dyn std::error::Erro
 
 fn print_usage() {
     eprintln!(
-        "usage:\n  specmt list [--scale S]\n  specmt disasm <input>\n  specmt trace <input> --out f.smtr\n  specmt pairs <input> [--policy <scheme>|none]\n  specmt simulate <input> [--policy P] [--tus N] [--vp V] [--overhead N] [--min-size N] [--faults seed=N,squash=R,...]\n  specmt bench <figure-id|all> [--scale S] [--json PATH] [--metrics json|chrome] [--jobs N] [--deadline SECS] [--max-retries K]\n  specmt bench --list\n  specmt cache stats|clear|gc [--max-bytes N]\n  specmt run <file.s>\n\ninputs: a suite workload name, a saved .smtr trace, or an .s assembly file\nschemes: {}",
+        "usage:\n  specmt list [--scale S]\n  specmt disasm <input>\n  specmt trace <input> --out f.smtr\n  specmt pairs <input> [--policy <scheme>|none]\n  specmt simulate <input> [--policy P] [--tus N] [--vp V] [--overhead N] [--min-size N] [--faults seed=N,squash=R,...]\n  specmt bench <figure-id|all> [--scale S] [--json PATH] [--metrics json|chrome] [--jobs N]\n  specmt bench --list\n  specmt cache stats|clear|gc [--max-bytes N]\n  specmt run <file.s>\n\ninputs: a suite workload name, a saved .smtr trace, or an .s assembly file\nschemes: {}",
         BUILTIN_SCHEME_NAMES.join(", ")
     );
 }

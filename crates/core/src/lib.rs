@@ -22,7 +22,7 @@
 //! | [`predict`] | `specmt-predict` | gshare + value predictors |
 //! | [`obs`] | `specmt-obs` | lifecycle events, metrics, Chrome trace export, conservation-law auditor |
 //! | [`sim`] | `specmt-sim` | the CSMP timing model |
-//! | [`exec`] | `specmt-exec` | supervised batch executor: panic isolation, deadlines, retries |
+//! | [`exec`] | `specmt-exec` | scoped thread pool for sweeps: per-cell panic isolation, width-independent results |
 //! | [`store`] | `specmt-store` | content-addressed artifact store: stage keys, incremental recomputation |
 //! | [`stats`] | `specmt-stats` | means, tables, charts |
 //! | [`mod@bench`] | `specmt-bench` | [`Bench`], the suite [`bench::Harness`], experiment specs, the figure registry |

@@ -22,11 +22,6 @@
 //!   express: every spawned thread ends exactly once, squash reasons
 //!   partition squashes, and committed window sizes sum to the committed
 //!   instruction count.
-//! * [`task`] — the same discipline one level up: [`TaskEvent`] lifecycle
-//!   events for the supervised batch executor (`specmt-exec`), the
-//!   thread-safe [`TaskLog`] collector, and [`audit_batch`], which checks
-//!   that completed + degraded cells exactly partition a submitted batch
-//!   and reproduce the executor's own `BatchReport` totals.
 //!
 //! Events are "torn off" facts, not handles: each carries the thread id,
 //! thread-unit index and cycle it happened at, so sinks never need access
@@ -42,10 +37,8 @@ pub mod chrome;
 mod event;
 mod metrics;
 mod sink;
-pub mod task;
 
 pub use auditor::{audit, AuditError, AuditReport, ExpectedTotals};
 pub use event::{Event, FaultKind, GateReason, SquashReason};
 pub use metrics::{CounterSnapshot, HistogramSnapshot, Metrics, MetricsRegistry};
 pub use sink::{EventLog, EventSink, NullSink};
-pub use task::{audit_batch, BatchTotals, TaskAuditReport, TaskEvent, TaskFault, TaskLog};

@@ -245,9 +245,11 @@ pub struct Store {
     config: StoreConfig,
     counters: Counters,
     invalidations: Mutex<Vec<InvalidationRecord>>,
-    /// `(namespace index, logical name)` pairs this handle has written.
-    /// A miss whose same-name siblings were written by this very handle is
-    /// a sweep accumulating entries, not an invalidation (see module doc).
+    /// `(namespace index, logical name)` pairs this handle has written or
+    /// already counted an invalidation for. A miss under such a name is a
+    /// sweep accumulating entries, not a new invalidation (see module doc).
+    /// A name joins the set *before* its first entry becomes visible, so a
+    /// concurrent miss that sees the entry also sees the name.
     session_writes: Mutex<HashSet<(usize, String)>>,
 }
 
@@ -378,6 +380,12 @@ impl Store {
         if fs::create_dir_all(&dir).is_err() {
             return;
         }
+        // Claim the name before the entry becomes visible: a concurrent
+        // miss under the same name that lists this entry as a sibling must
+        // find the name already claimed (see `record_invalidation`).
+        if let Ok(mut writes) = self.session_writes.lock() {
+            writes.insert((ns_index(ns), name.to_owned()));
+        }
         let entry = self.entry_path(ns, name, key);
         if !write_atomic(&entry, bytes) {
             return;
@@ -387,9 +395,6 @@ impl Store {
             write_atomic(&sidecar, sidecar_json.as_bytes());
         }
         self.counters.stores[ns_index(ns)].fetch_add(1, Ordering::Relaxed);
-        if let Ok(mut writes) = self.session_writes.lock() {
-            writes.insert((ns_index(ns), name.to_owned()));
-        }
         if ns.supersedes() {
             self.remove_siblings(ns, name, &key.key.hex());
         }
@@ -438,10 +443,11 @@ impl Store {
     /// On a miss with siblings present: count an invalidation and diff the
     /// newest sibling sidecars against `key` to name what changed.
     fn record_invalidation(&self, ns: Namespace, name: &str, key: &StageKey) {
+        let slot = (ns_index(ns), name.to_owned());
         if self
             .session_writes
             .lock()
-            .map(|w| w.contains(&(ns_index(ns), name.to_owned())))
+            .map(|w| w.contains(&slot))
             .unwrap_or(false)
         {
             // This handle wrote the siblings itself (a sweep accumulating
@@ -450,6 +456,18 @@ impl Store {
         }
         let mut sibs = self.siblings(ns, name, &key.key.hex());
         if sibs.is_empty() {
+            return;
+        }
+        // Claim the name only now, after listing: a sibling another thread
+        // of this handle made visible meanwhile had its name claimed first,
+        // so the claim fails and the listing is not mistaken for a prior
+        // run's. A successful claim also counts each name once.
+        if !self
+            .session_writes
+            .lock()
+            .map(|mut w| w.insert(slot))
+            .unwrap_or(false)
+        {
             return;
         }
         self.counters.invalidations[ns_index(ns)].fetch_add(1, Ordering::Relaxed);
@@ -871,6 +889,47 @@ mod tests {
         let other = k("simulate", 3);
         assert_eq!(store.get_json::<u64>(Namespace::SimResult, "b-tiny", &other), None);
         assert_eq!(store.invalidations(Namespace::SimResult), 1);
+    }
+
+    #[test]
+    fn concurrent_sweep_under_one_name_is_not_an_invalidation() {
+        // One thread puts many keys under a name in a fresh store while
+        // another misses on other keys under that name: every sibling the
+        // second thread can see was written by this handle, so none of its
+        // misses is an invalidation. The race sits at a name's first put,
+        // so each round starts both threads together on a fresh name.
+        const ROUNDS: u64 = 40;
+        let scratch = Scratch::new("sweep-race");
+        let store = scratch.store();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for round in 0..ROUNDS {
+                    let name = format!("r{round}-tiny");
+                    start.wait();
+                    for x in 0..8 {
+                        store.put_json(Namespace::SimResult, &name, &k("simulate", x), &x);
+                    }
+                }
+            });
+            s.spawn(|| {
+                for round in 0..ROUNDS {
+                    let name = format!("r{round}-tiny");
+                    start.wait();
+                    for x in 1000..1016 {
+                        let key = k("simulate", x);
+                        assert_eq!(
+                            store.get_json::<u64>(Namespace::SimResult, &name, &key),
+                            None
+                        );
+                    }
+                }
+            });
+        });
+        assert_eq!(store.stores(Namespace::SimResult), ROUNDS * 8);
+        assert_eq!(store.misses(Namespace::SimResult), ROUNDS * 16);
+        assert_eq!(store.invalidations(Namespace::SimResult), 0);
+        assert!(store.invalidation_records().is_empty());
     }
 
     #[test]

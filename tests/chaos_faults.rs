@@ -180,165 +180,3 @@ fn faultless_plan_changes_nothing() {
     .expect("simulation");
     assert_eq!(plain, with_inactive);
 }
-
-// ---------------------------------------------------------------------------
-// Executor-level chaos: the supervised batch pool one level above the
-// simulator. Whatever a plan kills, wedges or poisons, every storm must end
-// in a returned `BatchReport` — degraded, never a process abort — whose
-// per-cell outcomes are accurate, whose completed cells still carry
-// bit-identical results, and whose event stream passes the batch
-// conservation auditor.
-// ---------------------------------------------------------------------------
-
-use std::sync::Arc;
-use std::time::Duration;
-
-use specmt::exec::{BatchStatus, CellOutcome, ExecChaosPlan, ExecConfig, Executor, Task};
-use specmt::obs::{audit_batch, TaskLog};
-
-/// One simulation task per suite workload, each a pure closure over its
-/// `Arc`'d trace and spawn table (re-runnable for retries).
-fn sim_cells() -> (Vec<Task<specmt::sim::SimResult>>, Vec<specmt::sim::SimResult>) {
-    let mut tasks = Vec::new();
-    let mut reference = Vec::new();
-    for (name, trace, table) in suite_traces() {
-        let trace = Arc::new(trace);
-        let table = Arc::new(table);
-        reference.push(
-            Simulator::with_table(&trace, SimConfig::paper(4), &table)
-                .run()
-                .expect("reference run"),
-        );
-        tasks.push(Task::new(name, move || {
-            Simulator::with_table(&trace, SimConfig::paper(4), &table)
-                .run()
-                .expect("storm cell sim")
-        }));
-    }
-    (tasks, reference)
-}
-
-/// Run one executor storm and check the universal laws: the batch returns
-/// degraded (the pinned faults guarantee at least one casualty), completed
-/// cells are bit-identical to the unfaulted reference, and the task-event
-/// stream audits cleanly against the report's own totals.
-fn check_storm(cfg: ExecConfig, desc: &str) {
-    let (tasks, reference) = sim_cells();
-    let log = Arc::new(TaskLog::new());
-    let out = Executor::new(cfg).with_log(Arc::clone(&log)).run_batch(tasks);
-    assert_eq!(out.report.status, BatchStatus::Degraded, "{desc}: expected degradation");
-    for (i, value) in out.values.iter().enumerate() {
-        match value {
-            Some(r) => {
-                assert!(out.report.cells[i].outcome.is_ok(), "{desc}: value without Ok outcome");
-                assert_eq!(r, &reference[i], "{desc}: chaos changed a completed cell's result");
-            }
-            None => assert!(
-                out.report.cells[i].outcome.is_degraded(),
-                "{desc}: missing value without a degraded outcome"
-            ),
-        }
-    }
-    let audit = audit_batch(&log.events()).unwrap_or_else(|e| panic!("{desc}: {e}"));
-    audit
-        .verify(&out.report.totals())
-        .unwrap_or_else(|e| panic!("{desc}: {e}"));
-}
-
-#[test]
-fn executor_storms_degrade_but_never_abort() {
-    let mut state = 0xe5ec_c405_u64;
-    for storm in 0..12u64 {
-        let plan = ExecChaosPlan {
-            seed: mix(&mut state),
-            poison_rate: unit(&mut state) * 0.3,
-            wedge_rate: unit(&mut state) * 0.15,
-            kill_worker_rate: unit(&mut state) * 0.4,
-            // Pin one poisoned and one wedged cell so every storm is
-            // guaranteed to exercise both exhaustion paths.
-            poison_cells: vec![mix(&mut state) % 8],
-            wedge_cells: vec![mix(&mut state) % 8],
-        };
-        let cfg = ExecConfig {
-            jobs: 1 + (mix(&mut state) % 4) as usize,
-            // Generous against the ~5-40ms debug-build cells, so only
-            // chaos-wedged attempts time out, never honest work.
-            deadline: Some(Duration::from_millis(300)),
-            max_retries: (mix(&mut state) % 3) as u32,
-            backoff_base: Duration::from_millis(1),
-            chaos: Some(plan.clone()),
-            ..ExecConfig::default()
-        };
-        check_storm(cfg, &format!("storm {storm} ({plan:?})"));
-    }
-}
-
-#[test]
-fn repeated_panic_cell_exhausts_with_accurate_accounting() {
-    let (tasks, _) = sim_cells();
-    let log = Arc::new(TaskLog::new());
-    let out = Executor::new(ExecConfig {
-        jobs: 2,
-        max_retries: 3,
-        backoff_base: Duration::from_millis(1),
-        chaos: Some(ExecChaosPlan { poison_cells: vec![2], ..ExecChaosPlan::default() }),
-        ..ExecConfig::default()
-    })
-    .with_log(Arc::clone(&log))
-    .run_batch(tasks);
-    assert_eq!(out.report.status, BatchStatus::Degraded);
-    assert!(
-        matches!(out.report.cells[2].outcome, CellOutcome::Panicked { attempts: 4, .. }),
-        "retries must be exhausted before degrading: {:?}",
-        out.report.cells[2].outcome
-    );
-    assert_eq!(out.report.retries, 3);
-    assert_eq!(out.report.errors.len(), 4, "every failed attempt leaves a TaskError");
-    assert!(out.report.errors.iter().all(|e| e.cell == 2));
-    let audit = audit_batch(&log.events()).expect("stream well-formed");
-    audit.verify(&out.report.totals()).expect("conservation laws hold");
-}
-
-#[test]
-fn delay_past_deadline_times_out_without_poisoning_the_pool() {
-    let (tasks, reference) = sim_cells();
-    let log = Arc::new(TaskLog::new());
-    let out = Executor::new(ExecConfig {
-        jobs: 2,
-        deadline: Some(Duration::from_millis(400)),
-        max_retries: 1,
-        backoff_base: Duration::from_millis(1),
-        chaos: Some(ExecChaosPlan { wedge_cells: vec![0], ..ExecChaosPlan::default() }),
-        ..ExecConfig::default()
-    })
-    .with_log(Arc::clone(&log))
-    .run_batch(tasks);
-    assert_eq!(out.report.cells[0].outcome, CellOutcome::TimedOut { attempts: 2 });
-    assert!(out.report.workers_lost >= 2, "both wedged attempts abandon their worker");
-    for (i, want) in reference.iter().enumerate().skip(1) {
-        assert_eq!(out.values[i].as_ref(), Some(want));
-    }
-    let audit = audit_batch(&log.events()).expect("stream well-formed");
-    audit.verify(&out.report.totals()).expect("conservation laws hold");
-}
-
-#[test]
-fn worker_kill_storm_still_completes_every_cell() {
-    let (tasks, reference) = sim_cells();
-    let n = tasks.len() as u64;
-    let log = Arc::new(TaskLog::new());
-    let out = Executor::new(ExecConfig {
-        jobs: 3,
-        chaos: Some(ExecChaosPlan { kill_worker_rate: 1.0, ..ExecChaosPlan::default() }),
-        ..ExecConfig::default()
-    })
-    .with_log(Arc::clone(&log))
-    .run_batch(tasks);
-    assert_eq!(out.report.status, BatchStatus::Complete);
-    assert_eq!(out.report.workers_lost, n, "every attempt takes its worker with it");
-    for (i, r) in reference.iter().enumerate() {
-        assert_eq!(out.values[i].as_ref(), Some(r));
-    }
-    let audit = audit_batch(&log.events()).expect("stream well-formed");
-    audit.verify(&out.report.totals()).expect("conservation laws hold");
-}

@@ -1,30 +1,23 @@
-//! Supervised-executor integration tests over the real harness.
+//! Parallel-sweep integration tests over the real harness.
 //!
-//! The acceptance bar for the executor is determinism under supervision:
+//! The executor moves *scheduling*, never *results*, and a panicking cell
+//! degrades instead of aborting:
 //!
 //! * an experiment grid run at `--jobs 1` and `--jobs 8` produces
-//!   bit-identical `SimResult`s (the executor moves *scheduling*, never
-//!   *results*),
-//! * a cell re-run after an injected panic or timeout reproduces the
-//!   unfaulted first attempt bit-for-bit (proptest over benchmarks,
-//!   thread-unit counts and fault kinds),
-//! * `BatchReport` round-trips through serde for arbitrary outcome mixes,
-//!   and its totals always partition the batch,
+//!   bit-identical `SimResult`s, and so do `Harness::run_scheme` sweeps,
 //! * the `specmt bench --metrics json` report is identical at `--jobs 1`
-//!   and `--jobs 4`, rows in benchmark × scheme order.
+//!   and `--jobs 4`, rows in benchmark × scheme order,
+//! * a panicking cell among real simulation cells comes back from
+//!   `run_supervised` as `HarnessError::Supervised` at any width, and a
+//!   panicking figure builder is recorded by `figures::run_defs` while its
+//!   neighbours still build.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
-use proptest::prelude::*;
-
-use specmt::bench::{ExperimentSpec, Harness, Variant};
-use specmt::exec::{
-    BatchReport, BatchStatus, CellOutcome, CellReport, ExecConfig, Executor, SkipReason, Task,
-};
-use specmt::obs::{audit_batch, TaskLog};
-use specmt::sim::{SimConfig, SimResult};
+use specmt::bench::figures::{self, FigureDef, FigureGroup};
+use specmt::bench::{run_supervised, ExperimentSpec, Harness, HarnessError, Variant};
+use specmt::exec::{CellOutcome, ExecConfig, Executor, Task};
+use specmt::sim::SimConfig;
 use specmt::spawn::BUILTIN_SCHEME_NAMES;
 use specmt::store::Store;
 use specmt::workloads::Scale;
@@ -54,135 +47,6 @@ fn grid_results_bit_identical_across_jobs() {
     assert_eq!(serial.results, wide.results, "SimResults must not depend on --jobs");
     assert_eq!(serial.values, wide.values);
     assert_eq!(serial.means, wide.means);
-}
-
-/// One simulation cell on the supervised executor, with `fault_first`
-/// making the first attempt panic or wedge. Returns the batch outcome of
-/// the cell plus its (possibly retried) value.
-fn run_cell_with_fault(
-    bench_ix: usize,
-    tus: usize,
-    fault_first: Option<&'static str>,
-    log: &Arc<TaskLog>,
-) -> (CellOutcome, Option<SimResult>) {
-    let h = tiny();
-    let ctx = Arc::clone(&h.benches[bench_ix % h.benches.len()]);
-    let table = Arc::new(ctx.profile.table.clone());
-    let cfg = SimConfig::paper(tus);
-    let attempts = Arc::new(AtomicU32::new(0));
-    let task = Task::new(ctx.bench.name(), move || {
-        if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-            match fault_first {
-                Some("panic") => panic!("injected first-attempt panic"),
-                Some("wedge") => std::thread::sleep(Duration::from_millis(800)),
-                _ => {}
-            }
-        }
-        ctx.sim(cfg.clone(), &table).expect("tiny sim runs")
-    });
-    let exec = Executor::new(ExecConfig {
-        jobs: 1,
-        // Generous against the ~5-40ms debug-build cells: only the
-        // injected wedge may time out, never the honest retry.
-        deadline: Some(Duration::from_millis(400)),
-        max_retries: 2,
-        backoff_base: Duration::from_millis(1),
-        ..ExecConfig::default()
-    })
-    .with_log(Arc::clone(log));
-    let mut batch = exec.run_batch(vec![task]);
-    (batch.report.cells[0].outcome.clone(), batch.values[0].take())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// A cell that faults once (panic or deadline) and is retried must
-    /// reproduce the unfaulted run bit-for-bit: supervision may move
-    /// *when* a cell runs, never *what* it computes.
-    #[test]
-    fn rerun_after_fault_is_bit_identical(
-        bench_ix in 0usize..8,
-        tus in 2usize..6,
-        fault in prop_oneof![Just("panic"), Just("wedge")],
-    ) {
-        let h = tiny();
-        let ctx = &h.benches[bench_ix % h.benches.len()];
-        let want = ctx
-            .sim(SimConfig::paper(tus), &ctx.profile.table)
-            .expect("unfaulted reference run");
-
-        let log = Arc::new(TaskLog::new());
-        let (outcome, got) = run_cell_with_fault(bench_ix, tus, Some(fault), &log);
-
-        prop_assert_eq!(outcome, CellOutcome::Retried { retries: 1 });
-        prop_assert_eq!(got.as_ref(), Some(&want));
-        let audit = audit_batch(&log.events()).expect("stream well-formed");
-        prop_assert_eq!(audit.completed, 1);
-        prop_assert_eq!(audit.retries, 1);
-    }
-}
-
-fn outcome_strategy() -> impl Strategy<Value = CellOutcome> {
-    prop_oneof![
-        Just(CellOutcome::Ok),
-        (1u32..6).prop_map(|retries| CellOutcome::Retried { retries }),
-        (1u32..6).prop_map(|attempts| CellOutcome::TimedOut { attempts }),
-        (1u32..6, prop::collection::vec(0x20u8..0x7f, 0..24))
-            .prop_map(|(attempts, bytes)| CellOutcome::Panicked {
-                attempts,
-                // Printable ASCII, so quotes and backslashes exercise the
-                // JSON escaping path.
-                message: bytes.into_iter().map(char::from).collect(),
-            }),
-        Just(CellOutcome::Skipped { reason: SkipReason::BudgetExhausted }),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `BatchReport` is serde-stable for arbitrary outcome mixes (panic
-    /// messages include quotes and backslashes), and its derived totals
-    /// always partition the submitted batch.
-    #[test]
-    fn batch_report_round_trips_and_partitions(
-        outcomes in prop::collection::vec(outcome_strategy(), 0..12),
-        retries in 0u64..20,
-        workers_lost in 0u64..8,
-        elapsed_ms in 0u64..100_000,
-    ) {
-        let degraded = outcomes.iter().any(CellOutcome::is_degraded);
-        let report = BatchReport {
-            status: if degraded { BatchStatus::Degraded } else { BatchStatus::Complete },
-            jobs: 4,
-            cells: outcomes
-                .iter()
-                .enumerate()
-                .map(|(i, outcome)| CellReport {
-                    label: format!("cell-{i}"),
-                    outcome: outcome.clone(),
-                })
-                .collect(),
-            retries,
-            workers_lost,
-            errors: Vec::new(),
-            elapsed_ms,
-        };
-        let text = serde_json::to_string(&report).expect("serialize");
-        let back: BatchReport = serde_json::from_str(&text).expect("deserialize");
-        prop_assert_eq!(&back, &report);
-
-        let t = report.totals();
-        prop_assert_eq!(t.submitted, outcomes.len() as u64);
-        prop_assert_eq!(
-            t.completed + t.timed_out + t.panicked + t.skipped,
-            t.submitted,
-            "outcomes must partition the batch"
-        );
-        prop_assert_eq!(report.completed() + report.degraded(), t.submitted);
-        prop_assert_eq!(report.is_degraded(), degraded);
-    }
 }
 
 #[test]
@@ -230,4 +94,84 @@ fn metrics_report_identical_across_jobs() {
         assert_eq!(text(row, "bench"), benches[i / n], "row {i} bench");
         assert_eq!(text(row, "scheme"), BUILTIN_SCHEME_NAMES[i % n], "row {i} scheme");
     }
+}
+
+#[test]
+fn panicking_sim_cell_becomes_a_supervised_error_at_any_width() {
+    let h = tiny();
+    let poisoned = 3;
+    let cells = |jobs: usize| {
+        let tasks = h
+            .benches
+            .iter()
+            .enumerate()
+            .map(|(i, ctx)| {
+                let ctx = Arc::clone(ctx);
+                let variant = if i == poisoned { "poisoned" } else { "paper4" };
+                let label = format!("{}/{variant}", ctx.bench.name());
+                Task::new(label, move || {
+                    if i == poisoned {
+                        panic!("injected panic in {}", ctx.bench.name());
+                    }
+                    ctx.sim(SimConfig::paper(4), &ctx.profile.table)
+                })
+            })
+            .collect();
+        run_supervised(&Executor::new(ExecConfig { jobs }), tasks)
+    };
+    let name = h.benches[poisoned].bench.name();
+    for jobs in [1, 4] {
+        match cells(jobs) {
+            Err(HarnessError::Supervised { label, outcome }) => {
+                assert_eq!(label, format!("{name}/poisoned"), "jobs {jobs}");
+                assert_eq!(
+                    outcome,
+                    CellOutcome::Panicked {
+                        message: format!("injected panic in {name}")
+                    },
+                    "jobs {jobs}"
+                );
+            }
+            other => panic!("jobs {jobs}: expected a supervised error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn panicking_figure_is_recorded_and_its_neighbours_still_build() {
+    let h = Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("tiny suite loads");
+    let boom = FigureDef {
+        id: "boom",
+        summary: "always panics (test-only)",
+        group: FigureGroup::Extra,
+        build: |_| panic!("figure builder exploded"),
+    };
+    let fig2 = figures::by_id("fig2").expect("fig2 is registered");
+    let fig3 = figures::by_id("fig3").expect("fig3 is registered");
+    let outcome = figures::run_defs(&h, &[fig2, &boom, fig3], false);
+
+    let built: Vec<&str> = outcome.figures.iter().map(|f| f.id.as_str()).collect();
+    assert_eq!(
+        built,
+        ["fig2", "fig3"],
+        "both neighbours of the panicking figure build"
+    );
+    assert_eq!(outcome.summary.len(), 3);
+    match outcome.summary[1].get("error") {
+        Some(serde_json::Value::Str(e)) => {
+            assert_eq!(e, "cell `boom` degraded: panicked: figure builder exploded");
+        }
+        other => panic!("the panicking figure's entry has no error string: {other:?}"),
+    }
+    assert_eq!(outcome.errors.len(), 1);
+    let (id, err) = &outcome.errors[0];
+    assert_eq!(id, "boom");
+    assert!(
+        matches!(
+            err,
+            HarnessError::Supervised { label, outcome: CellOutcome::Panicked { message } }
+                if label == "boom" && message == "figure builder exploded"
+        ),
+        "unexpected error: {err:?}"
+    );
 }
