@@ -1,13 +1,13 @@
 //! The [`Bench`] convenience wrapper: one ready-to-simulate benchmark.
 
 use std::fmt;
-use std::sync::{Arc, LazyLock, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use specmt_sim::{SimConfig, SimError, SimResult, Simulator};
 use specmt_spawn::{
     heuristic_pairs, profile_pairs, HeuristicSet, ProfileConfig, ProfileResult, SpawnTable,
 };
-use specmt_trace::{CheckedImage, DepGraph, Trace, TraceError};
+use specmt_trace::{DepGraph, Trace, TraceError};
 use specmt_workloads::{Scale, Workload};
 
 /// A ready-to-simulate benchmark: the workload, its dynamic trace, and a
@@ -35,10 +35,14 @@ use specmt_workloads::{Scale, Workload};
 /// ```
 pub struct Bench {
     workload: Workload,
-    /// The trace, decoded on first use. A warm store load holds a checked
-    /// image here, so a run served entirely from the store never builds
-    /// the columns; the image's bytes are dropped once decoded.
-    trace: LazyLock<Trace, Box<dyn FnOnce() -> Trace + Send>>,
+    /// The trace. Set at construction, except after a warm store load
+    /// (see [`Bench::from_manifest`]): then [`Bench::trace`] generates it
+    /// on first use, so a run served entirely from the store never
+    /// builds trace columns.
+    trace: OnceLock<Trace>,
+    /// The trace's record count, known from the store manifest: the
+    /// column reservation for a generation on first use.
+    records_hint: u64,
     baseline: OnceLock<u64>,
     /// The trace's dependence graph, built on first simulation and shared
     /// by every subsequent run (it is a pure function of the trace).
@@ -72,16 +76,15 @@ impl Bench {
         Ok(Bench::with_trace(workload, trace))
     }
 
-    /// A bench over an already decoded trace.
+    /// A bench over an already built trace.
     fn with_trace(workload: Workload, trace: Trace) -> Bench {
-        let bench = Bench {
+        Bench {
             workload,
-            trace: LazyLock::new(Box::new(move || trace)),
+            records_hint: trace.len() as u64,
+            trace: OnceLock::from(trace),
             baseline: OnceLock::new(),
             deps: OnceLock::new(),
-        };
-        LazyLock::force(&bench.trace);
-        bench
+        }
     }
 
     /// Reassembles a benchmark from a previously generated (typically
@@ -112,22 +115,21 @@ impl Bench {
         Ok(bench)
     }
 
-    /// A benchmark whose trace is a store image, checked against the
-    /// workload's program (see [`CheckedImage::check`]) and decoded on
-    /// first use of [`Bench::trace`].
+    /// A benchmark whose trace is generated on first use of
+    /// [`Bench::trace`], into columns reserved for `records` records.
     ///
-    /// # Errors
-    ///
-    /// Returns [`BenchError::ChecksumMismatch`] if the image does not
-    /// reproduce the workload's checksum.
-    pub(crate) fn from_image(workload: Workload, image: CheckedImage) -> Result<Bench, BenchError> {
-        check_checksum(&workload, image.final_reg(specmt_isa::Reg::R10))?;
-        Ok(Bench {
+    /// Only a trace-stage store hit may build one: the manifest it read
+    /// proves that generating `workload`'s trace under the same key
+    /// (program, step budget, checksum, trace code revision) succeeded
+    /// and left the workload's checksum (see `cache::bench_via_store`).
+    pub(crate) fn from_manifest(workload: Workload, records: u64) -> Bench {
+        Bench {
             workload,
-            trace: LazyLock::new(Box::new(move || image.decode())),
+            trace: OnceLock::new(),
+            records_hint: records,
             baseline: OnceLock::new(),
             deps: OnceLock::new(),
-        })
+        }
     }
 
     /// Seeds the baseline cycle count from a store hit (no-op if already
@@ -160,16 +162,25 @@ impl Bench {
     }
 
     /// The dynamic trace (shared by profiling and simulation, like the
-    /// paper's use of the same training input for both). A store-loaded
-    /// trace is decoded by the first call.
+    /// paper's use of the same training input for both). After a warm
+    /// store load, the first call generates it.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        self.trace.get_or_init(|| {
+            let w = &self.workload;
+            // Only `from_manifest` leaves the trace unset, and only after a
+            // store hit proving that this very generation (same program and
+            // step budget, same trace code revision) succeeded before. The
+            // emulator is deterministic, so it succeeds again: failing here
+            // means emulation is no longer a function of its inputs.
+            Trace::generate_with_hint(w.program.clone(), w.step_budget, self.records_hint)
+                .expect("trace generation is deterministic: a stored manifest proves it succeeds")
+        })
     }
 
-    /// Whether [`Bench::trace`] has been decoded yet.
+    /// Whether [`Bench::trace`] has been generated yet.
     #[cfg(test)]
-    pub(crate) fn is_decoded(&self) -> bool {
-        LazyLock::get(&self.trace).is_some()
+    pub(crate) fn has_trace(&self) -> bool {
+        self.trace.get().is_some()
     }
 
     /// The trace's dependence graph, built once on first use and shared by
@@ -254,9 +265,10 @@ impl Bench {
     }
 }
 
-/// Checks a stored trace's final `r10` against the workload's expected
-/// checksum: the one policy for every constructor that trusts no trace.
-fn check_checksum(workload: &Workload, actual: u64) -> Result<(), BenchError> {
+/// Checks a trace's final `r10` against the workload's expected checksum:
+/// the one policy for every path that trusts no trace (cached traces, and
+/// generations the store is about to vouch for).
+pub(crate) fn check_checksum(workload: &Workload, actual: u64) -> Result<(), BenchError> {
     if actual == workload.expected_checksum {
         return Ok(());
     }
@@ -268,14 +280,14 @@ fn check_checksum(workload: &Workload, actual: u64) -> Result<(), BenchError> {
 }
 
 impl fmt::Debug for Bench {
-    /// A summary: the columns (or the undecoded image) would dump
-    /// megabytes through every `Debug` that contains a bench.
+    /// A summary: the columns would dump megabytes through every `Debug`
+    /// that contains a bench.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut d = f.debug_struct("Bench");
         d.field("name", &self.name());
-        match LazyLock::get(&self.trace) {
+        match self.trace.get() {
             Some(trace) => d.field("trace_len", &trace.len()),
-            None => d.field("trace", &format_args!("not decoded")),
+            None => d.field("trace", &format_args!("not generated")),
         };
         d.finish_non_exhaustive()
     }
@@ -294,8 +306,9 @@ pub enum BenchError {
     Trace(TraceError),
     /// Simulation failed (invalid configuration or a broken invariant).
     Sim(SimError),
-    /// A supplied trace does not reproduce the workload's checksum
-    /// (possible only via [`Bench::from_cached`]).
+    /// A supplied trace does not reproduce the workload's checksum (via
+    /// [`Bench::from_cached`]), or a store-backed load generated one that
+    /// does not (the store then keeps nothing).
     ChecksumMismatch {
         /// The workload the trace claimed to belong to.
         name: &'static str,

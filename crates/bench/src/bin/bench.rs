@@ -11,9 +11,9 @@
 //! * `sim_paper16_gcc_ms` — a full paper-configuration simulation;
 //! * `suite_load_cold_ms` / `suite_load_warm_ms` — [`Harness::load_at`]
 //!   with an empty vs populated disk cache (what `specmt bench` pays at
-//!   startup). A warm load reads and checks each stored trace image but
-//!   does not decode it: decoding waits for the trace's first use, which
-//!   this kernel never makes.
+//!   startup). A warm load reads each trace's stored manifest but does
+//!   not generate the trace: generation waits for the trace's first use,
+//!   which this kernel never makes.
 //!
 //! The JSON is merged per scale, so tiny (CI) and medium (headline)
 //! sections coexist. A `throughput` section records

@@ -36,24 +36,30 @@
 //! ## Trust model
 //!
 //! Stale entries are unreachable by construction (the key is the content
-//! address of the inputs). Corrupt entries are parse-and-reject, at load:
-//! a stored trace image is scanned end to end by [`CheckedImage::check`]
-//! (every check the decoder makes, with the program header compared byte
-//! for byte against the workload's program) and its final `r10` must be
-//! the workload's checksum; JSON payloads must parse. Any failure falls
-//! through to regeneration, which overwrites the entry. A checked image is
-//! decoded only when its bench's trace is first used, so a run served
-//! entirely from the store never builds trace columns. Traces handed in
-//! already decoded are validated by [`Bench::from_cached`].
-
-use std::sync::Arc;
+//! address of the inputs). Corrupt entries are parse-and-reject, at load.
+//!
+//! The trace stage stores no trace. A trace is a pure function of the
+//! program and step budget its key fingerprints, so its entry is a
+//! manifest of about 50 bytes, `{records, checksum}`, written only after
+//! a generation whose final `r10` matched the workload's checksum. A hit
+//! is proof that this generation succeeds: its bench generates the trace
+//! when the trace is first used (so a run served entirely from the store
+//! never builds trace columns), reserving `records` records so the
+//! columns carry no growth slack. A manifest is accepted only if it
+//! parses, names the workload's checksum and counts between 1 and the
+//! step budget records; the count is otherwise only a capacity hint, so
+//! no stored bytes can change the trace or make its generation fail.
+//!
+//! JSON stages' payloads must parse. Any rejected entry falls through to
+//! recomputation, which overwrites it in place. Traces handed in already
+//! built (a `.smtr` file) are validated by [`Bench::from_cached`].
 
 use specmt_sim::SimConfig;
 use specmt_spawn::{ProfileConfig, SchemeParams, SpawnTable};
 use specmt_store::{KeyBuilder, Namespace, StageKey, Store};
-use specmt_trace::CheckedImage;
 use specmt_workloads::Workload;
 
+use crate::benchmark::check_checksum;
 use crate::{Bench, BenchError, HarnessError};
 
 /// The trace stage's key: everything that determines the generated trace.
@@ -61,17 +67,14 @@ use crate::{Bench, BenchError, HarnessError};
 /// pipeline still runs).
 pub fn trace_stage(workload: &Workload) -> Option<StageKey> {
     let program_json = serde_json::to_vec(&workload.program).ok()?;
-    Some(trace_key(workload, &program_json))
-}
-
-/// [`trace_stage`] for an already serialized program.
-fn trace_key(workload: &Workload, program_json: &[u8]) -> StageKey {
-    KeyBuilder::new("trace")
-        .component("program", program_json)
-        .component("step-budget", &workload.step_budget)
-        .component("checksum", &workload.expected_checksum)
-        .code_rev(specmt_trace::CODE_REV)
-        .finish()
+    Some(
+        KeyBuilder::new("trace")
+            .component("program", program_json.as_slice())
+            .component("step-budget", &workload.step_budget)
+            .component("checksum", &workload.expected_checksum)
+            .code_rev(specmt_trace::CODE_REV)
+            .finish(),
+    )
 }
 
 /// The profile stage's key: the trace it read plus the `ProfileConfig`
@@ -126,6 +129,19 @@ pub(crate) struct BaselineDoc {
 
 serde::impl_serde_struct!(BaselineDoc { cycles });
 
+/// The trace stage's store entry: what a generation under the trace key
+/// produced, in place of the trace itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TraceManifest {
+    /// The trace's record count (a column-capacity hint).
+    pub(crate) records: u64,
+    /// The trace's final `r10`, checked against the workload's checksum
+    /// before the manifest was written.
+    pub(crate) checksum: u64,
+}
+
+serde::impl_serde_struct!(TraceManifest { records, checksum });
+
 /// The read-through path of every JSON stage: serve `key`'s entry from
 /// `store` when it parses, otherwise run `compute` and store its result.
 /// A `None` key (unkeyable input, fault-injected run) bypasses the store.
@@ -154,40 +170,41 @@ where
 /// under the logical name `label` before generating. Returns the bench and
 /// its trace stage key (`None` when the workload is unkeyable).
 ///
-/// A stored trace is never trusted: the whole image is checked against the
-/// workload's program ([`CheckedImage::check`]) and must reproduce the
-/// workload's checksum, here at load; any failure regenerates and
-/// overwrites the entry. A passing image is decoded only when the bench's
-/// trace is first used.
+/// A hit returns a bench that generates its trace on first use; the
+/// manifest must name the workload's checksum and a record count the step
+/// budget allows, or it is rejected. A miss (or a rejected entry)
+/// generates the trace now, checks its checksum and only then writes the
+/// manifest.
 ///
 /// # Errors
 ///
-/// As [`Bench::from_workload`].
+/// As [`Bench::from_workload`], plus [`BenchError::ChecksumMismatch`] when
+/// the generated trace does not leave the workload's checksum (nothing is
+/// stored then).
 pub(crate) fn bench_via_store(
     store: &Store,
     workload: Workload,
     label: &str,
 ) -> Result<(Bench, Option<StageKey>), BenchError> {
-    let Ok(program_json) = serde_json::to_vec(&workload.program) else {
+    let Some(tkey) = trace_stage(&workload) else {
         return Ok((Bench::from_workload(workload)?, None));
     };
-    let tkey = trace_key(&workload, &program_json);
-    if let Some(bytes) = store.get_bytes(Namespace::Trace, label, &tkey) {
-        let program = Arc::new(workload.program.clone());
-        if let Ok(image) = CheckedImage::check(bytes, program, &program_json) {
-            if let Ok(bench) = Bench::from_image(workload.clone(), image) {
-                return Ok((bench, Some(tkey)));
-            }
+    if let Some(m) = store.get_json::<TraceManifest>(Namespace::Trace, label, &tkey) {
+        if m.checksum == workload.expected_checksum
+            && (1..=workload.step_budget).contains(&m.records)
+        {
+            return Ok((Bench::from_manifest(workload, m.records), Some(tkey)));
         }
     }
-    // Generation does not need the header; free it (up to ~0.4 MB at
-    // medium) before the trace columns grow.
-    drop(program_json);
     let bench = Bench::from_workload(workload)?;
-    let mut trace_bytes = Vec::new();
-    if bench.trace().write_to(&mut trace_bytes).is_ok() {
-        store.put_bytes(Namespace::Trace, label, &tkey, &trace_bytes);
-    }
+    let trace = bench.trace();
+    let checksum = trace.final_reg(specmt_isa::Reg::R10);
+    check_checksum(bench.workload(), checksum)?;
+    let manifest = TraceManifest {
+        records: trace.len() as u64,
+        checksum,
+    };
+    store.put_json(Namespace::Trace, label, &tkey, &manifest);
     Ok((bench, Some(tkey)))
 }
 
@@ -200,33 +217,56 @@ mod tests {
         specmt_workloads::by_name("li", Scale::Tiny).expect("suite workload")
     }
 
-    #[test]
-    fn warm_trace_loads_decode_on_first_use() {
-        let dir =
-            std::env::temp_dir().join(format!("specmt-cache-lazy-trace-{}", std::process::id()));
+    fn scratch_store(tag: &str) -> (std::path::PathBuf, specmt_store::StoreHandle) {
+        let dir = std::env::temp_dir().join(format!("specmt-cache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(specmt_store::StoreConfig::at(&dir));
+        (dir, store)
+    }
+
+    #[test]
+    fn warm_loads_generate_the_trace_on_first_use() {
+        let (dir, store) = scratch_store("lazy-trace");
         let (cold, _) = bench_via_store(&store, workload(), "li-tiny").expect("cold load");
-        assert!(
-            cold.is_decoded(),
-            "a generated trace is decoded from the start"
-        );
+        assert!(cold.has_trace(), "a cold load generates the trace");
 
         let (warm, key) = bench_via_store(&store, workload(), "li-tiny").expect("warm load");
         assert_eq!(store.hits(Namespace::Trace), 1);
         assert_eq!(
             store.stores(Namespace::Trace),
             1,
-            "a valid image is not rewritten"
+            "a valid manifest is not rewritten"
         );
         assert!(key.is_some());
-        assert!(!warm.is_decoded(), "a warm load must not decode the trace");
-        assert!(format!("{warm:?}").contains("not decoded"));
+        assert!(!warm.has_trace(), "a warm load must not generate the trace");
+        assert!(format!("{warm:?}").contains("not generated"));
 
-        assert_eq!(warm.trace().records_vec(), cold.trace().records_vec());
-        assert_eq!(warm.trace().program(), cold.trace().program());
-        assert!(warm.is_decoded());
-        assert!(format!("{warm:?}").contains(&format!("trace_len: {}", cold.trace().len())));
+        let (cold, warm) = (cold.trace(), warm.trace());
+        assert_eq!(warm.records_vec(), cold.records_vec());
+        assert_eq!(warm.program(), cold.program());
+        for r in specmt_isa::Reg::all() {
+            assert_eq!(warm.final_reg(r), cold.final_reg(r), "{r:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checksum_mismatch_stores_nothing() {
+        let mut altered = workload();
+        altered.expected_checksum ^= 1;
+        assert!(
+            Bench::from_workload(altered.clone()).is_ok(),
+            "generation itself does not check the checksum"
+        );
+        let (dir, store) = scratch_store("mismatch");
+        for _ in 0..2 {
+            let err = bench_via_store(&store, altered.clone(), "li-tiny").unwrap_err();
+            assert!(matches!(err, BenchError::ChecksumMismatch { .. }), "{err}");
+        }
+        assert_eq!(store.hits(Namespace::Trace), 0);
+        assert_eq!(store.misses(Namespace::Trace), 2);
+        assert_eq!(store.stores(Namespace::Trace), 0, "nothing is stored");
+        assert!(!dir.join(Namespace::Trace.dir_name()).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,6 +8,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use serde::Value;
 use specmt_bench::{figures, BenchCtx, Harness};
 use specmt_sim::SimConfig;
 use specmt_store::{Namespace, Store, StoreConfig, StoreHandle};
@@ -68,51 +69,47 @@ fn entries_with_ext(dir: &Path, ext: &str) -> Vec<PathBuf> {
     out
 }
 
-/// `image` with the continuation bit set on a byte in the middle of its
-/// value column, the last column of the container.
-fn value_column_continued(image: &[u8]) -> Vec<u8> {
-    let word = |at: usize, n: usize| {
-        image[at..at + n]
-            .iter()
-            .rev()
-            .fold(0u64, |w, &b| w << 8 | u64::from(b))
-    };
-    // magic, version, program-JSON length, program JSON, record count.
-    let plen = word(8, 4) as usize;
-    let count = word(12 + plen, 8);
-    // The value column is the image's last `count` varints; each ends in a
-    // byte with the continuation bit clear.
-    let mut ends = 0;
-    let mut out = image.to_vec();
-    for (i, &b) in image.iter().enumerate().rev() {
-        if b & 0x80 == 0 {
-            ends += 1;
-            if ends == count / 2 + 1 {
-                out[i] |= 0x80;
-                return out;
-            }
-        }
-    }
-    panic!("no value column in the image");
+/// The files in `dir`'s trace namespace.
+fn trace_files(dir: &Path) -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = fs::read_dir(dir.join(Namespace::Trace.dir_name()))
+        .expect("trace namespace")
+        .flatten()
+        .map(|e| e.path())
+        .collect();
+    out.sort();
+    out
+}
+
+/// The one trace entry a gcc-only store holds.
+fn gcc_trace_entry(dir: &Path) -> PathBuf {
+    let paths = entries_with_ext(dir, "smtr");
+    assert_eq!(paths.len(), 1, "one gcc trace entry: {paths:?}");
+    paths[0].clone()
 }
 
 #[test]
 fn warm_loads_are_bit_identical_and_corruption_is_survived() {
     let dir = test_dir("correctness");
 
-    // Cold load populates every namespace the loader owns.
+    // Cold load populates every namespace the loader owns. The trace entry
+    // is a manifest, not a trace image.
     let store = open(&dir);
     let cold = BenchCtx::load_with("gcc", Scale::Tiny, Arc::clone(&store)).expect("cold load");
     let cold_products = products(&cold);
+    let trace_path = gcc_trace_entry(&dir);
+    let intact = fs::read(&trace_path).expect("trace entry");
     assert!(
-        !entries_with_ext(&dir, "smtr").is_empty(),
-        "cold load must write a trace entry"
+        intact.len() < 1024,
+        "the trace entry must be a manifest, got {} bytes",
+        intact.len()
     );
     assert_eq!(store.hits(Namespace::Trace), 0, "cold store cannot hit");
-    assert!(store.stores(Namespace::Trace) >= 1);
+    assert_eq!(store.stores(Namespace::Trace), 1);
     assert!(store.stores(Namespace::Profile) >= 1);
     assert!(store.stores(Namespace::SpawnTable) >= 1);
     assert!(store.stores(Namespace::Analysis) >= 1);
+    let files = trace_files(&dir);
+    assert_eq!(files.len(), 2, "the entry and its key sidecar: {files:?}");
 
     // Warm load (fresh handle, fresh counters) serves every stage from the
     // store and reproduces every product exactly.
@@ -133,51 +130,73 @@ fn warm_loads_are_bit_identical_and_corruption_is_survived() {
         assert_eq!(store.misses(ns), 0, "warm {ns:?} load must not miss");
         assert!(store.hits(ns) >= 1, "warm {ns:?} load must hit");
     }
+    assert_eq!(store.stores(Namespace::Trace), 0, "a valid manifest stays");
 
-    // Corrupted trace entries are ignored and regenerated.
-    for path in entries_with_ext(&dir, "smtr") {
-        fs::write(&path, b"garbage").expect("corrupt trace");
-    }
-    let recovered =
-        BenchCtx::load_with("gcc", Scale::Tiny, open(&dir)).expect("load over corrupt trace");
-    assert_eq!(products(&recovered), cold_products);
-    for path in entries_with_ext(&dir, "smtr") {
-        let len = fs::metadata(&path).expect("trace entry").len();
-        assert!(len > 100, "corrupt entry must be rewritten, len {len}");
-    }
-
-    // Damage inside the columns is caught by the load itself, not by the
-    // first use of the trace: the load rewrites the entry before anything
-    // simulates. Setting the continuation bit of a value-column byte merges
-    // two values, so the column runs out of bytes; a one-byte truncation
-    // cuts the last value.
-    let (trace_path, intact) = {
-        let paths = entries_with_ext(&dir, "smtr");
-        assert_eq!(paths.len(), 1, "one gcc trace entry");
-        let bytes = fs::read(&paths[0]).expect("trace entry");
-        (paths[0].clone(), bytes)
+    // Every damaged trace entry is rejected by the load itself: the load
+    // regenerates the trace and rewrites the entry exactly once, in place,
+    // before anything simulates, and the products are the cold ones.
+    let alien = {
+        let alien_dir = test_dir("correctness-alien");
+        BenchCtx::load_with("compress", Scale::Tiny, open(&alien_dir)).expect("alien load");
+        let paths = entries_with_ext(&alien_dir, "smtr");
+        assert_eq!(paths.len(), 1, "one compress trace entry");
+        let bytes = fs::read(&paths[0]).expect("alien manifest");
+        let _ = fs::remove_dir_all(&alien_dir);
+        bytes
+    };
+    assert_ne!(alien, intact, "compress and gcc manifests must differ");
+    let unbounded = {
+        let mut doc: Value = serde_json::from_slice(&intact).expect("manifest JSON");
+        let Value::Object(fields) = &mut doc else {
+            panic!("the manifest is a JSON object");
+        };
+        let (_, records) = fields
+            .iter_mut()
+            .find(|(k, _)| k == "records")
+            .expect("a records field");
+        *records = Value::UInt(u64::MAX);
+        let bytes = serde_json::to_vec(&doc).expect("serialize");
+        let back: Value = serde_json::from_slice(&bytes).expect("reparse");
+        assert_eq!(back.get("records"), Some(&Value::UInt(u64::MAX)));
+        bytes
+    };
+    let old_image = {
+        let mut bytes = Vec::new();
+        cold.bench.trace().write_to(&mut bytes).expect("serialize");
+        bytes
     };
     let damaged = [
-        value_column_continued(&intact),
-        intact[..intact.len() - 1].to_vec(),
+        ("garbage bytes", b"garbage".to_vec()),
+        ("truncated manifest", intact[..intact.len() - 1].to_vec()),
+        ("another workload's manifest", alien),
+        ("records: u64::MAX", unbounded),
+        ("a trace image under the current key", old_image),
     ];
-    for (case, image) in ["value-column byte", "truncation"].into_iter().zip(damaged) {
-        fs::write(&trace_path, &image).expect("damage trace");
+    for (case, entry) in damaged {
+        fs::write(&trace_path, &entry).expect("damage trace entry");
         let store = open(&dir);
         let recovered = BenchCtx::load_with("gcc", Scale::Tiny, Arc::clone(&store))
             .unwrap_or_else(|e| panic!("load over {case}: {e}"));
         assert_eq!(
             store.stores(Namespace::Trace),
             1,
-            "the load must rewrite the entry after a {case}"
+            "the load must rewrite the entry once after {case}"
         );
         assert_eq!(
-            store.misses(Namespace::SimResult),
-            0,
-            "nothing simulated yet"
+            fs::read(&trace_path).expect("rewritten entry"),
+            intact,
+            "{case}"
         );
-        assert_eq!(fs::read(&trace_path).expect("rewritten entry"), intact);
+        assert_eq!(trace_files(&dir), files, "{case} must leave no orphan");
         assert_eq!(products(&recovered), cold_products, "{case}");
+        for ns in [
+            Namespace::Profile,
+            Namespace::SpawnTable,
+            Namespace::Analysis,
+            Namespace::SimResult,
+        ] {
+            assert_eq!(store.misses(ns), 0, "{case}: {ns:?} must not recompute");
+        }
     }
 
     // Truncated JSON artifacts are likewise silent misses.
@@ -187,24 +206,6 @@ fn warm_loads_are_bit_identical_and_corruption_is_survived() {
     }
     let recovered =
         BenchCtx::load_with("gcc", Scale::Tiny, open(&dir)).expect("load over truncated json");
-    assert_eq!(products(&recovered), cold_products);
-
-    // A stale-layout entry (valid container, wrong content) is rejected by
-    // the checksum re-validation: swap in a different workload's trace.
-    let alien = BenchCtx::load_with("compress", Scale::Tiny, Store::disabled()).expect("alien");
-    let mut alien_bytes = Vec::new();
-    alien
-        .bench
-        .trace()
-        .write_to(&mut alien_bytes)
-        .expect("serialize");
-    for path in entries_with_ext(&dir, "smtr") {
-        if path.to_string_lossy().contains("gcc-") {
-            fs::write(&path, &alien_bytes).expect("swap trace");
-        }
-    }
-    let recovered =
-        BenchCtx::load_with("gcc", Scale::Tiny, open(&dir)).expect("load over swapped trace");
     assert_eq!(products(&recovered), cold_products);
 
     let _ = fs::remove_dir_all(&dir);

@@ -46,7 +46,8 @@ use crate::key::{BreakdownDoc, StageKey};
 /// The artifact families the store distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Namespace {
-    /// Generated instruction traces (SMTR binary).
+    /// The trace stage (`.smtr` payloads; the figure harness stores a
+    /// small manifest here, not the trace itself).
     Trace,
     /// Profile-stage analysis results (§3.1 selection, `ProfileResult`).
     Profile,

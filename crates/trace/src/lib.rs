@@ -64,7 +64,6 @@ pub use deps::LiveIn;
 pub use deps::{DepGraph, NO_PRODUCER};
 pub use emulator::{Emulator, StepOutcome};
 pub use error::TraceError;
-pub use io::CheckedImage;
 pub use memory::Memory;
 pub use record::{DynInst, Trace, TraceMix};
 

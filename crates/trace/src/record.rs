@@ -107,7 +107,7 @@ impl Trace {
     ) -> Result<Trace, TraceError> {
         let mut emu = Emulator::new(program);
         emu.set_memory_limit(max_mem_bytes);
-        Trace::record_from(emu, max_steps)
+        Trace::record_from(emu, max_steps, 0)
     }
 
     /// As [`Trace::generate`], but shares an existing [`Arc`]ed program.
@@ -117,11 +117,44 @@ impl Trace {
     /// As [`Trace::generate`].
     pub fn generate_arc(program: Arc<Program>, max_steps: u64) -> Result<Trace, TraceError> {
         let emu = Emulator::from_arc(Arc::clone(&program));
-        Trace::record_from(emu, max_steps)
+        Trace::record_from(emu, max_steps, 0)
     }
 
-    /// Drives `emu` to completion, recording every executed instruction.
-    fn record_from(mut emu: Emulator, max_steps: u64) -> Result<Trace, TraceError> {
+    /// As [`Trace::generate`], reserving the columns for `records` records
+    /// up front (clamped to `max_steps`). With the trace's true length as
+    /// the hint, the columns never grow and hold no slack; any other hint
+    /// only changes how much is reserved, never the trace.
+    ///
+    /// # Errors
+    ///
+    /// As [`Trace::generate`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use specmt_isa::{ProgramBuilder, Reg};
+    /// use specmt_trace::Trace;
+    ///
+    /// let mut b = ProgramBuilder::new();
+    /// b.li(Reg::R1, 7);
+    /// b.halt();
+    /// let program = b.build()?;
+    /// let trace = Trace::generate_with_hint(program.clone(), 100, 2)?;
+    /// assert_eq!(trace.records_vec(), Trace::generate(program, 100)?.records_vec());
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn generate_with_hint(
+        program: Program,
+        max_steps: u64,
+        records: u64,
+    ) -> Result<Trace, TraceError> {
+        Trace::record_from(Emulator::new(program), max_steps, records)
+    }
+
+    /// Drives `emu` to completion, recording every executed instruction
+    /// into columns reserved for `reserve` records (clamped to
+    /// `max_steps`).
+    fn record_from(mut emu: Emulator, max_steps: u64, reserve: u64) -> Result<Trace, TraceError> {
         let program = Arc::clone(emu.program());
         let mut trace = Trace {
             program,
@@ -131,6 +164,13 @@ impl Trace {
             results: Vec::new(),
             final_regs: [0u64; specmt_isa::NUM_REGS],
         };
+        // A reservation is only a hint: one the allocator refuses leaves
+        // the columns to grow as they would without it.
+        let n = usize::try_from(reserve.min(max_steps)).unwrap_or(usize::MAX);
+        let _ = trace.pcs.try_reserve_exact(n);
+        let _ = trace.taken.try_reserve_exact(n.div_ceil(64));
+        let _ = trace.addrs.try_reserve_exact(n);
+        let _ = trace.results.try_reserve_exact(n);
         loop {
             if trace.pcs.len() as u64 >= max_steps {
                 return Err(TraceError::StepLimitExceeded { limit: max_steps });
@@ -437,6 +477,26 @@ mod tests {
     fn generated_traces_validate() {
         let trace = Trace::generate(loop_program(4), 1000).unwrap();
         trace.validate().unwrap();
+    }
+
+    #[test]
+    fn hinted_generation_reserves_exactly_and_matches() {
+        let plain = Trace::generate(loop_program(40), 1000).unwrap();
+        let n = plain.len() as u64;
+        let hinted = Trace::generate_with_hint(loop_program(40), 1000, n).unwrap();
+        assert_eq!(hinted.records_vec(), plain.records_vec());
+        assert_eq!(hinted.final_regs, plain.final_regs);
+        assert_eq!(hinted.pcs.capacity(), hinted.pcs.len());
+        assert_eq!(hinted.taken.capacity(), hinted.taken.len());
+        assert_eq!(hinted.addrs.capacity(), hinted.addrs.len());
+        assert_eq!(hinted.results.capacity(), hinted.results.len());
+        // A wrong hint changes the reservation only; one beyond the step
+        // budget is clamped to it.
+        for hint in [0, 1, n - 1, n + 1, u64::MAX] {
+            let t = Trace::generate_with_hint(loop_program(40), 1000, hint).unwrap();
+            assert_eq!(t.records_vec(), plain.records_vec(), "hint {hint}");
+            assert!(t.pcs.capacity() <= 1000, "hint {hint}");
+        }
     }
 
     #[test]
