@@ -109,6 +109,22 @@ impl Args {
         Ok(())
     }
 
+    /// The value of the numeric flag `--name`, if given. A value that
+    /// does not parse errors with the flag, the value and what was
+    /// `expected`.
+    fn number<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        expected: &str,
+    ) -> Result<Option<T>, CliError> {
+        self.flag(name)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("invalid --{name} `{raw}` (expected {expected})").into())
+            })
+            .transpose()
+    }
+
     fn scale(&self) -> Result<Scale, CliError> {
         Ok(match self.flag("scale").unwrap_or("medium") {
             "tiny" => Scale::Tiny,
@@ -235,7 +251,7 @@ fn run(raw: Vec<String>) -> Result<(), CliError> {
             let input = input.ok_or("simulate needs an input")?;
             let trace = load_trace(input, scale)?;
             let table = build_table(&args, &trace)?;
-            let tus: usize = args.flag("tus").unwrap_or("16").parse()?;
+            let tus = args.number("tus", "a thread-unit count")?.unwrap_or(16);
             let vp = match args.flag("vp").unwrap_or("perfect") {
                 "perfect" => ValuePredictorKind::Perfect,
                 "stride" => ValuePredictorKind::Stride,
@@ -246,11 +262,11 @@ fn run(raw: Vec<String>) -> Result<(), CliError> {
                 other => return Err(format!("unknown predictor `{other}`").into()),
             };
             let mut cfg = SimConfig::paper(tus).with_value_predictor(vp);
-            if let Some(o) = args.flag("overhead") {
-                cfg = cfg.with_init_overhead(o.parse()?);
+            if let Some(o) = args.number("overhead", "a cycle count")? {
+                cfg = cfg.with_init_overhead(o);
             }
-            if let Some(m) = args.flag("min-size") {
-                cfg.min_observed_size = Some(m.parse()?);
+            if let Some(m) = args.number("min-size", "an instruction count")? {
+                cfg.min_observed_size = Some(m);
             }
             if let Some(spec) = args.flag("faults") {
                 cfg = cfg.with_faults(FaultPlan::parse(spec)?);
@@ -313,12 +329,13 @@ fn run(raw: Vec<String>) -> Result<(), CliError> {
                 Some(_) => args.scale()?,
                 None => specmt::bench::scale_from_env()?,
             };
-            let start = std::time::Instant::now();
-            let mut h = Harness::load_at(scale)?;
             // Pool width for the figure sweeps (0 or absent: one thread
             // per CPU).
-            if let Some(jobs) = args.flag("jobs") {
-                h.exec.jobs = jobs.parse()?;
+            let jobs = args.number("jobs", "a thread count")?;
+            let start = std::time::Instant::now();
+            let mut h = Harness::load_at(scale)?;
+            if let Some(jobs) = jobs {
+                h.exec.jobs = jobs;
             }
             eprintln!(
                 "suite loaded at {:?} scale in {:.1}s",
@@ -427,10 +444,9 @@ fn run(raw: Vec<String>) -> Result<(), CliError> {
                     println!("cleared {}", store.config().dir.display());
                 }
                 "gc" => {
-                    let raw = args.flag("max-bytes").ok_or("gc needs --max-bytes <N>")?;
-                    let max: u64 = raw
-                        .parse()
-                        .map_err(|_| format!("invalid --max-bytes `{raw}` (expected a byte count)"))?;
+                    let max = args
+                        .number("max-bytes", "a byte count")?
+                        .ok_or("gc needs --max-bytes <N>")?;
                     let report = store.gc(max);
                     println!(
                         "gc: removed {} entries ({} bytes), {} bytes kept",

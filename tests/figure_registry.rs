@@ -107,3 +107,25 @@ fn bench_rejects_unknown_figures() {
         "error must name the id and point at --list, got: {stderr}"
     );
 }
+
+#[test]
+fn malformed_numeric_flags_name_the_flag_and_value() {
+    let cases = [
+        ("bench", "fig3", "--jobs", "-1"),
+        ("simulate", "compress", "--tus", "four"),
+        ("simulate", "compress", "--overhead", "1.5"),
+        ("simulate", "compress", "--min-size", "x9"),
+    ];
+    for (command, target, flag, value) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_specmt"))
+            .args([command, target, "--scale", "tiny", flag, value])
+            .output()
+            .expect("specmt runs");
+        assert!(!out.status.success(), "{flag} {value} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("invalid {flag} `{value}`")),
+            "error must name {flag} and `{value}`, got: {stderr}"
+        );
+    }
+}
