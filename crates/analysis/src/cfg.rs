@@ -183,13 +183,6 @@ impl DynCfg {
             .map(move |&s| (s, &self.edges[&(id, s)]))
     }
 
-    /// Predecessors of `id` with their edges.
-    pub fn in_edges(&self, id: BlockId) -> impl Iterator<Item = (BlockId, &CfgEdge)> + '_ {
-        self.preds[id as usize]
-            .iter()
-            .map(move |&p| (p, &self.edges[&(p, id)]))
-    }
-
     /// Total outgoing weight of `id`.
     pub fn out_weight(&self, id: BlockId) -> f64 {
         self.out_edges(id).map(|(_, e)| e.weight).sum()

@@ -87,14 +87,19 @@ impl Bench {
         }
     }
 
-    /// Reassembles a benchmark from a previously generated (typically
-    /// disk-cached) trace, optionally seeding the baseline cycle count so
-    /// warm starts skip the baseline simulation too.
+    /// Reassembles a benchmark from an already built trace, optionally
+    /// seeding the baseline cycle count.
+    ///
+    /// No pipeline path calls this: warm loads regenerate the trace from
+    /// a store manifest instead (see the [`cache`](crate::cache) module).
+    /// It remains solely because the benchmark's per-layer replay
+    /// (`perfbench/src/replay.rs`) builds its benches from decoded trace
+    /// images, and it goes when that replay stage does.
     ///
     /// The trace is never trusted: it must be structurally valid for the
     /// workload's program and must reproduce the workload's expected
-    /// checksum, so a stale or corrupted cache entry is rejected here
-    /// rather than silently polluting results.
+    /// checksum, so a corrupted image is rejected here rather than
+    /// silently polluting results.
     ///
     /// # Errors
     ///

@@ -51,8 +51,10 @@
 //! no stored bytes can change the trace or make its generation fail.
 //!
 //! JSON stages' payloads must parse. Any rejected entry falls through to
-//! recomputation, which overwrites it in place. Traces handed in already
-//! built (a `.smtr` file) are validated by [`Bench::from_cached`].
+//! recomputation, which overwrites it in place. Every stage's payload is
+//! JSON, so each namespace stores `<name>.<key>.json`; `.smtr` files an
+//! older build left in `trace/` are never read, counted as entries or as
+//! invalidations, and `specmt cache clear` removes them.
 
 use specmt_sim::SimConfig;
 use specmt_spawn::{ProfileConfig, SchemeParams, SpawnTable};

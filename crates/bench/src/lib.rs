@@ -186,16 +186,6 @@ impl BenchCtx {
         }
     }
 
-    /// Loads one benchmark through the process-default store (see
-    /// [`Store::default_handle`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`BenchCtx::load_with`].
-    pub fn load(name: &'static str, scale: Scale) -> Result<BenchCtx, HarnessError> {
-        BenchCtx::load_with(name, scale, Arc::clone(Store::default_handle()))
-    }
-
     /// Loads one benchmark's training input, consulting `store` stage by
     /// stage: the trace, the default-parameter profile, the all-heuristics
     /// table and the single-threaded baseline are each served from the
@@ -483,24 +473,14 @@ pub fn scale_from_env() -> Result<Scale, HarnessError> {
 }
 
 impl Harness {
-    /// Loads the whole suite at the `SPECMT_SCALE` scale, building traces
-    /// and spawn tables in parallel. Previously generated artifacts are
-    /// served from the process-default store (see [`Store::default_handle`]
-    /// and the [`cache`] module) when their input closure matches.
+    /// Loads the whole suite at `scale`, building traces and spawn tables
+    /// in parallel. Previously generated artifacts are served from the
+    /// process-default store (see [`Store::default_handle`] and the
+    /// [`cache`] module) when their input closure matches.
     ///
     /// # Errors
     ///
-    /// Returns [`HarnessError::Scale`] for a bad `SPECMT_SCALE`, or the
-    /// first benchmark's failure.
-    pub fn load() -> Result<Harness, HarnessError> {
-        Harness::load_at(scale_from_env()?)
-    }
-
-    /// As [`Harness::load`] with an explicit scale.
-    ///
-    /// # Errors
-    ///
-    /// As [`Harness::load`].
+    /// Returns the first benchmark's failure.
     pub fn load_at(scale: Scale) -> Result<Harness, HarnessError> {
         Harness::load_at_with(scale, Arc::clone(Store::default_handle()))
     }
@@ -511,7 +491,7 @@ impl Harness {
     ///
     /// # Errors
     ///
-    /// As [`Harness::load`].
+    /// As [`Harness::load_at`].
     pub fn load_at_with(scale: Scale, store: StoreHandle) -> Result<Harness, HarnessError> {
         let exec = ExecConfig::default();
         let tasks = specmt_workloads::SUITE_NAMES

@@ -80,10 +80,16 @@ fn trace_files(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// The one trace entry a gcc-only store holds.
-fn gcc_trace_entry(dir: &Path) -> PathBuf {
-    let paths = entries_with_ext(dir, "smtr");
-    assert_eq!(paths.len(), 1, "one gcc trace entry: {paths:?}");
+/// The one trace entry (not its key sidecar) a single-workload store
+/// holds: a `.json` manifest, with no `.smtr` file anywhere.
+fn trace_entry(dir: &Path) -> PathBuf {
+    let paths: Vec<PathBuf> = trace_files(dir)
+        .into_iter()
+        .filter(|p| !p.to_string_lossy().ends_with(".key.json"))
+        .collect();
+    assert_eq!(paths.len(), 1, "one trace entry: {paths:?}");
+    assert!(paths[0].extension().is_some_and(|e| e == "json"), "{paths:?}");
+    assert!(entries_with_ext(dir, "smtr").is_empty(), "no .smtr entry");
     paths[0].clone()
 }
 
@@ -96,7 +102,7 @@ fn warm_loads_are_bit_identical_and_corruption_is_survived() {
     let store = open(&dir);
     let cold = BenchCtx::load_with("gcc", Scale::Tiny, Arc::clone(&store)).expect("cold load");
     let cold_products = products(&cold);
-    let trace_path = gcc_trace_entry(&dir);
+    let trace_path = trace_entry(&dir);
     let intact = fs::read(&trace_path).expect("trace entry");
     assert!(
         intact.len() < 1024,
@@ -138,9 +144,7 @@ fn warm_loads_are_bit_identical_and_corruption_is_survived() {
     let alien = {
         let alien_dir = test_dir("correctness-alien");
         BenchCtx::load_with("compress", Scale::Tiny, open(&alien_dir)).expect("alien load");
-        let paths = entries_with_ext(&alien_dir, "smtr");
-        assert_eq!(paths.len(), 1, "one compress trace entry");
-        let bytes = fs::read(&paths[0]).expect("alien manifest");
+        let bytes = fs::read(trace_entry(&alien_dir)).expect("alien manifest");
         let _ = fs::remove_dir_all(&alien_dir);
         bytes
     };

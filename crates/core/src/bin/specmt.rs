@@ -3,19 +3,20 @@
 //! ```text
 //! specmt list [--scale tiny|small|medium|large]
 //! specmt disasm  <workload|file.s>
-//! specmt trace   <workload> --out trace.smtr
-//! specmt pairs   <workload|trace.smtr|file.s> [--policy <scheme>|none]
-//! specmt simulate <workload|trace.smtr|file.s> [--policy P] [--tus N]
+//! specmt pairs   <workload|file.s> [--policy <scheme>|none]
+//! specmt simulate <workload|file.s> [--policy P] [--tus N]
 //!                 [--vp perfect|stride|fcm|hybrid|last|none] [--overhead N] [--min-size N]
 //!                 [--faults seed=N,squash=R,drop=R,corrupt=R,jitter=N,remove=R]
 //! specmt bench   <figure-id|all> [--scale S] [--json PATH] [--metrics json|chrome] [--jobs N]
 //! specmt bench   --list
-//! specmt cache   stats|clear|gc [--max-bytes N]
+//! specmt cache   stats|clear
 //! specmt run     <file.s>
 //! ```
 //!
-//! Inputs are resolved by suffix: `.smtr` loads a saved binary trace, `.s`
-//! or `.asm` parses assembly text, anything else names a suite workload.
+//! Inputs are resolved by suffix: `.s` or `.asm` parses assembly text,
+//! anything else names a suite workload. Either way the trace is generated
+//! afresh; an assembly file is untrusted input, so its emulated memory is
+//! capped at 64 MiB (`PROGRAM_MEMORY_LIMIT`).
 //!
 //! `--policy` accepts any spawning scheme registered in
 //! [`specmt::spawn::SchemeRegistry`] (see `specmt pairs --policy help`), or
@@ -27,8 +28,8 @@
 //! `cache` manages the content-addressed artifact store `bench` runs
 //! against (`SPECMT_CACHE` / `SPECMT_CACHE_DIR` configure it, resolved once
 //! at startup): `stats` prints disk usage and the previous run's hit/miss
-//! counters, `clear` empties it, `gc --max-bytes N` evicts least-recently
-//! used entries down to a byte budget.
+//! counters, `clear` empties it (including the `.smtr` trace entries older
+//! builds left behind).
 
 use std::process::ExitCode;
 
@@ -94,6 +95,9 @@ impl Args {
     /// errors out instead of silently doing nothing.
     fn check_flags(&self, allowed: &[&str]) -> Result<(), CliError> {
         for (name, _) in &self.flags {
+            if allowed.is_empty() {
+                return Err(format!("unknown flag --{name} (this command takes no flags)").into());
+            }
             if !allowed.contains(&name.as_str()) {
                 return Err(format!(
                     "unknown flag --{name} (expected one of: {})",
@@ -136,20 +140,25 @@ impl Args {
     }
 }
 
+/// Emulated-memory cap for `.s`/`.asm` input: 64 MiB, 2,048 of the
+/// emulator's 32 KiB pages. An assembly file is untrusted, so one that
+/// touches more memory fails with a memory-limit error instead of
+/// exhausting the host. Suite workloads are trusted and run uncapped.
+const PROGRAM_MEMORY_LIMIT: u64 = 64 << 20;
+
 fn load_trace(input: &str, scale: Scale) -> Result<Trace, CliError> {
-    if input.ends_with(".smtr") {
-        let file = std::fs::File::open(input)?;
-        return Ok(Trace::read_from(std::io::BufReader::new(file))?);
-    }
-    let (program, budget) = if input.ends_with(".s") || input.ends_with(".asm") {
+    if input.ends_with(".s") || input.ends_with(".asm") {
         let text = std::fs::read_to_string(input)?;
-        (specmt::isa::parse_program(&text)?, 100_000_000)
-    } else {
-        let w = specmt::workloads::by_name(input, scale)
-            .ok_or_else(|| format!("unknown workload `{input}` (try `specmt list`)"))?;
-        (w.program, w.step_budget)
-    };
-    Ok(Trace::generate(program, budget)?)
+        let program = specmt::isa::parse_program(&text)?;
+        return Ok(Trace::generate_bounded(
+            program,
+            100_000_000,
+            PROGRAM_MEMORY_LIMIT,
+        )?);
+    }
+    let w = specmt::workloads::by_name(input, scale)
+        .ok_or_else(|| format!("unknown workload `{input}` (try `specmt list`)"))?;
+    Ok(Trace::generate(w.program, w.step_budget)?)
 }
 
 fn build_table(args: &Args, trace: &Trace) -> Result<SpawnTable, CliError> {
@@ -176,13 +185,11 @@ fn run(raw: Vec<String>) -> Result<(), CliError> {
 
     args.check_flags(match command {
         "list" | "disasm" | "run" => &["scale"][..],
-        "trace" => &["scale", "out"],
         "pairs" => &["scale", "policy"],
         "simulate" => &[
             "scale", "policy", "tus", "vp", "overhead", "min-size", "faults",
         ],
         "bench" => &["scale", "json", "list", "metrics", "jobs"],
-        "cache" => &["max-bytes"],
         _ => &[],
     })?;
 
@@ -211,20 +218,6 @@ fn run(raw: Vec<String>) -> Result<(), CliError> {
             let input = input.ok_or("disasm needs an input")?;
             let trace = load_trace(input, scale)?;
             print!("{}", trace.program().disassemble());
-        }
-        "trace" => {
-            let input = input.ok_or("trace needs an input")?;
-            let out = args.flag("out").ok_or("trace needs --out <file>")?;
-            let trace = load_trace(input, scale)?;
-            let file = std::fs::File::create(out)?;
-            trace.write_to(std::io::BufWriter::new(file))?;
-            let bytes = std::fs::metadata(out)?.len();
-            println!(
-                "{}: {} dynamic instructions -> {out} ({bytes} bytes, {:.1} B/record)",
-                input,
-                trace.len(),
-                bytes as f64 / trace.len() as f64
-            );
         }
         "pairs" => {
             let input = input.ok_or("pairs needs an input")?;
@@ -400,7 +393,7 @@ fn run(raw: Vec<String>) -> Result<(), CliError> {
             }
         }
         "cache" => {
-            let action = input.ok_or("cache needs an action: stats, clear, or gc")?;
+            let action = input.ok_or("cache needs an action: stats or clear")?;
             let store = Store::default_handle();
             match action {
                 "stats" => {
@@ -443,21 +436,10 @@ fn run(raw: Vec<String>) -> Result<(), CliError> {
                     store.clear()?;
                     println!("cleared {}", store.config().dir.display());
                 }
-                "gc" => {
-                    let max = args
-                        .number("max-bytes", "a byte count")?
-                        .ok_or("gc needs --max-bytes <N>")?;
-                    let report = store.gc(max);
-                    println!(
-                        "gc: removed {} entries ({} bytes), {} bytes kept",
-                        report.removed_entries, report.removed_bytes, report.kept_bytes
-                    );
-                }
                 other => {
-                    return Err(format!(
-                        "unknown cache action `{other}` (expected stats, clear, or gc)"
+                    return Err(
+                        format!("unknown cache action `{other}` (expected stats or clear)").into(),
                     )
-                    .into())
                 }
             }
         }
@@ -521,7 +503,7 @@ fn write_metrics(h: &Harness, mode: &str) -> Result<(), Box<dyn std::error::Erro
 
 fn print_usage() {
     eprintln!(
-        "usage:\n  specmt list [--scale S]\n  specmt disasm <input>\n  specmt trace <input> --out f.smtr\n  specmt pairs <input> [--policy <scheme>|none]\n  specmt simulate <input> [--policy P] [--tus N] [--vp V] [--overhead N] [--min-size N] [--faults seed=N,squash=R,...]\n  specmt bench <figure-id|all> [--scale S] [--json PATH] [--metrics json|chrome] [--jobs N]\n  specmt bench --list\n  specmt cache stats|clear|gc [--max-bytes N]\n  specmt run <file.s>\n\ninputs: a suite workload name, a saved .smtr trace, or an .s assembly file\nschemes: {}",
+        "usage:\n  specmt list [--scale S]\n  specmt disasm <input>\n  specmt pairs <input> [--policy <scheme>|none]\n  specmt simulate <input> [--policy P] [--tus N] [--vp V] [--overhead N] [--min-size N] [--faults seed=N,squash=R,...]\n  specmt bench <figure-id|all> [--scale S] [--json PATH] [--metrics json|chrome] [--jobs N]\n  specmt bench --list\n  specmt cache stats|clear\n  specmt run <file.s>\n\ninputs: a suite workload name or an .s assembly file\nschemes: {}",
         BUILTIN_SCHEME_NAMES.join(", ")
     );
 }

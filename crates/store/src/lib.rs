@@ -23,8 +23,8 @@
 //! * [`Store`] / [`StoreHandle`] — the on-disk store: five typed
 //!   [`Namespace`]s, lock-free reads, atomic temp+rename writes safe under
 //!   concurrent `--jobs N` populations, per-namespace hit/miss/store/
-//!   invalidation counters surfaced as [`specmt_obs::Metrics`], LRU-by-
-//!   mtime [`Store::gc`], and a stale-temp-file sweep on open.
+//!   invalidation counters surfaced as [`specmt_obs::Metrics`], and a
+//!   stale-temp-file sweep on open.
 //!
 //! Configuration is resolved **once** into a [`StoreConfig`]
 //! ([`StoreConfig::from_env`] reads `SPECMT_CACHE` / `SPECMT_CACHE_DIR`);
@@ -36,9 +36,10 @@
 //! Entries are addressed by the fingerprint of their inputs, so a *stale*
 //! entry is unreachable by construction — the key changes. Corruption is
 //! handled by parse-and-reject: payloads that fail structural validation
-//! (binary traces are additionally checksum-verified by the pipeline) are
-//! treated as misses and regenerated in place. Entry bytes themselves are
-//! not MAC'd; the store directory is trusted the way `target/` is.
+//! (trace manifests are additionally checked against the workload's
+//! checksum by the pipeline) are treated as misses and regenerated in
+//! place. Entry bytes themselves are not MAC'd; the store directory is
+//! trusted the way `target/` is.
 //!
 //! [`SimResult`]: https://docs.rs/specmt-sim
 
@@ -52,6 +53,6 @@ mod store;
 pub use fingerprint::{Fingerprint, FingerprintHasher, StoreKey};
 pub use key::{BreakdownDoc, KeyBuilder, KeyComponent, StageKey};
 pub use store::{
-    GcReport, InvalidationRecord, LastRun, Namespace, NamespaceUsage, Store, StoreConfig,
-    StoreHandle, NAMESPACES,
+    InvalidationRecord, LastRun, Namespace, NamespaceUsage, Store, StoreConfig, StoreHandle,
+    NAMESPACES,
 };

@@ -1,16 +1,18 @@
-//! The on-disk store: typed namespaces, atomic writes, counters, GC.
+//! The on-disk store: typed namespaces, atomic writes, counters.
 //!
 //! ## Layout
 //!
 //! ```text
 //! <dir>/
-//!   trace/      <name>.<key>.smtr   + <name>.<key>.key.json
-//!   profile/    <name>.<key>.json   + sidecar
-//!   spawn-table/<name>.<key>.json   + sidecar
-//!   analysis/   <name>.<key>.json   + sidecar
-//!   simresult/  <name>.<key>.json   + sidecar
+//!   <namespace>/  <name>.<key>.json + <name>.<key>.key.json
 //!   last-run.json                   (counters + invalidation records)
 //! ```
+//!
+//! Every namespace (`trace`, `profile`, `spawn-table`, `analysis`,
+//! `simresult`) uses this one layout: a payload and its key sidecar.
+//! Files of any other shape, such as the `<name>.<key>.smtr` trace
+//! entries older builds wrote, are never read or listed as entries or
+//! siblings; [`Store::clear`] removes them with the rest.
 //!
 //! `<name>` is a human-readable logical name (`gcc-tiny`,
 //! `gcc-tiny-heuristics`); `<key>` is the 32-hex-digit composite digest of
@@ -46,8 +48,8 @@ use crate::key::{BreakdownDoc, StageKey};
 /// The artifact families the store distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Namespace {
-    /// The trace stage (`.smtr` payloads; the figure harness stores a
-    /// small manifest here, not the trace itself).
+    /// The trace stage (the figure harness stores a small manifest here,
+    /// not the trace itself).
     Trace,
     /// Profile-stage analysis results (§3.1 selection, `ProfileResult`).
     Profile,
@@ -80,14 +82,6 @@ impl Namespace {
         }
     }
 
-    /// The payload file extension.
-    fn ext(self) -> &'static str {
-        match self {
-            Namespace::Trace => "smtr",
-            _ => "json",
-        }
-    }
-
     /// Whether a put should delete same-name entries under other keys.
     ///
     /// Trace/profile/analysis artifacts have exactly one live version per
@@ -95,7 +89,7 @@ impl Namespace {
     /// supersedes the old entry. Spawn tables and sim results legitimately
     /// keep many keys per name — parameter sweeps revisit several configs
     /// of the same cell within one run — so they only ever accumulate
-    /// (bounded by `gc`).
+    /// (until `specmt cache clear`).
     fn supersedes(self) -> bool {
         matches!(
             self,
@@ -267,17 +261,6 @@ pub struct NamespaceUsage {
 
 serde::impl_serde_struct!(NamespaceUsage { namespace, entries, bytes });
 
-/// What [`Store::gc`] removed and kept.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GcReport {
-    /// Entries removed (payload + sidecar counted as one).
-    pub removed_entries: u64,
-    /// Bytes freed.
-    pub removed_bytes: u64,
-    /// Bytes remaining after the sweep.
-    pub kept_bytes: u64,
-}
-
 impl Store {
     /// Opens a store with `config`, sweeping temp files abandoned by
     /// crashed writers (see `Store::sweep_stale_tmp`).
@@ -325,7 +308,7 @@ impl Store {
 
     fn entry_path(&self, ns: Namespace, name: &str, key: &StageKey) -> PathBuf {
         self.ns_dir(ns)
-            .join(format!("{name}.{}.{}", key.key.hex(), ns.ext()))
+            .join(format!("{name}.{}.json", key.key.hex()))
     }
 
     fn sidecar_path(&self, ns: Namespace, name: &str, key_hex: &str) -> PathBuf {
@@ -417,13 +400,12 @@ impl Store {
         let Ok(entries) = fs::read_dir(self.ns_dir(ns)) else {
             return out;
         };
-        let ext = ns.ext();
         for entry in entries.flatten() {
             let file_name = entry.file_name();
             let Some(file_name) = file_name.to_str() else {
                 continue;
             };
-            let Some(hex) = entry_key_hex(file_name, name, ext) else {
+            let Some(hex) = entry_key_hex(file_name, name) else {
                 continue;
             };
             if hex != except_hex {
@@ -596,9 +578,9 @@ impl Store {
                         let len = entry.metadata().map(|m| m.len()).unwrap_or(0);
                         u.bytes += len;
                         let name = entry.file_name();
-                        let is_payload = name.to_str().is_some_and(|n| {
-                            !n.ends_with(".key.json") && n.ends_with(&format!(".{}", ns.ext()))
-                        });
+                        let is_payload = name
+                            .to_str()
+                            .is_some_and(|n| n.ends_with(".json") && !n.ends_with(".key.json"));
                         if is_payload {
                             u.entries += 1;
                         }
@@ -622,80 +604,6 @@ impl Store {
             fs::remove_file(stats)?;
         }
         Ok(())
-    }
-
-    /// Evicts least-recently-modified entries until total usage fits in
-    /// `max_bytes`. An entry and its sidecar live and die together.
-    pub fn gc(&self, max_bytes: u64) -> GcReport {
-        // Group files by (namespace, stem-without-extension-suffix): the
-        // payload and its `.key.json` sidecar share `<name>.<key>`.
-        struct Group {
-            paths: Vec<PathBuf>,
-            bytes: u64,
-            mtime: std::time::SystemTime,
-            is_entry: bool,
-        }
-        let mut groups: Vec<Group> = Vec::new();
-        for ns in NAMESPACES {
-            let Ok(entries) = fs::read_dir(self.ns_dir(ns)) else {
-                continue;
-            };
-            let mut by_stem: std::collections::BTreeMap<String, Group> =
-                std::collections::BTreeMap::new();
-            for entry in entries.flatten() {
-                let file_name = entry.file_name();
-                let Some(file_name) = file_name.to_str() else {
-                    continue;
-                };
-                let stem = file_name
-                    .strip_suffix(".key.json")
-                    .or_else(|| file_name.strip_suffix(&format!(".{}", ns.ext())))
-                    .unwrap_or(file_name);
-                let meta = entry.metadata().ok();
-                let len = meta.as_ref().map(|m| m.len()).unwrap_or(0);
-                let mtime = meta
-                    .and_then(|m| m.modified().ok())
-                    .unwrap_or(std::time::UNIX_EPOCH);
-                let g = by_stem
-                    .entry(format!("{}/{stem}", ns.dir_name()))
-                    .or_insert(Group {
-                        paths: Vec::new(),
-                        bytes: 0,
-                        mtime: std::time::UNIX_EPOCH,
-                        is_entry: false,
-                    });
-                g.paths.push(entry.path());
-                g.bytes += len;
-                g.mtime = g.mtime.max(mtime);
-                g.is_entry |= !file_name.ends_with(".key.json")
-                    && file_name.ends_with(&format!(".{}", ns.ext()));
-            }
-            groups.extend(by_stem.into_values());
-        }
-        let total: u64 = groups.iter().map(|g| g.bytes).sum();
-        let mut report = GcReport {
-            kept_bytes: total,
-            ..GcReport::default()
-        };
-        if total <= max_bytes {
-            return report;
-        }
-        // Oldest first; evict until the rest fits.
-        groups.sort_by_key(|g| g.mtime);
-        let mut excess = total - max_bytes;
-        for g in groups {
-            if excess == 0 {
-                break;
-            }
-            for p in &g.paths {
-                let _ = fs::remove_file(p);
-            }
-            report.removed_entries += u64::from(g.is_entry);
-            report.removed_bytes += g.bytes;
-            report.kept_bytes -= g.bytes;
-            excess = excess.saturating_sub(g.bytes);
-        }
-        report
     }
 
     /// Removes temp files abandoned by crashed writers in `dir`. The
@@ -745,11 +653,11 @@ serde::impl_serde_struct!(LastRun {
     invalidations,
 });
 
-/// The key hex of a committed payload named `<name>.<32 hex>.<ext>`, if
+/// The key hex of a committed payload named `<name>.<32 hex>.json`, if
 /// `file_name` is one for this logical `name`.
-fn entry_key_hex<'a>(file_name: &'a str, name: &str, ext: &str) -> Option<&'a str> {
+fn entry_key_hex<'a>(file_name: &'a str, name: &str) -> Option<&'a str> {
     let rest = file_name.strip_prefix(name)?.strip_prefix('.')?;
-    let hex = rest.strip_suffix(ext)?.strip_suffix('.')?;
+    let hex = rest.strip_suffix(".json")?;
     (hex.len() == 32 && hex.bytes().all(|b| b.is_ascii_hexdigit())).then_some(hex)
 }
 
@@ -967,8 +875,8 @@ mod tests {
     }
 
     #[test]
-    fn usage_clear_and_gc() {
-        let scratch = Scratch::new("gc");
+    fn usage_and_clear() {
+        let scratch = Scratch::new("usage");
         let store = scratch.store();
         for (i, name) in ["a-tiny", "b-tiny", "c-tiny"].iter().enumerate() {
             let key = k("simulate", i as u64);
@@ -978,35 +886,44 @@ mod tests {
         let sim = usage.iter().find(|u| u.namespace == "simresult").expect("ns");
         assert_eq!(sim.entries, 3);
         assert!(sim.bytes >= 3000);
-        let total: u64 = usage.iter().map(|u| u.bytes).sum();
-
-        // GC to roughly one entry's footprint: the oldest go first.
-        let report = store.gc(total / 2);
-        assert!(report.removed_entries >= 1 && report.removed_entries <= 2);
-        assert!(report.kept_bytes <= total / 2 + 1500);
 
         store.clear().expect("clear");
         assert!(store.usage().iter().all(|u| u.entries == 0 && u.bytes == 0));
     }
 
     #[test]
-    fn gc_under_budget_removes_nothing() {
-        let scratch = Scratch::new("gc-noop");
+    fn old_smtr_trace_entries_are_inert() {
+        let scratch = Scratch::new("old-smtr");
+        let trace_dir = scratch.0.join("trace");
+        fs::create_dir_all(&trace_dir).expect("ns dir");
+        let old = k("trace", 1);
+        let hex = old.key.hex();
+        let sidecar = serde_json::to_string_pretty(&old.to_doc()).expect("sidecar");
+        fs::write(trace_dir.join(format!("a-tiny.{hex}.smtr")), b"SMTR").expect("plant");
+        fs::write(trace_dir.join(format!("a-tiny.{hex}.key.json")), sidecar).expect("plant");
+
         let store = scratch.store();
-        store.put_bytes(Namespace::Trace, "a-tiny", &k("trace", 1), b"data");
-        let report = store.gc(u64::MAX);
-        assert_eq!(report.removed_entries, 0);
-        assert_eq!(report.removed_bytes, 0);
+        let new = k("trace", 2);
+        assert_eq!(store.get_bytes(Namespace::Trace, "a-tiny", &new), None);
+        assert_eq!(store.invalidations(Namespace::Trace), 0);
+        assert!(store.invalidation_records().is_empty());
+        let usage = store.usage();
+        let trace = usage.iter().find(|u| u.namespace == "trace").expect("ns");
+        assert_eq!(trace.entries, 0);
+        assert!(trace.bytes > 0);
+
+        store.clear().expect("clear");
+        assert!(!trace_dir.exists());
     }
 
     #[test]
     fn tmp_pid_parses_both_suffix_forms() {
-        assert_eq!(tmp_pid("a.smtr.tmp1234"), Some(1234));
-        assert_eq!(tmp_pid("a.smtr.tmp1234-9"), Some(1234));
+        assert_eq!(tmp_pid("a.json.tmp1234"), Some(1234));
+        assert_eq!(tmp_pid("a.json.tmp1234-9"), Some(1234));
         assert_eq!(tmp_pid("a.json.tmp7-0"), Some(7));
-        assert_eq!(tmp_pid("a.smtr"), None);
-        assert_eq!(tmp_pid("a.smtr.tmp"), None);
-        assert_eq!(tmp_pid("a.smtr.tmpnotapid"), None);
+        assert_eq!(tmp_pid("a.json"), None);
+        assert_eq!(tmp_pid("a.json.tmp"), None);
+        assert_eq!(tmp_pid("a.json.tmpnotapid"), None);
     }
 
     #[test]
@@ -1016,11 +933,11 @@ mod tests {
         fs::create_dir_all(&trace_dir).expect("ns dir");
         // An orphan from a "crashed" writer: no such pid can exist (the
         // kernel's pid space ends far below u32::MAX).
-        let orphan = trace_dir.join(format!("a.smtr.tmp{}-3", u32::MAX));
+        let orphan = trace_dir.join(format!("a.json.tmp{}-3", u32::MAX));
         // A temp file owned by this very process: a live writer mid-put.
-        let live_tmp = trace_dir.join(format!("a.smtr.tmp{}-0", std::process::id()));
+        let live_tmp = trace_dir.join(format!("a.json.tmp{}-0", std::process::id()));
         // A committed entry, which must never be touched.
-        let entry = trace_dir.join("a.0123.smtr");
+        let entry = trace_dir.join("a.0123.json");
         for f in [&orphan, &live_tmp, &entry] {
             fs::write(f, b"payload").expect("plant file");
         }

@@ -1,7 +1,14 @@
 //! Compact binary serialization for traces.
 //!
-//! Traces can be saved and reloaded (`specmt trace --out`, `specmt
-//! simulate x.smtr`) in a self-contained container:
+//! No pipeline path stores or reads a trace image any more: a trace is a
+//! pure function of its program and step budget, so the figure pipeline
+//! regenerates it (see `specmt-bench`'s `cache` module) and the CLI takes
+//! workloads and assembly files only. [`Trace::write_to`] and
+//! [`Trace::from_bytes`] remain solely because the benchmark's per-layer
+//! replay (`perfbench/src/replay.rs`) times its `trace.encode` and
+//! `trace.decode` stages through them; they go when that replay stage does.
+//!
+//! The container:
 //!
 //! ```text
 //! magic "SMTR" | version u32 LE | program-JSON length u32 LE | program JSON
@@ -21,10 +28,9 @@
 //!
 //! Typical traces compress to 3–6 bytes per dynamic instruction.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, BytesMut};
 use specmt_isa::{Program, Reg, NUM_REGS};
 
 use crate::Trace;
@@ -32,15 +38,15 @@ use crate::Trace;
 const MAGIC: &[u8; 4] = b"SMTR";
 const VERSION: u32 = 2;
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
@@ -77,6 +83,16 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// Splits `N` bytes off the front of `buf`; too few left is a truncated
+/// `what`.
+fn take<const N: usize>(buf: &mut &[u8], what: &str) -> io::Result<[u8; N]> {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .ok_or_else(|| bad(&format!("truncated {what}")))?;
+    *buf = rest;
+    Ok(*head)
+}
+
 impl Trace {
     /// Serializes the trace (including its program and final register file)
     /// to `w` in the compact binary container format.
@@ -98,21 +114,21 @@ impl Trace {
     ///
     /// let mut bytes = Vec::new();
     /// trace.write_to(&mut bytes)?;
-    /// let copy = Trace::read_from(&bytes[..])?;
+    /// let copy = Trace::from_bytes(&bytes)?;
     /// assert_eq!(copy.records_vec(), trace.records_vec());
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn write_to(&self, mut w: impl Write) -> io::Result<()> {
         let program_json = serde_json::to_vec(self.program().as_ref())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let mut buf = BytesMut::with_capacity(self.len() * 5 + program_json.len() + 64);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u32_le(program_json.len() as u32);
-        buf.put_slice(&program_json);
-        buf.put_u64_le(self.len() as u64);
+        let mut buf = Vec::with_capacity(self.len() * 5 + program_json.len() + 64);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&(program_json.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&program_json);
+        buf.extend_from_slice(&(self.len() as u64).to_le_bytes());
         for r in Reg::all() {
-            buf.put_u64_le(self.final_reg(r));
+            buf.extend_from_slice(&self.final_reg(r).to_le_bytes());
         }
 
         let mut prev = 0i64;
@@ -121,7 +137,7 @@ impl Trace {
             prev = i64::from(pc);
         }
         for &word in self.taken_words() {
-            buf.put_u64_le(word);
+            buf.extend_from_slice(&word.to_le_bytes());
         }
         for &addr in self.addrs_col() {
             put_varint(&mut buf, addr);
@@ -132,55 +148,35 @@ impl Trace {
         w.write_all(&buf)
     }
 
-    /// Deserializes a trace previously written by [`Trace::write_to`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for I/O failures, an unrecognised container (bad
-    /// magic or version), or corrupt contents.
-    pub fn read_from(mut r: impl Read) -> io::Result<Trace> {
-        let mut data = Vec::new();
-        r.read_to_end(&mut data)?;
-        Trace::from_bytes(&data)
-    }
-
-    /// Deserializes a trace from an in-memory container image, decoding
+    /// Deserializes a trace written by [`Trace::write_to`], decoding
     /// straight from the caller's buffer into the trace's columns.
-    ///
-    /// This avoids the copy [`Trace::read_from`] makes via `read_to_end`
-    /// when the bytes are already resident.
     ///
     /// # Errors
     ///
     /// Returns an error for an unrecognised container (bad magic or
     /// version) or corrupt contents.
     pub fn from_bytes(data: &[u8]) -> io::Result<Trace> {
-        let mut buf: &[u8] = data;
-        if buf.remaining() < 12 || &buf[..4] != MAGIC {
+        let Some(mut buf) = data.strip_prefix(MAGIC) else {
             return Err(bad("not a specmt trace (bad magic)"));
-        }
-        buf.advance(4);
-        let version = buf.get_u32_le();
+        };
+        let version = u32::from_le_bytes(take(&mut buf, "header")?);
         if version != VERSION {
             return Err(bad(&format!("unsupported trace version {version}")));
         }
-        let plen = buf.get_u32_le() as usize;
-        if buf.remaining() < plen {
+        let plen = u32::from_le_bytes(take(&mut buf, "header")?) as usize;
+        if buf.len() < plen {
             return Err(bad("truncated program header"));
         }
         let (program_json, mut buf) = buf.split_at(plen);
-        if buf.remaining() < 8 + NUM_REGS * 8 {
-            return Err(bad("truncated trailer"));
-        }
-        let count = buf.get_u64_le() as usize;
+        let count = u64::from_le_bytes(take(&mut buf, "trailer")?) as usize;
         let mut final_regs = [0u64; NUM_REGS];
         for slot in &mut final_regs {
-            *slot = buf.get_u64_le();
+            *slot = u64::from_le_bytes(take(&mut buf, "trailer")?);
         }
         // Every record costs at least one pc byte, so a count beyond the
         // remaining bytes is corrupt — reject it before reserving, or a
         // crafted header could demand an unbounded allocation.
-        if count > buf.remaining() {
+        if count > buf.len() {
             return Err(bad("record count exceeds available data"));
         }
 
@@ -203,11 +199,9 @@ impl Trace {
             prev = pc;
         }
         for _ in 0..count.div_ceil(64) {
-            let (word, rest) = buf
-                .split_first_chunk::<8>()
-                .ok_or_else(|| bad("truncated taken column"))?;
-            columns.taken.push(u64::from_le_bytes(*word));
-            buf = rest;
+            columns
+                .taken
+                .push(u64::from_le_bytes(take(&mut buf, "taken column")?));
         }
         for _ in 0..count {
             columns.addrs.push(get_varint(&mut buf)?);
@@ -258,7 +252,7 @@ mod tests {
         let trace = sample_trace();
         let mut bytes = Vec::new();
         trace.write_to(&mut bytes).unwrap();
-        let copy = Trace::read_from(&bytes[..]).unwrap();
+        let copy = Trace::from_bytes(&bytes).unwrap();
         assert_eq!(copy.records_vec(), trace.records_vec());
         assert_eq!(copy.program().insts(), trace.program().insts());
         for r in Reg::all() {
@@ -266,15 +260,18 @@ mod tests {
         }
     }
 
+    /// The container's bytes are a format: the encoding of the sample
+    /// trace is pinned by length and FNV-1a digest, so a rewrite of the
+    /// encoder cannot change a single byte unnoticed.
     #[test]
-    fn from_bytes_matches_read_from() {
-        let trace = sample_trace();
+    fn encoding_bytes_are_pinned() {
         let mut bytes = Vec::new();
-        trace.write_to(&mut bytes).unwrap();
-        let a = Trace::from_bytes(&bytes).unwrap();
-        let b = Trace::read_from(&bytes[..]).unwrap();
-        assert_eq!(a.records_vec(), b.records_vec());
-        assert_eq!(a.records_vec(), trace.records_vec());
+        sample_trace().write_to(&mut bytes).unwrap();
+        let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(bytes.len(), 1634);
+        assert_eq!(fnv1a, 0x6295_9b29_9af3_b7db);
     }
 
     #[test]
@@ -295,14 +292,14 @@ mod tests {
 
         let mut corrupt = bytes.clone();
         corrupt[0] = b'X';
-        assert!(Trace::read_from(&corrupt[..]).is_err());
+        assert!(Trace::from_bytes(&corrupt).is_err());
 
         let truncated = &bytes[..bytes.len() - 3];
-        assert!(Trace::read_from(truncated).is_err());
+        assert!(Trace::from_bytes(truncated).is_err());
 
         let mut bad_version = bytes.clone();
         bad_version[4] = 0xff;
-        assert!(Trace::read_from(&bad_version[..]).is_err());
+        assert!(Trace::from_bytes(&bad_version).is_err());
     }
 
     #[test]
@@ -315,7 +312,7 @@ mod tests {
         for i in (200..bytes.len()).step_by(7) {
             let mut corrupt = bytes.clone();
             corrupt[i] = 0xff;
-            if let Ok(t) = Trace::read_from(&corrupt[..]) {
+            if let Ok(t) = Trace::from_bytes(&corrupt) {
                 assert!(t.validate().is_ok());
             }
         }

@@ -72,15 +72,3 @@ pub use record::{DynInst, Trace, TraceMix};
 /// The stack grows downward from here; workloads place their data well below
 /// it.
 pub const STACK_TOP: u64 = 0x4000_0000;
-
-/// The architectural value of `reg` before the first instruction executes:
-/// [`STACK_TOP`] for the stack pointer, zero for everything else.
-///
-/// Used to resolve operands whose producer is [`NO_PRODUCER`].
-pub fn initial_reg(reg: specmt_isa::Reg) -> u64 {
-    if reg == specmt_isa::Reg::SP {
-        STACK_TOP
-    } else {
-        0
-    }
-}

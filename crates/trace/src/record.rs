@@ -88,7 +88,7 @@ impl Trace {
     /// halt within `max_steps`, or any emulation fault
     /// ([`TraceError::BadPc`], [`TraceError::UnalignedAccess`]).
     pub fn generate(program: Program, max_steps: u64) -> Result<Trace, TraceError> {
-        Trace::generate_arc(Arc::new(program), max_steps)
+        Trace::record_from(Emulator::new(program), max_steps, 0)
     }
 
     /// As [`Trace::generate`], but additionally caps the emulated memory
@@ -107,16 +107,6 @@ impl Trace {
     ) -> Result<Trace, TraceError> {
         let mut emu = Emulator::new(program);
         emu.set_memory_limit(max_mem_bytes);
-        Trace::record_from(emu, max_steps, 0)
-    }
-
-    /// As [`Trace::generate`], but shares an existing [`Arc`]ed program.
-    ///
-    /// # Errors
-    ///
-    /// As [`Trace::generate`].
-    pub fn generate_arc(program: Arc<Program>, max_steps: u64) -> Result<Trace, TraceError> {
-        let emu = Emulator::from_arc(Arc::clone(&program));
         Trace::record_from(emu, max_steps, 0)
     }
 

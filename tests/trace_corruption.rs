@@ -1,7 +1,10 @@
-//! Fuzz the two untrusted input surfaces: the binary trace reader and the
+//! Fuzz the untrusted input surfaces: the binary trace decoder and the
 //! assembly parser. Whatever bytes arrive, they must return an error —
 //! never panic, and never allocate proportionally to a length field an
-//! attacker controls rather than to the input itself.
+//! attacker controls rather than to the input itself. An assembly file
+//! that parses must also not exhaust the host when the CLI runs it.
+
+use std::process::Command;
 
 use proptest::prelude::*;
 
@@ -28,16 +31,16 @@ fn serialized_trace() -> Vec<u8> {
 }
 
 proptest! {
-    /// Arbitrary garbage: the reader returns Ok or Err, never panics.
+    /// Arbitrary garbage: the decoder returns Ok or Err, never panics.
     #[test]
-    fn read_from_arbitrary_bytes_never_panics(data in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Trace::read_from(&data[..]);
+    fn from_bytes_arbitrary_bytes_never_panics(data in prop::collection::vec(any::<u8>(), 0..512)) {
+        let _ = Trace::from_bytes(&data);
     }
 
     /// Point mutations of a genuine trace: still no panic, and anything the
-    /// reader accepts must satisfy the trace's structural invariant.
+    /// decoder accepts must satisfy the trace's structural invariant.
     #[test]
-    fn read_from_mutated_trace_never_panics(
+    fn from_bytes_mutated_trace_never_panics(
         flips in prop::collection::vec((any::<u64>(), any::<u8>()), 1..8)
     ) {
         let mut data = serialized_trace();
@@ -45,7 +48,7 @@ proptest! {
             let i = idx as usize % data.len();
             data[i] ^= x;
         }
-        if let Ok(trace) = Trace::read_from(&data[..]) {
+        if let Ok(trace) = Trace::from_bytes(&data) {
             trace.validate().expect("accepted trace must be structurally valid");
         }
     }
@@ -53,10 +56,10 @@ proptest! {
     /// Truncations at every length: no panic, no bogus success beyond the
     /// container header.
     #[test]
-    fn read_from_truncated_trace_never_panics(cut in any::<u64>()) {
+    fn from_bytes_truncated_trace_never_panics(cut in any::<u64>()) {
         let data = serialized_trace();
         let n = cut as usize % data.len();
-        let _ = Trace::read_from(&data[..n]);
+        let _ = Trace::from_bytes(&data[..n]);
     }
 
     /// Mutated assembly text: the parser errors, it does not panic.
@@ -97,9 +100,45 @@ fn huge_record_count_is_rejected_without_allocating() {
     let count_at = 12 + plen;
     let mut evil = data.clone();
     evil[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-    let err = Trace::read_from(&evil[..]).expect_err("absurd count must not parse");
+    let err = Trace::from_bytes(&evil).expect_err("absurd count must not parse");
     assert!(
         err.to_string().contains("count"),
         "unexpected error: {err}"
+    );
+}
+
+/// An assembly program that touches 4,096 distinct 32 KiB pages (128 MiB)
+/// and halts: `specmt run` must stop it at the CLI's 64 MiB emulated-memory
+/// cap with a memory-limit error instead of letting it take the host's
+/// memory.
+#[test]
+fn assembly_input_is_memory_capped() {
+    let dir = std::env::temp_dir().join(format!("specmt-memcap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("page_stride.s");
+    std::fs::write(
+        &path,
+        "        li   r1, 0x100000\n\
+                 li   r2, 0\n\
+                 li   r3, 4096\n\
+                 li   r4, 32768\n\
+         loop:   st   r2, 0(r1)\n\
+                 add  r1, r1, r4\n\
+                 addi r2, r2, 1\n\
+                 blt  r2, r3, loop\n\
+                 halt\n",
+    )
+    .expect("write program");
+    let out = Command::new(env!("CARGO_BIN_EXE_specmt"))
+        .arg("run")
+        .arg(&path)
+        .output()
+        .expect("specmt run runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!out.status.success(), "a 128 MiB program must not run to completion");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("memory limit"),
+        "error must name the memory limit, got: {stderr}"
     );
 }
