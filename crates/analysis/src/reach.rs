@@ -183,9 +183,9 @@ impl ReachingAnalysis {
     }
 
     /// The retained scalar reference implementation: a per-event scan over
-    /// every open source window. `O(events × tracked)` time — kept for
-    /// differential testing and as the "before" baseline in the benchmark
-    /// suite; produces results bit-identical to [`ReachingAnalysis::compute`].
+    /// every open source window. `O(events × tracked)` time — kept as the
+    /// oracle the differential tests hold [`ReachingAnalysis::compute`] to;
+    /// produces results bit-identical to it.
     ///
     /// # Panics
     ///

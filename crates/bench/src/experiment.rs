@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use specmt_exec::Task;
 use specmt_sim::{ConfigDelta, SimConfig, SimResult};
+use specmt_spawn::SchemeParams;
 use specmt_stats::{arithmetic_mean, harmonic_mean, Table};
 
 use crate::{BenchCtx, Harness, HarnessError};
@@ -85,9 +86,13 @@ impl MeanKind {
 #[derive(Debug, Clone)]
 pub struct Variant {
     /// Column label (table header).
-    pub label: &'static str,
-    /// Spawning-scheme name, resolved through the harness's registry.
-    pub scheme: &'static str,
+    pub label: String,
+    /// Spawning-scheme name, resolved through the selecting harness's
+    /// registry.
+    pub scheme: String,
+    /// Selection parameters for this column's tables; `None` uses the
+    /// selecting harness's [`Harness::params`].
+    pub params: Option<SchemeParams>,
     /// Deltas applied to the spec's base configuration, in order.
     pub deltas: Vec<ConfigDelta>,
     /// Benchmark-dependent deltas (e.g. the paper's compress-specific
@@ -99,10 +104,15 @@ pub struct Variant {
 
 impl Variant {
     /// A variant of the given scheme/deltas reporting speed-up.
-    pub fn speedup(label: &'static str, scheme: &'static str, deltas: Vec<ConfigDelta>) -> Variant {
+    pub fn speedup(
+        label: impl Into<String>,
+        scheme: impl Into<String>,
+        deltas: Vec<ConfigDelta>,
+    ) -> Variant {
         Variant {
-            label,
-            scheme,
+            label: label.into(),
+            scheme: scheme.into(),
+            params: None,
             deltas,
             per_bench: None,
             metric: Metric::Speedup,
@@ -118,6 +128,14 @@ impl Variant {
     /// The same variant with benchmark-dependent deltas.
     pub fn with_per_bench(mut self, f: fn(&str) -> Vec<ConfigDelta>) -> Variant {
         self.per_bench = Some(f);
+        self
+    }
+
+    /// The same variant selecting its tables with `params` instead of the
+    /// harness's (selection-threshold sweeps). Each parameter set is
+    /// memoized and store-addressed under its own key.
+    pub fn with_params(mut self, params: SchemeParams) -> Variant {
+        self.params = Some(params);
         self
     }
 
@@ -159,12 +177,26 @@ impl ExperimentSpec {
     }
 
     /// Runs the whole grid as one batch on the harness's executor
-    /// ([`Harness::exec`]): every (benchmark, variant) cell is an
-    /// independent deterministic simulation, run on a pool of `jobs`
-    /// threads with per-cell panic isolation. A panicking cell becomes a
-    /// structured error instead of taking the sweep down, and results are
-    /// bit-identical at any `jobs` count. Spawn tables are resolved
-    /// through the scheme registry up front and shared via the
+    /// ([`Harness::exec`]); shorthand for `run_on(h, h)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExperimentSpec::run_on`].
+    pub fn run(&self, h: &Harness) -> Result<ExperimentGrid, HarnessError> {
+        self.run_on(h, h)
+    }
+
+    /// Runs the whole grid with spawn tables selected on `select`'s
+    /// contexts and simulated on the same benchmarks' contexts in
+    /// `simulate` (the cross-input figures select on the training input
+    /// and simulate on the reference input; see [`Harness::on_input`]).
+    ///
+    /// Every (benchmark, variant) cell is an independent deterministic
+    /// simulation, run as one batch on `simulate`'s executor with per-cell
+    /// panic isolation: a panicking cell becomes a structured error
+    /// instead of taking the sweep down, and results are bit-identical at
+    /// any `jobs` count. Spawn tables are resolved through `select`'s
+    /// registry before any simulation starts and shared via the
     /// per-benchmark memo.
     ///
     /// # Errors
@@ -172,24 +204,17 @@ impl ExperimentSpec {
     /// The first cell's failure: [`HarnessError::Scheme`] for an unknown
     /// scheme, [`HarnessError::Bench`] for a simulation failure, or
     /// [`HarnessError::Supervised`] for a cell that panicked.
-    pub fn run(&self, h: &Harness) -> Result<ExperimentGrid, HarnessError> {
-        // Resolve every (bench, scheme) table up front so scheme errors
-        // surface before any simulation starts, and so the batch cells
-        // below only clone Arcs.
-        let mut tables: Vec<Vec<Arc<specmt_spawn::SpawnTable>>> = Vec::new();
-        for ctx in &h.benches {
-            let row = self
-                .variants
-                .iter()
-                .map(|v| ctx.table_for(v.scheme, &h.registry, &h.params))
-                .collect::<Result<Vec<_>, _>>()?;
-            tables.push(row);
-        }
-        let mut tasks = Vec::with_capacity(h.benches.len() * self.variants.len());
-        for (bi, ctx) in h.benches.iter().enumerate() {
-            for (vi, variant) in self.variants.iter().enumerate() {
+    pub fn run_on(
+        &self,
+        select: &Harness,
+        simulate: &Harness,
+    ) -> Result<ExperimentGrid, HarnessError> {
+        let mut tasks = Vec::with_capacity(simulate.benches.len() * self.variants.len());
+        for (selector, ctx) in select.benches.iter().zip(&simulate.benches) {
+            for variant in &self.variants {
+                let params = variant.params.as_ref().unwrap_or(&select.params);
+                let table = selector.table_for(&variant.scheme, &select.registry, params)?;
                 let cfg = variant.config(&self.base, ctx.bench.name());
-                let table = Arc::clone(&tables[bi][vi]);
                 let ctx = Arc::clone(ctx);
                 let metric = variant.metric;
                 tasks.push(Task::new(
@@ -202,9 +227,9 @@ impl ExperimentSpec {
                 ));
             }
         }
-        let cells = crate::run_supervised(&h.executor(), tasks)?;
-        let mut values = vec![Vec::with_capacity(h.benches.len()); self.variants.len()];
-        let mut results = vec![Vec::with_capacity(h.benches.len()); self.variants.len()];
+        let cells = crate::run_supervised(&simulate.executor(), tasks)?;
+        let mut values = vec![Vec::with_capacity(simulate.benches.len()); self.variants.len()];
+        let mut results = vec![Vec::with_capacity(simulate.benches.len()); self.variants.len()];
         for (i, cell) in cells.into_iter().enumerate() {
             let (v, r) = cell?;
             let vi = i % self.variants.len();
@@ -213,8 +238,8 @@ impl ExperimentSpec {
         }
         let means = values.iter().map(|col| self.mean.of(col)).collect();
         Ok(ExperimentGrid {
-            bench_names: h.benches.iter().map(|c| c.bench.name()).collect(),
-            labels: self.variants.iter().map(|v| v.label).collect(),
+            bench_names: simulate.benches.iter().map(|c| c.bench.name()).collect(),
+            labels: self.variants.iter().map(|v| v.label.clone()).collect(),
             values,
             results,
             means,
@@ -229,7 +254,7 @@ pub struct ExperimentGrid {
     /// Benchmarks, in the paper's reporting order.
     pub bench_names: Vec<&'static str>,
     /// Column labels, in variant order.
-    pub labels: Vec<&'static str>,
+    pub labels: Vec<String>,
     /// `values[variant][bench]`: the metric for each cell.
     pub values: Vec<Vec<f64>>,
     /// `results[variant][bench]`: the full simulation results.
@@ -250,7 +275,7 @@ impl ExperimentGrid {
     /// per variant formatted with `fmt`, and a final mean row.
     pub fn table_with(&self, fmt: impl Fn(f64) -> String) -> Table {
         let headers: Vec<&str> = std::iter::once("bench")
-            .chain(self.labels.iter().copied())
+            .chain(self.labels.iter().map(String::as_str))
             .collect();
         let mut table = Table::new(&headers);
         for (bi, name) in self.bench_names.iter().enumerate() {
@@ -285,11 +310,58 @@ mod tests {
         );
         let grid = spec.run(&h).unwrap();
         assert_eq!(grid.bench_names.len(), h.benches.len());
-        let direct = h.run_profile(&SimConfig::paper(4)).unwrap();
-        for (i, (_, sp, _)) in direct.iter().enumerate() {
-            assert_eq!(grid.values[0][i], *sp);
+        for (i, ctx) in h.benches.iter().enumerate() {
+            let r = ctx.sim(SimConfig::paper(4), &ctx.profile.table).unwrap();
+            assert_eq!(grid.values[0][i], ctx.speedup(&r).unwrap());
+            assert_eq!(grid.results[0][i], r);
         }
         assert_eq!(grid.means.len(), 2);
+    }
+
+    #[test]
+    fn run_on_selects_on_one_harness_and_simulates_on_the_other() {
+        let train = Harness::load_at_with(Scale::Tiny, specmt_store::Store::disabled()).unwrap();
+        let reference = train.on_input(specmt_workloads::InputSet::Ref).unwrap();
+        let spec = ExperimentSpec::new(
+            SimConfig::paper(4),
+            vec![Variant::speedup("profile", "profile", vec![])],
+        );
+        let grid = spec.run_on(&train, &reference).unwrap();
+        for (i, (t, r)) in train.benches.iter().zip(&reference.benches).enumerate() {
+            let result = r.sim(SimConfig::paper(4), &t.profile.table).unwrap();
+            assert_eq!(grid.values[0][i], r.speedup(&result).unwrap());
+        }
+        assert_ne!(
+            grid.values[0],
+            spec.run(&reference).unwrap().values[0],
+            "reference-selected tables must differ from training-selected ones"
+        );
+    }
+
+    #[test]
+    fn with_params_selects_with_its_own_parameters() {
+        let h = Harness::load_at_with(Scale::Tiny, specmt_store::Store::disabled()).unwrap();
+        let params = SchemeParams {
+            profile: specmt_spawn::ProfileConfig {
+                min_prob: 0.5,
+                ..specmt_spawn::ProfileConfig::default()
+            },
+            ..SchemeParams::default()
+        };
+        let spec = ExperimentSpec::new(
+            SimConfig::paper(4),
+            vec![
+                Variant::speedup("default", "profile", vec![]),
+                Variant::speedup("min-prob 0.5", "profile", vec![]).with_params(params.clone()),
+            ],
+        );
+        let grid = spec.run(&h).unwrap();
+        for (i, ctx) in h.benches.iter().enumerate() {
+            let table = h.registry.select("profile", ctx.bench.trace(), &params).unwrap();
+            let r = ctx.sim(SimConfig::paper(4), &table).unwrap();
+            assert_eq!(grid.results[1][i], r);
+        }
+        assert_ne!(grid.values[0], grid.values[1]);
     }
 
     #[test]

@@ -15,14 +15,16 @@
 //!
 //! All builders take the already-loaded [`Harness`] — they never regenerate
 //! traces or spawn tables themselves, so running every figure in one
-//! process does the expensive pipeline work exactly once.
+//! process does the expensive pipeline work exactly once. The cross-input
+//! studies load the reference input through [`Harness::on_input`]. Every
+//! batch of simulations is an [`ExperimentSpec`].
 
 use serde_json::json;
 
 use specmt_predict::ValuePredictorKind;
-use specmt_sim::{ConfigDelta, RemovalPolicy, SimConfig};
-use specmt_spawn::SchemeParams;
-use specmt_stats::{arithmetic_mean, harmonic_mean, Table};
+use specmt_sim::{ConfigDelta, RemovalPolicy, SimConfig, SimResult};
+use specmt_spawn::{ProfileConfig, SchemeParams};
+use specmt_stats::{arithmetic_mean, Table};
 use specmt_workloads::InputSet;
 
 use crate::{
@@ -579,7 +581,7 @@ pub fn fig12(h: &Harness) -> Result<Figure, HarnessError> {
     .run(h)?;
     let mut table = Table::new(&["configuration", "Hmean speed-up"]);
     for (label, v) in grid.labels.iter().zip(&grid.means) {
-        table.row_owned(vec![(*label).into(), f2(*v)]);
+        table.row_owned(vec![label.clone(), f2(*v)]);
     }
     Ok(Figure {
         id: "fig12".into(),
@@ -603,218 +605,195 @@ pub fn fig12(h: &Harness) -> Result<Figure, HarnessError> {
 // Extra studies (formerly the `ablations` and `crossinput` binaries)
 // ---------------------------------------------------------------------------
 
+/// An ablation figure: a table of sweep points plus their JSON rows.
+fn ablation(id: &str, title: &str, table: Table, rows: Vec<serde_json::Value>) -> Figure {
+    Figure {
+        id: id.into(),
+        title: title.into(),
+        table,
+        notes: vec![],
+        json: json!({ "rows": rows }),
+    }
+}
+
+/// Mean live-in value-prediction hit ratio of one grid column.
+fn mean_hit_ratio(results: &[SimResult]) -> f64 {
+    let hits: Vec<f64> = results.iter().map(SimResult::value_hit_ratio).collect();
+    arithmetic_mean(&hits)
+}
+
+/// The default selection parameters with the profile configuration
+/// changed by `edit` (one point of a selection-threshold sweep).
+fn profile_params(edit: impl FnOnce(&mut ProfileConfig)) -> SchemeParams {
+    let mut params = SchemeParams::default();
+    edit(&mut params.profile);
+    params
+}
+
 /// The parameter ablations: selection thresholds, hardware parameters,
 /// value-predictor kinds, and a four-way policy shootout including the
-/// related-work MEM-slicing and return-pair schemes.
+/// related-work MEM-slicing and return-pair schemes. Each sweep is one
+/// [`ExperimentSpec`] over the best-profile configuration.
 ///
 /// # Errors
 ///
 /// As [`fig2`], plus [`HarnessError::Scheme`] for selection failures.
 pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     let base = crate::best_profile_config(16);
-    let hmean_for = |cfg: &SimConfig, params: Option<&SchemeParams>| -> Result<f64, HarnessError> {
-        let mut speedups = Vec::new();
-        for ctx in &h.benches {
-            let table = match params {
-                None => ctx.table_for("profile", &h.registry, &h.params)?,
-                // Each parameter variant is store-addressed under its own
-                // key, so re-running an ablation sweep serves every table
-                // (and its simulations) from the store.
-                Some(p) => {
-                    std::sync::Arc::new(ctx.table_with_params("profile", &h.registry, p)?)
-                }
-            };
-            let r = ctx.sim(cfg.clone(), &table)?;
-            speedups.push(ctx.speedup(&r)?);
-        }
-        Ok(harmonic_mean(&speedups))
-    };
-    let profile_params = |profile: specmt_spawn::ProfileConfig| SchemeParams {
-        profile,
-        ..SchemeParams::default()
-    };
     let mut figs = Vec::new();
 
-    // --- Selection thresholds -------------------------------------------
-    let mut t = Table::new(&["min probability", "hmean"]);
-    let mut rows = Vec::new();
-    for p in [0.5, 0.8, 0.9, 0.95, 0.99] {
-        let params = profile_params(specmt_spawn::ProfileConfig {
-            min_prob: p,
-            ..specmt_spawn::ProfileConfig::default()
-        });
-        let v = hmean_for(&base, Some(&params))?;
-        t.row_owned(vec![format!("{p:.2}"), f2(v)]);
-        rows.push(json!({"min_prob": p, "hmean": v}));
+    // --- Selection thresholds: each point selects its own tables --------
+    let thresholds = [
+        (
+            "abl-min-prob",
+            "Ablation: minimum reaching probability (paper fixes 0.95)",
+            "min probability",
+            "min_prob",
+            [0.5, 0.8, 0.9, 0.95, 0.99]
+                .map(|p| (format!("{p:.2}"), json!(p), profile_params(|c| c.min_prob = p)))
+                .to_vec(),
+        ),
+        (
+            "abl-min-distance",
+            "Ablation: minimum spawning distance (paper fixes 32)",
+            "min distance",
+            "min_distance",
+            [8.0, 16.0, 32.0, 64.0, 128.0]
+                .map(|d| (format!("{d}"), json!(d), profile_params(|c| c.min_distance = d)))
+                .to_vec(),
+        ),
+        (
+            "abl-max-distance",
+            "Ablation: maximum spawning distance",
+            "max distance",
+            "max_distance",
+            [Some(100.0), Some(200.0), Some(300.0), Some(600.0), None]
+                .map(|d| {
+                    let label = d.map_or_else(|| "unbounded".into(), |d: f64| format!("{d}"));
+                    (label, json!(d), profile_params(|c| c.max_distance = d))
+                })
+                .to_vec(),
+        ),
+        (
+            "abl-coverage",
+            "Ablation: CFG execution coverage (paper fixes 90%)",
+            "CFG coverage",
+            "coverage",
+            [0.5, 0.7, 0.9, 0.99]
+                .map(|c| (format!("{c:.2}"), json!(c), profile_params(|p| p.coverage = c)))
+                .to_vec(),
+        ),
+    ];
+    for (id, title, header, key, points) in thresholds {
+        let variants = points
+            .iter()
+            .map(|(label, _, params)| {
+                Variant::speedup(format!("{key} {label}"), "profile", vec![])
+                    .with_params(params.clone())
+            })
+            .collect();
+        let grid = ExperimentSpec::new(base.clone(), variants).run(h)?;
+        let mut t = Table::new(&[header, "hmean"]);
+        let mut rows = Vec::new();
+        for ((label, value, _), &hm) in points.into_iter().zip(&grid.means) {
+            t.row_owned(vec![label, f2(hm)]);
+            rows.push(json!({ key: value, "hmean": hm }));
+        }
+        figs.push(ablation(id, title, t, rows));
     }
-    figs.push(Figure {
-        id: "abl-min-prob".into(),
-        title: "Ablation: minimum reaching probability (paper fixes 0.95)".into(),
-        table: t,
-        notes: vec![],
-        json: json!({"rows": rows}),
-    });
-
-    let mut t = Table::new(&["min distance", "hmean"]);
-    let mut rows = Vec::new();
-    for d in [8.0, 16.0, 32.0, 64.0, 128.0] {
-        let params = profile_params(specmt_spawn::ProfileConfig {
-            min_distance: d,
-            ..specmt_spawn::ProfileConfig::default()
-        });
-        let v = hmean_for(&base, Some(&params))?;
-        t.row_owned(vec![format!("{d}"), f2(v)]);
-        rows.push(json!({"min_distance": d, "hmean": v}));
-    }
-    figs.push(Figure {
-        id: "abl-min-distance".into(),
-        title: "Ablation: minimum spawning distance (paper fixes 32)".into(),
-        table: t,
-        notes: vec![],
-        json: json!({"rows": rows}),
-    });
-
-    let mut t = Table::new(&["max distance", "hmean"]);
-    let mut rows = Vec::new();
-    for d in [100.0, 200.0, 300.0, 600.0, f64::INFINITY] {
-        let params = profile_params(specmt_spawn::ProfileConfig {
-            max_distance: d.is_finite().then_some(d),
-            ..specmt_spawn::ProfileConfig::default()
-        });
-        let v = hmean_for(&base, Some(&params))?;
-        let label = if d.is_finite() {
-            format!("{d}")
-        } else {
-            "unbounded".into()
-        };
-        t.row_owned(vec![label, f2(v)]);
-        rows.push(json!({"max_distance": d.is_finite().then_some(d), "hmean": v}));
-    }
-    figs.push(Figure {
-        id: "abl-max-distance".into(),
-        title: "Ablation: maximum spawning distance".into(),
-        table: t,
-        notes: vec![],
-        json: json!({"rows": rows}),
-    });
-
-    let mut t = Table::new(&["CFG coverage", "hmean"]);
-    let mut rows = Vec::new();
-    for c in [0.5, 0.7, 0.9, 0.99] {
-        let params = profile_params(specmt_spawn::ProfileConfig {
-            coverage: c,
-            ..specmt_spawn::ProfileConfig::default()
-        });
-        let v = hmean_for(&base, Some(&params))?;
-        t.row_owned(vec![format!("{c:.2}"), f2(v)]);
-        rows.push(json!({"coverage": c, "hmean": v}));
-    }
-    figs.push(Figure {
-        id: "abl-coverage".into(),
-        title: "Ablation: CFG execution coverage (paper fixes 90%)".into(),
-        table: t,
-        notes: vec![],
-        json: json!({"rows": rows}),
-    });
 
     // --- Hardware parameters --------------------------------------------
+    // Each point runs perfect and stride value prediction side by side:
+    // columns 2i and 2i+1 of the grid.
+    let paired = |label: &str, delta: ConfigDelta| {
+        [
+            Variant::speedup(format!("{label} perfect"), "profile", vec![delta]),
+            Variant::speedup(format!("{label} stride"), "profile", vec![delta, STRIDE]),
+        ]
+    };
+    let tus = [2usize, 4, 8, 16, 32];
+    let variants = tus
+        .iter()
+        .flat_map(|&n| paired(&format!("{n} TUs"), ConfigDelta::ThreadUnits(n)))
+        .collect();
+    let grid = ExperimentSpec::new(base.clone(), variants).run(h)?;
     let mut t = Table::new(&["thread units", "perfect", "stride"]);
     let mut rows = Vec::new();
-    for tus in [2usize, 4, 8, 16, 32] {
-        let p = hmean_for(&crate::best_profile_config(tus), None)?;
-        let s = hmean_for(
-            &crate::best_profile_config(tus).with_value_predictor(ValuePredictorKind::Stride),
-            None,
-        )?;
-        t.row_owned(vec![format!("{tus}"), f2(p), f2(s)]);
-        rows.push(json!({"thread_units": tus, "perfect": p, "stride": s}));
+    for (i, n) in tus.into_iter().enumerate() {
+        let (p, s) = (grid.means[2 * i], grid.means[2 * i + 1]);
+        t.row_owned(vec![format!("{n}"), f2(p), f2(s)]);
+        rows.push(json!({"thread_units": n, "perfect": p, "stride": s}));
     }
-    figs.push(Figure {
-        id: "abl-thread-units".into(),
-        title: "Ablation: thread-unit count".into(),
-        table: t,
-        notes: vec![],
-        json: json!({"rows": rows}),
-    });
+    let title = "Ablation: thread-unit count";
+    figs.push(ablation("abl-thread-units", title, t, rows));
 
+    let kbs = [1usize, 4, 16, 64];
+    let variants = kbs
+        .iter()
+        .map(|&kb| {
+            let budget = ConfigDelta::PredictorBudget(kb * 1024);
+            Variant::speedup(format!("{kb} KB"), "profile", vec![STRIDE, budget])
+        })
+        .collect();
+    let grid = ExperimentSpec::new(base.clone(), variants).run(h)?;
     let mut t = Table::new(&["predictor budget", "hmean (stride)", "accuracy"]);
     let mut rows = Vec::new();
-    for kb in [1usize, 4, 16, 64] {
-        let mut cfg = base.clone().with_value_predictor(ValuePredictorKind::Stride);
-        cfg.predictor_budget = kb * 1024;
-        let mut speedups = Vec::new();
-        let mut accs = Vec::new();
-        for ctx in &h.benches {
-            let table = ctx.table_for("profile", &h.registry, &h.params)?;
-            let r = ctx.sim(cfg.clone(), &table)?;
-            speedups.push(ctx.speedup(&r)?);
-            accs.push(r.value_hit_ratio());
-        }
-        let hm = harmonic_mean(&speedups);
-        let acc = accs.iter().sum::<f64>() / accs.len() as f64;
+    for (i, kb) in kbs.into_iter().enumerate() {
+        let (hm, acc) = (grid.means[i], mean_hit_ratio(&grid.results[i]));
         t.row_owned(vec![format!("{kb} KB"), f2(hm), format!("{:.1}%", 100.0 * acc)]);
         rows.push(json!({"budget_kb": kb, "hmean": hm, "accuracy": acc}));
     }
-    figs.push(Figure {
-        id: "abl-predictor-budget".into(),
-        title: "Ablation: value-predictor budget (paper fixes 16 KB)".into(),
-        table: t,
-        notes: vec![],
-        json: json!({"rows": rows}),
-    });
+    figs.push(ablation(
+        "abl-predictor-budget",
+        "Ablation: value-predictor budget (paper fixes 16 KB)",
+        t,
+        rows,
+    ));
 
+    let fwds = [0u64, 1, 3, 6, 10];
+    let variants = fwds
+        .iter()
+        .flat_map(|&fwd| paired(&format!("fwd {fwd}"), ConfigDelta::ForwardLatency(fwd)))
+        .collect();
+    let grid = ExperimentSpec::new(base.clone(), variants).run(h)?;
     let mut t = Table::new(&["forward latency", "perfect", "stride"]);
     let mut rows = Vec::new();
-    for fwd in [0u64, 1, 3, 6, 10] {
-        let mut pc = base.clone();
-        pc.forward_latency = fwd;
-        let mut sc = pc.clone().with_value_predictor(ValuePredictorKind::Stride);
-        sc.forward_latency = fwd;
-        let p = hmean_for(&pc, None)?;
-        let s = hmean_for(&sc, None)?;
+    for (i, fwd) in fwds.into_iter().enumerate() {
+        let (p, s) = (grid.means[2 * i], grid.means[2 * i + 1]);
         t.row_owned(vec![format!("{fwd}"), f2(p), f2(s)]);
         rows.push(json!({"forward_latency": fwd, "perfect": p, "stride": s}));
     }
-    figs.push(Figure {
-        id: "abl-forward-latency".into(),
-        title: "Ablation: inter-unit forward latency (paper fixes 3 cycles)".into(),
-        table: t,
-        notes: vec![],
-        json: json!({"rows": rows}),
-    });
+    figs.push(ablation(
+        "abl-forward-latency",
+        "Ablation: inter-unit forward latency (paper fixes 3 cycles)",
+        t,
+        rows,
+    ));
 
     // --- Value-predictor kinds -------------------------------------------
-    let mut t = Table::new(&["predictor", "hmean", "accuracy"]);
-    let mut rows = Vec::new();
-    for kind in [
+    let kinds = [
         ValuePredictorKind::Perfect,
         ValuePredictorKind::Stride,
         ValuePredictorKind::Fcm,
         ValuePredictorKind::Hybrid,
         ValuePredictorKind::LastValue,
         ValuePredictorKind::None,
-    ] {
-        let cfg = base.clone().with_value_predictor(kind);
-        let mut speedups = Vec::new();
-        let mut accs = Vec::new();
-        for ctx in &h.benches {
-            let table = ctx.table_for("profile", &h.registry, &h.params)?;
-            let r = ctx.sim(cfg.clone(), &table)?;
-            speedups.push(ctx.speedup(&r)?);
-            accs.push(r.value_hit_ratio());
-        }
-        let hm = harmonic_mean(&speedups);
-        let acc = accs.iter().sum::<f64>() / accs.len() as f64;
+    ];
+    let variants = kinds
+        .iter()
+        .map(|&kind| {
+            Variant::speedup(kind.to_string(), "profile", vec![ConfigDelta::ValuePredictor(kind)])
+        })
+        .collect();
+    let grid = ExperimentSpec::new(base.clone(), variants).run(h)?;
+    let mut t = Table::new(&["predictor", "hmean", "accuracy"]);
+    let mut rows = Vec::new();
+    for (i, kind) in kinds.into_iter().enumerate() {
+        let (hm, acc) = (grid.means[i], mean_hit_ratio(&grid.results[i]));
         t.row_owned(vec![kind.to_string(), f2(hm), format!("{:.1}%", 100.0 * acc)]);
         rows.push(json!({"predictor": kind.to_string(), "hmean": hm, "accuracy": acc}));
     }
-    figs.push(Figure {
-        id: "abl-predictors".into(),
-        title: "Ablation: value-predictor kinds".into(),
-        table: t,
-        notes: vec![],
-        json: json!({"rows": rows}),
-    });
+    figs.push(ablation("abl-predictors", "Ablation: value-predictor kinds", t, rows));
 
     // --- Policy shootout via the scheme registry ------------------------
     let schemes = ["profile", "heuristics", "memslice", "return-pairs"];
@@ -847,7 +826,13 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
 ///
 /// As [`fig2`].
 pub fn crossinput(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
-    let cfg = crate::best_profile_config(16);
+    let reference = h.on_input(InputSet::Ref)?;
+    let spec = ExperimentSpec::new(
+        crate::best_profile_config(16),
+        vec![Variant::speedup("profile", "profile", vec![])],
+    );
+    let cross = spec.run_on(h, &reference)?;
+    let selfp = spec.run(&reference)?;
     let mut table = Table::new(&[
         "bench",
         "train-profiled",
@@ -855,18 +840,13 @@ pub fn crossinput(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
         "transfer",
         "pair overlap",
     ]);
-    let mut cross = Vec::new();
-    let mut selfp = Vec::new();
     let mut rows = Vec::new();
-    for train in &h.benches {
+    for (bi, (train, refc)) in h.benches.iter().zip(&reference.benches).enumerate() {
         let name = train.bench.name();
-        let reference = train.on_input(h.scale, InputSet::Ref)?;
-        let train_pairs = train.table_with_params("profile", &h.registry, &h.params)?;
-        let ref_pairs = reference.table_with_params("profile", &h.registry, &h.params)?;
-        let with_train = reference.speedup(&reference.sim(cfg.clone(), &train_pairs)?)?;
-        let with_self = reference.speedup(&reference.sim(cfg.clone(), &ref_pairs)?)?;
-        cross.push(with_train);
-        selfp.push(with_self);
+        // Memo hits: the grids above selected both tables.
+        let train_pairs = train.table_for("profile", &h.registry, &h.params)?;
+        let ref_pairs = refc.table_for("profile", &reference.registry, &reference.params)?;
+        let (with_train, with_self) = (cross.values[0][bi], selfp.values[0][bi]);
 
         // Structural overlap: (sp, cqip) pairs found by both profiles.
         let in_ref: std::collections::HashSet<(u32, u32)> =
@@ -890,7 +870,7 @@ pub fn crossinput(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
             "ref_pairs": ref_pairs.num_pairs(),
         }));
     }
-    let (hc, hs) = (harmonic_mean(&cross), harmonic_mean(&selfp));
+    let (hc, hs) = (cross.means[0], selfp.means[0]);
     table.row_owned(vec![
         "Hmean".into(),
         f2(hc),
@@ -926,7 +906,15 @@ pub fn crossinput(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
 /// As [`fig2`].
 pub fn fig_adaptation(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     const SCHEMES: [&str; 3] = ["profile", "scoreboard", "conf-gated"];
-    let cfg = crate::best_profile_config(16);
+    let reference = h.on_input(InputSet::Ref)?;
+    // Tables are selected on the TRAIN input. Their store keys carry each
+    // scheme's cache identity, so a change to an adaptive gate parameter
+    // re-keys the adaptive tables without touching the base scheme's.
+    let grid = ExperimentSpec::new(
+        crate::best_profile_config(16),
+        SCHEMES.iter().map(|&s| Variant::speedup(s, s, vec![])).collect(),
+    )
+    .run_on(h, &reference)?;
     let mut table = Table::new(&[
         "bench",
         "profile",
@@ -934,24 +922,12 @@ pub fn fig_adaptation(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
         "conf-gated",
         "best gain",
     ]);
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); SCHEMES.len()];
     let mut rows = Vec::new();
-    for train in &h.benches {
-        let name = train.bench.name();
-        let reference = train.on_input(h.scale, InputSet::Ref)?;
-        let mut speeds = [0f64; 3];
-        for (si, sname) in SCHEMES.iter().enumerate() {
-            // The table is selected on the TRAIN input. Its store key
-            // carries the scheme's cache identity, so a change to an
-            // adaptive gate parameter re-keys the adaptive tables without
-            // touching the base scheme's entries.
-            let sel = train.table_with_params(sname, &h.registry, &h.params)?;
-            speeds[si] = reference.speedup(&reference.sim(cfg.clone(), &sel)?)?;
-            cols[si].push(speeds[si]);
-        }
+    for (bi, name) in grid.bench_names.iter().enumerate() {
+        let speeds: Vec<f64> = grid.values.iter().map(|col| col[bi]).collect();
         let best = speeds[1].max(speeds[2]);
         table.row_owned(vec![
-            name.into(),
+            (*name).into(),
             f2(speeds[0]),
             f2(speeds[1]),
             f2(speeds[2]),
@@ -964,7 +940,7 @@ pub fn fig_adaptation(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
             "conf_gated": speeds[2],
         }));
     }
-    let hmeans: Vec<f64> = cols.iter().map(|c| harmonic_mean(c)).collect();
+    let hmeans = &grid.means;
     table.row_owned(vec![
         "Hmean".into(),
         f2(hmeans[0]),

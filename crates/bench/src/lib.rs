@@ -10,8 +10,10 @@
 //!
 //! Spawning policies are addressed by name through the
 //! [`specmt_spawn::SchemeRegistry`]; each [`BenchCtx`] memoizes the spawn
-//! table a scheme selects for its benchmark, so one process builds each
-//! table at most once however many figures request it.
+//! table a scheme selects for its benchmark under each parameter set, so
+//! one process builds each table at most once however many figures
+//! request it. Every batch of simulations goes through
+//! [`ExperimentSpec::run_on`].
 //!
 //! ## Protocol notes (divergences are listed in EXPERIMENTS.md)
 //!
@@ -42,13 +44,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use specmt_exec::{CellOutcome, ExecConfig, Executor, Task};
-use specmt_sim::{RemovalPolicy, SimConfig, SimResult};
+use specmt_sim::{ConfigDelta, RemovalPolicy, SimConfig, SimResult};
 use specmt_spawn::{
     HeuristicSet, ProfileConfig, ProfileResult, SchemeError, SchemeParams, SchemeRegistry,
     SpawnScheme, SpawnTable,
 };
 use specmt_stats::Table;
-use specmt_store::{Namespace, StageKey, Store, StoreHandle};
+use specmt_store::{
+    Fingerprint, FingerprintHasher, Namespace, StageKey, Store, StoreHandle, StoreKey,
+};
 use specmt_workloads::{InputSet, Scale};
 
 pub use benchmark::{Bench, BenchError};
@@ -144,10 +148,11 @@ pub struct BenchCtx {
     pub profile: ProfileResult,
     /// The combined construct heuristics (Figure 8's baseline).
     pub heuristics: SpawnTable,
-    /// Per-scheme spawn tables, built on first use and shared by every
-    /// figure that names the scheme (`profile` and `heuristics` are seeded
-    /// from the disk-cacheable results above).
-    tables: Mutex<HashMap<String, Arc<SpawnTable>>>,
+    /// Spawn tables by (scheme name, [`SchemeParams`] digest), built on
+    /// first use and shared by every figure that names the scheme with
+    /// those parameters (`profile` and `heuristics` under the default
+    /// parameters are seeded from the disk-cacheable results above).
+    tables: Mutex<HashMap<(String, StoreKey), Arc<SpawnTable>>>,
     /// When set, [`BenchCtx::sim`] forces `SimConfig::observe` on so every
     /// result carries a metrics snapshot (see [`Harness::set_observe`]).
     observe: AtomicBool,
@@ -171,9 +176,10 @@ impl BenchCtx {
         trace_key: Option<StageKey>,
         label: String,
     ) -> BenchCtx {
+        let defaults = params_digest(&SchemeParams::default());
         let mut tables = HashMap::new();
-        tables.insert("profile".to_owned(), Arc::new(profile.table.clone()));
-        tables.insert("heuristics".to_owned(), Arc::new(heuristics.clone()));
+        tables.insert(("profile".to_owned(), defaults), Arc::new(profile.table.clone()));
+        tables.insert(("heuristics".to_owned(), defaults), Arc::new(heuristics.clone()));
         BenchCtx {
             bench,
             profile,
@@ -253,28 +259,11 @@ impl BenchCtx {
         ))
     }
 
-    /// This benchmark on another input set, loaded through the same store
-    /// and carrying this context's observe flag — the cross-input figures
-    /// evaluate training-selected tables on the reference input this way.
-    ///
-    /// # Errors
-    ///
-    /// As [`BenchCtx::load_with`].
-    pub(crate) fn on_input(
-        &self,
-        scale: Scale,
-        input: InputSet,
-    ) -> Result<BenchCtx, HarnessError> {
-        let ctx = BenchCtx::load_input(self.bench.name(), scale, input, Arc::clone(&self.store))?;
-        ctx.observe
-            .store(self.observe.load(Ordering::Relaxed), Ordering::Relaxed);
-        Ok(ctx)
-    }
-
-    /// The spawn table scheme `name` selects for this benchmark, resolved
-    /// through `registry` and memoized per context. Schemes that declare a
-    /// cache identity (see [`SpawnScheme::cache_identity`]) are additionally
-    /// served from / stored to the artifact store.
+    /// The spawn table scheme `name` selects for this benchmark under
+    /// `params`, resolved through `registry` and memoized per context by
+    /// name and parameter digest. Schemes that declare a cache identity
+    /// (see [`SpawnScheme::cache_identity`]) are additionally served from /
+    /// stored to the artifact store.
     ///
     /// # Errors
     ///
@@ -286,47 +275,18 @@ impl BenchCtx {
         registry: &SchemeRegistry,
         params: &SchemeParams,
     ) -> Result<Arc<SpawnTable>, HarnessError> {
-        if let Some(t) = self.tables.lock().expect("table lock").get(name) {
+        let memo_key = (name.to_owned(), params_digest(params));
+        if let Some(t) = self.tables.lock().expect("table lock").get(&memo_key) {
             return Ok(Arc::clone(t));
         }
-        let scheme = registry.get(name).ok_or_else(|| {
-            let mut known: Vec<String> =
-                registry.names().iter().map(|&n| n.to_owned()).collect();
-            known.sort_unstable();
-            SchemeError::UnknownScheme { name: name.to_owned(), known }
-        })?;
+        let scheme = registry.resolve(name)?;
         // Selection (and store I/O) runs outside the lock: it can be
         // expensive, and other schemes' lookups should not serialise
         // behind it.
         let table = Arc::new(self.select_stored(scheme, params)?);
         let mut tables = self.tables.lock().expect("table lock");
-        let entry = tables
-            .entry(name.to_owned())
-            .or_insert_with(|| Arc::clone(&table));
+        let entry = tables.entry(memo_key).or_insert_with(|| Arc::clone(&table));
         Ok(Arc::clone(entry))
-    }
-
-    /// As [`BenchCtx::table_for`] but unmemoized: parameter sweeps
-    /// (ablations) call this with varying `params`, and each variant is
-    /// store-addressed by its own key instead of fighting over the
-    /// per-name memo slot.
-    ///
-    /// # Errors
-    ///
-    /// As [`BenchCtx::table_for`].
-    pub fn table_with_params(
-        &self,
-        name: &str,
-        registry: &SchemeRegistry,
-        params: &SchemeParams,
-    ) -> Result<SpawnTable, HarnessError> {
-        let scheme = registry.get(name).ok_or_else(|| {
-            let mut known: Vec<String> =
-                registry.names().iter().map(|&n| n.to_owned()).collect();
-            known.sort_unstable();
-            SchemeError::UnknownScheme { name: name.to_owned(), known }
-        })?;
-        self.select_stored(scheme, params)
     }
 
     fn select_stored(
@@ -395,6 +355,14 @@ impl BenchCtx {
     }
 }
 
+/// The memo digest of a parameter set: the same fingerprint the
+/// spawn-table store key hashes.
+fn params_digest(params: &SchemeParams) -> StoreKey {
+    let mut h = FingerprintHasher::new();
+    params.fingerprint(&mut h);
+    h.finish()
+}
+
 /// Logical store name for one benchmark's artifacts: `{name}-{scale}` for
 /// the training input, `{name}-ref-{scale}` for the reference input.
 fn store_label(name: &str, scale: Scale, input: InputSet) -> String {
@@ -418,10 +386,10 @@ pub struct Harness {
     pub registry: SchemeRegistry,
     /// Shared selection parameters for [`BenchCtx::table_for`].
     pub params: SchemeParams,
-    /// Pool width for the parallel batches the harness runs (scheme
-    /// sweeps, experiment grids, metrics collection). Defaults to one
-    /// thread per CPU; `specmt bench --jobs N` overrides it. Suite loading
-    /// always runs at the default width.
+    /// Pool width for the experiment grids the harness runs. Defaults to
+    /// one thread per CPU; `specmt bench --jobs N` overrides it. Loading
+    /// the suite in [`Harness::load_at_with`] always runs at the default
+    /// width; [`Harness::on_input`] loads at this width.
     pub exec: ExecConfig,
     /// The artifact store every context of this harness runs against.
     pub store: StoreHandle,
@@ -472,6 +440,27 @@ pub fn scale_from_env() -> Result<Scale, HarnessError> {
     }
 }
 
+/// Loads every suite benchmark on `input` as one batch on a pool of
+/// `exec`'s width, in the paper's reporting order.
+fn load_suite(
+    scale: Scale,
+    input: InputSet,
+    store: &StoreHandle,
+    exec: ExecConfig,
+) -> Result<Vec<Arc<BenchCtx>>, HarnessError> {
+    let tasks = specmt_workloads::SUITE_NAMES
+        .iter()
+        .map(|&name| {
+            let store = Arc::clone(store);
+            Task::new(name, move || BenchCtx::load_input(name, scale, input, store))
+        })
+        .collect();
+    run_supervised(&Executor::new(exec), tasks)?
+        .into_iter()
+        .map(|loaded| loaded.map(Arc::new))
+        .collect()
+}
+
 impl Harness {
     /// Loads the whole suite at `scale`, building traces and spawn tables
     /// in parallel. Previously generated artifacts are served from the
@@ -494,17 +483,7 @@ impl Harness {
     /// As [`Harness::load_at`].
     pub fn load_at_with(scale: Scale, store: StoreHandle) -> Result<Harness, HarnessError> {
         let exec = ExecConfig::default();
-        let tasks = specmt_workloads::SUITE_NAMES
-            .iter()
-            .map(|&name| {
-                let store = Arc::clone(&store);
-                Task::new(name, move || BenchCtx::load_with(name, scale, store))
-            })
-            .collect();
-        let benches = run_supervised(&Executor::new(exec), tasks)?
-            .into_iter()
-            .map(|loaded| loaded.map(Arc::new))
-            .collect::<Result<Vec<_>, _>>()?;
+        let benches = load_suite(scale, InputSet::Train, &store, exec)?;
         Ok(Harness {
             benches,
             scale,
@@ -515,71 +494,36 @@ impl Harness {
         })
     }
 
+    /// The same suite on another input set, loaded as one batch through
+    /// this harness's store, at its scale, parameters and pool width, with
+    /// each context carrying its counterpart's observe flag. The
+    /// cross-input figures select tables here and simulate them there
+    /// (see [`ExperimentSpec::run_on`]). The new harness has the built-in
+    /// scheme registry.
+    ///
+    /// # Errors
+    ///
+    /// As [`Harness::load_at`].
+    pub fn on_input(&self, input: InputSet) -> Result<Harness, HarnessError> {
+        let benches = load_suite(self.scale, input, &self.store, self.exec)?;
+        for (ctx, this) in benches.iter().zip(&self.benches) {
+            ctx.observe
+                .store(this.observe.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        Ok(Harness {
+            benches,
+            scale: self.scale,
+            registry: SchemeRegistry::builtin(),
+            params: self.params.clone(),
+            exec: self.exec,
+            store: Arc::clone(&self.store),
+        })
+    }
+
     /// The executor harness batches run on, configured by
     /// [`Harness::exec`].
     pub fn executor(&self) -> Executor {
         Executor::new(self.exec)
-    }
-
-    /// Runs `config` with each benchmark's profile table, returning
-    /// `(name, speedup, result)` triples.
-    ///
-    /// # Errors
-    ///
-    /// The first benchmark's simulation failure, if any.
-    pub fn run_profile(
-        &self,
-        config: &SimConfig,
-    ) -> Result<Vec<(&'static str, f64, SimResult)>, HarnessError> {
-        self.run_scheme(config, "profile")
-    }
-
-    /// Runs `config` with the tables a named scheme selects per benchmark.
-    ///
-    /// # Errors
-    ///
-    /// As [`Harness::run_profile`], plus [`HarnessError::Scheme`] for an
-    /// unknown scheme.
-    pub fn run_scheme(
-        &self,
-        config: &SimConfig,
-        scheme: &str,
-    ) -> Result<Vec<(&'static str, f64, SimResult)>, HarnessError> {
-        let tables = self
-            .benches
-            .iter()
-            .map(|ctx| ctx.table_for(scheme, &self.registry, &self.params))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.run_with(config, |i, _| Arc::clone(&tables[i]))
-    }
-
-    /// Runs `config` against a per-benchmark table selector (called with
-    /// the benchmark's suite index and context).
-    ///
-    /// # Errors
-    ///
-    /// As [`Harness::run_profile`].
-    pub fn run_with(
-        &self,
-        config: &SimConfig,
-        table: impl Fn(usize, &BenchCtx) -> Arc<SpawnTable> + Sync,
-    ) -> Result<Vec<(&'static str, f64, SimResult)>, HarnessError> {
-        let tasks = self
-            .benches
-            .iter()
-            .enumerate()
-            .map(|(i, ctx)| {
-                let t = table(i, ctx.as_ref());
-                let ctx = Arc::clone(ctx);
-                let cfg = config.clone();
-                Task::new(ctx.bench.name(), move || {
-                    let r = ctx.sim(cfg, &t)?;
-                    let sp = ctx.speedup(&r)?;
-                    Ok((ctx.bench.name(), sp, r))
-                })
-            })
-            .collect();
-        run_supervised(&self.executor(), tasks)?.into_iter().collect()
     }
 
     /// Force `SimConfig::observe` on (or stop forcing it) for every
@@ -593,80 +537,38 @@ impl Harness {
     }
 }
 
-/// Metrics for one benchmark × scheme cell of [`collect_metrics`].
-#[derive(Debug, Clone)]
-pub struct MetricsRow {
-    /// Benchmark name.
-    pub bench: &'static str,
-    /// Scheme name (as registered).
-    pub scheme: String,
-    /// Speed-up over the single-threaded baseline.
-    pub speedup: f64,
-    /// The run's metrics snapshot.
-    pub metrics: specmt_sim::Metrics,
-}
-
-/// Runs `config` (with observation forced on) for every benchmark × scheme
-/// combination and returns the per-cell metrics snapshots — the aggregation
-/// behind `specmt bench --metrics json`. The cells run as one batch on
-/// [`Harness::exec`]; rows come back benchmark-major, in `schemes` order
-/// within each benchmark.
+/// Runs `config` with observation on for every benchmark × scheme
+/// combination, as one [`ExperimentSpec`], and renders the per-cell
+/// metrics snapshots as the JSON document `specmt bench --metrics json`
+/// writes: one row per benchmark × scheme, benchmark-major and in
+/// `schemes` order within each benchmark, with the counters and
+/// histograms inlined.
 ///
 /// # Errors
 ///
-/// The first failed table selection or simulation, or
-/// [`HarnessError::Supervised`] for a degraded cell.
-pub fn collect_metrics(
-    h: &Harness,
-    config: &SimConfig,
-    schemes: &[&str],
-) -> Result<Vec<MetricsRow>, HarnessError> {
-    let mut tasks = Vec::with_capacity(h.benches.len() * schemes.len());
-    for ctx in &h.benches {
-        for &scheme in schemes {
-            let table = ctx.table_for(scheme, &h.registry, &h.params)?;
-            let ctx = Arc::clone(ctx);
-            let cfg = config.clone().with_observe(true);
-            let scheme = scheme.to_owned();
-            tasks.push(Task::new(format!("{}/{scheme}", ctx.bench.name()), move || {
-                let r = ctx.sim(cfg, &table)?;
-                let speedup = ctx.speedup(&r)?;
-                Ok(MetricsRow {
-                    bench: ctx.bench.name(),
-                    scheme,
-                    speedup,
-                    metrics: r.metrics.unwrap_or_default(),
-                })
-            }));
-        }
-    }
-    run_supervised(&h.executor(), tasks)?.into_iter().collect()
-}
-
-/// [`collect_metrics`] rendered as the JSON document `specmt bench
-/// --metrics json` writes: one row per benchmark × scheme with the counters
-/// and histograms inlined.
-///
-/// # Errors
-///
-/// As [`collect_metrics`].
+/// As [`ExperimentSpec::run`].
 pub fn metrics_report(
     h: &Harness,
     config: &SimConfig,
     schemes: &[&str],
 ) -> Result<serde_json::Value, HarnessError> {
-    let rows = collect_metrics(h, config, schemes)?;
-    let rows: Vec<serde_json::Value> = rows
+    let variants = schemes
         .iter()
-        .map(|r| {
-            serde_json::json!({
-                "bench": r.bench,
-                "scheme": r.scheme,
-                "speedup": r.speedup,
-                "metrics": serde::Serialize::to_value(&r.metrics),
-            })
-        })
+        .map(|&s| Variant::speedup(s, s, vec![ConfigDelta::Observe(true)]))
         .collect();
+    let grid = ExperimentSpec::new(config.clone(), variants).run(h)?;
+    let mut rows = Vec::with_capacity(grid.bench_names.len() * schemes.len());
+    for (bi, bench) in grid.bench_names.iter().enumerate() {
+        for (vi, scheme) in schemes.iter().enumerate() {
+            let metrics = grid.results[vi][bi].metrics.clone().unwrap_or_default();
+            rows.push(serde_json::json!({
+                "bench": bench,
+                "scheme": scheme,
+                "speedup": grid.values[vi][bi],
+                "metrics": serde::Serialize::to_value(&metrics),
+            }));
+        }
+    }
     Ok(serde_json::json!({
         "schema": "specmt-metrics/v1",
         "scale": format!("{:?}", h.scale).to_lowercase(),
@@ -773,4 +675,36 @@ pub fn f2(v: f64) -> String {
 /// Formats a percentage with one decimal.
 pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table_for_selects_with_the_params_it_is_given() {
+        let h = Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("tiny suite loads");
+        let params = SchemeParams {
+            profile: ProfileConfig {
+                min_prob: 0.5,
+                ..ProfileConfig::default()
+            },
+            ..SchemeParams::default()
+        };
+        let mut changed = 0;
+        for ctx in &h.benches {
+            let want = h
+                .registry
+                .select("profile", ctx.bench.trace(), &params)
+                .expect("profile selects");
+            let got = ctx.table_for("profile", &h.registry, &params).expect("memo");
+            assert_eq!(*got, want, "{}: table_for ignored its params", ctx.bench.name());
+            let default = ctx
+                .table_for("profile", &h.registry, &SchemeParams::default())
+                .expect("memo");
+            assert_eq!(*default, ctx.profile.table, "{}", ctx.bench.name());
+            changed += usize::from(want != ctx.profile.table);
+        }
+        assert!(changed > 0, "min_prob 0.5 must change some benchmark's table");
+    }
 }

@@ -15,8 +15,8 @@
 //!
 //! Inputs are resolved by suffix: `.s` or `.asm` parses assembly text,
 //! anything else names a suite workload. Either way the trace is generated
-//! afresh; an assembly file is untrusted input, so its emulated memory is
-//! capped at 64 MiB (`PROGRAM_MEMORY_LIMIT`).
+//! afresh; an assembly file is untrusted input, so its emulated memory and
+//! its recorded trace are each capped at 64 MiB (`PROGRAM_MEMORY_LIMIT`).
 //!
 //! `--policy` accepts any spawning scheme registered in
 //! [`specmt::spawn::SchemeRegistry`] (see `specmt pairs --policy help`), or
@@ -140,12 +140,18 @@ impl Args {
     }
 }
 
-/// Emulated-memory cap for `.s`/`.asm` input: 64 MiB, 2,048 of the
-/// emulator's 32 KiB pages. An assembly file is untrusted, so one that
-/// touches more memory fails with a memory-limit error instead of
-/// exhausting the host. Suite workloads are trusted and run uncapped.
+/// Memory cap for `.s`/`.asm` input: 64 MiB of emulated memory (2,048 of
+/// the emulator's 32 KiB pages) and, separately, 64 MiB of recorded trace
+/// columns (about 3.3 M steps at ~20 bytes each). An assembly file is
+/// untrusted, so one that touches more memory, or runs long enough to
+/// outgrow its trace cap within the 100 M step budget, fails with a
+/// limit error instead of exhausting the host. Suite workloads are
+/// trusted and run uncapped.
 const PROGRAM_MEMORY_LIMIT: u64 = 64 << 20;
 
+/// The trace of `input`: a suite workload at `scale`, or an `.s`/`.asm`
+/// file run under [`PROGRAM_MEMORY_LIMIT`] for both its emulated memory
+/// and its trace columns.
 fn load_trace(input: &str, scale: Scale) -> Result<Trace, CliError> {
     if input.ends_with(".s") || input.ends_with(".asm") {
         let text = std::fs::read_to_string(input)?;

@@ -392,6 +392,26 @@ impl SchemeRegistry {
             .map(Box::as_ref)
     }
 
+    /// Looks a scheme up by exact name, naming every registered scheme
+    /// in the error when it is missing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchemeError::UnknownScheme`] for an unregistered name.
+    pub fn resolve(&self, name: &str) -> Result<&dyn SpawnScheme, SchemeError> {
+        self.get(name).ok_or_else(|| SchemeError::UnknownScheme {
+            name: name.to_owned(),
+            // Sorted so the suggestion list is deterministic regardless of
+            // registration order.
+            known: {
+                let mut known: Vec<String> =
+                    self.names().iter().map(|&n| n.to_owned()).collect();
+                known.sort_unstable();
+                known
+            },
+        })
+    }
+
     /// Resolves `name` and runs its selection on `trace`.
     ///
     /// # Errors
@@ -404,18 +424,7 @@ impl SchemeRegistry {
         trace: &Trace,
         params: &SchemeParams,
     ) -> Result<SpawnTable, SchemeError> {
-        let scheme = self.get(name).ok_or_else(|| SchemeError::UnknownScheme {
-            name: name.to_owned(),
-            // Sorted so the suggestion list is deterministic regardless of
-            // registration order.
-            known: {
-                let mut known: Vec<String> =
-                    self.names().iter().map(|&n| n.to_owned()).collect();
-                known.sort_unstable();
-                known
-            },
-        })?;
-        scheme.select(trace, params)
+        self.resolve(name)?.select(trace, params)
     }
 
     /// Every registered name, in registration order.

@@ -88,18 +88,21 @@ impl Trace {
     /// halt within `max_steps`, or any emulation fault
     /// ([`TraceError::BadPc`], [`TraceError::UnalignedAccess`]).
     pub fn generate(program: Program, max_steps: u64) -> Result<Trace, TraceError> {
-        Trace::record_from(Emulator::new(program), max_steps, 0)
+        Trace::record_from(Emulator::new(program), max_steps, 0, None)
     }
 
-    /// As [`Trace::generate`], but additionally caps the emulated memory
-    /// footprint at `max_mem_bytes` (see [`Emulator::set_memory_limit`]) —
-    /// the bounded-resource entry point for running untrusted or fuzzed
-    /// programs.
+    /// As [`Trace::generate`], but additionally caps both the emulated
+    /// memory footprint (see [`Emulator::set_memory_limit`]) and the
+    /// recorded trace columns (about 20 bytes per record) at
+    /// `max_mem_bytes` each — the bounded-resource entry point for running
+    /// untrusted or fuzzed programs, whose step budget alone would let a
+    /// spin loop record gigabytes before it ran out.
     ///
     /// # Errors
     ///
     /// As [`Trace::generate`], plus [`TraceError::Limit`] when the program
-    /// touches more memory than allowed.
+    /// touches more memory than allowed (`"memory"`) or its trace would
+    /// outgrow the cap (`"trace memory"`).
     pub fn generate_bounded(
         program: Program,
         max_steps: u64,
@@ -107,7 +110,7 @@ impl Trace {
     ) -> Result<Trace, TraceError> {
         let mut emu = Emulator::new(program);
         emu.set_memory_limit(max_mem_bytes);
-        Trace::record_from(emu, max_steps, 0)
+        Trace::record_from(emu, max_steps, 0, Some(max_mem_bytes))
     }
 
     /// As [`Trace::generate`], reserving the columns for `records` records
@@ -138,13 +141,22 @@ impl Trace {
         max_steps: u64,
         records: u64,
     ) -> Result<Trace, TraceError> {
-        Trace::record_from(Emulator::new(program), max_steps, records)
+        Trace::record_from(Emulator::new(program), max_steps, records, None)
     }
 
     /// Drives `emu` to completion, recording every executed instruction
     /// into columns reserved for `reserve` records (clamped to
-    /// `max_steps`).
-    fn record_from(mut emu: Emulator, max_steps: u64, reserve: u64) -> Result<Trace, TraceError> {
+    /// `max_steps`). With `max_trace_bytes`, a trace whose columns would
+    /// outgrow it fails with [`TraceError::Limit`].
+    fn record_from(
+        mut emu: Emulator,
+        max_steps: u64,
+        reserve: u64,
+        max_trace_bytes: Option<u64>,
+    ) -> Result<Trace, TraceError> {
+        // Every 64 records cost 64 * (4 + 8 + 8) column bytes plus one
+        // taken word: 1,288 bytes.
+        let trace_cap = max_trace_bytes.map(|bytes| (bytes / 1288 * 64, bytes));
         let program = Arc::clone(emu.program());
         let mut trace = Trace {
             program,
@@ -162,8 +174,17 @@ impl Trace {
         let _ = trace.addrs.try_reserve_exact(n);
         let _ = trace.results.try_reserve_exact(n);
         loop {
-            if trace.pcs.len() as u64 >= max_steps {
+            let recorded = trace.pcs.len() as u64;
+            if recorded >= max_steps {
                 return Err(TraceError::StepLimitExceeded { limit: max_steps });
+            }
+            if let Some((max_records, limit)) = trace_cap {
+                if recorded >= max_records {
+                    return Err(TraceError::Limit {
+                        resource: "trace memory",
+                        limit,
+                    });
+                }
             }
             match emu.step()? {
                 StepOutcome::Executed(rec) => trace.push(rec),
@@ -494,6 +515,27 @@ mod tests {
         let a = Trace::generate(loop_program(4), 1000).unwrap();
         let b = Trace::generate_bounded(loop_program(4), 1000, 1 << 20).unwrap();
         assert_eq!(a.records_vec(), b.records_vec());
+    }
+
+    #[test]
+    fn bounded_generation_caps_the_trace_columns() {
+        // `top: addi r1, r1, 1; j top; halt` never halts; its ten million
+        // steps would record ~200 MB of columns.
+        let mut b = ProgramBuilder::new();
+        let top = b.fresh_label("top");
+        b.bind(top);
+        b.addi(Reg::R1, Reg::R1, 1);
+        b.j(top);
+        b.halt();
+        let spin = b.build().unwrap();
+        let err = Trace::generate_bounded(spin, 10_000_000, 1 << 20).unwrap_err();
+        assert_eq!(
+            err,
+            TraceError::Limit {
+                resource: "trace memory",
+                limit: 1 << 20
+            }
+        );
     }
 
     #[test]

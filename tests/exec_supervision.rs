@@ -4,7 +4,7 @@
 //! degrades instead of aborting:
 //!
 //! * an experiment grid run at `--jobs 1` and `--jobs 8` produces
-//!   bit-identical `SimResult`s, and so do `Harness::run_scheme` sweeps,
+//!   bit-identical `SimResult`s,
 //! * the `specmt bench --metrics json` report is identical at `--jobs 1`
 //!   and `--jobs 4`, rows in benchmark × scheme order,
 //! * a panicking cell among real simulation cells comes back from
@@ -47,23 +47,6 @@ fn grid_results_bit_identical_across_jobs() {
     assert_eq!(serial.results, wide.results, "SimResults must not depend on --jobs");
     assert_eq!(serial.values, wide.values);
     assert_eq!(serial.means, wide.means);
-}
-
-#[test]
-fn harness_sweeps_share_executor_supervision() {
-    // `run_scheme` goes through the same supervised path as the grids; a
-    // jobs=1 and a wide run must agree exactly.
-    let narrow = {
-        let mut h = Harness::load_at(Scale::Tiny).expect("tiny suite loads");
-        h.exec.jobs = 1;
-        h.run_scheme(&SimConfig::paper(4), "profile").expect("runs")
-    };
-    let wide = {
-        let mut h = Harness::load_at(Scale::Tiny).expect("tiny suite loads");
-        h.exec.jobs = 8;
-        h.run_scheme(&SimConfig::paper(4), "profile").expect("runs")
-    };
-    assert_eq!(narrow, wide);
 }
 
 #[test]

@@ -168,3 +168,32 @@ fn crossinput_figure_matches_golden() {
          tests/golden/crossinput_tiny.txt (see the test docs)"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Parameter ablations (Extra group)
+// ---------------------------------------------------------------------------
+
+const ABLATIONS_GOLDEN: &str = include_str!("golden/ablations_tiny.txt");
+
+/// Pins the parameter ablations (selection thresholds, hardware
+/// parameters, predictor kinds, policy shootout) to their committed
+/// capture.
+///
+/// To regenerate after an intentional change:
+///
+/// ```text
+/// SPECMT_CACHE=off cargo run --release -p specmt --bin specmt -- \
+///     bench ablations --scale tiny > tests/golden/ablations_tiny.txt
+/// ```
+#[test]
+fn ablations_figure_matches_golden() {
+    let h = Harness::load_at_with(Scale::Tiny, Store::disabled())
+        .expect("suite loads at tiny scale");
+    let figs = figures::ablations(&h).expect("ablations build");
+    let rendered: String = figs.iter().map(|f| f.render_block()).collect();
+    assert_eq!(
+        rendered, ABLATIONS_GOLDEN,
+        "ablations diverged from their capture; if intentional, regenerate \
+         tests/golden/ablations_tiny.txt (see the test docs)"
+    );
+}

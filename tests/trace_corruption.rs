@@ -142,3 +142,27 @@ fn assembly_input_is_memory_capped() {
         "error must name the memory limit, got: {stderr}"
     );
 }
+
+/// A three-line spin loop never halts: within its 100 M step budget it
+/// would record ~2 GB of trace columns. `specmt run` must stop it at the
+/// CLI's 64 MiB trace cap with a limit error.
+#[test]
+fn assembly_input_trace_is_capped() {
+    let dir = std::env::temp_dir().join(format!("specmt-tracecap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("spin.s");
+    std::fs::write(&path, "top:    addi r1, r1, 1\n        j    top\n        halt\n")
+        .expect("write program");
+    let out = Command::new(env!("CARGO_BIN_EXE_specmt"))
+        .arg("run")
+        .arg(&path)
+        .output()
+        .expect("specmt run runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!out.status.success(), "a spin loop must not run to its step budget");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("trace memory limit of 67108864 exceeded"),
+        "error must name the trace limit, got: {stderr}"
+    );
+}
