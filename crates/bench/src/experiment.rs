@@ -16,8 +16,9 @@ use std::sync::Arc;
 
 use specmt_exec::Task;
 use specmt_sim::{ConfigDelta, SimConfig, SimResult};
-use specmt_spawn::SchemeParams;
+use specmt_spawn::{SchemeParams, SpawnTable};
 use specmt_stats::{arithmetic_mean, harmonic_mean, Table};
+use specmt_store::StoreKey;
 
 use crate::{BenchCtx, Harness, HarnessError};
 
@@ -90,9 +91,8 @@ pub struct Variant {
     /// Spawning-scheme name, resolved through the selecting harness's
     /// registry.
     pub scheme: String,
-    /// Selection parameters for this column's tables; `None` uses the
-    /// selecting harness's [`Harness::params`].
-    pub params: Option<SchemeParams>,
+    /// Selection parameters for this column's tables.
+    pub params: SchemeParams,
     /// Deltas applied to the spec's base configuration, in order.
     pub deltas: Vec<ConfigDelta>,
     /// Benchmark-dependent deltas (e.g. the paper's compress-specific
@@ -112,7 +112,7 @@ impl Variant {
         Variant {
             label: label.into(),
             scheme: scheme.into(),
-            params: None,
+            params: SchemeParams::default(),
             deltas,
             per_bench: None,
             metric: Metric::Speedup,
@@ -132,10 +132,10 @@ impl Variant {
     }
 
     /// The same variant selecting its tables with `params` instead of the
-    /// harness's (selection-threshold sweeps). Each parameter set is
+    /// defaults (selection-threshold sweeps). Each parameter set is
     /// memoized and store-addressed under its own key.
     pub fn with_params(mut self, params: SchemeParams) -> Variant {
-        self.params = Some(params);
+        self.params = params;
         self
     }
 
@@ -195,9 +195,11 @@ impl ExperimentSpec {
     /// simulation, run as one batch on `simulate`'s executor with per-cell
     /// panic isolation: a panicking cell becomes a structured error
     /// instead of taking the sweep down, and results are bit-identical at
-    /// any `jobs` count. Spawn tables are resolved through `select`'s
-    /// registry before any simulation starts and shared via the
-    /// per-benchmark memo.
+    /// any `jobs` count. Spawn tables are resolved first, as one batch on
+    /// `select`'s executor through its registry: one cell per benchmark and
+    /// distinct (scheme, parameters) key, so variants that share a key
+    /// share one selection, and later specs reuse it via the per-benchmark
+    /// memo.
     ///
     /// # Errors
     ///
@@ -209,19 +211,16 @@ impl ExperimentSpec {
         select: &Harness,
         simulate: &Harness,
     ) -> Result<ExperimentGrid, HarnessError> {
+        let tables = self.select_tables(select)?;
         let mut tasks = Vec::with_capacity(simulate.benches.len() * self.variants.len());
-        for (selector, ctx) in select.benches.iter().zip(&simulate.benches) {
-            for variant in &self.variants {
-                let params = variant.params.as_ref().unwrap_or(&select.params);
-                let table = selector.table_for(&variant.scheme, &select.registry, params)?;
+        for (bench_tables, ctx) in tables.iter().zip(&simulate.benches) {
+            for (variant, table) in self.variants.iter().zip(bench_tables) {
                 let cfg = variant.config(&self.base, ctx.bench.name());
-                let ctx = Arc::clone(ctx);
-                let metric = variant.metric;
                 tasks.push(Task::new(
                     format!("{}/{}", ctx.bench.name(), variant.label),
                     move || -> Result<(f64, SimResult), HarnessError> {
-                        let r = ctx.sim(cfg, &table)?;
-                        let v = metric.measure(&ctx, &r)?;
+                        let r = ctx.sim(cfg, table)?;
+                        let v = variant.metric.measure(ctx, &r)?;
                         Ok((v, r))
                     },
                 ));
@@ -245,6 +244,46 @@ impl ExperimentSpec {
             means,
             mean: self.mean,
         })
+    }
+
+    /// Every benchmark's spawn table for every variant, `[bench][variant]`,
+    /// selected on `select`'s contexts as one batch with one cell per
+    /// benchmark and distinct (scheme, parameters) key.
+    fn select_tables(&self, select: &Harness) -> Result<Vec<Vec<Arc<SpawnTable>>>, HarnessError> {
+        // Each variant's index into the distinct keys, in first-use order.
+        let mut keys: Vec<(&str, &SchemeParams, StoreKey)> = Vec::new();
+        let key_of: Vec<usize> = self
+            .variants
+            .iter()
+            .map(|v| {
+                let digest = crate::params_digest(&v.params);
+                keys.iter()
+                    .position(|&(scheme, _, d)| scheme == v.scheme && d == digest)
+                    .unwrap_or_else(|| {
+                        keys.push((&v.scheme, &v.params, digest));
+                        keys.len() - 1
+                    })
+            })
+            .collect();
+        let registry = &select.registry;
+        let tasks = select
+            .benches
+            .iter()
+            .flat_map(|ctx| {
+                keys.iter().map(move |&(scheme, params, _)| {
+                    Task::new(format!("{}/select {scheme}", ctx.bench.name()), move || {
+                        ctx.table_for(scheme, registry, params)
+                    })
+                })
+            })
+            .collect();
+        let selected = crate::run_supervised(&select.executor(), tasks)?
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(selected
+            .chunks(keys.len().max(1))
+            .map(|bench| key_of.iter().map(|&k| Arc::clone(&bench[k])).collect())
+            .collect())
     }
 }
 
@@ -346,7 +385,6 @@ mod tests {
                 min_prob: 0.5,
                 ..specmt_spawn::ProfileConfig::default()
             },
-            ..SchemeParams::default()
         };
         let spec = ExperimentSpec::new(
             SimConfig::paper(4),
@@ -362,6 +400,69 @@ mod tests {
             assert_eq!(grid.results[1][i], r);
         }
         assert_ne!(grid.values[0], grid.values[1]);
+    }
+
+    /// Selection runs as a parallel batch with one call per benchmark and
+    /// distinct key, however many variants share that key.
+    #[test]
+    fn tables_are_selected_once_per_key_in_parallel() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+
+        use specmt_spawn::{SchemeError, SpawnScheme};
+        use specmt_trace::Trace;
+
+        /// Records `(trace address, selecting thread)` per call.
+        #[derive(Debug, Default)]
+        struct Counting(Arc<Mutex<Vec<(usize, ThreadId)>>>);
+
+        impl SpawnScheme for Counting {
+            fn name(&self) -> &str {
+                "counting"
+            }
+            fn describe(&self) -> String {
+                "records each selection, then sleeps".into()
+            }
+            fn select(&self, trace: &Trace, _: &SchemeParams) -> Result<SpawnTable, SchemeError> {
+                let at = trace as *const Trace as usize;
+                self.0
+                    .lock()
+                    .unwrap()
+                    .push((at, std::thread::current().id()));
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                Ok(SpawnTable::empty())
+            }
+        }
+
+        let mut h = Harness::load_at_with(Scale::Tiny, specmt_store::Store::disabled()).unwrap();
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        h.registry
+            .register(Box::new(Counting(Arc::clone(&calls))))
+            .unwrap();
+        h.exec.jobs = 4;
+        let spec = ExperimentSpec::new(
+            SimConfig::paper(4),
+            vec![
+                Variant::speedup("a", "counting", vec![]),
+                Variant::speedup("b", "counting", vec![]),
+            ],
+        );
+        spec.run(&h).unwrap();
+        let calls = calls.lock().unwrap();
+        let traces: HashSet<usize> = calls.iter().map(|&(t, _)| t).collect();
+        assert_eq!(calls.len(), h.benches.len(), "one selection per benchmark");
+        assert_eq!(
+            traces.len(),
+            h.benches.len(),
+            "each benchmark selected once"
+        );
+        let threads: HashSet<ThreadId> = calls.iter().map(|&(_, t)| t).collect();
+        assert!(
+            threads.len() >= 2,
+            "selection ran on {} thread(s)",
+            threads.len()
+        );
     }
 
     #[test]

@@ -41,8 +41,6 @@ fn removal(alone_cycles: u64, occurrences: u32) -> ConfigDelta {
     ConfigDelta::Removal(Some(RemovalPolicy {
         alone_cycles,
         occurrences,
-        reinstate_after: None,
-        max_companions: 0,
     }))
 }
 
@@ -844,8 +842,8 @@ pub fn crossinput(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     for (bi, (train, refc)) in h.benches.iter().zip(&reference.benches).enumerate() {
         let name = train.bench.name();
         // Memo hits: the grids above selected both tables.
-        let train_pairs = train.table_for("profile", &h.registry, &h.params)?;
-        let ref_pairs = refc.table_for("profile", &reference.registry, &reference.params)?;
+        let train_pairs = train.table_for("profile", &h.registry, &SchemeParams::default())?;
+        let ref_pairs = refc.table_for("profile", &reference.registry, &SchemeParams::default())?;
         let (with_train, with_self) = (cross.values[0][bi], selfp.values[0][bi]);
 
         // Structural overlap: (sp, cqip) pairs found by both profiles.

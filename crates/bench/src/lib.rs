@@ -377,15 +377,13 @@ fn store_label(name: &str, scale: Scale, input: InputSet) -> String {
 #[derive(Debug)]
 pub struct Harness {
     /// Per-benchmark contexts, in the paper's reporting order. `Arc`'d so
-    /// batch tasks, which are `'static` closures, can capture a context
-    /// without borrowing the harness.
+    /// a caller can hold a context independently of the harness (batch
+    /// tasks may also simply borrow one).
     pub benches: Vec<Arc<BenchCtx>>,
     /// The scale everything was generated at.
     pub scale: Scale,
     /// The spawning schemes experiments may reference by name.
     pub registry: SchemeRegistry,
-    /// Shared selection parameters for [`BenchCtx::table_for`].
-    pub params: SchemeParams,
     /// Pool width for the experiment grids the harness runs. Defaults to
     /// one thread per CPU; `specmt bench --jobs N` overrides it. Loading
     /// the suite in [`Harness::load_at_with`] always runs at the default
@@ -405,7 +403,7 @@ pub struct Harness {
 /// Returns [`HarnessError::Supervised`] naming the first panicked cell.
 pub fn run_supervised<T: Send>(
     exec: &Executor,
-    tasks: Vec<Task<T>>,
+    tasks: Vec<Task<'_, T>>,
 ) -> Result<Vec<T>, HarnessError> {
     let batch = exec.run_batch(tasks);
     let mut values = Vec::with_capacity(batch.values.len());
@@ -488,14 +486,13 @@ impl Harness {
             benches,
             scale,
             registry: SchemeRegistry::builtin(),
-            params: SchemeParams::default(),
             exec,
             store,
         })
     }
 
     /// The same suite on another input set, loaded as one batch through
-    /// this harness's store, at its scale, parameters and pool width, with
+    /// this harness's store, at its scale and pool width, with
     /// each context carrying its counterpart's observe flag. The
     /// cross-input figures select tables here and simulate them there
     /// (see [`ExperimentSpec::run_on`]). The new harness has the built-in
@@ -514,7 +511,6 @@ impl Harness {
             benches,
             scale: self.scale,
             registry: SchemeRegistry::builtin(),
-            params: self.params.clone(),
             exec: self.exec,
             store: Arc::clone(&self.store),
         })
@@ -582,8 +578,6 @@ pub fn standard_removal(bench_name: &str) -> RemovalPolicy {
     RemovalPolicy {
         alone_cycles: if bench_name == "compress" { 200 } else { 50 },
         occurrences: 8,
-        reinstate_after: None,
-        max_companions: 0,
     }
 }
 
@@ -689,7 +683,6 @@ mod tests {
                 min_prob: 0.5,
                 ..ProfileConfig::default()
             },
-            ..SchemeParams::default()
         };
         let mut changed = 0;
         for ctx in &h.benches {

@@ -11,7 +11,7 @@ use specmt_predict::ValuePredictorKind;
 use specmt_sim::{FaultPlan, RemovalPolicy, SimConfig};
 use specmt_spawn::{
     AdaptivePolicy,
-    HeuristicSet, MemSliceConfig, OrderCriterion, ProfileConfig, SchemeParams, SpawnTable,
+    HeuristicSet, OrderCriterion, ProfileConfig, SchemeParams, SpawnTable,
 };
 use specmt_store::{Fingerprint, StageKey};
 use specmt_workloads::Scale;
@@ -44,9 +44,6 @@ fn every_profile_config_field_is_keyed() {
         ProfileConfig { coverage: base.coverage / 2.0, ..base.clone() },
         ProfileConfig { criterion: OrderCriterion::Independent, ..base.clone() },
         ProfileConfig { criterion: OrderCriterion::Predictable, ..base.clone() },
-        ProfileConfig { include_return_pairs: !base.include_return_pairs, ..base.clone() },
-        ProfileConfig { dep_samples: base.dep_samples + 1, ..base.clone() },
-        ProfileConfig { max_score_window: base.max_score_window + 1, ..base.clone() },
     ];
     all_distinct("ProfileConfig", &variants);
 
@@ -94,24 +91,9 @@ fn every_sim_config_field_is_keyed() {
     variant!(min_observed_size = Some(32));
     variant!(observe = !base.observe);
     variant!(faults = Some(FaultPlan::with_seed(7)));
-    variant!(removal = Some(RemovalPolicy {
-        alone_cycles: 50,
-        occurrences: 1,
-        reinstate_after: None,
-        max_companions: 0,
-    }));
-    variant!(removal = Some(RemovalPolicy {
-        alone_cycles: 50,
-        occurrences: 1,
-        reinstate_after: Some(1000),
-        max_companions: 0,
-    }));
-    variant!(removal = Some(RemovalPolicy {
-        alone_cycles: 50,
-        occurrences: 1,
-        reinstate_after: None,
-        max_companions: 2,
-    }));
+    variant!(removal = Some(RemovalPolicy { alone_cycles: 50, occurrences: 1 }));
+    variant!(removal = Some(RemovalPolicy { alone_cycles: 51, occurrences: 1 }));
+    variant!(removal = Some(RemovalPolicy { alone_cycles: 50, occurrences: 2 }));
     for kind in [
         ValuePredictorKind::Perfect,
         ValuePredictorKind::LastValue,
@@ -157,39 +139,9 @@ fn scheme_params_and_identity_key_the_table_stage() {
     insert(&base, "builtin/profile");
     insert(&base, "builtin/heuristics");
     insert(&base, "builtin/memslice");
-    let memslice = MemSliceConfig::default();
-    insert(
-        &SchemeParams {
-            memslice: MemSliceConfig { target_size: memslice.target_size + 1.0, ..memslice },
-            ..base.clone()
-        },
-        "builtin/memslice",
-    );
-    insert(
-        &SchemeParams {
-            memslice: MemSliceConfig { tolerance: memslice.tolerance + 0.1, ..memslice },
-            ..base.clone()
-        },
-        "builtin/memslice",
-    );
-    insert(
-        &SchemeParams {
-            memslice: MemSliceConfig { min_prob: memslice.min_prob / 2.0, ..memslice },
-            ..base.clone()
-        },
-        "builtin/memslice",
-    );
-    insert(
-        &SchemeParams {
-            memslice: MemSliceConfig { min_occurrences: memslice.min_occurrences + 1, ..memslice },
-            ..base.clone()
-        },
-        "builtin/memslice",
-    );
     insert(
         &SchemeParams {
             profile: ProfileConfig { min_prob: 0.5, ..ProfileConfig::default() },
-            ..base
         },
         "builtin/profile",
     );

@@ -490,7 +490,7 @@ fn write_metrics(h: &Harness, mode: &str) -> Result<(), Box<dyn std::error::Erro
         "chrome" => {
             for ctx in &h.benches {
                 let mut log = specmt::obs::EventLog::new();
-                let table = ctx.table_for("profile", &h.registry, &h.params)?;
+                let table = ctx.table_for("profile", &h.registry, &SchemeParams::default())?;
                 ctx.bench
                     .run_observed(SimConfig::paper(16), &table, &mut log)?;
                 let path = dir.join(format!("trace_{}.json", ctx.bench.name()));

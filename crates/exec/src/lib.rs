@@ -13,7 +13,8 @@
 //!   [`ExecConfig::jobs`] threads inside `std::thread::scope` (the calling
 //!   thread is one of them). Threads claim cells in submission order from
 //!   an atomic next-cell index, and cell `i`'s value lands in slot `i`, so
-//!   batch results are bit-identical at any width.
+//!   batch results are bit-identical at any width. Because every thread
+//!   joins before the batch returns, a cell may borrow from its caller.
 //! * **Panic isolation.** Each cell runs inside `catch_unwind`. A panic
 //!   becomes [`CellOutcome::Panicked`] with the panic's message, the
 //!   cell's value slot stays `None`, and the batch still returns. The
@@ -49,19 +50,19 @@ impl ExecConfig {
     }
 }
 
-/// The closure one cell runs.
-type Run<T> = Box<dyn FnOnce() -> T + Send>;
+/// The closure one cell runs; it may borrow anything that outlives `'a`.
+type Run<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
 /// One unit of batch work: a label for the report plus the closure that
 /// computes the cell's value.
-pub struct Task<T> {
+pub struct Task<'a, T> {
     label: String,
-    run: Run<T>,
+    run: Run<'a, T>,
 }
 
-impl<T> Task<T> {
+impl<'a, T> Task<'a, T> {
     /// A task from its report label and closure.
-    pub fn new(label: impl Into<String>, run: impl FnOnce() -> T + Send + 'static) -> Task<T> {
+    pub fn new(label: impl Into<String>, run: impl FnOnce() -> T + Send + 'a) -> Task<'a, T> {
         Task {
             label: label.into(),
             run: Box::new(run),
@@ -69,7 +70,7 @@ impl<T> Task<T> {
     }
 }
 
-impl<T> std::fmt::Debug for Task<T> {
+impl<T> std::fmt::Debug for Task<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Task")
             .field("label", &self.label)
@@ -151,8 +152,8 @@ pub struct Executor {
 }
 
 /// A cell's slot: its closure until a thread claims it, then its result.
-enum Slot<T> {
-    Queued(Run<T>),
+enum Slot<'a, T> {
+    Queued(Run<'a, T>),
     Claimed,
     Done(Result<T, String>),
 }
@@ -166,9 +167,9 @@ impl Executor {
     /// Runs every cell and reports each one's outcome. Returns once all
     /// cells have ended; a panicking cell degrades into a `None` value with
     /// its message on record and never aborts the batch.
-    pub fn run_batch<T: Send>(&self, tasks: Vec<Task<T>>) -> BatchResult<T> {
+    pub fn run_batch<T: Send>(&self, tasks: Vec<Task<'_, T>>) -> BatchResult<T> {
         let threads = self.cfg.threads_for(tasks.len());
-        let (labels, slots): (Vec<String>, Vec<Mutex<Slot<T>>>) = tasks
+        let (labels, slots): (Vec<String>, Vec<Mutex<Slot<'_, T>>>) = tasks
             .into_iter()
             .map(|t| (t.label, Mutex::new(Slot::Queued(t.run))))
             .unzip();
@@ -234,7 +235,7 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 mod tests {
     use super::*;
 
-    fn square_tasks(n: usize) -> Vec<Task<u64>> {
+    fn square_tasks(n: usize) -> Vec<Task<'static, u64>> {
         (0..n as u64)
             .map(|i| Task::new(format!("sq{i}"), move || i * i))
             .collect()
@@ -257,7 +258,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_complete() {
-        let out = Executor::default().run_batch(Vec::<Task<u8>>::new());
+        let out = Executor::default().run_batch(Vec::<Task<'_, u8>>::new());
         assert!(out.values.is_empty());
         assert_eq!(out.report, BatchReport::default());
     }

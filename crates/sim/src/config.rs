@@ -41,6 +41,12 @@ impl Default for CacheConfig {
 /// The §4.2 dynamic spawning-pair removal mechanism: a pair is cancelled
 /// once its threads have executed *alone* for longer than a threshold, a
 /// configurable number of times.
+///
+/// A thread is alone from its init (and its predecessor's commit) until
+/// its first successor spawns, and removal is permanent. The two variants
+/// §4.2 mentions only in passing, reinstating removed pairs (footnote 1)
+/// and counting a thread as alone "with just a few threads", are not
+/// modelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RemovalPolicy {
     /// Cycles a thread must execute alone to count one occurrence
@@ -49,16 +55,6 @@ pub struct RemovalPolicy {
     /// Occurrences before the pair is removed (Figure 5b evaluates 1, 8 and
     /// 16; 1 removes on first sight).
     pub occurrences: u32,
-    /// Reinstate a removed pair after this many cycles (`None` = removal is
-    /// permanent). The paper's footnote 1 in §4.2 evaluates this variant
-    /// and reports "very small improvements"; it is provided for
-    /// experimentation.
-    pub reinstate_after: Option<u64>,
-    /// Count a thread as "alone" while at most this many companion threads
-    /// are active (0 = strictly alone, the default). §4.2 also evaluates
-    /// removal when a thread executes "with just a few threads instead of
-    /// just one" and reports a small average improvement.
-    pub max_companions: u32,
 }
 
 impl RemovalPolicy {
@@ -68,8 +64,6 @@ impl RemovalPolicy {
         RemovalPolicy {
             alone_cycles: 50,
             occurrences: 1,
-            reinstate_after: None,
-            max_companions: 0,
         }
     }
 
@@ -78,8 +72,6 @@ impl RemovalPolicy {
         RemovalPolicy {
             alone_cycles: 200,
             occurrences: 1,
-            reinstate_after: None,
-            max_companions: 0,
         }
     }
 }
@@ -156,8 +148,6 @@ impl Fingerprint for RemovalPolicy {
         h.struct_tag("RemovalPolicy");
         h.u64(self.alone_cycles);
         h.u64(u64::from(self.occurrences));
-        self.reinstate_after.fingerprint(h);
-        h.u64(u64::from(self.max_companions));
     }
 }
 

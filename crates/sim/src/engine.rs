@@ -86,8 +86,6 @@ struct PairArena {
     /// Sorted, deduplicated `(sp, cqip)` keys: the interning table.
     keys: Vec<(u32, u32)>,
     removed: Vec<bool>,
-    /// Cycle of the most recent removal (for reinstatement).
-    removed_at: Vec<u64>,
     alone_count: Vec<u32>,
     size_samples: Vec<u32>,
     size_sum: Vec<u64>,
@@ -104,7 +102,6 @@ impl PairArena {
         PairArena {
             keys,
             removed: vec![false; n],
-            removed_at: vec![0; n],
             alone_count: vec![0; n],
             size_samples: vec![0; n],
             size_sum: vec![0; n],
@@ -354,8 +351,8 @@ struct Engine<'a, 's> {
     tu_free_count: usize,
     tu_min_free: u64,
     /// Whether that two-compare decline is exact: fault injection draws
-    /// RNG per attempt and pair reinstatement can mutate state on any
-    /// attempt, so either disables the shortcut.
+    /// RNG per attempt and the adaptive gates emit and count their own
+    /// declines, so either disables the shortcut.
     fast_decline: bool,
     /// Next-free cycle per issue port: unit `u`'s ports are
     /// `ports[u * issue_width..][..issue_width]`.
@@ -399,8 +396,6 @@ struct Engine<'a, 's> {
     /// values are present but unreadable.
     live_in_vals: [u64; specmt_isa::NUM_REGS],
     live_in_valid: u64,
-    /// Successor spawn times, collected per retire by the removal policy.
-    succ_spawns: Vec<u64>,
     /// Buffered store-touch addresses, flushed to the unit's cache as a
     /// run before the next load and at window end.
     touch_run: Vec<u64>,
@@ -583,9 +578,7 @@ impl<'a, 's> Engine<'a, 's> {
             },
             tu_free_count: n_tus,
             tu_min_free: 0,
-            fast_decline: faults.is_none()
-                && cfg.removal.and_then(|p| p.reinstate_after).is_none()
-                && !adaptive.is_active(),
+            fast_decline: faults.is_none() && !adaptive.is_active(),
             ports: vec![0; n_tus * cfg.issue_width],
             fu_free: vec![0; n_tus * fu_total],
             fu_offset,
@@ -606,7 +599,6 @@ impl<'a, 's> Engine<'a, 's> {
             doomed: Vec::new(),
             live_in_vals: [0; specmt_isa::NUM_REGS],
             live_in_valid: 0,
-            succ_spawns: Vec::new(),
             touch_run: Vec::new(),
             faults,
             result: SimResult::default(),
@@ -1355,26 +1347,16 @@ impl<'a, 's> Engine<'a, 's> {
             }
             return None;
         }
-        let reinstate_period = self.cfg.removal.and_then(|p| p.reinstate_after);
         let c0 = self.cand_offsets[pc as usize] as usize;
         let c1 = self.cand_offsets[pc as usize + 1] as usize;
         for ci in c0..c1 {
             let pid = self.cand_pair[ci] as usize;
-            // One arena read serves both the removal check and the
-            // footnote-1 reinstatement (a removed pair may cool off and
-            // come back).
             if self.pairs.removed[pid] {
-                let reinstated = reinstate_period
-                    .is_some_and(|period| f.saturating_sub(self.pairs.removed_at[pid]) >= period);
-                if reinstated {
-                    self.pairs.removed[pid] = false;
-                    self.pairs.alone_count[pid] = 0;
-                } else if self.cfg.reassign {
+                if self.cfg.reassign {
                     continue;
-                } else {
-                    self.result.spawns_declined += 1;
-                    return None;
                 }
+                self.result.spawns_declined += 1;
+                return None;
             }
             // Scoreboard demotion: a runtime blacklist fed by squashes,
             // consulted like removal but permanent and with its own
@@ -1550,9 +1532,6 @@ impl<'a, 's> Engine<'a, 's> {
         }
         if let Some(i) = worst {
             self.pairs.removed[i] = true;
-            // Minimum-size removals are structural; keep them permanent by
-            // pushing the reinstatement clock far out.
-            self.pairs.removed_at[i] = u64::MAX / 2;
             self.result.pairs_removed += 1;
             self.pairs.size_samples.fill(0);
             self.pairs.size_sum.fill(0);
@@ -1588,7 +1567,6 @@ impl<'a, 's> Engine<'a, 's> {
         let forced_removal = self.faults.as_mut().is_some_and(FaultInjector::roll_remove_pair);
         if forced_removal && !self.pairs.removed[pid] {
             self.pairs.removed[pid] = true;
-            self.pairs.removed_at[pid] = exec_done;
             self.result.pairs_removed += 1;
             self.result.fault_forced_removals += 1;
             if self.observing {
@@ -1619,19 +1597,12 @@ impl<'a, 's> Engine<'a, 's> {
             // still running mean it is not alone) until its first successor
             // spawned.
             let alone_start = t.init_done.max(pred_commit);
-            // "Alone" ends when enough successors have spawned: the first
-            // for the strict policy, the (max_companions+1)-th for the
-            // few-threads variant the paper also evaluates.
-            self.succ_spawns.clear();
-            self.succ_spawns.extend(self.chain.iter().map(|c| c.spawn_time));
-            self.succ_spawns.extend(doomed.iter().map(|d| d.spawn_time));
-            self.succ_spawns.sort_unstable();
-            let alone_until = self
-                .succ_spawns
-                .get(policy.max_companions as usize)
-                .copied()
-                .unwrap_or(exec_done);
-            let alone_end = alone_until.min(exec_done);
+            let alone_end = self
+                .chain
+                .iter()
+                .map(|c| c.spawn_time)
+                .chain(doomed.iter().map(|d| d.spawn_time))
+                .fold(exec_done, u64::min);
             if alone_end > alone_start
                 && alone_end - alone_start > policy.alone_cycles
                 && !self.pairs.removed[pid]
@@ -1639,7 +1610,6 @@ impl<'a, 's> Engine<'a, 's> {
                 self.pairs.alone_count[pid] += 1;
                 if self.pairs.alone_count[pid] >= policy.occurrences {
                     self.pairs.removed[pid] = true;
-                    self.pairs.removed_at[pid] = alone_end;
                     self.result.pairs_removed += 1;
                 }
             }
@@ -1839,8 +1809,6 @@ mod tests {
             .with_removal(crate::RemovalPolicy {
                 alone_cycles: 10,
                 occurrences: 1,
-                reinstate_after: None,
-                max_companions: 0,
             });
         let r = Simulator::with_table(&trace, cfg, &table).run().expect("simulation");
         assert!(r.pairs_removed >= 1, "pair should be removed: {r:?}");
@@ -1895,34 +1863,6 @@ mod tests {
         assert!(wide < 260, "wide run not FU-bound: {wide}");
         // And at fetch width 1, IPC cannot exceed 1.
         assert!(narrow as usize >= trace.len());
-    }
-
-    /// The few-threads removal variant is strictly more trigger-happy than
-    /// the strictly-alone policy: it can only remove at least as many
-    /// pairs.
-    #[test]
-    fn few_threads_removal_is_at_least_as_aggressive() {
-        let trace = independent_loop(300);
-        let table = SpawnTable::from_pairs(vec![pair(3, 3), pair(3, 41)]);
-        let base = crate::RemovalPolicy {
-            alone_cycles: 5,
-            occurrences: 1,
-            reinstate_after: None,
-            max_companions: 0,
-        };
-        let strict =
-            Simulator::with_table(&trace, SimConfig::paper(8).with_removal(base), &table).run().expect("simulation");
-        let few = Simulator::with_table(
-            &trace,
-            SimConfig::paper(8).with_removal(crate::RemovalPolicy {
-                max_companions: 3,
-                ..base
-            }),
-            &table,
-        )
-        .run().expect("simulation");
-        assert!(few.pairs_removed >= strict.pairs_removed);
-        assert_eq!(few.committed_instructions, trace.len() as u64);
     }
 
     /// §4.1's 64 physical registers are a real constraint: shrinking the
@@ -2042,40 +1982,6 @@ mod tests {
         // Sparse: every access misses (4 KiB stride cycles few sets).
         assert!(sparse.cache_misses > dense.cache_misses * 3);
         assert!(sparse.cycles > dense.cycles);
-    }
-
-    /// The footnote-1 reinstatement variant: a removed pair comes back
-    /// after its cooling period, so more spawns happen than with permanent
-    /// removal.
-    #[test]
-    fn reinstatement_revives_removed_pairs() {
-        let trace = independent_loop(400);
-        let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let removal = crate::RemovalPolicy {
-            alone_cycles: 1, // hair-trigger: remove almost immediately
-            occurrences: 1,
-            reinstate_after: None,
-            max_companions: 0,
-        };
-        let permanent =
-            Simulator::with_table(&trace, SimConfig::paper(4).with_removal(removal), &table).run().expect("simulation");
-        let reinstated = Simulator::with_table(
-            &trace,
-            SimConfig::paper(4).with_removal(crate::RemovalPolicy {
-                reinstate_after: Some(100),
-                ..removal
-            }),
-            &table,
-        )
-        .run().expect("simulation");
-        assert!(permanent.pairs_removed >= 1);
-        assert!(
-            reinstated.threads_spawned > permanent.threads_spawned,
-            "reinstated {} <= permanent {}",
-            reinstated.threads_spawned,
-            permanent.threads_spawned
-        );
-        assert_eq!(reinstated.committed_instructions, trace.len() as u64);
     }
 
     /// Thread lifetimes can never start before their spawner's init and the

@@ -71,7 +71,7 @@ pub use adaptive::{
     DEFAULT_CONFIDENCE_THRESHOLD, DEFAULT_DEMOTE_THRESHOLD,
 };
 pub use heuristics::{heuristic_pairs, HeuristicSet};
-pub use memslice::{memslice_pairs, MemSliceConfig};
+pub use memslice::memslice_pairs;
 pub use pair::{PairOrigin, SpawnPair, SpawnTable};
 pub use profile::{profile_pairs, OrderCriterion, ProfileConfig, ProfileResult};
 pub use returns::{return_pairs, ReturnPairStats};

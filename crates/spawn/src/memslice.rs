@@ -5,92 +5,73 @@
 //!
 //! Implemented here as a comparison baseline: the profile is scanned for
 //! memory instructions whose dynamic recurrence interval is close to a
-//! target slice size; each becomes a self-pair (SP = CQIP = the memory
-//! instruction), so the dynamic stream is sliced into roughly equal-size
-//! threads anchored at memory operations.
+//! target slice size of 64 instructions (within a factor of 2, so 32–128);
+//! each becomes a self-pair (SP = CQIP = the memory instruction), so the
+//! dynamic stream is sliced into roughly equal-size threads anchored at
+//! memory operations.
 
 use std::collections::HashMap;
 
 use specmt_isa::Pc;
-use specmt_store::{Fingerprint, FingerprintHasher};
 use specmt_trace::Trace;
 
 use crate::{PairOrigin, SpawnPair, SpawnTable};
 
-/// Configuration for [`memslice_pairs`].
-#[derive(Debug, Clone, Copy)]
-pub struct MemSliceConfig {
-    /// Desired thread size in instructions (the original work targets
-    /// near-fixed-size slices).
-    pub target_size: f64,
-    /// Tolerated deviation factor: recurrence intervals within
-    /// `[target/f, target*f]` qualify.
-    pub tolerance: f64,
-    /// Minimum recurrence probability (occurrences-1 over occurrences).
-    pub min_prob: f64,
-    /// Minimum dynamic occurrences for a site to be considered.
-    pub min_occurrences: u64,
-}
-
-impl Default for MemSliceConfig {
-    fn default() -> MemSliceConfig {
-        MemSliceConfig {
-            target_size: 64.0,
-            tolerance: 2.0,
-            min_prob: 0.95,
-            min_occurrences: 16,
-        }
-    }
-}
-
-impl Fingerprint for MemSliceConfig {
-    fn fingerprint(&self, h: &mut FingerprintHasher) {
-        h.struct_tag("MemSliceConfig");
-        h.f64(self.target_size);
-        h.f64(self.tolerance);
-        h.f64(self.min_prob);
-        h.u64(self.min_occurrences);
-    }
-}
+/// Desired thread size in instructions (the original work targets
+/// near-fixed-size slices).
+const TARGET_SIZE: f64 = 64.0;
+/// Tolerated deviation factor: recurrence intervals within
+/// `[TARGET_SIZE / TOLERANCE, TARGET_SIZE * TOLERANCE]` qualify.
+const TOLERANCE: f64 = 2.0;
+/// Minimum recurrence probability (occurrences-1 over occurrences).
+const MIN_PROB: f64 = 0.95;
+/// Minimum dynamic occurrences for a site to be considered.
+const MIN_OCCURRENCES: u64 = 16;
 
 /// Mines MEM-slicing spawning pairs from a profile trace.
 ///
 /// Every static memory instruction's dynamic occurrences are collected; a
-/// site qualifies if it recurs reliably (probability and occurrence
-/// thresholds) with a mean interval near the target slice size. Qualifying
-/// sites become self-pairs scored by closeness to the target, so when
-/// several sites compete for one spawning point the best-sized slice wins.
+/// site qualifies if it recurs reliably (at least 16 occurrences, recurrence
+/// probability at least 0.95) with a mean interval of 32–128 instructions.
+/// Qualifying sites become self-pairs scored by closeness to the 64-
+/// instruction target, so when several sites compete for one spawning point
+/// the best-sized slice wins.
 ///
 /// # Examples
 ///
 /// ```
 /// use specmt_isa::{ProgramBuilder, Reg};
 /// use specmt_trace::Trace;
-/// use specmt_spawn::{memslice_pairs, MemSliceConfig};
+/// use specmt_spawn::memslice_pairs;
 ///
-/// // A loop with one store per 43-instruction iteration.
-/// let mut b = ProgramBuilder::new();
-/// let top = b.fresh_label("top");
-/// b.li(Reg::R14, 0x10000);
-/// b.li(Reg::R1, 0);
-/// b.li(Reg::R2, 100);
-/// b.bind(top);
-/// for _ in 0..20 {
-///     b.addi(Reg::R3, Reg::R3, 1);
-/// }
-/// b.shli(Reg::R4, Reg::R1, 3);
-/// b.add(Reg::R4, Reg::R14, Reg::R4);
-/// b.st(Reg::R3, Reg::R4, 0);
-/// b.addi(Reg::R1, Reg::R1, 1);
-/// b.blt(Reg::R1, Reg::R2, top);
-/// b.halt();
-/// let trace = Trace::generate(b.build()?, 100_000)?;
+/// // A loop with one store per `pad + 5`-instruction iteration.
+/// let sliced_loop = |pad: usize| -> Result<Trace, Box<dyn std::error::Error>> {
+///     let mut b = ProgramBuilder::new();
+///     let top = b.fresh_label("top");
+///     b.li(Reg::R14, 0x10000);
+///     b.li(Reg::R1, 0);
+///     b.li(Reg::R2, 100);
+///     b.bind(top);
+///     for _ in 0..pad {
+///         b.addi(Reg::R3, Reg::R3, 1);
+///     }
+///     b.shli(Reg::R4, Reg::R1, 3);
+///     b.add(Reg::R4, Reg::R14, Reg::R4);
+///     b.st(Reg::R3, Reg::R4, 0);
+///     b.addi(Reg::R1, Reg::R1, 1);
+///     b.blt(Reg::R1, Reg::R2, top);
+///     b.halt();
+///     Ok(Trace::generate(b.build()?, 100_000)?)
+/// };
 ///
-/// let table = memslice_pairs(&trace, &MemSliceConfig { target_size: 25.0, ..Default::default() });
-/// assert_eq!(table.num_pairs(), 1); // the store slices the stream
+/// // 45-instruction iterations fall inside the 32–128 window: the store
+/// // slices the stream.
+/// assert_eq!(memslice_pairs(&sliced_loop(40)?).num_pairs(), 1);
+/// // 20-instruction iterations are too small to be worth a thread.
+/// assert!(memslice_pairs(&sliced_loop(15)?).is_empty());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn memslice_pairs(trace: &Trace, config: &MemSliceConfig) -> SpawnTable {
+pub fn memslice_pairs(trace: &Trace) -> SpawnTable {
     // Per memory pc: (occurrences, first dynamic index, last dynamic index).
     let mut sites: HashMap<u32, (u64, u64, u64)> = HashMap::new();
     for (k, &pc) in trace.pcs().iter().enumerate() {
@@ -101,16 +82,16 @@ pub fn memslice_pairs(trace: &Trace, config: &MemSliceConfig) -> SpawnTable {
         }
     }
 
-    let lo = config.target_size / config.tolerance;
-    let hi = config.target_size * config.tolerance;
+    let lo = TARGET_SIZE / TOLERANCE;
+    let hi = TARGET_SIZE * TOLERANCE;
     let pairs = sites
         .into_iter()
         .filter_map(|(pc, (n, first, last))| {
-            if n < config.min_occurrences.max(2) {
+            if n < MIN_OCCURRENCES {
                 return None;
             }
             let prob = (n - 1) as f64 / n as f64;
-            if prob < config.min_prob {
+            if prob < MIN_PROB {
                 return None;
             }
             let interval = (last - first) as f64 / (n - 1) as f64;
@@ -123,7 +104,7 @@ pub fn memslice_pairs(trace: &Trace, config: &MemSliceConfig) -> SpawnTable {
                 prob,
                 avg_dist: interval,
                 // Closest to the target slice size ranks first.
-                score: 1.0 / (1.0 + (interval - config.target_size).abs()),
+                score: 1.0 / (1.0 + (interval - TARGET_SIZE).abs()),
                 origin: PairOrigin::MemSlice,
             })
         })
@@ -158,48 +139,46 @@ mod tests {
 
     #[test]
     fn selects_sites_near_the_target_size() {
-        let trace = looped_mem_trace(200, 40); // ~46 instructions/iteration
-        let table = memslice_pairs(
-            &trace,
-            &MemSliceConfig {
-                target_size: 46.0,
-                tolerance: 1.2,
-                ..MemSliceConfig::default()
-            },
-        );
-        // Both the store and the load recur every iteration within
-        // tolerance; each is its own spawning point.
-        assert_eq!(table.num_pairs(), 2);
-        for p in table.iter() {
-            assert_eq!(p.origin, PairOrigin::MemSlice);
-            assert_eq!(p.sp, p.cqip);
-            assert!((p.avg_dist - 46.0).abs() < 2.0, "interval {}", p.avg_dist);
+        // ~46 and ~126 instructions per iteration: both inside 32-128.
+        for (pad, interval) in [(40, 46.0), (120, 126.0)] {
+            let trace = looped_mem_trace(200, pad);
+            let table = memslice_pairs(&trace);
+            // Both the store and the load recur every iteration within
+            // tolerance; each is its own spawning point.
+            assert_eq!(table.num_pairs(), 2, "pad {pad}");
+            for p in table.iter() {
+                assert_eq!(p.origin, PairOrigin::MemSlice);
+                assert_eq!(p.sp, p.cqip);
+                assert!(
+                    (p.avg_dist - interval).abs() < 2.0,
+                    "interval {}",
+                    p.avg_dist
+                );
+            }
         }
+        // The site closer to the 64-instruction target scores higher.
+        let score = |pad| {
+            memslice_pairs(&looped_mem_trace(200, pad))
+                .iter()
+                .next()
+                .unwrap()
+                .score
+        };
+        assert!(score(60) > score(40));
+        assert!(score(60) > score(120));
     }
 
     #[test]
     fn rejects_wrong_sized_and_rare_sites() {
-        let trace = looped_mem_trace(200, 40);
-        // Target far away from the actual 46-instruction interval.
-        let none = memslice_pairs(
-            &trace,
-            &MemSliceConfig {
-                target_size: 500.0,
-                tolerance: 2.0,
-                ..MemSliceConfig::default()
-            },
-        );
-        assert!(none.is_empty());
-        // Occurrence floor above the loop trip count.
-        let rare = memslice_pairs(
-            &trace,
-            &MemSliceConfig {
-                target_size: 46.0,
-                min_occurrences: 1_000,
-                ..MemSliceConfig::default()
-            },
-        );
-        assert!(rare.is_empty());
+        // ~21 instructions per iteration: below the 32-instruction floor.
+        assert!(memslice_pairs(&looped_mem_trace(200, 15)).is_empty());
+        // ~136 instructions per iteration: above the 128-instruction cap.
+        assert!(memslice_pairs(&looped_mem_trace(200, 130)).is_empty());
+        // Rare sites: 10 trips miss both the 16-occurrence floor and the
+        // 0.95 recurrence probability (which needs at least 20 trips).
+        assert!(memslice_pairs(&looped_mem_trace(10, 40)).is_empty());
+        assert!(memslice_pairs(&looped_mem_trace(19, 40)).is_empty());
+        assert!(!memslice_pairs(&looped_mem_trace(20, 40)).is_empty());
     }
 
     #[test]
@@ -208,7 +187,7 @@ mod tests {
         // it. (The simulator lives downstream; see the bench crate's
         // ablations for the policy comparison.)
         let trace = looped_mem_trace(300, 40);
-        let table = memslice_pairs(&trace, &MemSliceConfig::default());
+        let table = memslice_pairs(&trace);
         assert!(!table.is_empty());
     }
 }

@@ -26,7 +26,8 @@ pub enum OrderCriterion {
 
 /// Configuration of the profile-based selector. [`Default`] matches the
 /// paper's evaluation: probability ≥ 0.95, distance ≥ 32 instructions,
-/// 90 % CFG coverage, max-distance ordering, return pairs included.
+/// 90 % CFG coverage, max-distance ordering. Call→return-point pairs are
+/// always added (§3.1's final step).
 #[derive(Debug, Clone)]
 pub struct ProfileConfig {
     /// Minimum reaching probability for a candidate pair.
@@ -44,13 +45,6 @@ pub struct ProfileConfig {
     pub coverage: f64,
     /// CQIP ranking criterion.
     pub criterion: OrderCriterion,
-    /// Whether to inject call→return-point pairs (§3.1's final step).
-    pub include_return_pairs: bool,
-    /// Occurrences sampled per pair when scoring the `Independent` /
-    /// `Predictable` criteria.
-    pub dep_samples: usize,
-    /// Cap on the dependence-analysis window per sample, in instructions.
-    pub max_score_window: usize,
 }
 
 impl Default for ProfileConfig {
@@ -61,9 +55,6 @@ impl Default for ProfileConfig {
             max_distance: Some(300.0),
             coverage: 0.9,
             criterion: OrderCriterion::MaxDistance,
-            include_return_pairs: true,
-            dep_samples: 4,
-            max_score_window: 2048,
         }
     }
 }
@@ -86,16 +77,13 @@ impl Fingerprint for ProfileConfig {
         self.max_distance.fingerprint(h);
         h.f64(self.coverage);
         self.criterion.fingerprint(h);
-        h.bool(self.include_return_pairs);
-        h.u64(self.dep_samples as u64);
-        h.u64(self.max_score_window as u64);
     }
 }
 
 /// Output of [`profile_pairs`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileResult {
-    /// The spawn table (profile pairs plus, if enabled, return pairs).
+    /// The spawn table (profile pairs plus return pairs).
     pub table: SpawnTable,
     /// Number of basic-block pairs passing the probability and distance
     /// thresholds (Figure 2's "total pairs").
@@ -160,7 +148,7 @@ pub fn profile_pairs(trace: &Trace, config: &ProfileConfig) -> ProfileResult {
             })
             .collect(),
         OrderCriterion::Independent | OrderCriterion::Predictable => {
-            let scorer = DepScorer::new(trace, &bbs, &stream, config);
+            let scorer = DepScorer::new(trace, &bbs, &stream);
             candidates
                 .iter()
                 .map(|c| {
@@ -182,10 +170,8 @@ pub fn profile_pairs(trace: &Trace, config: &ProfileConfig) -> ProfileResult {
         }
     };
 
-    if config.include_return_pairs {
-        let (ret_pairs, _) = return_pairs(trace, config.min_distance);
-        pairs.extend(ret_pairs);
-    }
+    let (ret_pairs, _) = return_pairs(trace, config.min_distance);
+    pairs.extend(ret_pairs);
 
     ProfileResult {
         table: SpawnTable::from_pairs(pairs),
@@ -205,30 +191,26 @@ struct DepScorer<'a> {
     occ: Vec<Vec<u32>>,
     /// `first_dyn` per event.
     event_dyn: Vec<u32>,
-    samples: usize,
-    max_window: usize,
 }
 
 impl std::fmt::Debug for DepScorer<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DepScorer")
-            .field("samples", &self.samples)
-            .field("max_window", &self.max_window)
-            .finish()
+        f.debug_struct("DepScorer").finish_non_exhaustive()
     }
 }
+
+/// Occurrences sampled per pair when scoring the `Independent` /
+/// `Predictable` criteria.
+const DEP_SAMPLES: usize = 4;
+/// Cap on the dependence-analysis window per sample, in instructions.
+const MAX_SCORE_WINDOW: usize = 2048;
 
 /// Dependence mask bit marking a load of memory written inside the spawn
 /// region (never predictable: the paper does not predict memory values).
 const MEM_BIT: u64 = 1 << 32;
 
 impl<'a> DepScorer<'a> {
-    fn new(
-        trace: &'a Trace,
-        bbs: &BasicBlocks,
-        stream: &BlockStream,
-        config: &ProfileConfig,
-    ) -> DepScorer<'a> {
+    fn new(trace: &'a Trace, bbs: &BasicBlocks, stream: &BlockStream) -> DepScorer<'a> {
         let mut occ = vec![Vec::new(); bbs.num_blocks()];
         let mut event_dyn = Vec::with_capacity(stream.events().len());
         for (e, ev) in stream.events().iter().enumerate() {
@@ -240,8 +222,6 @@ impl<'a> DepScorer<'a> {
             deps: DepGraph::build(trace),
             occ,
             event_dyn,
-            samples: config.dep_samples.max(1),
-            max_window: config.max_score_window.max(16),
         }
     }
 
@@ -255,9 +235,9 @@ impl<'a> DepScorer<'a> {
         }
         let cqip_occ = &self.occ[cqip_block as usize];
         // Evenly-spaced sample of SP occurrences.
-        let stride = (sp_occ.len() / self.samples).max(1);
+        let stride = (sp_occ.len() / DEP_SAMPLES).max(1);
         let mut windows: Vec<SampleWindow> = Vec::new();
-        for &e_i in sp_occ.iter().step_by(stride).take(self.samples) {
+        for &e_i in sp_occ.iter().step_by(stride).take(DEP_SAMPLES) {
             // Window closes at the next SP occurrence.
             let next_i = match sp_occ.binary_search(&(e_i + 1)) {
                 Ok(p) | Err(p) => sp_occ.get(p).copied().unwrap_or(u32::MAX),
@@ -276,7 +256,7 @@ impl<'a> DepScorer<'a> {
             let sp_dyn = self.event_dyn[e_i as usize] as usize;
             let cqip_dyn = self.event_dyn[e_j as usize] as usize;
             let dist = cqip_dyn - sp_dyn;
-            let end = (cqip_dyn + dist.min(self.max_window)).min(self.trace.len());
+            let end = (cqip_dyn + dist.min(MAX_SCORE_WINDOW)).min(self.trace.len());
             windows.push(self.analyse_window(sp_dyn, cqip_dyn, end));
         }
         if windows.is_empty() {
@@ -565,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn return_pairs_can_be_disabled() {
+    fn return_pairs_are_included() {
         let mut b = ProgramBuilder::new();
         let top = b.fresh_label("top");
         b.li(Reg::R1, 0);
@@ -582,20 +562,7 @@ mod tests {
         b.ret();
         b.end_func();
         let trace = Trace::generate(b.build().unwrap(), 100_000).unwrap();
-        let with = profile_pairs(&trace, &ProfileConfig::default());
-        let without = profile_pairs(
-            &trace,
-            &ProfileConfig {
-                include_return_pairs: false,
-                ..ProfileConfig::default()
-            },
-        );
-        let count = |t: &SpawnTable| {
-            t.iter()
-                .filter(|p| p.origin == PairOrigin::ReturnPair)
-                .count()
-        };
-        assert!(count(&with.table) >= 1);
-        assert_eq!(count(&without.table), 0);
+        let table = profile_pairs(&trace, &ProfileConfig::default()).table;
+        assert!(table.iter().any(|p| p.origin == PairOrigin::ReturnPair));
     }
 }

@@ -65,30 +65,27 @@ use crate::adaptive::{
     ConfGatedScheme, ScoreboardScheme, DEFAULT_CONFIDENCE_THRESHOLD, DEFAULT_DEMOTE_THRESHOLD,
 };
 use crate::{
-    heuristic_pairs, memslice_pairs, profile_pairs, return_pairs, HeuristicSet, MemSliceConfig,
-    OrderCriterion, ProfileConfig, SpawnTable,
+    heuristic_pairs, memslice_pairs, profile_pairs, return_pairs, HeuristicSet, OrderCriterion,
+    ProfileConfig, SpawnTable,
 };
 
 /// Parameters shared by every scheme's [`SpawnScheme::select`] call.
 ///
 /// A scheme reads only the fields it understands: the profile family uses
 /// [`ProfileConfig`] (each criterion variant overrides its `criterion`
-/// field), MEM-slicing uses [`MemSliceConfig`], and the return-pair scheme
-/// reuses the profile minimum distance as its size constraint. Custom
-/// schemes may interpret the fields however they like.
+/// field), the return-pair scheme reuses the profile minimum distance as
+/// its size constraint, and MEM-slicing and the heuristics take no
+/// parameters. Custom schemes may interpret the fields however they like.
 #[derive(Debug, Clone, Default)]
 pub struct SchemeParams {
     /// Configuration of the profile-based family (§3.1).
     pub profile: ProfileConfig,
-    /// Configuration of the MEM-slicing baseline.
-    pub memslice: MemSliceConfig,
 }
 
 impl Fingerprint for SchemeParams {
     fn fingerprint(&self, h: &mut FingerprintHasher) {
         h.struct_tag("SchemeParams");
         self.profile.fingerprint(h);
-        self.memslice.fingerprint(h);
     }
 }
 
@@ -249,8 +246,8 @@ impl SpawnScheme for MemSliceScheme {
         "MEM-slicing: recurring memory instructions anchor fixed-size slices".into()
     }
 
-    fn select(&self, trace: &Trace, params: &SchemeParams) -> Result<SpawnTable, SchemeError> {
-        Ok(memslice_pairs(trace, &params.memslice))
+    fn select(&self, trace: &Trace, _: &SchemeParams) -> Result<SpawnTable, SchemeError> {
+        Ok(memslice_pairs(trace))
     }
 
     fn cache_identity(&self) -> Option<String> {
@@ -506,7 +503,7 @@ mod tests {
         assert_eq!(via_registry, direct);
 
         let via_registry = r.select("memslice", &trace, &params).unwrap();
-        let direct = memslice_pairs(&trace, &MemSliceConfig::default());
+        let direct = memslice_pairs(&trace);
         assert_eq!(via_registry, direct);
 
         let via_registry = r.select("return-pairs", &trace, &params).unwrap();
@@ -522,10 +519,8 @@ mod tests {
         let strict = SchemeParams {
             profile: ProfileConfig {
                 min_prob: 0.999_999,
-                include_return_pairs: false,
                 ..ProfileConfig::default()
             },
-            ..SchemeParams::default()
         };
         let lax = SchemeParams::default();
         let t_strict = r.select("profile", &trace, &strict).unwrap();

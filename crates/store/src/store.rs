@@ -97,44 +97,10 @@ impl Namespace {
         )
     }
 
-    fn hits_counter(self) -> &'static str {
-        match self {
-            Namespace::Trace => "store_trace_hits",
-            Namespace::Profile => "store_profile_hits",
-            Namespace::SpawnTable => "store_spawn_table_hits",
-            Namespace::Analysis => "store_analysis_hits",
-            Namespace::SimResult => "store_simresult_hits",
-        }
-    }
-
-    fn misses_counter(self) -> &'static str {
-        match self {
-            Namespace::Trace => "store_trace_misses",
-            Namespace::Profile => "store_profile_misses",
-            Namespace::SpawnTable => "store_spawn_table_misses",
-            Namespace::Analysis => "store_analysis_misses",
-            Namespace::SimResult => "store_simresult_misses",
-        }
-    }
-
-    fn stores_counter(self) -> &'static str {
-        match self {
-            Namespace::Trace => "store_trace_stores",
-            Namespace::Profile => "store_profile_stores",
-            Namespace::SpawnTable => "store_spawn_table_stores",
-            Namespace::Analysis => "store_analysis_stores",
-            Namespace::SimResult => "store_simresult_stores",
-        }
-    }
-
-    fn invalidations_counter(self) -> &'static str {
-        match self {
-            Namespace::Trace => "store_trace_invalidations",
-            Namespace::Profile => "store_profile_invalidations",
-            Namespace::SpawnTable => "store_spawn_table_invalidations",
-            Namespace::Analysis => "store_analysis_invalidations",
-            Namespace::SimResult => "store_simresult_invalidations",
-        }
+    /// The metrics counter name for one of this namespace's counter
+    /// kinds: `store_<dir name, '-' as '_'>_<kind>`.
+    fn counter_name(self, kind: &str) -> String {
+        format!("store_{}_{kind}", self.dir_name().replace('-', "_"))
     }
 }
 
@@ -521,14 +487,14 @@ impl Store {
         let mut counters = Vec::new();
         for ns in NAMESPACES {
             let i = ns_index(ns);
-            for (name, cell) in [
-                (ns.hits_counter(), &self.counters.hits[i]),
-                (ns.misses_counter(), &self.counters.misses[i]),
-                (ns.stores_counter(), &self.counters.stores[i]),
-                (ns.invalidations_counter(), &self.counters.invalidations[i]),
+            for (kind, cell) in [
+                ("hits", &self.counters.hits[i]),
+                ("misses", &self.counters.misses[i]),
+                ("stores", &self.counters.stores[i]),
+                ("invalidations", &self.counters.invalidations[i]),
             ] {
                 counters.push(CounterSnapshot {
-                    name: name.to_owned(),
+                    name: ns.counter_name(kind),
                     value: cell.load(Ordering::Relaxed),
                 });
             }
@@ -961,6 +927,41 @@ mod tests {
         assert_eq!(m.counter("store_trace_hits"), 1);
         assert_eq!(m.counter("store_trace_stores"), 1);
         assert_eq!(m.counter("store_simresult_misses"), 0);
+    }
+
+    /// `--json`, `last-run.json` and CI's suffix filters read these names.
+    #[test]
+    fn counter_names_are_pinned() {
+        let names: Vec<String> = Scratch::new("names")
+            .store()
+            .metrics()
+            .counters
+            .into_iter()
+            .map(|c| c.name)
+            .collect();
+        let want = [
+            "store_trace_hits",
+            "store_trace_misses",
+            "store_trace_stores",
+            "store_trace_invalidations",
+            "store_profile_hits",
+            "store_profile_misses",
+            "store_profile_stores",
+            "store_profile_invalidations",
+            "store_spawn_table_hits",
+            "store_spawn_table_misses",
+            "store_spawn_table_stores",
+            "store_spawn_table_invalidations",
+            "store_analysis_hits",
+            "store_analysis_misses",
+            "store_analysis_stores",
+            "store_analysis_invalidations",
+            "store_simresult_hits",
+            "store_simresult_misses",
+            "store_simresult_stores",
+            "store_simresult_invalidations",
+        ];
+        assert_eq!(names, want);
     }
 
     #[test]

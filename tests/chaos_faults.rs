@@ -49,8 +49,8 @@ fn random_plan(state: &mut u64) -> FaultPlan {
 
 /// A config that exercises the fault hooks broadly: a realistic predictor
 /// (so value corruption has something to corrupt) on odd plans and a
-/// removal policy (so forced removals interact with reinstatement) on
-/// every third one.
+/// removal policy (so forced removals interact with the alone-cycle
+/// tally) on every third one.
 fn config_for(plan_index: u64, plan: FaultPlan) -> SimConfig {
     let mut cfg = SimConfig::paper(8).with_faults(plan);
     if plan_index % 2 == 1 {
@@ -60,8 +60,6 @@ fn config_for(plan_index: u64, plan: FaultPlan) -> SimConfig {
         cfg = cfg.with_removal(RemovalPolicy {
             alone_cycles: 50,
             occurrences: 1,
-            reinstate_after: Some(500),
-            max_companions: 0,
         });
     }
     cfg

@@ -64,8 +64,6 @@ fn config_grid() -> Vec<(&'static str, SimConfig)> {
         .with_removal(RemovalPolicy {
             alone_cycles: 50,
             occurrences: 2,
-            reinstate_after: Some(500),
-            max_companions: 1,
         });
     policies.min_observed_size = Some(16);
     policies.reassign = true;

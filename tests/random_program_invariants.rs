@@ -213,7 +213,7 @@ proptest! {
         );
         let mut cfg = SimConfig::paper(tus).with_value_predictor(predictor);
         if removal {
-            cfg = cfg.with_removal(RemovalPolicy { alone_cycles: 20, occurrences: 2, reinstate_after: None, max_companions: 0 });
+            cfg = cfg.with_removal(RemovalPolicy { alone_cycles: 20, occurrences: 2 });
         }
         cfg.reassign = reassign;
         cfg.min_observed_size = min_size;

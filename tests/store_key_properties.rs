@@ -34,26 +34,19 @@ fn trace_key_strategy() -> impl Strategy<Value = StageKey> {
 fn profile_config_strategy() -> impl Strategy<Value = ProfileConfig> {
     (
         (0.0f64..1.0, 1.0f64..512.0, prop::option::of(32.0f64..4096.0), 0.0f64..1.0),
-        (0usize..3, any::<bool>(), 1usize..64, 1usize..512),
+        0usize..3,
     )
-        .prop_map(
-            |((min_prob, min_distance, max_distance, coverage), (crit, rp, samples, window))| {
-                ProfileConfig {
-                    min_prob,
-                    min_distance,
-                    max_distance,
-                    coverage,
-                    criterion: [
-                        OrderCriterion::MaxDistance,
-                        OrderCriterion::Independent,
-                        OrderCriterion::Predictable,
-                    ][crit],
-                    include_return_pairs: rp,
-                    dep_samples: samples,
-                    max_score_window: window,
-                }
-            },
-        )
+        .prop_map(|((min_prob, min_distance, max_distance, coverage), crit)| ProfileConfig {
+            min_prob,
+            min_distance,
+            max_distance,
+            coverage,
+            criterion: [
+                OrderCriterion::MaxDistance,
+                OrderCriterion::Independent,
+                OrderCriterion::Predictable,
+            ][crit],
+        })
 }
 
 fn sim_config_strategy() -> impl Strategy<Value = SimConfig> {
@@ -88,7 +81,7 @@ proptest! {
     fn profile_field_perturbations_rekey_profile_only(
         cfg in profile_config_strategy(),
         t in trace_key_strategy(),
-        field in 0usize..8,
+        field in 0usize..5,
     ) {
         let mut other = cfg.clone();
         match field {
@@ -99,14 +92,11 @@ proptest! {
                 None => Some(64.0),
             },
             3 => other.coverage = (other.coverage + 0.125) % 1.0,
-            4 => other.criterion = match other.criterion {
+            _ => other.criterion = match other.criterion {
                 OrderCriterion::MaxDistance => OrderCriterion::Independent,
                 OrderCriterion::Independent => OrderCriterion::Predictable,
                 OrderCriterion::Predictable => OrderCriterion::MaxDistance,
             },
-            5 => other.include_return_pairs = !other.include_return_pairs,
-            6 => other.dep_samples += 1,
-            _ => other.max_score_window += 1,
         }
         // The perturbed stage re-keys...
         prop_assert!(
