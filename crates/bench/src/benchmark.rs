@@ -44,9 +44,6 @@ pub struct Bench {
     /// column reservation for a generation on first use.
     records_hint: u64,
     baseline: OnceLock<u64>,
-    /// The trace's dependence graph, built on first simulation and shared
-    /// by every subsequent run (it is a pure function of the trace).
-    deps: OnceLock<Arc<DepGraph>>,
 }
 
 impl Bench {
@@ -83,7 +80,6 @@ impl Bench {
             records_hint: trace.len() as u64,
             trace: OnceLock::from(trace),
             baseline: OnceLock::new(),
-            deps: OnceLock::new(),
         }
     }
 
@@ -133,7 +129,6 @@ impl Bench {
             trace: OnceLock::new(),
             records_hint: records,
             baseline: OnceLock::new(),
-            deps: OnceLock::new(),
         }
     }
 
@@ -188,14 +183,12 @@ impl Bench {
         self.trace.get().is_some()
     }
 
-    /// The trace's dependence graph, built once on first use and shared by
-    /// every simulation this bench runs (sweeps over configurations and
-    /// spawn tables re-analyse nothing).
+    /// The trace's dependence graph ([`Trace::deps`]), built once on first
+    /// use and shared by every selection and simulation over this bench's
+    /// trace (sweeps over configurations and spawn tables re-analyse
+    /// nothing).
     pub fn deps(&self) -> Arc<DepGraph> {
-        Arc::clone(
-            self.deps
-                .get_or_init(|| Arc::new(DepGraph::build(self.trace()))),
-        )
+        Arc::clone(self.trace().deps())
     }
 
     /// Cycles of the single-threaded baseline (computed once, cached).
@@ -208,15 +201,10 @@ impl Bench {
         if let Some(&cycles) = self.baseline.get() {
             return Ok(cycles);
         }
-        let cycles = Simulator::with_deps(
-            self.trace(),
-            self.deps(),
-            SimConfig::single_threaded(),
-            &SpawnTable::empty(),
-        )
-        .run()
-        .map_err(BenchError::Sim)?
-        .cycles;
+        let cycles = Simulator::new(self.trace(), SimConfig::single_threaded())
+            .run()
+            .map_err(BenchError::Sim)?
+            .cycles;
         Ok(*self.baseline.get_or_init(|| cycles))
     }
 
@@ -237,7 +225,7 @@ impl Bench {
     /// Returns [`BenchError::Sim`] for an invalid configuration or a failed
     /// post-run invariant audit (see [`SimError`]).
     pub fn run(&self, config: SimConfig, table: &SpawnTable) -> Result<SimResult, BenchError> {
-        Simulator::with_deps(self.trace(), self.deps(), config, table)
+        Simulator::with_table(self.trace(), config, table)
             .run()
             .map_err(BenchError::Sim)
     }
@@ -255,7 +243,7 @@ impl Bench {
         table: &SpawnTable,
         sink: &mut dyn specmt_sim::EventSink,
     ) -> Result<SimResult, BenchError> {
-        Simulator::with_deps(self.trace(), self.deps(), config, table)
+        Simulator::with_table(self.trace(), config, table)
             .run_with_sink(sink)
             .map_err(BenchError::Sim)
     }

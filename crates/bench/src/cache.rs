@@ -51,10 +51,11 @@
 //! no stored bytes can change the trace or make its generation fail.
 //!
 //! JSON stages' payloads must parse. Any rejected entry falls through to
-//! recomputation, which overwrites it in place. Every stage's payload is
-//! JSON, so each namespace stores `<name>.<key>.json`; `.smtr` files an
-//! older build left in `trace/` are never read, counted as entries or as
-//! invalidations, and `specmt cache clear` removes them.
+//! recomputation, whose put appends a record that replaces it. Every
+//! stage's payload is JSON; the per-entry files older builds left under
+//! `trace/` and the other namespace directories (including `.smtr` trace
+//! images) are never read, counted as entries or as invalidations, and
+//! `specmt cache clear` removes them.
 
 use specmt_sim::SimConfig;
 use specmt_spawn::{ProfileConfig, SchemeParams, SpawnTable};

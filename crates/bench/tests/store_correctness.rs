@@ -4,14 +4,14 @@
 //! stages that read it. Every test runs against its own explicit
 //! [`StoreHandle`] — no process environment is touched.
 
-use std::fs;
+use std::fs::{self, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use serde::Value;
-use specmt_bench::{figures, BenchCtx, Harness};
+use specmt_bench::{cache, figures, BenchCtx, Harness};
 use specmt_sim::SimConfig;
-use specmt_store::{Namespace, Store, StoreConfig, StoreHandle};
+use specmt_store::{Namespace, StageKey, Store, StoreConfig, StoreHandle};
 use specmt_workloads::Scale;
 
 /// Everything a figure derives from one benchmark, in exactly-comparable
@@ -49,48 +49,33 @@ fn open(dir: &Path) -> StoreHandle {
     Store::open(StoreConfig::at(dir))
 }
 
-fn entries_with_ext(dir: &Path, ext: &str) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let Ok(namespaces) = fs::read_dir(dir) else {
-        return out;
-    };
-    for ns in namespaces.flatten() {
-        let Ok(entries) = fs::read_dir(ns.path()) else {
-            continue;
-        };
-        out.extend(
-            entries
-                .flatten()
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|e| e == ext)),
-        );
-    }
-    out.sort();
-    out
-}
-
-/// The files in `dir`'s trace namespace.
-fn trace_files(dir: &Path) -> Vec<PathBuf> {
-    let mut out: Vec<PathBuf> = fs::read_dir(dir.join(Namespace::Trace.dir_name()))
-        .expect("trace namespace")
+/// The file names in the store directory `dir`.
+fn store_files(dir: &Path) -> Vec<String> {
+    let mut out: Vec<String> = fs::read_dir(dir)
+        .expect("store dir")
         .flatten()
-        .map(|e| e.path())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
         .collect();
     out.sort();
     out
 }
 
-/// The one trace entry (not its key sidecar) a single-workload store
-/// holds: a `.json` manifest, with no `.smtr` file anywhere.
-fn trace_entry(dir: &Path) -> PathBuf {
-    let paths: Vec<PathBuf> = trace_files(dir)
-        .into_iter()
-        .filter(|p| !p.to_string_lossy().ends_with(".key.json"))
-        .collect();
-    assert_eq!(paths.len(), 1, "one trace entry: {paths:?}");
-    assert!(paths[0].extension().is_some_and(|e| e == "json"), "{paths:?}");
-    assert!(entries_with_ext(dir, "smtr").is_empty(), "no .smtr entry");
-    paths[0].clone()
+/// The trace entry a fresh handle on `dir` reads for `bench`: the
+/// manifest, not a trace image. The store directory holds only its log.
+fn trace_entry(dir: &Path, bench: &BenchCtx) -> Vec<u8> {
+    assert_eq!(store_files(dir), ["store.log"], "one log, no entry files");
+    let (label, key) = trace_slot(bench);
+    open(dir)
+        .get_bytes(Namespace::Trace, &label, &key)
+        .expect("a trace entry")
+}
+
+/// The logical name and key the trace stage stores `bench`'s manifest
+/// under.
+fn trace_slot(bench: &BenchCtx) -> (String, StageKey) {
+    let workload = bench.bench.workload();
+    let key = cache::trace_stage(workload).expect("suite workloads are keyable");
+    (format!("{}-tiny", workload.name), key)
 }
 
 #[test]
@@ -102,8 +87,7 @@ fn warm_loads_are_bit_identical_and_corruption_is_survived() {
     let store = open(&dir);
     let cold = BenchCtx::load_with("gcc", Scale::Tiny, Arc::clone(&store)).expect("cold load");
     let cold_products = products(&cold);
-    let trace_path = trace_entry(&dir);
-    let intact = fs::read(&trace_path).expect("trace entry");
+    let intact = trace_entry(&dir, &cold);
     assert!(
         intact.len() < 1024,
         "the trace entry must be a manifest, got {} bytes",
@@ -114,8 +98,6 @@ fn warm_loads_are_bit_identical_and_corruption_is_survived() {
     assert!(store.stores(Namespace::Profile) >= 1);
     assert!(store.stores(Namespace::SpawnTable) >= 1);
     assert!(store.stores(Namespace::Analysis) >= 1);
-    let files = trace_files(&dir);
-    assert_eq!(files.len(), 2, "the entry and its key sidecar: {files:?}");
 
     // Warm load (fresh handle, fresh counters) serves every stage from the
     // store and reproduces every product exactly.
@@ -138,13 +120,15 @@ fn warm_loads_are_bit_identical_and_corruption_is_survived() {
     }
     assert_eq!(store.stores(Namespace::Trace), 0, "a valid manifest stays");
 
-    // Every damaged trace entry is rejected by the load itself: the load
-    // regenerates the trace and rewrites the entry exactly once, in place,
-    // before anything simulates, and the products are the cold ones.
+    // Every damaged trace entry, planted under the current key, is
+    // rejected by the load itself: the load regenerates the trace and
+    // rewrites the entry exactly once before anything simulates, and the
+    // products are the cold ones.
     let alien = {
         let alien_dir = test_dir("correctness-alien");
-        BenchCtx::load_with("compress", Scale::Tiny, open(&alien_dir)).expect("alien load");
-        let bytes = fs::read(trace_entry(&alien_dir)).expect("alien manifest");
+        let ctx =
+            BenchCtx::load_with("compress", Scale::Tiny, open(&alien_dir)).expect("alien load");
+        let bytes = trace_entry(&alien_dir, &ctx);
         let _ = fs::remove_dir_all(&alien_dir);
         bytes
     };
@@ -176,8 +160,9 @@ fn warm_loads_are_bit_identical_and_corruption_is_survived() {
         ("records: u64::MAX", unbounded),
         ("a trace image under the current key", old_image),
     ];
+    let (label, trace_key) = trace_slot(&cold);
     for (case, entry) in damaged {
-        fs::write(&trace_path, &entry).expect("damage trace entry");
+        open(&dir).put_bytes(Namespace::Trace, &label, &trace_key, &entry);
         let store = open(&dir);
         let recovered = BenchCtx::load_with("gcc", Scale::Tiny, Arc::clone(&store))
             .unwrap_or_else(|e| panic!("load over {case}: {e}"));
@@ -186,12 +171,7 @@ fn warm_loads_are_bit_identical_and_corruption_is_survived() {
             1,
             "the load must rewrite the entry once after {case}"
         );
-        assert_eq!(
-            fs::read(&trace_path).expect("rewritten entry"),
-            intact,
-            "{case}"
-        );
-        assert_eq!(trace_files(&dir), files, "{case} must leave no orphan");
+        assert_eq!(trace_entry(&dir, &recovered), intact, "{case}");
         assert_eq!(products(&recovered), cold_products, "{case}");
         for ns in [
             Namespace::Profile,
@@ -203,14 +183,39 @@ fn warm_loads_are_bit_identical_and_corruption_is_survived() {
         }
     }
 
-    // Truncated JSON artifacts are likewise silent misses.
-    for path in entries_with_ext(&dir, "json") {
-        let bytes = fs::read(&path).expect("artifact");
-        fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate artifact");
-    }
+    // A log cut off inside its first record (a crash, a full disk) loses
+    // every record: each entry is a silent miss, recomputed and appended
+    // after the torn bytes, and the next handle is served everything.
+    OpenOptions::new()
+        .write(true)
+        .open(dir.join("store.log"))
+        .and_then(|f| f.set_len(10))
+        .expect("truncate the log");
+    let store = open(&dir);
     let recovered =
-        BenchCtx::load_with("gcc", Scale::Tiny, open(&dir)).expect("load over truncated json");
+        BenchCtx::load_with("gcc", Scale::Tiny, Arc::clone(&store)).expect("load over a cut log");
     assert_eq!(products(&recovered), cold_products);
+    for ns in [
+        Namespace::Trace,
+        Namespace::Profile,
+        Namespace::SpawnTable,
+        Namespace::Analysis,
+        Namespace::SimResult,
+    ] {
+        assert!(store.stores(ns) >= 1, "the cut lost every {ns:?} entry");
+    }
+    let store = open(&dir);
+    let warm = BenchCtx::load_with("gcc", Scale::Tiny, Arc::clone(&store)).expect("warm again");
+    assert_eq!(products(&warm), cold_products);
+    for ns in [
+        Namespace::Trace,
+        Namespace::Profile,
+        Namespace::SpawnTable,
+        Namespace::Analysis,
+        Namespace::SimResult,
+    ] {
+        assert_eq!(store.misses(ns), 0, "after the cut, {ns:?} must not miss");
+    }
 
     let _ = fs::remove_dir_all(&dir);
 }

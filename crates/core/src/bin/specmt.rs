@@ -28,8 +28,8 @@
 //! `cache` manages the content-addressed artifact store `bench` runs
 //! against (`SPECMT_CACHE` / `SPECMT_CACHE_DIR` configure it, resolved once
 //! at startup): `stats` prints disk usage and the previous run's hit/miss
-//! counters, `clear` empties it (including the `.smtr` trace entries older
-//! builds left behind).
+//! counters, `clear` empties it (including the per-entry `.json`,
+//! `.key.json` and `.smtr` files older builds left behind).
 
 use std::process::ExitCode;
 

@@ -183,30 +183,13 @@ impl<'a> Simulator<'a> {
     }
 
     /// A simulator driven by the given spawn table (cloned: tables are
-    /// small relative to traces).
+    /// small relative to traces). The run reads the trace's dependence
+    /// graph ([`Trace::deps`]), which is built once per trace and shared by
+    /// every run over it.
     pub fn with_table(trace: &'a Trace, config: SimConfig, table: &SpawnTable) -> Simulator<'a> {
-        Simulator::with_deps(trace, Arc::new(DepGraph::build(trace)), config, table)
-    }
-
-    /// As [`Simulator::with_table`], reusing a prebuilt dependence graph.
-    ///
-    /// The graph is a pure function of the trace, so callers running many
-    /// configurations or tables over one trace (parameter sweeps, the
-    /// figure builders) build it once and share it instead of paying the
-    /// full-trace analysis on every run.
-    ///
-    /// The graph MUST have been built from `trace`; a mismatched graph
-    /// makes the run meaningless (producer indices point at the wrong
-    /// instructions) and will typically fail the engine's post-run audit.
-    pub fn with_deps(
-        trace: &'a Trace,
-        deps: Arc<DepGraph>,
-        config: SimConfig,
-        table: &SpawnTable,
-    ) -> Simulator<'a> {
         Simulator {
             trace,
-            deps,
+            deps: Arc::clone(trace.deps()),
             config,
             table: table.clone(),
         }

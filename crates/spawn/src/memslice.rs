@@ -23,16 +23,15 @@ const TARGET_SIZE: f64 = 64.0;
 /// Tolerated deviation factor: recurrence intervals within
 /// `[TARGET_SIZE / TOLERANCE, TARGET_SIZE * TOLERANCE]` qualify.
 const TOLERANCE: f64 = 2.0;
-/// Minimum recurrence probability (occurrences-1 over occurrences).
+/// Minimum recurrence probability (occurrences-1 over occurrences), which
+/// also rejects every site with fewer than 20 occurrences.
 const MIN_PROB: f64 = 0.95;
-/// Minimum dynamic occurrences for a site to be considered.
-const MIN_OCCURRENCES: u64 = 16;
 
 /// Mines MEM-slicing spawning pairs from a profile trace.
 ///
 /// Every static memory instruction's dynamic occurrences are collected; a
-/// site qualifies if it recurs reliably (at least 16 occurrences, recurrence
-/// probability at least 0.95) with a mean interval of 32–128 instructions.
+/// site qualifies if it recurs reliably (recurrence probability at least 0.95,
+/// so at least 20 occurrences) with a mean interval of 32–128 instructions.
 /// Qualifying sites become self-pairs scored by closeness to the 64-
 /// instruction target, so when several sites compete for one spawning point
 /// the best-sized slice wins.
@@ -87,9 +86,6 @@ pub fn memslice_pairs(trace: &Trace) -> SpawnTable {
     let pairs = sites
         .into_iter()
         .filter_map(|(pc, (n, first, last))| {
-            if n < MIN_OCCURRENCES {
-                return None;
-            }
             let prob = (n - 1) as f64 / n as f64;
             if prob < MIN_PROB {
                 return None;

@@ -186,7 +186,7 @@ pub fn profile_pairs(trace: &Trace, config: &ProfileConfig) -> ProfileResult {
 /// transitive dependence on the spawn region.
 struct DepScorer<'a> {
     trace: &'a Trace,
-    deps: DepGraph,
+    deps: &'a DepGraph,
     /// Event indices per block.
     occ: Vec<Vec<u32>>,
     /// `first_dyn` per event.
@@ -219,7 +219,7 @@ impl<'a> DepScorer<'a> {
         }
         DepScorer {
             trace,
-            deps: DepGraph::build(trace),
+            deps: trace.deps(),
             occ,
             event_dyn,
         }

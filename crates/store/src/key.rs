@@ -4,10 +4,10 @@
 //! trace key it consumed, the config subset it reads, the scheme identity,
 //! the stage's code revision — each digested independently. The final
 //! [`StoreKey`] commits to the whole list; the per-component digests are
-//! kept alongside it as a [`StageKey`] and written to a `.key.json` sidecar
-//! on disk, so when a key misses the store can diff the breakdown against a
-//! sibling entry's sidecar and name exactly which component changed (the
-//! invalidation audit trail).
+//! kept alongside it as a [`StageKey`] and stored in the entry's log record
+//! as a [`BreakdownDoc`], so when a key misses the store can diff the
+//! breakdown against a sibling entry's and name exactly which component
+//! changed (the invalidation audit trail).
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -27,7 +27,7 @@ pub struct KeyComponent {
 pub struct StageKey {
     /// The pipeline stage this key addresses, e.g. `"trace"`, `"simulate"`.
     pub stage: &'static str,
-    /// The composite digest used in the entry's file name.
+    /// The composite digest that addresses the entry.
     pub key: StoreKey,
     /// The per-component digests the composite commits to.
     pub components: Vec<KeyComponent>,
@@ -52,7 +52,7 @@ impl StageKey {
         changed
     }
 
-    /// The serializable sidecar document for this key.
+    /// The serializable breakdown document for this key.
     pub fn to_doc(&self) -> BreakdownDoc {
         BreakdownDoc {
             stage: self.stage.to_owned(),
@@ -66,8 +66,8 @@ impl StageKey {
     }
 }
 
-/// The `.key.json` sidecar contents: an owned, serializable mirror of
-/// [`StageKey`] with digests rendered as hex.
+/// The key breakdown a log record carries: an owned, serializable mirror
+/// of [`StageKey`] with digests rendered as hex.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BreakdownDoc {
     /// The stage name.

@@ -21,10 +21,10 @@
 //!   digested separately so a miss can be *explained* by diffing
 //!   breakdowns, not just observed.
 //! * [`Store`] / [`StoreHandle`] — the on-disk store: five typed
-//!   [`Namespace`]s, lock-free reads, atomic temp+rename writes safe under
-//!   concurrent `--jobs N` populations, per-namespace hit/miss/store/
-//!   invalidation counters surfaced as [`specmt_obs::Metrics`], and a
-//!   stale-temp-file sweep on open.
+//!   [`Namespace`]s in one append-only log of checksummed records, one
+//!   `write` per put, safe under concurrent `--jobs N` populations and
+//!   other processes, and per-namespace hit/miss/store/invalidation
+//!   counters surfaced as [`specmt_obs::Metrics`].
 //!
 //! Configuration is resolved **once** into a [`StoreConfig`]
 //! ([`StoreConfig::from_env`] reads `SPECMT_CACHE` / `SPECMT_CACHE_DIR`);
@@ -35,11 +35,12 @@
 //!
 //! Entries are addressed by the fingerprint of their inputs, so a *stale*
 //! entry is unreachable by construction — the key changes. Corruption is
-//! handled by parse-and-reject: payloads that fail structural validation
-//! (trace manifests are additionally checked against the workload's
-//! checksum by the pipeline) are treated as misses and regenerated in
-//! place. Entry bytes themselves are not MAC'd; the store directory is
-//! trusted the way `target/` is.
+//! handled twice: a log record whose checksum fails is skipped, and
+//! payloads that fail structural validation (trace manifests are
+//! additionally checked against the workload's checksum by the pipeline)
+//! are parse-rejected; either is a miss, regenerated and appended again.
+//! The checksum detects damage, not tampering (it is not a MAC); the
+//! store directory is trusted the way `target/` is.
 //!
 //! [`SimResult`]: https://docs.rs/specmt-sim
 

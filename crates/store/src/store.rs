@@ -1,48 +1,63 @@
-//! The on-disk store: typed namespaces, atomic writes, counters.
+//! The on-disk store: typed namespaces in one append-only log, counters.
 //!
 //! ## Layout
 //!
 //! ```text
 //! <dir>/
-//!   <namespace>/  <name>.<key>.json + <name>.<key>.key.json
-//!   last-run.json                   (counters + invalidation records)
+//!   store.log       (every entry of every namespace, one record each)
+//!   last-run.json   (counters + invalidation records)
 //! ```
 //!
-//! Every namespace (`trace`, `profile`, `spawn-table`, `analysis`,
-//! `simresult`) uses this one layout: a payload and its key sidecar.
-//! Files of any other shape, such as the `<name>.<key>.smtr` trace
-//! entries older builds wrote, are never read or listed as entries or
-//! siblings; [`Store::clear`] removes them with the rest.
+//! Each put appends one framed, checksummed record in a single `write`
+//! on an `O_APPEND` handle:
+//!
+//! ```text
+//! "SMTL" | body length (u32 LE) | checksum of body (16 bytes) | body
+//! body = namespace (u8) | key (16 bytes) | name length (u16 LE) | name
+//!        | breakdown length (u32 LE) | breakdown JSON | payload
+//! ```
 //!
 //! `<name>` is a human-readable logical name (`gcc-tiny`,
-//! `gcc-tiny-heuristics`); `<key>` is the 32-hex-digit composite digest of
-//! the entry's input closure ([`crate::StageKey`]). Reads are lock-free:
-//! an entry is a plain file whose name *is* its key, committed by a
-//! `rename(2)` from a pid-and-sequence-suffixed temp file, so readers never
-//! observe a torn entry and concurrent writers of the same key converge on
-//! identical bytes.
+//! `gcc-tiny-heuristics`); the key is the composite digest of the entry's
+//! input closure ([`crate::StageKey`]) and the breakdown its per-component
+//! digests ([`crate::BreakdownDoc`]). A handle indexes the log once at open
+//! and, on a miss, reads only the tail appended since, so entries other
+//! handles and processes wrote stay visible. The last record for a key
+//! wins; in the namespaces that keep one version per name (see
+//! `Namespace::supersedes`) the last record for a name also retires the
+//! name's other keys. The log only grows, until [`Store::clear`].
+//!
+//! Processes share the log without locks. A record still being appended
+//! (or torn by a crashed writer) is left for a later refresh until a valid
+//! record follows it; a record whose checksum fails is skipped by scanning
+//! for the next valid one, and its entry is a miss that regeneration
+//! re-appends. Files of the flat layout older builds wrote
+//! (`<namespace>/<name>.<key>.json`, `.key.json` sidecars, `.smtr` trace
+//! images) are never read or counted; [`Store::clear`] removes them.
 //!
 //! ## Invalidation audit trail
 //!
-//! On a miss, the store looks for sibling entries with the same logical
-//! name. Finding one means the artifact was computed before under different
-//! inputs — an *invalidation*, not a cold start — so the per-namespace
-//! invalidation counter ticks and the `.key.json` sidecars are diffed to
-//! name exactly which key components changed (e.g. `["sim-config"]`).
-//! Siblings this very handle wrote don't count: a sweep accumulating many
-//! configurations under one logical name within a single run is expected
-//! growth, not stale state, so only entries inherited from a *previous*
-//! run can be invalidated. (Each invalidated name is counted once per
-//! handle — the first sweep point to discover it.)
+//! On a miss, the store looks for entries with the same logical name under
+//! other keys. Finding one means the artifact was computed before under
+//! different inputs — an *invalidation*, not a cold start — so the
+//! per-namespace invalidation counter ticks and the newest such record's
+//! breakdown is diffed to name exactly which key components changed (e.g.
+//! `["sim-config"]`). Siblings this very handle wrote don't count: a sweep
+//! accumulating many configurations under one logical name within a single
+//! run is expected growth, not stale state, so only entries inherited from
+//! a *previous* run can be invalidated. (Each invalidated name is counted
+//! once per handle — the first sweep point to discover it.)
 
-use std::collections::HashSet;
-use std::fs;
+use std::collections::{HashMap, HashSet};
+use std::fs::{self, File, OpenOptions};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use specmt_obs::{CounterSnapshot, Metrics};
 
+use crate::fingerprint::{FingerprintHasher, StoreKey};
 use crate::key::{BreakdownDoc, StageKey};
 
 /// The artifact families the store distinguishes.
@@ -82,7 +97,7 @@ impl Namespace {
         }
     }
 
-    /// Whether a put should delete same-name entries under other keys.
+    /// Whether a put's record retires same-name entries under other keys.
     ///
     /// Trace/profile/analysis artifacts have exactly one live version per
     /// logical name (the pipeline's current inputs), so a new key
@@ -198,7 +213,7 @@ fn ns_index(ns: Namespace) -> usize {
 }
 
 /// A shared handle to one store; cheap to clone, safe to use from any
-/// thread ([`Store`]'s state is atomics plus immutable config).
+/// thread ([`Store`]'s state is atomics and mutexes plus immutable config).
 pub type StoreHandle = Arc<Store>;
 
 /// The content-addressed artifact store.
@@ -209,9 +224,13 @@ pub struct Store {
     /// `(namespace index, logical name)` pairs this handle has written or
     /// already counted an invalidation for. A miss under such a name is a
     /// sweep accumulating entries, not a new invalidation (see module doc).
-    /// A name joins the set *before* its first entry becomes visible, so a
-    /// concurrent miss that sees the entry also sees the name.
+    /// A name joins the set *before* its first record is appended, so a
+    /// concurrent miss that sees the record also sees the name.
     session_writes: Mutex<HashSet<(usize, String)>>,
+    /// This handle's view of the log.
+    index: Mutex<Index>,
+    /// The log opened for appending, on the first put.
+    writer: Mutex<Option<File>>,
 }
 
 /// Disk usage of one namespace, from [`Store::usage`].
@@ -219,27 +238,33 @@ pub struct Store {
 pub struct NamespaceUsage {
     /// The namespace directory name.
     pub namespace: String,
-    /// Committed entries (payload files, excluding sidecars and temps).
+    /// Live entries: the latest record of each key not superseded.
     pub entries: u64,
-    /// Total bytes including sidecars.
+    /// Payload bytes of the live entries (record framing, names and key
+    /// breakdowns excluded).
     pub bytes: u64,
 }
 
-serde::impl_serde_struct!(NamespaceUsage { namespace, entries, bytes });
+serde::impl_serde_struct!(NamespaceUsage {
+    namespace,
+    entries,
+    bytes
+});
 
 impl Store {
-    /// Opens a store with `config`, sweeping temp files abandoned by
-    /// crashed writers (see `Store::sweep_stale_tmp`).
+    /// Opens a store with `config` and indexes its log, if there is one.
     pub fn open(config: StoreConfig) -> StoreHandle {
         let store = Store {
             config,
             counters: Counters::default(),
             invalidations: Mutex::new(Vec::new()),
             session_writes: Mutex::new(HashSet::new()),
+            index: Mutex::new(Index::default()),
+            writer: Mutex::new(None),
         };
         if store.config.enabled {
-            for ns in NAMESPACES {
-                store.sweep_stale_tmp(&store.ns_dir(ns));
+            if let Ok(mut index) = store.index.lock() {
+                index.refresh(&store.log_path());
             }
         }
         Arc::new(store)
@@ -268,38 +293,38 @@ impl Store {
         self.config.enabled
     }
 
-    fn ns_dir(&self, ns: Namespace) -> PathBuf {
-        self.config.dir.join(ns.dir_name())
+    fn log_path(&self) -> PathBuf {
+        self.config.dir.join(LOG_FILE)
     }
 
-    fn entry_path(&self, ns: Namespace, name: &str, key: &StageKey) -> PathBuf {
-        self.ns_dir(ns)
-            .join(format!("{name}.{}.json", key.key.hex()))
-    }
-
-    fn sidecar_path(&self, ns: Namespace, name: &str, key_hex: &str) -> PathBuf {
-        self.ns_dir(ns).join(format!("{name}.{key_hex}.key.json"))
-    }
-
-    /// Reads the entry for `key`, or `None` on a miss (absent, unreadable —
-    /// indistinguishable by design; corrupt payloads are the caller's to
-    /// reject, after which regeneration overwrites the entry in place).
+    /// Reads the entry for `key`, or `None` on a miss (absent, unreadable,
+    /// failed checksum — indistinguishable by design; corrupt payloads are
+    /// the caller's to reject, after which regeneration appends a record
+    /// that replaces the entry).
     ///
-    /// A miss with same-name siblings inherited from a prior run is
-    /// counted as an invalidation and the sibling sidecars are diffed to
-    /// record which key components changed (siblings this handle wrote
-    /// itself are sweep growth, not stale state).
+    /// A key the index lacks first refreshes the index from the log's new
+    /// tail, so puts by other handles and processes are found. A miss with
+    /// same-name siblings inherited from a prior run is counted as an
+    /// invalidation and the newest sibling's breakdown is diffed to record
+    /// which key components changed (siblings this handle wrote itself are
+    /// sweep growth, not stale state).
     pub fn get_bytes(&self, ns: Namespace, name: &str, key: &StageKey) -> Option<Vec<u8>> {
         if !self.config.enabled {
             return None;
         }
-        let path = self.entry_path(ns, name, key);
-        match fs::read(&path) {
-            Ok(bytes) => {
+        let found = self.index.lock().ok().and_then(|mut index| {
+            let slot = (ns_index(ns), name);
+            index.payload(slot, key.key).or_else(|| {
+                index.refresh(&self.log_path());
+                index.payload(slot, key.key)
+            })
+        });
+        match found {
+            Some(bytes) => {
                 self.counters.hits[ns_index(ns)].fetch_add(1, Ordering::Relaxed);
                 Some(bytes)
             }
-            Err(_) => {
+            None => {
                 self.counters.misses[ns_index(ns)].fetch_add(1, Ordering::Relaxed);
                 self.record_invalidation(ns, name, key);
                 None
@@ -319,34 +344,41 @@ impl Store {
         serde_json::from_slice(&bytes).ok()
     }
 
-    /// Writes `bytes` under `key` atomically (temp file + rename), plus a
-    /// `.key.json` sidecar holding the key's component breakdown.
-    /// Best-effort: I/O failure leaves the store cold, never torn.
+    /// Appends `bytes` under `key` as one log record carrying the key's
+    /// component breakdown. Best-effort: an I/O failure leaves the store
+    /// cold, and a torn record is skipped by every reader.
     pub fn put_bytes(&self, ns: Namespace, name: &str, key: &StageKey, bytes: &[u8]) {
         if !self.config.enabled {
             return;
         }
-        let dir = self.ns_dir(ns);
-        if fs::create_dir_all(&dir).is_err() {
+        let Some(record) = encode_record(ns, name, key, bytes) else {
             return;
-        }
-        // Claim the name before the entry becomes visible: a concurrent
-        // miss under the same name that lists this entry as a sibling must
-        // find the name already claimed (see `record_invalidation`).
+        };
+        // Claim the name before the record becomes visible: a concurrent
+        // miss under the same name that indexes this record as a sibling
+        // must find the name already claimed (see `record_invalidation`).
         if let Ok(mut writes) = self.session_writes.lock() {
             writes.insert((ns_index(ns), name.to_owned()));
         }
-        let entry = self.entry_path(ns, name, key);
-        if !write_atomic(&entry, bytes) {
-            return;
+        // Forget the indexed entries this record replaces before it is
+        // appended, so this handle's next miss reads the new record back
+        // instead of serving a stale (perhaps rejected) payload.
+        if let Ok(mut index) = self.index.lock() {
+            index.forget((ns_index(ns), name), key.key, ns.supersedes());
         }
-        if let Ok(sidecar_json) = serde_json::to_string_pretty(&key.to_doc()) {
-            let sidecar = self.sidecar_path(ns, name, &key.key.hex());
-            write_atomic(&sidecar, sidecar_json.as_bytes());
-        }
-        self.counters.stores[ns_index(ns)].fetch_add(1, Ordering::Relaxed);
-        if ns.supersedes() {
-            self.remove_siblings(ns, name, &key.key.hex());
+        let written = self.writer.lock().is_ok_and(|mut writer| {
+            if writer.is_none() {
+                *writer = self.open_writer();
+            }
+            // One `write`, so appends from other threads and processes do
+            // not interleave with it on a local file system; a short one
+            // leaves a torn record, which every reader skips.
+            writer
+                .as_mut()
+                .is_some_and(|log| log.write(&record).is_ok_and(|n| n == record.len()))
+        });
+        if written {
+            self.counters.stores[ns_index(ns)].fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -360,37 +392,19 @@ impl Store {
         }
     }
 
-    /// Same-name entries stored under other keys: `(key hex, payload path)`.
-    fn siblings(&self, ns: Namespace, name: &str, except_hex: &str) -> Vec<(String, PathBuf)> {
-        let mut out = Vec::new();
-        let Ok(entries) = fs::read_dir(self.ns_dir(ns)) else {
-            return out;
-        };
-        for entry in entries.flatten() {
-            let file_name = entry.file_name();
-            let Some(file_name) = file_name.to_str() else {
-                continue;
-            };
-            let Some(hex) = entry_key_hex(file_name, name) else {
-                continue;
-            };
-            if hex != except_hex {
-                out.push((hex.to_owned(), entry.path()));
-            }
-        }
-        out
-    }
-
-    /// Deletes same-name entries (payload + sidecar) under other keys.
-    fn remove_siblings(&self, ns: Namespace, name: &str, keep_hex: &str) {
-        for (hex, path) in self.siblings(ns, name, keep_hex) {
-            let _ = fs::remove_file(path);
-            let _ = fs::remove_file(self.sidecar_path(ns, name, &hex));
-        }
+    /// The log opened for appending, creating the store directory and the
+    /// log as needed.
+    fn open_writer(&self) -> Option<File> {
+        fs::create_dir_all(&self.config.dir).ok()?;
+        OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(self.log_path())
+            .ok()
     }
 
     /// On a miss with siblings present: count an invalidation and diff the
-    /// newest sibling sidecars against `key` to name what changed.
+    /// newest sibling's breakdown against `key` to name what changed.
     fn record_invalidation(&self, ns: Namespace, name: &str, key: &StageKey) {
         let slot = (ns_index(ns), name.to_owned());
         if self
@@ -403,13 +417,17 @@ impl Store {
             // entries under one name) — not stale state from a prior run.
             return;
         }
-        let mut sibs = self.siblings(ns, name, &key.key.hex());
-        if sibs.is_empty() {
+        // The index was refreshed by the miss that brought us here.
+        let newest = self.index.lock().ok().and_then(|mut index| {
+            let sibling = index.newest_sibling((slot.0, name), key.key)?;
+            Some(index.breakdown(sibling))
+        });
+        let Some(breakdown) = newest else {
             return;
-        }
-        // Claim the name only now, after listing: a sibling another thread
-        // of this handle made visible meanwhile had its name claimed first,
-        // so the claim fails and the listing is not mistaken for a prior
+        };
+        // Claim the name only now, after looking: a sibling another thread
+        // of this handle appended meanwhile had its name claimed first, so
+        // the claim fails and the sibling is not mistaken for a prior
         // run's. A successful claim also counts each name once.
         if !self
             .session_writes
@@ -420,27 +438,7 @@ impl Store {
             return;
         }
         self.counters.invalidations[ns_index(ns)].fetch_add(1, Ordering::Relaxed);
-        // Newest few siblings only: a long-lived simresult namespace can
-        // hold dozens of configs per cell, and the nearest ancestor is
-        // almost always recent.
-        sibs.sort_by_key(|(_, path)| {
-            std::cmp::Reverse(
-                fs::metadata(path)
-                    .and_then(|m| m.modified())
-                    .ok()
-                    .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok()),
-            )
-        });
-        let changed = sibs
-            .iter()
-            .take(8)
-            .filter_map(|(hex, _)| {
-                let text = fs::read_to_string(self.sidecar_path(ns, name, hex)).ok()?;
-                let doc: BreakdownDoc = serde_json::from_str(&text).ok()?;
-                Some(key.diff(&doc))
-            })
-            .min_by_key(Vec::len)
-            .unwrap_or_default();
+        let changed = breakdown.map(|doc| key.diff(&doc)).unwrap_or_default();
         if let Ok(mut records) = self.invalidations.lock() {
             records.push(InvalidationRecord {
                 namespace: ns.dir_name().to_owned(),
@@ -530,66 +528,54 @@ impl Store {
         serde_json::from_str(&text).ok()
     }
 
-    /// Disk usage per namespace.
+    /// Live entries and their payload bytes per namespace, after reading
+    /// the log's new tail.
     pub fn usage(&self) -> Vec<NamespaceUsage> {
-        NAMESPACES
+        let mut usage: Vec<NamespaceUsage> = NAMESPACES
             .iter()
-            .map(|&ns| {
-                let mut u = NamespaceUsage {
-                    namespace: ns.dir_name().to_owned(),
-                    ..NamespaceUsage::default()
-                };
-                if let Ok(entries) = fs::read_dir(self.ns_dir(ns)) {
-                    for entry in entries.flatten() {
-                        let len = entry.metadata().map(|m| m.len()).unwrap_or(0);
-                        u.bytes += len;
-                        let name = entry.file_name();
-                        let is_payload = name
-                            .to_str()
-                            .is_some_and(|n| n.ends_with(".json") && !n.ends_with(".key.json"));
-                        if is_payload {
-                            u.entries += 1;
-                        }
-                    }
-                }
-                u
+            .map(|ns| NamespaceUsage {
+                namespace: ns.dir_name().to_owned(),
+                ..NamespaceUsage::default()
             })
-            .collect()
+            .collect();
+        if !self.config.enabled {
+            return usage;
+        }
+        if let Ok(mut index) = self.index.lock() {
+            index.refresh(&self.log_path());
+            for (u, names) in usage.iter_mut().zip(&index.entries) {
+                for loc in names.values().flatten() {
+                    u.entries += 1;
+                    u.bytes += u64::from(loc.len - loc.payload);
+                }
+            }
+        }
+        usage
     }
 
-    /// Removes every entry and the last-run stats, keeping the root.
+    /// Removes the log, the last-run stats and any namespace directories
+    /// of the flat layout older builds wrote, keeping the root.
     pub fn clear(&self) -> std::io::Result<()> {
+        // Forget the removed log, so later puts start a new one.
+        if let Ok(mut writer) = self.writer.lock() {
+            *writer = None;
+        }
+        if let Ok(mut index) = self.index.lock() {
+            *index = Index::default();
+        }
         for ns in NAMESPACES {
-            let dir = self.ns_dir(ns);
+            let dir = self.config.dir.join(ns.dir_name());
             if dir.is_dir() {
                 fs::remove_dir_all(&dir)?;
             }
         }
-        let stats = self.config.dir.join("last-run.json");
-        if stats.exists() {
-            fs::remove_file(stats)?;
-        }
-        Ok(())
-    }
-
-    /// Removes temp files abandoned by crashed writers in `dir`. The
-    /// temp + rename protocol makes torn *entries* impossible, but a
-    /// process killed mid-write leaks its `.tmp<pid>-<seq>` files; this
-    /// sweep collects them without touching committed entries or the temp
-    /// files of still-running writers.
-    fn sweep_stale_tmp(&self, dir: &Path) {
-        let Ok(entries) = fs::read_dir(dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else {
-                continue;
-            };
-            if tmp_pid(name).is_some_and(|pid| tmp_is_stale(pid, &entry.path())) {
-                let _ = fs::remove_file(entry.path());
+        for file in [LOG_FILE, "last-run.json"] {
+            let path = self.config.dir.join(file);
+            if path.exists() {
+                fs::remove_file(path)?;
             }
         }
+        Ok(())
     }
 }
 
@@ -619,19 +605,264 @@ serde::impl_serde_struct!(LastRun {
     invalidations,
 });
 
-/// The key hex of a committed payload named `<name>.<32 hex>.json`, if
-/// `file_name` is one for this logical `name`.
-fn entry_key_hex<'a>(file_name: &'a str, name: &str) -> Option<&'a str> {
-    let rest = file_name.strip_prefix(name)?.strip_prefix('.')?;
-    let hex = rest.strip_suffix(".json")?;
-    (hex.len() == 32 && hex.bytes().all(|b| b.is_ascii_hexdigit())).then_some(hex)
+/// The log's file name under the store root.
+const LOG_FILE: &str = "store.log";
+/// The first bytes of every record, which a resync scans for.
+const MAGIC: &[u8; 4] = b"SMTL";
+/// Magic, body length and checksum.
+const HEADER: usize = 4 + 4 + 16;
+
+/// Where one live entry's record sits in the log.
+#[derive(Clone, Copy)]
+struct Loc {
+    key: StoreKey,
+    /// Offset of the record's body in the log.
+    body: u64,
+    /// Length of the body.
+    len: u32,
+    /// Offset of the payload within the body.
+    payload: u32,
+}
+
+/// One handle's view of the log: the live entries of every record read.
+#[derive(Default)]
+struct Index {
+    /// The log opened for reading (`None` until there is a log).
+    reader: Option<File>,
+    /// Bytes of the log indexed so far; the next refresh reads from here.
+    indexed: u64,
+    /// Live entries per namespace and logical name, oldest record first.
+    entries: [HashMap<String, Vec<Loc>>; NAMESPACES.len()],
+}
+
+impl Index {
+    /// Indexes every record appended since the last refresh.
+    fn refresh(&mut self, path: &Path) {
+        if self.reader.is_none() {
+            self.reader = File::open(path).ok();
+        }
+        let Some(file) = self.reader.as_mut() else {
+            return;
+        };
+        let Ok(len) = file.metadata().map(|m| m.len()) else {
+            return;
+        };
+        if len == self.indexed {
+            return;
+        }
+        if len < self.indexed {
+            // Truncated underneath us: what was indexed may be gone.
+            self.entries = Default::default();
+            self.indexed = 0;
+        }
+        let Ok(new) = usize::try_from(len - self.indexed) else {
+            return;
+        };
+        let mut tail = vec![0; new];
+        let start = file.seek(SeekFrom::Start(self.indexed));
+        if start.is_err() || file.read_exact(&mut tail).is_err() {
+            return;
+        }
+        let base = self.indexed;
+        let consumed = scan(&tail, |at, rec| {
+            let locs = self.entries[rec.ns].entry(rec.name.to_owned()).or_default();
+            if NAMESPACES[rec.ns].supersedes() {
+                locs.clear();
+            } else {
+                locs.retain(|l| l.key != rec.key);
+            }
+            locs.push(Loc {
+                key: rec.key,
+                body: base + (at + HEADER) as u64,
+                len: rec.len,
+                payload: rec.payload,
+            });
+        });
+        self.indexed += consumed as u64;
+    }
+
+    /// The newest entry under `name` with a key other than `key`.
+    fn newest_sibling(&self, (ns, name): (usize, &str), key: StoreKey) -> Option<Loc> {
+        self.entries[ns]
+            .get(name)?
+            .iter()
+            .rev()
+            .find(|l| l.key != key)
+            .copied()
+    }
+
+    /// Drops the entry for `key` under `name`, or all of `name`'s entries.
+    fn forget(&mut self, (ns, name): (usize, &str), key: StoreKey, whole_name: bool) {
+        if let Some(locs) = self.entries[ns].get_mut(name) {
+            locs.retain(|l| !whole_name && l.key != key);
+        }
+    }
+
+    /// Reads `len` bytes of the log at `at`.
+    fn read(&mut self, at: u64, len: u32) -> Option<Vec<u8>> {
+        let file = self.reader.as_mut()?;
+        let mut buf = vec![0; usize::try_from(len).ok()?];
+        file.seek(SeekFrom::Start(at)).ok()?;
+        file.read_exact(&mut buf).ok()?;
+        Some(buf)
+    }
+
+    /// The payload of the indexed entry for `key` under `slot`.
+    fn payload(&mut self, (ns, name): (usize, &str), key: StoreKey) -> Option<Vec<u8>> {
+        let loc = *self.entries[ns].get(name)?.iter().find(|l| l.key == key)?;
+        self.read(loc.body + u64::from(loc.payload), loc.len - loc.payload)
+    }
+
+    /// The key breakdown recorded with `loc`.
+    fn breakdown(&mut self, loc: Loc) -> Option<BreakdownDoc> {
+        let head = self.read(loc.body, loc.payload)?;
+        serde_json::from_slice(decode_body(&head)?.breakdown).ok()
+    }
+}
+
+/// One record's body, decoded in place.
+struct Record<'a> {
+    ns: usize,
+    key: StoreKey,
+    name: &'a str,
+    breakdown: &'a [u8],
+    /// Body length.
+    len: u32,
+    /// Offset of the payload within the body.
+    payload: u32,
+}
+
+/// Frames one record: header, then the body laid out as the module doc
+/// shows. `None` if a field outgrows its length prefix.
+fn encode_record(ns: Namespace, name: &str, key: &StageKey, payload: &[u8]) -> Option<Vec<u8>> {
+    let breakdown = serde_json::to_vec(&key.to_doc()).ok()?;
+    let name_len = u16::try_from(name.len()).ok()?;
+    let breakdown_len = u32::try_from(breakdown.len()).ok()?;
+    let mut rec = Vec::with_capacity(HEADER + 64 + name.len() + breakdown.len() + payload.len());
+    rec.extend_from_slice(MAGIC);
+    rec.resize(HEADER, 0);
+    rec.push(ns_index(ns) as u8);
+    rec.extend_from_slice(&key.key.0.to_le_bytes());
+    rec.extend_from_slice(&name_len.to_le_bytes());
+    rec.extend_from_slice(name.as_bytes());
+    rec.extend_from_slice(&breakdown_len.to_le_bytes());
+    rec.extend_from_slice(&breakdown);
+    rec.extend_from_slice(payload);
+    let body_len = u32::try_from(rec.len() - HEADER).ok()?;
+    let sum = checksum(&rec[HEADER..]);
+    rec[4..8].copy_from_slice(&body_len.to_le_bytes());
+    rec[8..HEADER].copy_from_slice(&sum);
+    Some(rec)
+}
+
+fn checksum(body: &[u8]) -> [u8; 16] {
+    let mut h = FingerprintHasher::new();
+    h.struct_tag("specmt-store-record/v1");
+    h.bytes(body);
+    h.finish().0.to_le_bytes()
+}
+
+/// Decodes a body, or a prefix of one that ends where the payload starts.
+fn decode_body(body: &[u8]) -> Option<Record<'_>> {
+    let mut rest = body;
+    let mut take = |n: usize| -> Option<&[u8]> {
+        let (head, tail) = rest.split_at_checked(n)?;
+        rest = tail;
+        Some(head)
+    };
+    let ns = usize::from(take(1)?[0]);
+    let key = StoreKey(u128::from_le_bytes(take(16)?.try_into().ok()?));
+    let name_len = u16::from_le_bytes(take(2)?.try_into().ok()?);
+    let name = std::str::from_utf8(take(usize::from(name_len))?).ok()?;
+    let breakdown_len = u32::from_le_bytes(take(4)?.try_into().ok()?);
+    let breakdown = take(usize::try_from(breakdown_len).ok()?)?;
+    (ns < NAMESPACES.len()).then_some(())?;
+    Some(Record {
+        ns,
+        key,
+        name,
+        breakdown,
+        len: u32::try_from(body.len()).ok()?,
+        payload: u32::try_from(body.len() - rest.len()).ok()?,
+    })
+}
+
+/// What lies at one offset of a log buffer.
+enum Check<'a> {
+    /// A whole record, ending at the given offset.
+    Valid(Record<'a>, usize),
+    /// The start of a record not yet wholly in the buffer (or nothing).
+    Incomplete,
+    /// No record starts here.
+    Bad,
+}
+
+fn check(buf: &[u8], at: usize) -> Check<'_> {
+    let rest = &buf[at..];
+    let Some((header, body)) = rest.split_at_checked(HEADER) else {
+        return if MAGIC.starts_with(&rest[..rest.len().min(MAGIC.len())]) {
+            Check::Incomplete
+        } else {
+            Check::Bad
+        };
+    };
+    if &header[..4] != MAGIC {
+        return Check::Bad;
+    }
+    let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    let Some(body) = usize::try_from(len).ok().and_then(|len| body.get(..len)) else {
+        return Check::Incomplete;
+    };
+    if checksum(body) != header[8..] {
+        return Check::Bad;
+    }
+    match decode_body(body) {
+        Some(rec) => Check::Valid(rec, at + HEADER + body.len()),
+        None => Check::Bad,
+    }
+}
+
+/// Calls `on_record(offset, record)` for each valid record in `buf`, in
+/// order, and returns how many bytes are settled: everything before the
+/// first offset where a record may still complete once more is appended.
+///
+/// A record that fails its checksum or never completes (a torn write) is
+/// skipped when a valid record follows it; an incomplete one with nothing
+/// valid after it is waited for.
+fn scan<'a>(buf: &'a [u8], mut on_record: impl FnMut(usize, Record<'a>)) -> usize {
+    let mut at = 0;
+    loop {
+        if let Check::Valid(rec, end) = check(buf, at) {
+            on_record(at, rec);
+            at = end;
+            continue;
+        }
+        let mut wait = None;
+        let mut next = None;
+        for q in at..=buf.len() {
+            match check(buf, q) {
+                Check::Valid(..) => {
+                    next = Some(q);
+                    break;
+                }
+                Check::Incomplete => {
+                    wait.get_or_insert(q);
+                }
+                Check::Bad => {}
+            }
+        }
+        match next {
+            Some(q) => at = q,
+            // `check` at the end of the buffer is always `Incomplete`.
+            None => return wait.unwrap_or(buf.len()),
+        }
+    }
 }
 
 /// Writes `bytes` to `path` via a pid-and-sequence-suffixed temp file and
-/// an atomic rename, so readers never see a torn entry and concurrent
-/// writers (parallel suite load, `--jobs N` grids) cannot clobber each
-/// other's temp files — even two threads of one process writing the same
-/// entry. Returns `false` (after cleaning up) on any I/O failure.
+/// an atomic rename, so a reader of `last-run.json` never sees it torn and
+/// concurrent runs cannot clobber each other's temp files. Returns `false`
+/// (after cleaning up) on any I/O failure.
 fn write_atomic(path: &Path, bytes: &[u8]) -> bool {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
@@ -643,33 +874,6 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> bool {
     }
     let _ = fs::remove_file(&tmp);
     false
-}
-
-/// The pid of a writer's temp file (`….tmp<pid>` or `….tmp<pid>-<seq>`),
-/// if `name` is one. Accepts the bare-pid form PR 5 wrote so a store
-/// upgrade still sweeps older leftovers.
-fn tmp_pid(name: &str) -> Option<u32> {
-    let (_, suffix) = name.rsplit_once(".tmp")?;
-    let pid = suffix.split('-').next().unwrap_or(suffix);
-    pid.parse().ok()
-}
-
-/// Whether a temp file belongs to a crashed writer. The owning process
-/// still running (checked via `/proc` where it exists) keeps its file;
-/// where liveness cannot be checked, only files over an hour old count as
-/// abandoned.
-fn tmp_is_stale(pid: u32, path: &Path) -> bool {
-    if pid == std::process::id() {
-        return false;
-    }
-    if Path::new("/proc").is_dir() {
-        return !Path::new(&format!("/proc/{pid}")).exists();
-    }
-    fs::metadata(path)
-        .and_then(|m| m.modified())
-        .ok()
-        .and_then(|t| t.elapsed().ok())
-        .is_some_and(|age| age.as_secs() > 3600)
 }
 
 #[cfg(test)]
@@ -751,10 +955,16 @@ mod tests {
             .finish();
         // The handle that wrote `old` treats the new key as sweep growth —
         // invalidation only fires for siblings inherited from a prior run.
-        assert_eq!(store.get_json::<u64>(Namespace::SimResult, "a-tiny", &new), None);
+        assert_eq!(
+            store.get_json::<u64>(Namespace::SimResult, "a-tiny", &new),
+            None
+        );
         assert_eq!(store.invalidations(Namespace::SimResult), 0);
         let store = scratch.store();
-        assert_eq!(store.get_json::<u64>(Namespace::SimResult, "a-tiny", &new), None);
+        assert_eq!(
+            store.get_json::<u64>(Namespace::SimResult, "a-tiny", &new),
+            None
+        );
         assert_eq!(store.invalidations(Namespace::SimResult), 1);
         let records = store.invalidation_records();
         assert_eq!(records.len(), 1);
@@ -762,7 +972,10 @@ mod tests {
         assert_eq!(records[0].stage, "simulate");
         // A different *name* in the same namespace is a cold start.
         let other = k("simulate", 3);
-        assert_eq!(store.get_json::<u64>(Namespace::SimResult, "b-tiny", &other), None);
+        assert_eq!(
+            store.get_json::<u64>(Namespace::SimResult, "b-tiny", &other),
+            None
+        );
         assert_eq!(store.invalidations(Namespace::SimResult), 1);
     }
 
@@ -822,8 +1035,14 @@ mod tests {
         let s2 = k("simulate", 2);
         store.put_json(Namespace::SimResult, "a-tiny", &s1, &1u64);
         store.put_json(Namespace::SimResult, "a-tiny", &s2, &2u64);
-        assert_eq!(store.get_json::<u64>(Namespace::SimResult, "a-tiny", &s1), Some(1));
-        assert_eq!(store.get_json::<u64>(Namespace::SimResult, "a-tiny", &s2), Some(2));
+        assert_eq!(
+            store.get_json::<u64>(Namespace::SimResult, "a-tiny", &s1),
+            Some(1)
+        );
+        assert_eq!(
+            store.get_json::<u64>(Namespace::SimResult, "a-tiny", &s2),
+            Some(2)
+        );
     }
 
     #[test]
@@ -832,12 +1051,24 @@ mod tests {
         let store = scratch.store();
         let key = k("profile", 1);
         store.put_json(Namespace::Profile, "a-tiny", &key, &7u64);
-        fs::write(
-            scratch.0.join("profile").join(format!("a-tiny.{}.json", key.key.hex())),
-            b"{ not json",
-        )
-        .expect("corrupt entry");
-        assert_eq!(store.get_json::<u64>(Namespace::Profile, "a-tiny", &key), None);
+        store.put_bytes(Namespace::Profile, "a-tiny", &key, b"{ not json");
+        assert_eq!(
+            store.get_json::<u64>(Namespace::Profile, "a-tiny", &key),
+            None
+        );
+        // Regeneration appends a record that replaces the corrupt one, for
+        // this handle and a fresh one alike.
+        store.put_json(Namespace::Profile, "a-tiny", &key, &7u64);
+        assert_eq!(
+            store.get_json::<u64>(Namespace::Profile, "a-tiny", &key),
+            Some(7)
+        );
+        assert_eq!(
+            scratch
+                .store()
+                .get_json::<u64>(Namespace::Profile, "a-tiny", &key),
+            Some(7)
+        );
     }
 
     #[test]
@@ -849,7 +1080,10 @@ mod tests {
             store.put_bytes(Namespace::SimResult, name, &key, &vec![0u8; 1000]);
         }
         let usage = store.usage();
-        let sim = usage.iter().find(|u| u.namespace == "simresult").expect("ns");
+        let sim = usage
+            .iter()
+            .find(|u| u.namespace == "simresult")
+            .expect("ns");
         assert_eq!(sim.entries, 3);
         assert!(sim.bytes >= 3000);
 
@@ -859,6 +1093,8 @@ mod tests {
 
     #[test]
     fn old_smtr_trace_entries_are_inert() {
+        // A store an older build filled: flat `<ns>/<name>.<key>.json`
+        // entries with `.key.json` sidecars, and `.smtr` trace images.
         let scratch = Scratch::new("old-smtr");
         let trace_dir = scratch.0.join("trace");
         fs::create_dir_all(&trace_dir).expect("ns dir");
@@ -866,53 +1102,188 @@ mod tests {
         let hex = old.key.hex();
         let sidecar = serde_json::to_string_pretty(&old.to_doc()).expect("sidecar");
         fs::write(trace_dir.join(format!("a-tiny.{hex}.smtr")), b"SMTR").expect("plant");
+        fs::write(trace_dir.join(format!("a-tiny.{hex}.json")), b"{}").expect("plant");
         fs::write(trace_dir.join(format!("a-tiny.{hex}.key.json")), sidecar).expect("plant");
 
         let store = scratch.store();
+        assert_eq!(store.get_bytes(Namespace::Trace, "a-tiny", &old), None);
         let new = k("trace", 2);
         assert_eq!(store.get_bytes(Namespace::Trace, "a-tiny", &new), None);
         assert_eq!(store.invalidations(Namespace::Trace), 0);
         assert!(store.invalidation_records().is_empty());
-        let usage = store.usage();
-        let trace = usage.iter().find(|u| u.namespace == "trace").expect("ns");
-        assert_eq!(trace.entries, 0);
-        assert!(trace.bytes > 0);
+        assert!(store.usage().iter().all(|u| u.entries == 0 && u.bytes == 0));
 
+        store.put_bytes(Namespace::Trace, "a-tiny", &new, b"x");
         store.clear().expect("clear");
         assert!(!trace_dir.exists());
+        assert!(fs::read_dir(&scratch.0).expect("root").next().is_none());
+    }
+
+    /// The log's length in bytes.
+    fn log_len(scratch: &Scratch) -> u64 {
+        fs::metadata(scratch.0.join(LOG_FILE)).expect("log").len()
     }
 
     #[test]
-    fn tmp_pid_parses_both_suffix_forms() {
-        assert_eq!(tmp_pid("a.json.tmp1234"), Some(1234));
-        assert_eq!(tmp_pid("a.json.tmp1234-9"), Some(1234));
-        assert_eq!(tmp_pid("a.json.tmp7-0"), Some(7));
-        assert_eq!(tmp_pid("a.json"), None);
-        assert_eq!(tmp_pid("a.json.tmp"), None);
-        assert_eq!(tmp_pid("a.json.tmpnotapid"), None);
+    fn torn_tail_misses_and_later_puts_stay_readable() {
+        let scratch = Scratch::new("torn");
+        let store = scratch.store();
+        store.put_bytes(Namespace::SimResult, "a-tiny", &k("simulate", 1), b"first");
+        let whole = log_len(&scratch);
+        store.put_bytes(
+            Namespace::SimResult,
+            "a-tiny",
+            &k("simulate", 2),
+            &[7u8; 200],
+        );
+        // A crash mid-append: the second record loses its last 50 bytes.
+        let log = OpenOptions::new()
+            .write(true)
+            .open(scratch.0.join(LOG_FILE))
+            .expect("log");
+        log.set_len(log_len(&scratch) - 50).expect("truncate");
+
+        let get =
+            |store: &Store, x| store.get_bytes(Namespace::SimResult, "a-tiny", &k("simulate", x));
+        let store = scratch.store();
+        assert_eq!(get(&store, 1).as_deref(), Some(&b"first"[..]));
+        assert_eq!(get(&store, 2), None, "the torn record misses");
+        assert!(log_len(&scratch) > whole, "the torn bytes stay in the log");
+        // A later put lands after the torn bytes and is found past them.
+        store.put_bytes(Namespace::SimResult, "a-tiny", &k("simulate", 3), b"third");
+        let fresh = scratch.store();
+        assert_eq!(get(&fresh, 3).as_deref(), Some(&b"third"[..]));
+        assert_eq!(get(&fresh, 1).as_deref(), Some(&b"first"[..]));
+        assert_eq!(get(&fresh, 2), None);
+        // The regenerated entry is readable too.
+        fresh.put_bytes(Namespace::SimResult, "a-tiny", &k("simulate", 2), b"second");
+        assert_eq!(get(&scratch.store(), 2).as_deref(), Some(&b"second"[..]));
     }
 
     #[test]
-    fn open_sweeps_orphans_and_spares_live_files() {
-        let scratch = Scratch::new("sweep");
-        let trace_dir = scratch.0.join("trace");
-        fs::create_dir_all(&trace_dir).expect("ns dir");
-        // An orphan from a "crashed" writer: no such pid can exist (the
-        // kernel's pid space ends far below u32::MAX).
-        let orphan = trace_dir.join(format!("a.json.tmp{}-3", u32::MAX));
-        // A temp file owned by this very process: a live writer mid-put.
-        let live_tmp = trace_dir.join(format!("a.json.tmp{}-0", std::process::id()));
-        // A committed entry, which must never be touched.
-        let entry = trace_dir.join("a.0123.json");
-        for f in [&orphan, &live_tmp, &entry] {
-            fs::write(f, b"payload").expect("plant file");
+    fn corrupt_record_in_the_middle_is_skipped() {
+        let scratch = Scratch::new("mid-corrupt");
+        let store = scratch.store();
+        store.put_bytes(Namespace::SimResult, "a-tiny", &k("simulate", 1), b"first");
+        store.put_bytes(Namespace::SimResult, "a-tiny", &k("simulate", 2), b"second");
+        let third_at = log_len(&scratch) as usize;
+        store.put_bytes(Namespace::SimResult, "b-tiny", &k("simulate", 3), b"third");
+        // Flip the last payload byte of the middle record.
+        let mut bytes = fs::read(scratch.0.join(LOG_FILE)).expect("log");
+        bytes[third_at - 1] ^= 0xff;
+        fs::write(scratch.0.join(LOG_FILE), &bytes).expect("corrupt");
+
+        let store = scratch.store();
+        let get = |name, x| store.get_bytes(Namespace::SimResult, name, &k("simulate", x));
+        assert_eq!(get("a-tiny", 1).as_deref(), Some(&b"first"[..]));
+        assert_eq!(get("a-tiny", 2), None, "a failed checksum is a miss");
+        assert_eq!(get("b-tiny", 3).as_deref(), Some(&b"third"[..]));
+        assert_eq!(store.hits(Namespace::SimResult), 2);
+        assert_eq!(store.misses(Namespace::SimResult), 1);
+    }
+
+    #[test]
+    fn a_second_handle_sees_the_first_handles_put_on_its_next_miss() {
+        let scratch = Scratch::new("two-handles");
+        let first = scratch.store();
+        let second = scratch.store();
+        let key = k("simulate", 1);
+        assert_eq!(second.get_bytes(Namespace::SimResult, "a-tiny", &key), None);
+        first.put_bytes(Namespace::SimResult, "a-tiny", &key, b"shared");
+        assert_eq!(
+            second
+                .get_bytes(Namespace::SimResult, "a-tiny", &key)
+                .as_deref(),
+            Some(&b"shared"[..])
+        );
+        assert_eq!(second.hits(Namespace::SimResult), 1);
+        assert_eq!(second.misses(Namespace::SimResult), 1);
+        let usage = second.usage();
+        let sim = usage
+            .iter()
+            .find(|u| u.namespace == "simresult")
+            .expect("ns");
+        assert_eq!((sim.entries, sim.bytes), (1, 6));
+    }
+
+    #[test]
+    fn supersede_survives_a_reopen() {
+        let scratch = Scratch::new("supersede-reopen");
+        let store = scratch.store();
+        store.put_bytes(Namespace::Trace, "a-tiny", &k("trace", 1), b"old");
+        store.put_bytes(Namespace::Trace, "a-tiny", &k("trace", 2), b"new");
+        store.put_json(Namespace::SimResult, "a-tiny", &k("simulate", 1), &1u64);
+        store.put_json(Namespace::SimResult, "a-tiny", &k("simulate", 2), &2u64);
+
+        let store = scratch.store();
+        assert_eq!(
+            store.get_bytes(Namespace::Trace, "a-tiny", &k("trace", 1)),
+            None
+        );
+        assert_eq!(
+            store
+                .get_bytes(Namespace::Trace, "a-tiny", &k("trace", 2))
+                .as_deref(),
+            Some(&b"new"[..])
+        );
+        let usage = store.usage();
+        let count = |ns: &str| {
+            usage
+                .iter()
+                .find(|u| u.namespace == ns)
+                .expect("ns")
+                .entries
+        };
+        assert_eq!(count("trace"), 1, "the superseded key is not live");
+        assert_eq!(count("simresult"), 2, "sim results accumulate");
+    }
+
+    #[test]
+    fn invalidation_diff_names_the_latest_siblings_components() {
+        let scratch = Scratch::new("latest-sibling");
+        let key = |trace: u64, config: u64| {
+            KeyBuilder::new("simulate")
+                .component("trace-key", &trace)
+                .component("sim-config", &config)
+                .finish()
+        };
+        let store = scratch.store();
+        // An older sibling differing only in the configuration, then the
+        // newest one differing in both components.
+        store.put_json(Namespace::SimResult, "a-tiny", &key(7, 1), &1u64);
+        store.put_json(Namespace::SimResult, "a-tiny", &key(8, 1), &2u64);
+
+        let store = scratch.store();
+        assert_eq!(
+            store.get_json::<u64>(Namespace::SimResult, "a-tiny", &key(7, 2)),
+            None
+        );
+        let records = store.invalidation_records();
+        assert_eq!(records.len(), 1);
+        assert_eq!(
+            records[0].changed,
+            vec!["trace-key".to_owned(), "sim-config".to_owned()]
+        );
+    }
+
+    #[test]
+    fn scan_waits_for_a_partial_record_and_settles_garbage() {
+        let key = k("simulate", 1);
+        let rec = encode_record(Namespace::SimResult, "a", &key, b"payload").expect("record");
+        let count = |buf: &[u8]| {
+            let mut n = 0;
+            (scan(buf, |_, _| n += 1), n)
+        };
+        assert_eq!(count(&rec), (rec.len(), 1));
+        // A record still being appended is waited for, not skipped.
+        for cut in [1, 3, HEADER, rec.len() - 1] {
+            assert_eq!(count(&rec[..cut]), (0, 0), "cut at {cut}");
         }
-
-        let _ = scratch.store();
-
-        assert!(!orphan.exists(), "orphaned temp file must be swept");
-        assert!(live_tmp.exists(), "a live writer's temp file must survive");
-        assert!(entry.exists(), "committed entries must survive");
+        // Garbage with no record start in it is settled.
+        assert_eq!(count(b"garbage"), (7, 0));
+        let mut buf = b"junk".to_vec();
+        buf.extend_from_slice(&rec);
+        assert_eq!(count(&buf), (buf.len(), 1));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Dynamic instruction records and traces.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use specmt_isa::{Inst, Pc, Program, Reg};
 
-use crate::{Emulator, StepOutcome, TraceError};
+use crate::{DepGraph, Emulator, StepOutcome, TraceError};
 
 /// One executed (dynamic) instruction.
 ///
@@ -76,6 +76,8 @@ pub struct Trace {
     addrs: Vec<u64>,
     results: Vec<u64>,
     final_regs: [u64; specmt_isa::NUM_REGS],
+    /// The dependence graph, built on the first [`Trace::deps`] call.
+    deps: OnceLock<Arc<DepGraph>>,
 }
 
 impl Trace {
@@ -165,6 +167,7 @@ impl Trace {
             addrs: Vec::new(),
             results: Vec::new(),
             final_regs: [0u64; specmt_isa::NUM_REGS],
+            deps: OnceLock::new(),
         };
         // A reservation is only a hint: one the allocator refuses leaves
         // the columns to grow as they would without it.
@@ -227,7 +230,15 @@ impl Trace {
             addrs,
             results,
             final_regs,
+            deps: OnceLock::new(),
         }
+    }
+
+    /// The trace's dependence graph, built once on first use and shared by
+    /// every later caller: selection's dependence scoring and every
+    /// simulation of this trace analyse it only once.
+    pub fn deps(&self) -> &Arc<DepGraph> {
+        self.deps.get_or_init(|| Arc::new(DepGraph::build(self)))
     }
 
     /// The packed taken-flag words backing [`Trace::taken_at`] (bit
