@@ -142,7 +142,9 @@ impl Args {
 
 /// Memory cap for `.s`/`.asm` input: 64 MiB of emulated memory (2,048 of
 /// the emulator's 32 KiB pages) and, separately, 64 MiB of recorded trace
-/// columns (about 3.3 M steps at ~20 bytes each). An assembly file is
+/// columns (12 bytes per step, 8 more per load or store, and 20 per 64
+/// steps: about 5.4 M steps without memory operations, 3.3 M if every
+/// step loads or stores). An assembly file is
 /// untrusted, so one that touches more memory, or runs long enough to
 /// outgrow its trace cap within the 100 M step budget, fails with a
 /// limit error instead of exhausting the host. Suite workloads are

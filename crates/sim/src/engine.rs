@@ -393,6 +393,10 @@ struct Engine<'a, 's> {
     observing: bool,
     /// Next per-run thread id (root took 0).
     next_thread_id: u64,
+    /// Rank of the next load or store among the trace's memory records:
+    /// the one cursor into the sparse address and memory-producer columns.
+    /// Windows partition the trace in order, so it only ever advances.
+    mem_next: usize,
 }
 
 impl<'a, 's> Engine<'a, 's> {
@@ -589,6 +593,7 @@ impl<'a, 's> Engine<'a, 's> {
             metrics,
             observing,
             next_thread_id: 1,
+            mem_next: 0,
             trace,
             deps,
             cfg,
@@ -881,6 +886,7 @@ impl<'a, 's> Engine<'a, 's> {
     /// returns `(end, exec_done)` and leaves the window's doomed children
     /// in `self.doomed`.
     fn process_window(&mut self, t: &PendingThread) -> (usize, u64) {
+        debug_assert_eq!(self.mem_next, self.trace.mem_rank(t.start));
         let mut st = self.win_state(t);
         let mut k = t.start;
         // `st.end` is re-read per instruction: a spawn can shrink it.
@@ -1114,6 +1120,8 @@ impl<'a, 's> Engine<'a, 's> {
 
         // --- Memory --------------------------------------------------
         if pi.flags & F_LOAD != 0 {
+            let m = self.mem_next;
+            self.mem_next += 1;
             if !self.touch_run.is_empty() {
                 self.caches[t.tu].touch_run(&mut self.touch_run);
             }
@@ -1122,7 +1130,7 @@ impl<'a, 's> Engine<'a, 's> {
             } else {
                 0
             };
-            let mut data = self.caches[t.tu].access(trace.addr_at(k), done);
+            let mut data = self.caches[t.tu].access(trace.mem_addrs()[m], done);
             let cache_hit = !self.observing || self.caches[t.tu].stats().1 == misses_before;
             let jitter = self.faults.as_mut().map_or(0, |fi| fi.jitter());
             if jitter > 0 {
@@ -1137,7 +1145,7 @@ impl<'a, 's> Engine<'a, 's> {
                     });
                 }
             }
-            let mp = self.deps.mem_producer(k);
+            let mp = self.deps.mem_producers()[m];
             if mp != NO_PRODUCER {
                 let mp = mp as usize;
                 if mp >= t.start {
@@ -1176,7 +1184,8 @@ impl<'a, 's> Engine<'a, 's> {
                 });
             }
         } else if pi.flags & F_STORE != 0 {
-            self.touch_run.push(trace.addr_at(k));
+            self.touch_run.push(trace.mem_addrs()[self.mem_next]);
+            self.mem_next += 1;
             done = t2 + 1;
         }
 

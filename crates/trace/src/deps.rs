@@ -1,7 +1,6 @@
 //! Dynamic data-dependence graphs over traces.
 
-use specmt_isa::Reg;
-
+use crate::record::MemRank;
 use crate::Trace;
 
 /// Sentinel producer index meaning "no producer in the trace" (the operand's
@@ -18,7 +17,10 @@ pub const NO_PRODUCER: u32 = u32::MAX;
 /// * `mem_producer(k)` — for loads, the most recent earlier store to the
 ///   same word address, or [`NO_PRODUCER`].
 ///
-/// Reads of the hardwired-zero register have no producer.
+/// Reads of the hardwired-zero register have no producer. Register
+/// producers take 8 bytes per record; memory producers are kept for loads
+/// and stores only (stores hold [`NO_PRODUCER`]), on the same rank as the
+/// trace's [`Trace::mem_addrs`], so they cost 4 bytes per memory record.
 ///
 /// This is the raw material for the paper's *independent* and *predictable*
 /// CQIP-ordering criteria (§3.1 criteria b/c) and for the simulator's
@@ -45,10 +47,12 @@ pub const NO_PRODUCER: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     reg_producers: Vec<[u32; 2]>,
+    /// One entry per load or store, in trace order; `mem` ranks them.
     mem_producers: Vec<u32>,
-    /// Largest address in the trace, folded into the build pass so
-    /// consumers sizing address-indexed structures (e.g. the compact cache
-    /// tag store) need no extra scan per simulation run.
+    mem: MemRank,
+    /// Largest address in the trace, computed once at build so consumers
+    /// sizing address-indexed structures (e.g. the compact cache tag
+    /// store) need no extra scan per simulation run.
     max_addr: u64,
 }
 
@@ -144,11 +148,13 @@ impl DepGraph {
     /// Runs in a single pass: `O(len)` time, `O(len + distinct addresses)`
     /// space. Static instructions are predecoded up front and the
     /// last-store map is a purpose-built open-addressing table, so the
-    /// pass itself is a tight scan over the trace's pc column.
+    /// pass itself is a tight scan over the trace's pc column, with one
+    /// cursor into its memory column that advances on each load or store.
     pub fn build(trace: &Trace) -> DepGraph {
         let n = trace.len();
+        let addrs = trace.mem_addrs();
         let mut reg_producers = vec![[NO_PRODUCER; 2]; n];
-        let mut mem_producers = vec![NO_PRODUCER; n];
+        let mut mem_producers = vec![NO_PRODUCER; addrs.len()];
         let mut last_reg_write = [NO_PRODUCER; specmt_isa::NUM_REGS];
 
         let program = trace.program();
@@ -189,9 +195,8 @@ impl DepGraph {
         };
         let mut last_store = AddrMap::with_capacity(dyn_stores);
 
-        let mut max_addr = 0u64;
+        let mut m = 0usize;
         for (k, &pc) in trace.pcs().iter().enumerate() {
-            max_addr = max_addr.max(trace.addr_at(k));
             let p = pre[pc as usize];
             if p.src[0] != NO_REG {
                 reg_producers[k][0] = last_reg_write[p.src[0] as usize];
@@ -200,12 +205,13 @@ impl DepGraph {
                 reg_producers[k][1] = last_reg_write[p.src[1] as usize];
             }
             if p.is_load {
-                if let Some(v) = last_store.get(trace.addr_at(k)) {
-                    mem_producers[k] = v;
+                if let Some(v) = last_store.get(addrs[m]) {
+                    mem_producers[m] = v;
                 }
-            }
-            if p.is_store {
-                last_store.insert(trace.addr_at(k), k as u32);
+                m += 1;
+            } else if p.is_store {
+                last_store.insert(addrs[m], k as u32);
+                m += 1;
             }
             if p.dst != NO_REG {
                 last_reg_write[p.dst as usize] = k as u32;
@@ -215,7 +221,8 @@ impl DepGraph {
         DepGraph {
             reg_producers,
             mem_producers,
-            max_addr,
+            mem: trace.mem_index().clone(),
+            max_addr: addrs.iter().copied().max().unwrap_or(0),
         }
     }
 
@@ -247,64 +254,26 @@ impl DepGraph {
     }
 
     /// Producer store of a load at dynamic index `k`, or [`NO_PRODUCER`].
+    /// O(1), through the trace's memory rank index.
     pub fn mem_producer(&self, k: usize) -> u32 {
-        self.mem_producers[k]
+        self.mem
+            .rank(k)
+            .map_or(NO_PRODUCER, |r| self.mem_producers[r])
     }
 
-    /// The register live-ins of the window `start..end`: registers read
-    /// within the window whose producing instruction lies before `start`,
-    /// together with the producer index ([`NO_PRODUCER`] if the value
-    /// predates the trace) and the dynamic index of the first in-window
-    /// consumer.
-    ///
-    /// This is exactly the set of values the paper's processor predicts when
-    /// it spawns a thread over that window.
-    pub fn live_ins(&self, trace: &Trace, start: usize, end: usize) -> Vec<LiveIn> {
-        debug_assert!(start <= end && end <= trace.len());
-        let mut seen_write = [false; specmt_isa::NUM_REGS];
-        let mut out = Vec::new();
-        let mut seen_live = [false; specmt_isa::NUM_REGS];
-        for k in start..end {
-            let inst = trace.inst(k);
-            for (s, src) in inst.srcs().into_iter().enumerate() {
-                let Some(r) = src else { continue };
-                if r.is_zero() || seen_write[r.index()] || seen_live[r.index()] {
-                    continue;
-                }
-                seen_live[r.index()] = true;
-                out.push(LiveIn {
-                    reg: r,
-                    producer: self.reg_producers[k][s],
-                    first_use: k as u32,
-                });
-            }
-            if let Some(dst) = inst.dst() {
-                if !dst.is_zero() {
-                    seen_write[dst.index()] = true;
-                }
-            }
-        }
-        out
+    /// The memory producers of the trace's loads and stores, one per memory
+    /// record in trace order (stores hold [`NO_PRODUCER`]): entry
+    /// `trace.mem_rank(k)` belongs to dynamic index `k`, as in
+    /// [`Trace::mem_addrs`].
+    pub fn mem_producers(&self) -> &[u32] {
+        &self.mem_producers
     }
-}
-
-/// One thread live-in value: a register whose first in-window read precedes
-/// any in-window write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LiveIn {
-    /// The live-in register.
-    pub reg: Reg,
-    /// Dynamic index of the producing instruction (before the window), or
-    /// [`NO_PRODUCER`].
-    pub producer: u32,
-    /// Dynamic index of the first consumer inside the window.
-    pub first_use: u32,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specmt_isa::ProgramBuilder;
+    use specmt_isa::{ProgramBuilder, Reg};
 
     fn mem_chain_trace() -> Trace {
         let mut b = ProgramBuilder::new();
@@ -367,40 +336,5 @@ mod tests {
         let deps = DepGraph::build(&trace);
         assert_eq!(deps.reg_producer(1, 0), NO_PRODUCER);
         assert_eq!(deps.reg_producer(1, 1), NO_PRODUCER);
-    }
-
-    #[test]
-    fn live_ins_respect_window_writes() {
-        let mut b = ProgramBuilder::new();
-        b.li(Reg::R1, 10); // 0
-        b.li(Reg::R2, 20); // 1
-                           // window start
-        b.addi(Reg::R3, Reg::R1, 0); // 2: reads R1 (live-in)
-        b.addi(Reg::R1, Reg::R1, 1); // 3: reads R1 (already counted), writes R1
-        b.addi(Reg::R4, Reg::R1, 0); // 4: reads R1 after in-window write: not live-in
-        b.addi(Reg::R5, Reg::R2, 0); // 5: reads R2 (live-in)
-        b.halt();
-        let trace = Trace::generate(b.build().unwrap(), 100).unwrap();
-        let deps = DepGraph::build(&trace);
-        let live = deps.live_ins(&trace, 2, 6);
-        let regs: Vec<Reg> = live.iter().map(|l| l.reg).collect();
-        assert_eq!(regs, vec![Reg::R1, Reg::R2]);
-        assert_eq!(live[0].producer, 0);
-        assert_eq!(live[0].first_use, 2);
-        assert_eq!(live[1].producer, 1);
-        assert_eq!(live[1].first_use, 5);
-    }
-
-    #[test]
-    fn live_in_with_no_trace_producer() {
-        let mut b = ProgramBuilder::new();
-        b.addi(Reg::R1, Reg::SP, 0); // reads SP, initialised outside the trace
-        b.halt();
-        let trace = Trace::generate(b.build().unwrap(), 100).unwrap();
-        let deps = DepGraph::build(&trace);
-        let live = deps.live_ins(&trace, 0, 1);
-        assert_eq!(live.len(), 1);
-        assert_eq!(live[0].reg, Reg::SP);
-        assert_eq!(live[0].producer, NO_PRODUCER);
     }
 }

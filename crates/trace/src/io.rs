@@ -26,6 +26,10 @@
 //! * **addr**, **result** — plain varints (zero, the common case for
 //!   non-memory and non-producing instructions, is one byte).
 //!
+//! The addr column is dense on disk, one varint per record, while the
+//! in-memory trace keeps addresses for loads and stores only; a nonzero
+//! address on any other record cannot be held, so the reader rejects it.
+//!
 //! Typical traces compress to 3–6 bytes per dynamic instruction.
 
 use std::io::{self, Write};
@@ -33,6 +37,7 @@ use std::sync::Arc;
 
 use specmt_isa::{Program, Reg, NUM_REGS};
 
+use crate::record::{mem_pcs, MemRank};
 use crate::Trace;
 
 const MAGIC: &[u8; 4] = b"SMTR";
@@ -139,7 +144,7 @@ impl Trace {
         for &word in self.taken_words() {
             buf.extend_from_slice(&word.to_le_bytes());
         }
-        for &addr in self.addrs_col() {
+        for addr in self.dense_addrs() {
             put_varint(&mut buf, addr);
         }
         for &result in self.results_col() {
@@ -154,7 +159,8 @@ impl Trace {
     /// # Errors
     ///
     /// Returns an error for an unrecognised container (bad magic or
-    /// version) or corrupt contents.
+    /// version) or corrupt contents, including a nonzero address on a
+    /// record that is not a load or store.
     pub fn from_bytes(data: &[u8]) -> io::Result<Trace> {
         let Some(mut buf) = data.strip_prefix(MAGIC) else {
             return Err(bad("not a specmt trace (bad magic)"));
@@ -182,33 +188,42 @@ impl Trace {
 
         let program: Program =
             serde_json::from_slice(program_json).map_err(|e| bad(&e.to_string()))?;
-        let mut columns = Columns {
-            pcs: Vec::with_capacity(count),
-            taken: Vec::with_capacity(count.div_ceil(64)),
-            addrs: Vec::with_capacity(count),
-            results: Vec::with_capacity(count),
-        };
         let program_len = i64::try_from(program.len()).map_err(|_| bad("program too large"))?;
+        let mut pcs = Vec::with_capacity(count);
         let mut prev = 0i64;
         for _ in 0..count {
             let pc = prev
                 .checked_add(unzigzag(get_varint(&mut buf)?))
                 .filter(|pc| (0..program_len).contains(pc))
                 .ok_or_else(|| bad("record pc outside program"))?;
-            columns.pcs.push(pc as u32);
+            pcs.push(pc as u32);
             prev = pc;
         }
+        let mut taken = Vec::with_capacity(count.div_ceil(64));
         for _ in 0..count.div_ceil(64) {
-            columns
-                .taken
-                .push(u64::from_le_bytes(take(&mut buf, "taken column")?));
+            taken.push(u64::from_le_bytes(take(&mut buf, "taken column")?));
         }
+        let is_mem = mem_pcs(&program);
+        let mut addrs = Vec::new();
+        for &pc in &pcs {
+            let addr = get_varint(&mut buf)?;
+            if is_mem[pc as usize] {
+                addrs.push(addr);
+            } else if addr != 0 {
+                return Err(bad("address on a record that is not a load or store"));
+            }
+        }
+        let mut results = Vec::with_capacity(count);
         for _ in 0..count {
-            columns.addrs.push(get_varint(&mut buf)?);
+            results.push(get_varint(&mut buf)?);
         }
-        for _ in 0..count {
-            columns.results.push(get_varint(&mut buf)?);
-        }
+        let columns = Columns {
+            mem: MemRank::build(&is_mem, &pcs),
+            pcs,
+            taken,
+            addrs,
+            results,
+        };
         Ok(Trace::from_columns(Arc::new(program), columns, final_regs))
     }
 }
@@ -217,11 +232,13 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// A trace's four columns, as [`Trace::from_columns`] takes them.
+/// A trace's columns, as [`Trace::from_columns`] takes them: `addrs` holds
+/// the loads' and stores' addresses only, ranked by `mem`.
 pub(crate) struct Columns {
     pub(crate) pcs: Vec<u32>,
     pub(crate) taken: Vec<u64>,
     pub(crate) addrs: Vec<u64>,
+    pub(crate) mem: MemRank,
     pub(crate) results: Vec<u64>,
 }
 
@@ -300,6 +317,36 @@ mod tests {
         let mut bad_version = bytes.clone();
         bad_version[4] = 0xff;
         assert!(Trace::from_bytes(&bad_version).is_err());
+    }
+
+    /// The sparse address column cannot hold an address on a record that
+    /// is not a load or store, so such an image is rejected rather than
+    /// read back with the address silently dropped.
+    #[test]
+    fn rejects_an_address_on_a_non_memory_record() {
+        let mut b = ProgramBuilder::new();
+        b.li(Reg::R1, 0x100);
+        b.st(Reg::R1, Reg::R1, 0);
+        b.halt();
+        let trace = Trace::generate(b.build().unwrap(), 100).unwrap();
+        let mut bytes = Vec::new();
+        trace.write_to(&mut bytes).unwrap();
+        // The tail is the pc column (3 one-byte deltas), one taken word,
+        // the addr column (li: 0, st: 0x100 as two bytes, halt: 0) and the
+        // result column (0x100 twice as two bytes, then 0).
+        let n = bytes.len();
+        assert_eq!(&bytes[n - 9..n - 5], &[0x00, 0x80, 0x02, 0x00]);
+        assert!(Trace::from_bytes(&bytes).is_ok());
+        // Give the `li` an address of 7 in place of 0.
+        let mut corrupt = bytes.clone();
+        corrupt[n - 9] = 7;
+        let err = Trace::from_bytes(&corrupt).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not a load or store"), "{err}");
+        // The same on the `halt`.
+        let mut corrupt = bytes;
+        corrupt[n - 6] = 7;
+        assert!(Trace::from_bytes(&corrupt).is_err());
     }
 
     #[test]

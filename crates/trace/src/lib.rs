@@ -60,7 +60,6 @@ mod record;
 /// instead of requiring a workspace version bump.
 pub const CODE_REV: u32 = 1;
 
-pub use deps::LiveIn;
 pub use deps::{DepGraph, NO_PRODUCER};
 pub use emulator::{Emulator, StepOutcome};
 pub use error::TraceError;

@@ -46,12 +46,20 @@ pub struct DynInst {
 /// # Data layout
 ///
 /// Records are stored as a structure of arrays — `pc` as a `u32` column,
-/// `addr` and `result` as `u64` columns, `taken` as packed bits — instead of
-/// an array of 24-byte structs. The hot consumers are column-selective:
-/// block streaming and spawn-point scans read only pcs (4 bytes/record
-/// instead of 24), the dependence builder reads pcs and addresses, and the
-/// timing model's value-prediction path reads single results by index. The
-/// split keeps each scan from dragging the cold columns through cache.
+/// `result` as a `u64` column, `taken` as packed bits — instead of an array
+/// of 24-byte structs. Only loads and stores have an address, so the
+/// address column is sparse: one `u64` per memory record, in execution
+/// order, found by rank through a per-64-record index (a "load or store"
+/// bit per record plus a `u32` count of the memory records before each
+/// 64-record word). Membership comes from the static instruction, so the
+/// index costs 12 bytes per 64 records and [`Trace::addr_at`] stays O(1).
+/// A trace holds about 12.3 bytes per record plus 8 per load or store.
+///
+/// The hot consumers are column-selective: block streaming and spawn-point
+/// scans read only pcs (4 bytes/record instead of 24), the dependence
+/// builder and the timing model walk pcs and the memory column with one
+/// cursor, and the value-prediction path reads single results by index.
+/// The split keeps each scan from dragging the cold columns through cache.
 ///
 /// # Examples
 ///
@@ -73,11 +81,92 @@ pub struct Trace {
     pcs: Vec<u32>,
     /// Taken flags, 64 records per word (bit `k % 64` of word `k / 64`).
     taken: Vec<u64>,
+    /// Effective addresses of the loads and stores only, in execution
+    /// order; `mem` maps a dynamic index to its entry.
     addrs: Vec<u64>,
+    mem: MemRank,
     results: Vec<u64>,
     final_regs: [u64; specmt_isa::NUM_REGS],
     /// The dependence graph, built on the first [`Trace::deps`] call.
     deps: OnceLock<Arc<DepGraph>>,
+}
+
+/// Which records of a trace are loads or stores, and the rank of each among
+/// them: bit `k % 64` of `mask[k / 64]` marks record `k`, and `before[w]`
+/// counts the memory records in words `0..w`. A column with one entry per
+/// memory record (a trace's addresses, a dependence graph's memory
+/// producers) is then indexed by dynamic index with one popcount.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MemRank {
+    mask: Vec<u64>,
+    before: Vec<u32>,
+}
+
+impl MemRank {
+    /// The index of `pcs`, whose memory records are those whose static
+    /// instruction `is_mem` marks.
+    pub(crate) fn build(is_mem: &[bool], pcs: &[u32]) -> MemRank {
+        let mut mask = Vec::with_capacity(pcs.len().div_ceil(64));
+        let mut before = Vec::with_capacity(mask.capacity());
+        let mut count = 0u32;
+        for chunk in pcs.chunks(64) {
+            let mut word = 0u64;
+            for (i, &pc) in chunk.iter().enumerate() {
+                word |= u64::from(is_mem[pc as usize]) << i;
+            }
+            mask.push(word);
+            before.push(count);
+            count += word.count_ones();
+        }
+        MemRank { mask, before }
+    }
+
+    /// The number of memory records before record `k`, or `None` when `k`
+    /// lies beyond the last 64-record word.
+    #[inline]
+    fn below(&self, k: usize) -> Option<usize> {
+        let w = k / 64;
+        let word = *self.mask.get(w)?;
+        let lower = word & ((1u64 << (k % 64)) - 1);
+        Some(self.before[w] as usize + lower.count_ones() as usize)
+    }
+
+    /// Whether record `k` is a load or store (`false` beyond the trace).
+    #[inline]
+    fn is_mem(&self, k: usize) -> bool {
+        self.mask
+            .get(k / 64)
+            .is_some_and(|w| w & (1u64 << (k % 64)) != 0)
+    }
+
+    /// The rank of record `k` among the memory records, or `None` when it
+    /// is not a load or store.
+    #[inline]
+    pub(crate) fn rank(&self, k: usize) -> Option<usize> {
+        if self.is_mem(k) {
+            self.below(k)
+        } else {
+            None
+        }
+    }
+}
+
+/// Per static instruction, whether it is a load or store: the records that
+/// own an entry in the sparse memory columns.
+pub(crate) fn mem_pcs(program: &Program) -> Vec<bool> {
+    program
+        .insts()
+        .iter()
+        .map(|i| i.is_load() || i.is_store())
+        .collect()
+}
+
+/// The bytes a trace's columns hold for `records` records of which
+/// `mem_records` are loads or stores: 4 (pc) + 8 (result) per record,
+/// 8 (address) per memory record, and per 64 records one taken word, one
+/// memory-mask word and one `u32` rank count.
+fn column_bytes(records: u64, mem_records: u64) -> u64 {
+    12 * records + 8 * mem_records + 20 * records.div_ceil(64)
 }
 
 impl Trace {
@@ -95,7 +184,8 @@ impl Trace {
 
     /// As [`Trace::generate`], but additionally caps both the emulated
     /// memory footprint (see [`Emulator::set_memory_limit`]) and the
-    /// recorded trace columns (about 20 bytes per record) at
+    /// recorded trace columns (about 12.3 bytes per record plus 8 per load
+    /// or store) at
     /// `max_mem_bytes` each — the bounded-resource entry point for running
     /// untrusted or fuzzed programs, whose step budget alone would let a
     /// spin loop record gigabytes before it ran out.
@@ -115,10 +205,12 @@ impl Trace {
         Trace::record_from(emu, max_steps, 0, Some(max_mem_bytes))
     }
 
-    /// As [`Trace::generate`], reserving the columns for `records` records
-    /// up front (clamped to `max_steps`). With the trace's true length as
-    /// the hint, the columns never grow and hold no slack; any other hint
-    /// only changes how much is reserved, never the trace.
+    /// As [`Trace::generate`], reserving the per-record columns for
+    /// `records` records up front (clamped to `max_steps`). With the trace's
+    /// true length as the hint, those columns never grow and hold no slack;
+    /// any other hint only changes how much is reserved, never the trace.
+    /// The sparse address column, whose length no hint gives, grows as
+    /// loads and stores are recorded and is trimmed to fit at the end.
     ///
     /// # Errors
     ///
@@ -156,15 +248,14 @@ impl Trace {
         reserve: u64,
         max_trace_bytes: Option<u64>,
     ) -> Result<Trace, TraceError> {
-        // Every 64 records cost 64 * (4 + 8 + 8) column bytes plus one
-        // taken word: 1,288 bytes.
-        let trace_cap = max_trace_bytes.map(|bytes| (bytes / 1288 * 64, bytes));
         let program = Arc::clone(emu.program());
+        let is_mem = mem_pcs(&program);
         let mut trace = Trace {
             program,
             pcs: Vec::new(),
             taken: Vec::new(),
             addrs: Vec::new(),
+            mem: MemRank::default(),
             results: Vec::new(),
             final_regs: [0u64; specmt_isa::NUM_REGS],
             deps: OnceLock::new(),
@@ -174,26 +265,26 @@ impl Trace {
         let n = usize::try_from(reserve.min(max_steps)).unwrap_or(usize::MAX);
         let _ = trace.pcs.try_reserve_exact(n);
         let _ = trace.taken.try_reserve_exact(n.div_ceil(64));
-        let _ = trace.addrs.try_reserve_exact(n);
         let _ = trace.results.try_reserve_exact(n);
         loop {
-            let recorded = trace.pcs.len() as u64;
-            if recorded >= max_steps {
+            if trace.pcs.len() as u64 >= max_steps {
                 return Err(TraceError::StepLimitExceeded { limit: max_steps });
             }
-            if let Some((max_records, limit)) = trace_cap {
-                if recorded >= max_records {
+            match emu.step()? {
+                StepOutcome::Executed(rec) => trace.push(rec, is_mem[rec.pc.0 as usize]),
+                StepOutcome::Halted => break,
+            }
+            if let Some(limit) = max_trace_bytes {
+                if column_bytes(trace.pcs.len() as u64, trace.addrs.len() as u64) > limit {
                     return Err(TraceError::Limit {
                         resource: "trace memory",
                         limit,
                     });
                 }
             }
-            match emu.step()? {
-                StepOutcome::Executed(rec) => trace.push(rec),
-                StepOutcome::Halted => break,
-            }
         }
+        trace.addrs.shrink_to_fit();
+        trace.mem = MemRank::build(&is_mem, &trace.pcs);
         for r in Reg::all() {
             trace.final_regs[r.index()] = emu.reg(r);
         }
@@ -213,9 +304,9 @@ impl Trace {
             pcs,
             mut taken,
             addrs,
+            mem,
             results,
         } = columns;
-        debug_assert_eq!(addrs.len(), pcs.len());
         debug_assert_eq!(results.len(), pcs.len());
         debug_assert_eq!(taken.len(), pcs.len().div_ceil(64));
         if !pcs.len().is_multiple_of(64) {
@@ -228,6 +319,7 @@ impl Trace {
             pcs,
             taken,
             addrs,
+            mem,
             results,
             final_regs,
             deps: OnceLock::new(),
@@ -247,9 +339,23 @@ impl Trace {
         &self.taken
     }
 
-    /// The effective-address column.
-    pub(crate) fn addrs_col(&self) -> &[u64] {
-        &self.addrs
+    /// The memory-record rank index.
+    pub(crate) fn mem_index(&self) -> &MemRank {
+        &self.mem
+    }
+
+    /// Every record's effective address in execution order, zero for the
+    /// records that are not loads or stores: one cursor walks the sparse
+    /// column.
+    pub(crate) fn dense_addrs(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut addrs = self.addrs.iter();
+        (0..self.pcs.len()).map(move |k| {
+            if self.mem.is_mem(k) {
+                addrs.next().copied().unwrap_or(0)
+            } else {
+                0
+            }
+        })
     }
 
     /// The result-value column.
@@ -257,8 +363,10 @@ impl Trace {
         &self.results
     }
 
-    /// Appends one record to the column store.
-    fn push(&mut self, rec: DynInst) {
+    /// Appends one record to the column store; `is_mem` says whether its
+    /// static instruction is a load or store, which alone owns an address
+    /// entry. (The rank index is built once recording ends.)
+    fn push(&mut self, rec: DynInst, is_mem: bool) {
         let k = self.pcs.len();
         self.pcs.push(rec.pc.0);
         if k.is_multiple_of(64) {
@@ -267,7 +375,9 @@ impl Trace {
         if rec.taken {
             self.taken[k / 64] |= 1u64 << (k % 64);
         }
-        self.addrs.push(rec.addr);
+        if is_mem {
+            self.addrs.push(rec.addr);
+        }
         self.results.push(rec.result);
     }
 
@@ -314,22 +424,37 @@ impl Trace {
         self.taken[k / 64] & (1u64 << (k % 64)) != 0
     }
 
-    /// The effective-address column, in execution order (zero for
-    /// non-memory instructions) — the cheapest way to scan the trace's
-    /// memory footprint.
-    pub fn addrs(&self) -> &[u64] {
+    /// The effective addresses of the trace's loads and stores, one per
+    /// memory record in execution order — the cheapest way to scan the
+    /// trace's memory footprint. The entry of dynamic index `k` is
+    /// `mem_addrs()[trace.mem_rank(k)]` when `k` is a load or store.
+    pub fn mem_addrs(&self) -> &[u64] {
         &self.addrs
     }
 
+    /// The number of loads and stores before dynamic index `k` (`k` may be
+    /// the trace length): the position of record `k`'s entry in
+    /// [`Trace::mem_addrs`] when it is a memory record. O(1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is beyond the trace length.
+    #[inline]
+    pub fn mem_rank(&self, k: usize) -> usize {
+        assert!(k <= self.pcs.len(), "dynamic index out of range");
+        self.mem.below(k).unwrap_or(self.addrs.len())
+    }
+
     /// The effective memory address of the instruction at dynamic index `k`
-    /// (zero for non-memory instructions).
+    /// (zero for non-memory instructions). O(1), through the rank index.
     ///
     /// # Panics
     ///
     /// Panics if `k` is out of range.
     #[inline]
     pub fn addr_at(&self, k: usize) -> u64 {
-        self.addrs[k]
+        assert!(k < self.pcs.len(), "dynamic index out of range");
+        self.mem.rank(k).map_or(0, |r| self.addrs[r])
     }
 
     /// The produced (register or stored) value of the instruction at
@@ -351,17 +476,17 @@ impl Trace {
         Some(DynInst {
             pc: Pc(self.pcs[k]),
             taken: self.taken_at(k),
-            addr: self.addrs[k],
+            addr: self.addr_at(k),
             result: self.results[k],
         })
     }
 
     /// Iterates over all dynamic records, in execution order.
     pub fn iter_records(&self) -> impl Iterator<Item = DynInst> + '_ {
-        (0..self.pcs.len()).map(|k| DynInst {
+        self.dense_addrs().enumerate().map(|(k, addr)| DynInst {
             pc: Pc(self.pcs[k]),
             taken: self.taken[k / 64] & (1u64 << (k % 64)) != 0,
-            addr: self.addrs[k],
+            addr,
             result: self.results[k],
         })
     }
@@ -550,6 +675,49 @@ mod tests {
     }
 
     #[test]
+    fn bounded_generation_caps_a_storing_spin_loop() {
+        // `top: st r1, 0(r2); j top` stores to one word forever: the
+        // emulated memory stays one page, so only the trace cap, which
+        // counts each store's address entry, can stop it.
+        let mut b = ProgramBuilder::new();
+        let top = b.fresh_label("top");
+        b.li(Reg::R2, 0x1000);
+        b.bind(top);
+        b.st(Reg::R1, Reg::R2, 0);
+        b.j(top);
+        b.halt();
+        let spin = b.build().unwrap();
+        let limit = 1 << 20;
+        let err = Trace::generate_bounded(spin.clone(), 10_000_000, limit).unwrap_err();
+        assert_eq!(
+            err,
+            TraceError::Limit {
+                resource: "trace memory",
+                limit
+            }
+        );
+        // The cap binds exactly at the column bytes, stores included: record
+        // 0 is the `li`, then every other record is a store. A step budget
+        // of exactly the records that fit runs out first; one more record
+        // outgrows the cap.
+        let fit = (1..)
+            .take_while(|&r| column_bytes(r, r / 2) <= limit)
+            .last()
+            .unwrap();
+        assert!(fit < limit / 16, "stores must count: {fit} records fit");
+        let err = Trace::generate_bounded(spin.clone(), fit, limit).unwrap_err();
+        assert_eq!(err, TraceError::StepLimitExceeded { limit: fit });
+        let err = Trace::generate_bounded(spin, fit + 1, limit).unwrap_err();
+        assert_eq!(
+            err,
+            TraceError::Limit {
+                resource: "trace memory",
+                limit
+            }
+        );
+    }
+
+    #[test]
     fn execution_counts_sum_to_trace_length() {
         let trace = Trace::generate(loop_program(7), 1000).unwrap();
         let counts = trace.execution_counts();
@@ -581,18 +749,62 @@ mod tests {
         assert!(!branch_records[1].taken);
     }
 
+    /// A loop whose iterations load, bump and store one array word, then
+    /// store and reload the next, between address-free ALU and branch
+    /// records: over 64 records, so memory ranks cross index words.
+    fn memory_loop_program(n: i64) -> Program {
+        let mut b = ProgramBuilder::new();
+        let top = b.fresh_label("top");
+        b.li(Reg::R14, 0x10000);
+        b.li(Reg::R1, 0);
+        b.li(Reg::R2, n);
+        b.bind(top);
+        b.shli(Reg::R3, Reg::R1, 3);
+        b.add(Reg::R3, Reg::R14, Reg::R3);
+        b.ld(Reg::R4, Reg::R3, 0);
+        b.addi(Reg::R4, Reg::R4, 3);
+        b.st(Reg::R4, Reg::R3, 0);
+        b.st(Reg::R1, Reg::R3, 8);
+        b.ld(Reg::R5, Reg::R3, 8);
+        b.addi(Reg::R1, Reg::R1, 1);
+        b.blt(Reg::R1, Reg::R2, top);
+        b.halt();
+        b.build().unwrap()
+    }
+
     #[test]
     fn columnar_accessors_agree_with_records() {
-        let trace = Trace::generate(loop_program(9), 1000).unwrap();
-        for (k, rec) in trace.iter_records().enumerate() {
-            assert_eq!(trace.pc_at(k), rec.pc);
-            assert_eq!(trace.taken_at(k), rec.taken);
-            assert_eq!(trace.addr_at(k), rec.addr);
-            assert_eq!(trace.result_at(k), rec.result);
-            assert_eq!(trace.record(k), Some(rec));
+        for program in [loop_program(9), memory_loop_program(40)] {
+            let trace = Trace::generate(program.clone(), 1000).unwrap();
+            // The records the emulator produced, one step at a time.
+            let mut emu = Emulator::new(program);
+            let mut mem = 0;
+            for (k, rec) in trace.iter_records().enumerate() {
+                assert_eq!(emu.step(), Ok(StepOutcome::Executed(rec)), "record {k}");
+                assert_eq!(trace.pc_at(k), rec.pc);
+                assert_eq!(trace.taken_at(k), rec.taken);
+                assert_eq!(trace.addr_at(k), rec.addr);
+                assert_eq!(trace.result_at(k), rec.result);
+                assert_eq!(trace.record(k), Some(rec));
+                assert_eq!(trace.mem_rank(k), mem, "record {k}");
+                let inst = trace.inst(k);
+                if inst.is_load() || inst.is_store() {
+                    assert_eq!(trace.mem_addrs()[mem], rec.addr);
+                    mem += 1;
+                } else {
+                    assert_eq!(rec.addr, 0);
+                }
+            }
+            assert_eq!(emu.step(), Ok(StepOutcome::Halted));
+            assert_eq!(trace.mem_rank(trace.len()), mem);
+            assert_eq!(trace.mem_addrs().len(), mem);
+            assert_eq!(trace.record(trace.len()), None);
+            assert_eq!(trace.pcs().len(), trace.len());
         }
-        assert_eq!(trace.record(trace.len()), None);
-        assert_eq!(trace.pcs().len(), trace.len());
+        let mix = Trace::generate(memory_loop_program(40), 1000)
+            .unwrap()
+            .mix();
+        assert_eq!((mix.loads, mix.stores), (80, 80));
     }
 
     #[test]

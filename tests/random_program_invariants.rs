@@ -5,12 +5,16 @@
 //! (sequences of straight-line blocks and counted loops over random ALU and
 //! memory instructions), then checks:
 //!
-//! * the emulator halts and the dependence graph is causally ordered,
+//! * the emulator halts, the trace replays it record for record, and the
+//!   dependence graph is causally ordered with exactly the memory producers
+//!   a naive last-store map finds,
 //! * the block stream tiles the trace and the CFG conserves edge weight,
 //! * reaching probabilities are probabilities,
 //! * and — the big one — the simulator commits exactly the sequential
 //!   trace under *adversarial* spawn tables built from random program
 //!   points, with random policies enabled.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
@@ -19,7 +23,7 @@ use specmt::isa::{Pc, Program, ProgramBuilder, Reg};
 use specmt::predict::ValuePredictorKind;
 use specmt::sim::{RemovalPolicy, SimConfig, Simulator};
 use specmt::spawn::{PairOrigin, SpawnPair, SpawnTable};
-use specmt::trace::{DepGraph, Trace, NO_PRODUCER};
+use specmt::trace::{DepGraph, Emulator, StepOutcome, Trace, NO_PRODUCER};
 
 const DATA: i64 = 0x2_0000;
 
@@ -139,23 +143,36 @@ proptest! {
     #[test]
     fn emulator_and_dependences_are_causal(segments in prop::collection::vec(segment_strategy(), 1..5)) {
         let program = build_program(&segments);
-        let trace = Trace::generate(program, 50_000).expect("generated programs halt");
+        let trace = Trace::generate(program.clone(), 50_000).expect("generated programs halt");
         prop_assert!(trace.len() >= 2);
         let deps = DepGraph::build(&trace);
+        // A second emulator replays the program alongside the trace, and a
+        // naive map from address to last store is the memory-producer
+        // oracle: every load's producer must match it, present or absent.
+        let mut emu = Emulator::new(program);
+        let mut last_store: HashMap<u64, u32> = HashMap::new();
         for k in 0..trace.len() {
+            let rec = trace.record(k).expect("in range");
+            prop_assert_eq!(emu.step(), Ok(StepOutcome::Executed(rec)), "record {}", k);
             for s in 0..2 {
                 let p = deps.reg_producer(k, s);
                 if p != NO_PRODUCER {
                     prop_assert!((p as usize) < k, "producer after consumer");
                 }
             }
+            let inst = trace.inst(k);
             let m = deps.mem_producer(k);
-            if m != NO_PRODUCER {
-                prop_assert!((m as usize) < k);
-                prop_assert!(trace.inst(m as usize).is_store());
-                prop_assert_eq!(trace.record(m as usize).unwrap().addr, trace.record(k).unwrap().addr);
+            if inst.is_load() {
+                let naive = last_store.get(&rec.addr).copied().unwrap_or(NO_PRODUCER);
+                prop_assert_eq!(m, naive, "load {}", k);
+            } else {
+                prop_assert_eq!(m, NO_PRODUCER, "non-load {}", k);
+            }
+            if inst.is_store() {
+                last_store.insert(rec.addr, k as u32);
             }
         }
+        prop_assert_eq!(emu.step(), Ok(StepOutcome::Halted));
     }
 
     #[test]
