@@ -71,22 +71,9 @@ fn every_sim_config_field_is_keyed() {
         }};
     }
     variant!(thread_units += 1);
-    variant!(fetch_width += 1);
-    variant!(issue_width += 1);
-    variant!(rob_entries += 1);
-    variant!(phys_regs += 1);
-    variant!(mispredict_penalty += 1);
-    variant!(gshare_bits += 1);
-    variant!(cache.size_bytes *= 2);
-    variant!(cache.ways += 1);
-    variant!(cache.block_bytes *= 2);
-    variant!(cache.hit_latency += 1);
-    variant!(cache.miss_latency += 1);
-    variant!(cache.mshrs += 1);
     variant!(predictor_budget += 1);
     variant!(init_overhead += 1);
     variant!(forward_latency += 1);
-    variant!(squash_penalty += 1);
     variant!(reassign = !base.reassign);
     variant!(min_observed_size = Some(32));
     variant!(observe = !base.observe);

@@ -268,7 +268,7 @@ fn sim_config_change_invalidates_only_the_simulate_stage() {
 
     // Perturb one simulate-stage input.
     let mut changed = SimConfig::paper(4);
-    changed.squash_penalty += 1;
+    changed.forward_latency += 1;
     let _ = ctx.sim(changed, &table).expect("changed sim");
 
     // Upstream stages never miss...

@@ -222,7 +222,7 @@ impl FuClass {
     }
 
     /// Number of units of this class per thread unit (paper §4.1).
-    pub fn units(self) -> usize {
+    pub const fn units(self) -> usize {
         match self {
             FuClass::SimpleInt => 2,
             FuClass::LoadStore => 2,

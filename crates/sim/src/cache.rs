@@ -1,6 +1,14 @@
 //! Per-thread-unit L1 data cache timing model.
 
-use crate::CacheConfig;
+use crate::config::{
+    L1_BLOCK_BYTES, L1_HIT_LATENCY, L1_MISS_LATENCY, L1_MSHRS, L1_SIZE_BYTES, L1_WAYS,
+};
+
+/// Sets in the §4.1 geometry (512), a power of two: a set index is the low
+/// bits of the block number.
+const SETS: usize = L1_SIZE_BYTES / (L1_WAYS * L1_BLOCK_BYTES);
+/// `addr >> BLOCK_SHIFT` is the block number.
+const BLOCK_SHIFT: u32 = L1_BLOCK_BYTES.trailing_zeros();
 
 /// Tag-word abstraction: the tag store keeps `(tag, stamp)` line pairs in
 /// either full-width `u64` or compact `u32` form. The compact form halves
@@ -99,20 +107,19 @@ enum Store {
 /// earliest one to free. Only timing is modelled — data comes from the
 /// oracle trace.
 ///
-/// The hot paths are branch-light: power-of-two geometries (the default
-/// 32 KiB / 2-way / 32 B one included) index with shifts and masks, a
-/// self-validating MRU memo short-circuits consecutive same-block
-/// accesses, tag and stamp words are stored interleaved (and compacted to
-/// 32 bits when [`L1Cache::new_bounded`] can prove they fit), and store
-/// touches can be applied as a batched run ([`L1Cache::touch_run`])
-/// instead of one call per access.
+/// The hot paths are branch-light: the power-of-two geometry indexes with
+/// shifts and masks, a self-validating MRU memo short-circuits consecutive
+/// same-block accesses, tag and stamp words are stored interleaved (and
+/// compacted to 32 bits when [`L1Cache::new_bounded`] can prove they fit),
+/// and store touches can be applied as a batched run
+/// ([`L1Cache::touch_run`]) instead of one call per access.
 ///
 /// # Examples
 ///
 /// ```
-/// use specmt_sim::{CacheConfig, L1Cache};
+/// use specmt_sim::L1Cache;
 ///
-/// let mut c = L1Cache::new(CacheConfig::default());
+/// let mut c = L1Cache::new();
 /// let miss = c.access(0x1000, 100);
 /// assert_eq!(miss, 108); // 8-cycle miss
 /// let hit = c.access(0x1008, 200); // same 32-byte block
@@ -120,22 +127,16 @@ enum Store {
 /// ```
 #[derive(Debug, Clone)]
 pub struct L1Cache {
-    cfg: CacheConfig,
-    sets: usize,
-    /// `addr >> block_shift` when the block size is a power of two.
-    block_shift: Option<u32>,
-    /// `block & set_mask` when the set count is a power of two.
-    set_mask: Option<u64>,
     store: Store,
     stamp: u64,
     /// Next-free time per MSHR.
-    mshr_free: Vec<u64>,
+    mshr_free: [u64; L1_MSHRS],
     hits: u64,
     misses: u64,
 }
 
 /// Index of the smallest element (first wins ties); 0 for an empty slice.
-pub(crate) fn min_index(times: &[u64]) -> usize {
+fn min_index(times: &[u64]) -> usize {
     // Branchless select (lowered to cmov): the comparison outcome is
     // data-dependent and mispredicts badly as a branch in the hot loops.
     // Strict `<` keeps the earliest index on ties.
@@ -149,16 +150,16 @@ pub(crate) fn min_index(times: &[u64]) -> usize {
     best
 }
 
+impl Default for L1Cache {
+    fn default() -> L1Cache {
+        L1Cache::new()
+    }
+}
+
 impl L1Cache {
     /// Creates an empty (all-invalid) cache with full-width (`u64`) tags.
-    ///
-    /// Degenerate geometries (zero ways, blocks or MSHRs) are clamped to one
-    /// so the timing model stays total; [`SimConfig::validate`] rejects them
-    /// up front for simulation runs.
-    ///
-    /// [`SimConfig::validate`]: crate::SimConfig::validate
-    pub fn new(cfg: CacheConfig) -> L1Cache {
-        L1Cache::build(cfg, false)
+    pub fn new() -> L1Cache {
+        L1Cache::build(false)
     }
 
     /// As [`L1Cache::new`], but selects the compact 32-bit tag store when
@@ -168,79 +169,57 @@ impl L1Cache {
     /// Within those bounds the two stores are indistinguishable (same hits,
     /// misses, LRU victims and timing); outside them the wide store is
     /// chosen automatically.
-    pub fn new_bounded(cfg: CacheConfig, max_block: u64, max_accesses: u64) -> L1Cache {
+    pub fn new_bounded(max_block: u64, max_accesses: u64) -> L1Cache {
         let compact = max_block < u64::from(u32::MAX) && max_accesses < u64::from(u32::MAX);
-        L1Cache::build(cfg, compact)
+        L1Cache::build(compact)
     }
 
-    fn build(cfg: CacheConfig, compact: bool) -> L1Cache {
-        let mut cfg = cfg;
-        cfg.ways = cfg.ways.max(1);
-        cfg.block_bytes = cfg.block_bytes.max(1);
-        cfg.mshrs = cfg.mshrs.max(1);
-        let sets = (cfg.size_bytes / (cfg.ways * cfg.block_bytes)).max(1);
-        let lines = sets * cfg.ways;
+    fn build(compact: bool) -> L1Cache {
+        let lines = SETS * L1_WAYS;
         L1Cache {
-            sets,
-            block_shift: cfg
-                .block_bytes
-                .is_power_of_two()
-                .then(|| cfg.block_bytes.trailing_zeros()),
-            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
             store: if compact {
                 Store::Compact(TagStore::new(lines))
             } else {
                 Store::Wide(TagStore::new(lines))
             },
             stamp: 0,
-            mshr_free: vec![0; cfg.mshrs],
+            mshr_free: [0; L1_MSHRS],
             hits: 0,
             misses: 0,
-            cfg,
         }
     }
 
+    /// The block number of `addr`.
     #[inline]
-    fn block_of(&self, addr: u64) -> u64 {
-        match self.block_shift {
-            Some(s) => addr >> s,
-            None => addr / self.cfg.block_bytes as u64,
-        }
-    }
-
-    #[inline]
-    fn set_of(&self, block: u64) -> usize {
-        match self.set_mask {
-            Some(m) => (block & m) as usize,
-            None => (block % self.sets as u64) as usize,
-        }
+    fn block_of(addr: u64) -> u64 {
+        addr >> BLOCK_SHIFT
     }
 
     /// Probes (and on miss installs) `block`; returns whether it hit.
     #[inline]
     fn probe(&mut self, block: u64) -> bool {
         self.stamp += 1;
-        let base = self.set_of(block) * self.cfg.ways;
+        let base = (block & (SETS as u64 - 1)) as usize * L1_WAYS;
         match &mut self.store {
-            Store::Wide(s) => s.probe(block, base, self.cfg.ways, self.stamp),
-            Store::Compact(s) => s.probe(block, base, self.cfg.ways, self.stamp),
+            Store::Wide(s) => s.probe(block, base, L1_WAYS, self.stamp),
+            Store::Compact(s) => s.probe(block, base, L1_WAYS, self.stamp),
         }
     }
 
     /// Performs a timing access to `addr` starting at cycle `at`; returns
     /// the cycle the data is available.
     pub fn access(&mut self, addr: u64, at: u64) -> u64 {
-        let block = self.block_of(addr);
+        let block = L1Cache::block_of(addr);
         if self.probe(block) {
             self.hits += 1;
-            return at + self.cfg.hit_latency;
+            return at + L1_HIT_LATENCY;
         }
         // Miss: the block was installed over the LRU way; take the
         // earliest-free MSHR, waiting for it if all are busy.
         self.misses += 1;
         let slot = min_index(&self.mshr_free);
         let start = at.max(self.mshr_free[slot]);
-        let done = start + self.cfg.miss_latency;
+        let done = start + L1_MISS_LATENCY;
         self.mshr_free[slot] = done;
         done
     }
@@ -248,7 +227,7 @@ impl L1Cache {
     /// Installs the block containing `addr` without timing (used for store
     /// allocation).
     pub fn touch(&mut self, addr: u64) {
-        let block = self.block_of(addr);
+        let block = L1Cache::block_of(addr);
         self.probe(block);
     }
 
@@ -263,7 +242,7 @@ impl L1Cache {
         let mut prev = u64::MAX; // sentinel: paired with `first` below
         let mut first = true;
         for addr in run.drain(..) {
-            let block = self.block_of(addr);
+            let block = L1Cache::block_of(addr);
             if !first && block == prev {
                 continue;
             }
@@ -283,21 +262,13 @@ impl L1Cache {
 mod tests {
     use super::*;
 
-    fn tiny() -> L1Cache {
-        // 2 sets x 2 ways x 32B = 128 bytes.
-        L1Cache::new(CacheConfig {
-            size_bytes: 128,
-            ways: 2,
-            block_bytes: 32,
-            hit_latency: 3,
-            miss_latency: 8,
-            mshrs: 2,
-        })
-    }
+    /// Bytes between addresses that map to the same set: 512 sets of
+    /// 32-byte blocks.
+    const SET_STRIDE: u64 = (SETS * L1_BLOCK_BYTES) as u64;
 
     #[test]
     fn spatial_locality_hits_within_block() {
-        let mut c = tiny();
+        let mut c = L1Cache::new();
         assert_eq!(c.access(0, 0), 8);
         for off in (8..32).step_by(8) {
             assert_eq!(c.access(off, 10), 13);
@@ -307,31 +278,29 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_way() {
-        let mut c = tiny();
-        // Three blocks mapping to set 0 (block % 2 == 0): 0, 128, 256.
+        let mut c = L1Cache::new();
+        // Three blocks sharing set 0 of the 2-way cache.
         c.access(0, 0);
-        c.access(128, 10);
+        c.access(SET_STRIDE, 10);
         c.access(0, 20); // refresh block 0
-        c.access(256, 30); // evicts 128
+        c.access(2 * SET_STRIDE, 30); // evicts SET_STRIDE
         assert_eq!(c.access(0, 40), 43); // still resident
-        assert_eq!(c.access(128, 50), 58); // was evicted
+        assert_eq!(c.access(SET_STRIDE, 50), 58); // was evicted
     }
 
     #[test]
     fn mshr_contention_serialises_misses() {
-        let mut c = tiny();
-        // Three simultaneous misses with 2 MSHRs: the third waits.
-        let a = c.access(0, 0);
-        let b = c.access(32, 0); // other set, also miss
-        let d = c.access(64, 0); // set 0 again, third miss
-        assert_eq!(a, 8);
-        assert_eq!(b, 8);
-        assert_eq!(d, 16); // waited for an MSHR freed at 8
+        let mut c = L1Cache::new();
+        // Five simultaneous misses with 4 MSHRs: the fifth waits.
+        for i in 0..4 {
+            assert_eq!(c.access(i * 32, 0), 8);
+        }
+        assert_eq!(c.access(4 * 32, 0), 16); // waited for an MSHR freed at 8
     }
 
     #[test]
     fn touch_installs_for_later_hits() {
-        let mut c = tiny();
+        let mut c = L1Cache::new();
         c.touch(0x40);
         assert_eq!(c.access(0x40, 100), 103);
         assert_eq!(c.stats(), (1, 0));
@@ -339,44 +308,25 @@ mod tests {
 
     #[test]
     fn paper_geometry() {
-        let c = L1Cache::new(CacheConfig::default());
-        assert_eq!(c.sets, 512);
+        assert_eq!((SETS, BLOCK_SHIFT, SET_STRIDE), (512, 5, 16 * 1024));
+        let c = L1Cache::new();
         match c.store {
             Store::Wide(s) => assert_eq!(s.lines.len(), 1024),
             Store::Compact(_) => panic!("default store is wide"),
         }
     }
 
-    #[test]
-    fn non_pow2_geometry_takes_slow_indexing() {
-        // 3 sets x 1 way x 24B: neither block size nor set count is a
-        // power of two, so the division/modulo paths are exercised.
-        let mut c = L1Cache::new(CacheConfig {
-            size_bytes: 72,
-            ways: 1,
-            block_bytes: 24,
-            hit_latency: 3,
-            miss_latency: 8,
-            mshrs: 1,
-        });
-        assert!(c.block_shift.is_none());
-        assert!(c.set_mask.is_none());
-        assert_eq!(c.access(0, 0), 8);
-        assert_eq!(c.access(23, 10), 13); // same 24B block
-        assert_eq!(c.access(24, 20), 28); // next block, other set
-        assert_eq!(c.stats(), (1, 2));
-    }
-
     /// The batched run must leave the cache in exactly the state the
     /// one-call-per-touch sequence would (hits/misses and LRU behaviour).
     #[test]
     fn touch_run_matches_sequential_touches() {
-        let addrs: Vec<u64> = vec![0, 8, 8, 64, 0, 128, 128, 128, 256, 24];
-        let mut seq = tiny();
+        let s = SET_STRIDE;
+        let addrs: Vec<u64> = vec![0, 8, 8, s, 0, 2 * s, 2 * s, 2 * s, 3 * s, 24];
+        let mut seq = L1Cache::new();
         for &a in &addrs {
             seq.touch(a);
         }
-        let mut batched = tiny();
+        let mut batched = L1Cache::new();
         let mut run = addrs.clone();
         batched.touch_run(&mut run);
         assert!(run.is_empty());
@@ -392,35 +342,27 @@ mod tests {
     /// The MRU memo never reports a hit on an evicted block.
     #[test]
     fn mru_memo_survives_eviction() {
-        let mut c = tiny();
+        let mut c = L1Cache::new();
         c.access(0, 0); // install block 0 (memo now block 0)
-        c.access(128, 10); // set 0, other way
-        c.access(256, 20); // set 0: evicts block 0 (LRU)
+        c.access(SET_STRIDE, 10); // set 0, other way
+        c.access(2 * SET_STRIDE, 20); // set 0: evicts block 0 (LRU)
         assert_eq!(c.access(0, 30), 38, "evicted block must miss");
     }
 
     /// The compact (u32) store is indistinguishable from the wide one
     /// inside its proven bounds: identical timing and statistics over a
-    /// pseudo-random access/touch mix.
+    /// pseudo-random access/touch mix spanning four times the capacity.
     #[test]
     fn compact_store_matches_wide() {
-        let cfg = CacheConfig {
-            size_bytes: 512,
-            ways: 2,
-            block_bytes: 32,
-            hit_latency: 3,
-            miss_latency: 8,
-            mshrs: 2,
-        };
-        let mut wide = L1Cache::new(cfg);
-        let mut compact = L1Cache::new_bounded(cfg, 1 << 20, 100_000);
+        let mut wide = L1Cache::new();
+        let mut compact = L1Cache::new_bounded(1 << 20, 100_000);
         assert!(matches!(compact.store, Store::Compact(_)));
         let mut x = 0xabcd_1234_u64;
-        for i in 0..5_000u64 {
+        for i in 0..20_000u64 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let addr = x % (1 << 14);
+            let addr = x % (4 * L1_SIZE_BYTES as u64);
             if x & 3 == 0 {
                 wide.touch(addr);
                 compact.touch(addr);
@@ -429,15 +371,17 @@ mod tests {
                 assert_eq!(wide.access(addr, at), compact.access(addr, at), "step {i}");
             }
         }
+        let (hits, misses) = wide.stats();
+        assert!(hits > 1000 && misses > 1000, "{hits} hits, {misses} misses");
         assert_eq!(wide.stats(), compact.stats());
     }
 
     /// Bounds that do not fit 32 bits fall back to the wide store.
     #[test]
     fn oversized_bounds_fall_back_to_wide() {
-        let c = L1Cache::new_bounded(CacheConfig::default(), u64::from(u32::MAX), 1);
+        let c = L1Cache::new_bounded(u64::from(u32::MAX), 1);
         assert!(matches!(c.store, Store::Wide(_)));
-        let c = L1Cache::new_bounded(CacheConfig::default(), 1, u64::from(u32::MAX));
+        let c = L1Cache::new_bounded(1, u64::from(u32::MAX));
         assert!(matches!(c.store, Store::Wide(_)));
     }
 }

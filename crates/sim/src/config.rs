@@ -5,39 +5,6 @@ use specmt_store::{Fingerprint, FingerprintHasher};
 
 use crate::{FaultPlan, SimError};
 
-/// First-level data cache parameters (per thread unit).
-///
-/// Defaults are the paper's: 32 KB, 2-way, 32-byte blocks, 3-cycle hits,
-/// 8-cycle misses, up to 4 outstanding misses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Total capacity in bytes.
-    pub size_bytes: usize,
-    /// Associativity.
-    pub ways: usize,
-    /// Block size in bytes.
-    pub block_bytes: usize,
-    /// Hit latency in cycles.
-    pub hit_latency: u64,
-    /// Miss latency in cycles.
-    pub miss_latency: u64,
-    /// Maximum outstanding misses (MSHRs).
-    pub mshrs: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> CacheConfig {
-        CacheConfig {
-            size_bytes: 32 * 1024,
-            ways: 2,
-            block_bytes: 32,
-            hit_latency: 3,
-            miss_latency: 8,
-            mshrs: 4,
-        }
-    }
-}
-
 /// The §4.2 dynamic spawning-pair removal mechanism: a pair is cancelled
 /// once its threads have executed *alone* for longer than a threshold, a
 /// configurable number of times.
@@ -76,6 +43,55 @@ impl RemovalPolicy {
     }
 }
 
+// The fixed §4.1 machine: every thread unit is the same 4-wide
+// out-of-order core, and no experiment in the paper varies it.
+
+/// Instructions fetched per cycle, up to the first taken branch (§4.1).
+pub const FETCH_WIDTH: u32 = 4;
+/// Issue width per thread unit (§4.1).
+pub const ISSUE_WIDTH: usize = 4;
+/// Reorder-buffer entries per thread unit (§4.1).
+pub const ROB_ENTRIES: usize = 64;
+/// Physical registers per thread unit (§4.1): in-flight register-writing
+/// instructions are limited to `PHYS_REGS - NUM_REGS` rename registers.
+pub const PHYS_REGS: usize = 64;
+/// Branch misprediction redirect penalty beyond resolution, in cycles.
+/// §4.1 gives none; this is the model's choice.
+pub const MISPREDICT_PENALTY: u64 = 3;
+/// gshare global-history bits (§4.1).
+pub const GSHARE_BITS: u32 = 10;
+/// Refetch penalty after a memory-dependence violation squash, in cycles.
+/// §4.1 gives none; this is the model's choice.
+pub const SQUASH_PENALTY: u64 = 5;
+/// L1 data cache capacity per thread unit, in bytes (§4.1: 32 KB).
+pub const L1_SIZE_BYTES: usize = 32 * 1024;
+/// L1 data cache associativity (§4.1).
+pub const L1_WAYS: usize = 2;
+/// L1 data cache block size, in bytes (§4.1).
+pub const L1_BLOCK_BYTES: usize = 32;
+/// L1 data cache hit latency, in cycles (§4.1).
+pub const L1_HIT_LATENCY: u64 = 3;
+/// L1 data cache miss latency, in cycles (§4.1).
+pub const L1_MISS_LATENCY: u64 = 8;
+/// Outstanding L1 misses (MSHRs) per thread unit (§4.1).
+pub const L1_MSHRS: usize = 4;
+
+const _: () = assert!(FETCH_WIDTH >= 1 && ISSUE_WIDTH >= 1 && ROB_ENTRIES >= 1);
+const _: () = assert!(
+    PHYS_REGS > specmt_isa::NUM_REGS,
+    "the rename pool must reach beyond the architectural registers"
+);
+const _: () = assert!(GSHARE_BITS >= 1 && GSHARE_BITS <= 20);
+const _: () = assert!(
+    L1_WAYS >= 1 && L1_MSHRS >= 1 && L1_SIZE_BYTES >= L1_WAYS * L1_BLOCK_BYTES,
+    "the cache must hold at least one set"
+);
+const _: () = assert!(
+    L1_BLOCK_BYTES.is_power_of_two()
+        && (L1_SIZE_BYTES / (L1_WAYS * L1_BLOCK_BYTES)).is_power_of_two(),
+    "blocks and sets index with shifts and masks"
+);
+
 /// Full simulator configuration.
 ///
 /// [`SimConfig::paper`] reproduces §4.1 with a given thread-unit count;
@@ -85,22 +101,6 @@ impl RemovalPolicy {
 pub struct SimConfig {
     /// Number of thread units (1 disables speculation entirely).
     pub thread_units: usize,
-    /// Instructions fetched per cycle (up to the first taken branch).
-    pub fetch_width: u32,
-    /// Issue width per thread unit.
-    pub issue_width: usize,
-    /// Reorder-buffer entries per thread unit.
-    pub rob_entries: usize,
-    /// Physical registers per thread unit (§4.1 lists 64): in-flight
-    /// register-writing instructions are limited to
-    /// `phys_regs - NUM_REGS` rename registers.
-    pub phys_regs: usize,
-    /// Branch misprediction redirect penalty beyond resolution, in cycles.
-    pub mispredict_penalty: u64,
-    /// gshare history bits (the paper uses 10).
-    pub gshare_bits: u32,
-    /// L1 data cache configuration.
-    pub cache: CacheConfig,
     /// Live-in value predictor.
     pub value_predictor: ValuePredictorKind,
     /// Value predictor storage budget in bytes (the paper uses 16 KB).
@@ -111,8 +111,6 @@ pub struct SimConfig {
     /// Latency of forwarding a register or memory value between thread
     /// units (3 cycles in the paper).
     pub forward_latency: u64,
-    /// Refetch penalty after a memory-dependence violation squash.
-    pub squash_penalty: u64,
     /// Dynamic spawning-pair removal (§4.2), or `None` to never remove.
     pub removal: Option<RemovalPolicy>,
     /// The reassign policy (Figure 6): on a blocked or removed best CQIP,
@@ -131,18 +129,6 @@ pub struct SimConfig {
     pub observe: bool,
 }
 
-impl Fingerprint for CacheConfig {
-    fn fingerprint(&self, h: &mut FingerprintHasher) {
-        h.struct_tag("CacheConfig");
-        h.u64(self.size_bytes as u64);
-        h.u64(self.ways as u64);
-        h.u64(self.block_bytes as u64);
-        h.u64(self.hit_latency);
-        h.u64(self.miss_latency);
-        h.u64(self.mshrs as u64);
-    }
-}
-
 impl Fingerprint for RemovalPolicy {
     fn fingerprint(&self, h: &mut FingerprintHasher) {
         h.struct_tag("RemovalPolicy");
@@ -154,21 +140,42 @@ impl Fingerprint for RemovalPolicy {
 /// The fingerprint covers every field that can alter simulated timing or
 /// statistics — including `observe`, because the metrics snapshot rides on
 /// the `SimResult` an entry stores, and `faults`, so chaos runs can never
-/// alias a faultless entry. The value-predictor kind is hashed as a stable
+/// alias a faultless entry — and the fixed machine constants, in the order
+/// they were hashed when they were settable fields, so an edit to any of
+/// them re-keys every result. The value-predictor kind is hashed as a stable
 /// name (it is a foreign type, so it cannot implement [`Fingerprint`]
 /// itself).
 impl Fingerprint for SimConfig {
     fn fingerprint(&self, h: &mut FingerprintHasher) {
+        // No `..`: a new field fails to compile until it is keyed here.
+        let SimConfig {
+            thread_units,
+            value_predictor,
+            predictor_budget,
+            init_overhead,
+            forward_latency,
+            removal,
+            reassign,
+            min_observed_size,
+            faults,
+            observe,
+        } = self;
         h.struct_tag("SimConfig");
-        h.u64(self.thread_units as u64);
-        h.u64(u64::from(self.fetch_width));
-        h.u64(self.issue_width as u64);
-        h.u64(self.rob_entries as u64);
-        h.u64(self.phys_regs as u64);
-        h.u64(self.mispredict_penalty);
-        h.u64(u64::from(self.gshare_bits));
-        self.cache.fingerprint(h);
-        h.str(match self.value_predictor {
+        h.u64(*thread_units as u64);
+        h.u64(u64::from(FETCH_WIDTH));
+        h.u64(ISSUE_WIDTH as u64);
+        h.u64(ROB_ENTRIES as u64);
+        h.u64(PHYS_REGS as u64);
+        h.u64(MISPREDICT_PENALTY);
+        h.u64(u64::from(GSHARE_BITS));
+        h.struct_tag("CacheConfig");
+        h.u64(L1_SIZE_BYTES as u64);
+        h.u64(L1_WAYS as u64);
+        h.u64(L1_BLOCK_BYTES as u64);
+        h.u64(L1_HIT_LATENCY);
+        h.u64(L1_MISS_LATENCY);
+        h.u64(L1_MSHRS as u64);
+        h.str(match value_predictor {
             ValuePredictorKind::Perfect => "perfect",
             ValuePredictorKind::LastValue => "last-value",
             ValuePredictorKind::Stride => "stride",
@@ -176,37 +183,30 @@ impl Fingerprint for SimConfig {
             ValuePredictorKind::Hybrid => "hybrid",
             ValuePredictorKind::None => "none",
         });
-        h.u64(self.predictor_budget as u64);
-        h.u64(self.init_overhead);
-        h.u64(self.forward_latency);
-        h.u64(self.squash_penalty);
-        self.removal.fingerprint(h);
-        h.bool(self.reassign);
-        self.min_observed_size.fingerprint(h);
-        self.faults.fingerprint(h);
-        h.bool(self.observe);
+        h.u64(*predictor_budget as u64);
+        h.u64(*init_overhead);
+        h.u64(*forward_latency);
+        h.u64(SQUASH_PENALTY);
+        removal.fingerprint(h);
+        h.bool(*reassign);
+        min_observed_size.fingerprint(h);
+        faults.fingerprint(h);
+        h.bool(*observe);
     }
 }
 
 impl SimConfig {
     /// The paper's §4.1 configuration with `thread_units` units, perfect
     /// value prediction, no init overhead and no removal — the Figure 3
-    /// baseline setup.
+    /// baseline setup. The rest of the machine is fixed: see
+    /// [`FETCH_WIDTH`] and the constants beside it.
     pub fn paper(thread_units: usize) -> SimConfig {
         SimConfig {
             thread_units,
-            fetch_width: 4,
-            issue_width: 4,
-            rob_entries: 64,
-            phys_regs: 64,
-            mispredict_penalty: 3,
-            gshare_bits: 10,
-            cache: CacheConfig::default(),
             value_predictor: ValuePredictorKind::Perfect,
             predictor_budget: specmt_predict::PAPER_BUDGET_BYTES,
             init_overhead: 0,
             forward_latency: 3,
-            squash_penalty: 5,
             removal: None,
             reassign: false,
             min_observed_size: None,
@@ -263,38 +263,11 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] if any width or size is zero (or
-    /// the rename pool cannot cover the architectural file), and
+    /// Returns [`SimError::InvalidConfig`] for zero thread units, and
     /// [`SimError::InvalidFaultPlan`] for an out-of-range fault rate.
     pub fn validate(&self) -> Result<(), SimError> {
-        let bad = SimError::invalid_config;
         if self.thread_units < 1 {
-            return Err(bad("need at least one thread unit"));
-        }
-        if self.fetch_width < 1 {
-            return Err(bad("fetch width must be positive"));
-        }
-        if self.issue_width < 1 {
-            return Err(bad("issue width must be positive"));
-        }
-        if self.rob_entries < 1 {
-            return Err(bad("rob must hold at least one entry"));
-        }
-        if self.phys_regs <= specmt_isa::NUM_REGS {
-            return Err(SimError::invalid_config(format!(
-                "{} physical registers cannot rename beyond the {} architectural ones",
-                self.phys_regs,
-                specmt_isa::NUM_REGS
-            )));
-        }
-        if self.cache.ways < 1 || self.cache.block_bytes < 8 {
-            return Err(bad("cache needs >= 1 way and >= 8-byte blocks"));
-        }
-        if self.cache.size_bytes < self.cache.ways * self.cache.block_bytes {
-            return Err(bad("cache must hold at least one set"));
-        }
-        if self.cache.mshrs < 1 {
-            return Err(bad("cache needs at least one MSHR"));
+            return Err(SimError::invalid_config("need at least one thread unit"));
         }
         if let Some(plan) = &self.faults {
             plan.validate()?;
@@ -372,17 +345,11 @@ mod tests {
     fn paper_config_matches_section_4_1() {
         let c = SimConfig::paper(16);
         assert_eq!(c.thread_units, 16);
-        assert_eq!(c.fetch_width, 4);
-        assert_eq!(c.issue_width, 4);
-        assert_eq!(c.rob_entries, 64);
-        assert_eq!(c.phys_regs, 64);
-        assert_eq!(c.gshare_bits, 10);
-        assert_eq!(c.cache.size_bytes, 32 * 1024);
-        assert_eq!(c.cache.ways, 2);
-        assert_eq!(c.cache.block_bytes, 32);
-        assert_eq!(c.cache.hit_latency, 3);
-        assert_eq!(c.cache.miss_latency, 8);
-        assert_eq!(c.cache.mshrs, 4);
+        assert_eq!((FETCH_WIDTH, ISSUE_WIDTH, ROB_ENTRIES), (4, 4, 64));
+        assert_eq!((PHYS_REGS, GSHARE_BITS), (64, 10));
+        let l1 = (L1_SIZE_BYTES, L1_WAYS, L1_BLOCK_BYTES);
+        assert_eq!(l1, (32 * 1024, 2, 32));
+        assert_eq!((L1_HIT_LATENCY, L1_MISS_LATENCY, L1_MSHRS), (3, 8, 4));
         assert_eq!(c.forward_latency, 3);
         assert_eq!(c.predictor_budget, 16 * 1024);
         c.validate().unwrap();

@@ -31,9 +31,11 @@
 //! index handles (DESIGN.md §13): per-pair runtime counters in a
 //! [`PairArena`] addressed by `PairId` (interned once, in sorted key
 //! order), spawn candidates and CQIP occurrences in CSR offset+value
-//! tables, per-thread-unit issue ports and functional units in flat
-//! columns, and per-static-instruction facts predecoded into a [`PreInst`]
-//! table so the cycle loop never interrogates the `Inst` enum.
+//! tables, per-thread-unit issue ports and functional units in fixed-size
+//! arrays, and per-static-instruction facts predecoded into a [`PreInst`]
+//! table so the cycle loop never interrogates the `Inst` enum. The machine
+//! itself is the fixed §4.1 core (see [`FETCH_WIDTH`] and its siblings), so
+//! widths and ring sizes are constants.
 
 use specmt_isa::{FuClass, Pc};
 use specmt_obs::{Event, EventSink, FaultKind, GateReason, MetricsRegistry, SquashReason};
@@ -42,7 +44,10 @@ use specmt_spawn::{AdaptiveState, SpawnTable};
 use specmt_trace::{DepGraph, Trace, NO_PRODUCER};
 use std::sync::Arc;
 
-use crate::cache::min_index;
+use crate::config::{
+    FETCH_WIDTH, GSHARE_BITS, ISSUE_WIDTH, L1_BLOCK_BYTES, MISPREDICT_PENALTY, PHYS_REGS,
+    ROB_ENTRIES, SQUASH_PENALTY,
+};
 use crate::faults::FaultInjector;
 use crate::{L1Cache, SimConfig, SimError, SimResult};
 
@@ -162,6 +167,32 @@ const MIN_SIZE_SAMPLES: u32 = 8;
 /// arrays of this size).
 const NUM_FU_CLASSES: usize = FuClass::ALL.len();
 
+/// Functional units per thread unit (§4.1: nine). Every class fields one
+/// or two, so the issue step picks a unit with a single compare.
+const FU_TOTAL: usize = {
+    let mut total = 0;
+    let mut i = 0;
+    while i < NUM_FU_CLASSES {
+        let units = FuClass::ALL[i].units();
+        assert!(
+            units == 1 || units == 2,
+            "the unit pick compares at most two"
+        );
+        total += units;
+        i += 1;
+    }
+    total
+};
+
+/// Rename registers per thread unit: the physical registers beyond the
+/// architectural file bound the in-flight register writers.
+const RENAME_REGS: usize = PHYS_REGS - specmt_isa::NUM_REGS;
+
+const _: () = assert!(
+    ISSUE_WIDTH == 4,
+    "the issue-port tournament is unrolled for four ports"
+);
+
 /// The trace-driven Clustered Speculative Multithreaded Processor model.
 ///
 /// Construct with [`Simulator::new`] (no spawning — the superscalar
@@ -242,11 +273,6 @@ struct WinState<'a> {
     /// a window-local field cannot alias the `&mut self` calls inside the
     /// step (spawns, caches), so the per-instruction loads stay hoisted.
     pcs: &'a [u32],
-    /// Config-derived loop constants, hoisted for the same reason.
-    rob: usize,
-    renames: usize,
-    issue_width: usize,
-    fetch_width: u32,
     rob_i: usize,
     rob_full: bool,
     writer_i: usize,
@@ -264,19 +290,12 @@ struct WinState<'a> {
     /// Constant live-in readiness when the perfect value predictor makes
     /// every out-of-window producer equivalent (`Some(init_done)`).
     live_const: Option<u64>,
-    /// Whether the unrolled 4-wide issue tournament applies (issue width 4,
-    /// every FU class fielding at most two units).
-    fast_units: bool,
-    /// Base of this unit's issue-port / FU slices in the flat columns.
-    pbase: usize,
-    fbase_tu: usize,
-    /// Window-local copies of this unit's port and FU availability columns
-    /// for the common geometry: nothing else touched inside the window
-    /// (spawns, caches, predictors) reads them, and locals keep the
-    /// per-instruction tournaments in registers instead of memory. Written
-    /// back by `finish_window`.
-    ports4: [u64; 4],
-    fu16: [u64; 16],
+    /// Window-local copies of this unit's port and FU availability: nothing
+    /// else touched inside the window (spawns, caches, predictors) reads
+    /// them, and locals keep the per-instruction tournaments in registers
+    /// instead of memory. Written back by `finish_window`.
+    ports: [u64; ISSUE_WIDTH],
+    fus: [u64; FU_TOTAL],
     /// Window end: the start of the next more-speculative thread (or the
     /// trace end). Only a spawn can move it.
     end: usize,
@@ -337,18 +356,16 @@ struct Engine<'a, 's> {
     /// RNG per attempt and the adaptive gates emit and count their own
     /// declines, so either disables the shortcut.
     fast_decline: bool,
-    /// Next-free cycle per issue port: unit `u`'s ports are
-    /// `ports[u * issue_width..][..issue_width]`.
-    ports: Vec<u64>,
-    /// Next-free cycle per functional unit: unit `u`'s class-`c` FUs are
-    /// `fu_free[u * fu_total + fu_offset[c]..][..fu_count[c]]`.
-    fu_free: Vec<u64>,
+    /// Next-free cycle per issue port, per thread unit.
+    ports: Vec<[u64; ISSUE_WIDTH]>,
+    /// Next-free cycle per functional unit, per thread unit: the class-`c`
+    /// FUs are `fu_free[u][fu_offset[c]..][..fu_count[c]]`.
+    fu_free: Vec<[u64; FU_TOTAL]>,
     fu_offset: [usize; NUM_FU_CLASSES],
     fu_count: [usize; NUM_FU_CLASSES],
     /// Occupancy increment per issue: 1 for pipelined classes, the full
     /// latency for non-pipelined ones.
     fu_incr: [u64; NUM_FU_CLASSES],
-    fu_total: usize,
     // --- Cold per-thread-unit state (touched per branch / memory op) ----
     gshares: Vec<Gshare>,
     /// Per-unit branch-confidence estimators, updated alongside the
@@ -367,10 +384,10 @@ struct Engine<'a, 's> {
     chain: std::collections::VecDeque<PendingThread>,
     // --- Reusable scratch (hoisted out of the cycle loop) ---------------
     /// ROB commit ring; entries are only read at positions already written
-    /// this window (`local_i >= rob`), so it is never re-zeroed.
-    rob_ring: Vec<u64>,
+    /// this window (once `rob_full`), so it is never re-zeroed.
+    rob_ring: [u64; ROB_ENTRIES],
     /// Rename-register commit ring; same never-re-zeroed argument.
-    writer_ring: Vec<u64>,
+    writer_ring: [u64; RENAME_REGS],
     /// Doomed children of the window being processed.
     doomed: Vec<DoomedChild>,
     /// Live-in readiness memo: cached time per architectural register,
@@ -522,19 +539,19 @@ impl<'a, 's> Engine<'a, 's> {
         let mut fu_offset = [0usize; NUM_FU_CLASSES];
         let mut fu_count = [0usize; NUM_FU_CLASSES];
         let mut fu_incr = [0u64; NUM_FU_CLASSES];
-        let mut fu_total = 0usize;
+        let mut next = 0usize;
         for c in FuClass::ALL {
             let i = c.index();
-            fu_offset[i] = fu_total;
+            fu_offset[i] = next;
             fu_count[i] = c.units();
             fu_incr[i] = if c.pipelined() { 1 } else { c.latency() };
-            fu_total += c.units();
+            next += c.units();
         }
 
         let n_tus = cfg.thread_units;
         // Proven bounds for the compact cache tag store: each dynamic
         // instruction makes at most one access or touch on one unit.
-        let max_block = deps.max_addr() / cfg.cache.block_bytes.max(1) as u64;
+        let max_block = deps.max_addr() / L1_BLOCK_BYTES as u64;
         let max_accesses = trace.len() as u64 + 1;
         let predictor = cfg.value_predictor.build(cfg.predictor_budget);
         let faults = cfg
@@ -543,8 +560,6 @@ impl<'a, 's> Engine<'a, 's> {
             .map(FaultInjector::new);
         let metrics = cfg.observe.then(MetricsRegistry::new);
         let observing = sink.is_some() || metrics.is_some();
-        let rob_ring = vec![0u64; cfg.rob_entries];
-        let writer_ring = vec![0u64; cfg.phys_regs.saturating_sub(specmt_isa::NUM_REGS)];
         Engine {
             complete: vec![0; trace.len()],
             pre,
@@ -566,23 +581,22 @@ impl<'a, 's> Engine<'a, 's> {
             tu_free_count: n_tus,
             tu_min_free: 0,
             fast_decline: faults.is_none() && !adaptive.is_active(),
-            ports: vec![0; n_tus * cfg.issue_width],
-            fu_free: vec![0; n_tus * fu_total],
+            ports: vec![[0; ISSUE_WIDTH]; n_tus],
+            fu_free: vec![[0; FU_TOTAL]; n_tus],
             fu_offset,
             fu_count,
             fu_incr,
-            fu_total,
-            gshares: (0..n_tus).map(|_| Gshare::new(cfg.gshare_bits)).collect(),
+            gshares: (0..n_tus).map(|_| Gshare::new(GSHARE_BITS)).collect(),
             confs: vec![SpawnConfidence::new(); n_tus],
             scoreboard,
             conf_threshold: u32::from(adaptive.confidence_threshold.unwrap_or(0)),
             caches: (0..n_tus)
-                .map(|_| L1Cache::new_bounded(cfg.cache, max_block, max_accesses))
+                .map(|_| L1Cache::new_bounded(max_block, max_accesses))
                 .collect(),
             predictor,
             chain: std::collections::VecDeque::new(),
-            rob_ring,
-            writer_ring,
+            rob_ring: [0; ROB_ENTRIES],
+            writer_ring: [0; RENAME_REGS],
             doomed: Vec::new(),
             live_in_vals: [0; specmt_isa::NUM_REGS],
             live_in_valid: 0,
@@ -899,14 +913,9 @@ impl<'a, 's> Engine<'a, 's> {
     }
 
     /// Initial per-window state for thread `t`, including window-local
-    /// copies of the unit's port/FU availability columns for the common
-    /// geometry (written back by [`Engine::finish_window`]).
+    /// copies of the unit's port/FU availability (written back by
+    /// [`Engine::finish_window`]).
     fn win_state(&mut self, t: &PendingThread) -> WinState<'a> {
-        let issue_width = self.cfg.issue_width;
-        let pbase = t.tu * issue_width;
-        let fbase_tu = t.tu * self.fu_total;
-        let fast_units =
-            issue_width == 4 && self.fu_total <= 16 && self.fu_count.iter().all(|&c| c <= 2);
         // A perfectly predicted live-in of a spawned thread is available the
         // moment the thread is initialised, unconditionally: the whole
         // live-in path collapses to this per-window constant (no stats, no
@@ -926,20 +935,9 @@ impl<'a, 's> Engine<'a, 's> {
         // can never trigger a structural stall, so its slots skip the ring
         // bookkeeping entirely (the suite's windows average ~a dozen slots
         // against a 64-entry ROB).
-        let rings = end - t.start >= self.cfg.rob_entries.min(self.writer_ring.len());
-        let mut ports4 = [0u64; 4];
-        let mut fu16 = [0u64; 16];
-        if fast_units {
-            ports4.copy_from_slice(&self.ports[pbase..pbase + 4]);
-            fu16[..self.fu_total]
-                .copy_from_slice(&self.fu_free[fbase_tu..fbase_tu + self.fu_total]);
-        }
+        let rings = end - t.start >= ROB_ENTRIES.min(RENAME_REGS);
         WinState {
             pcs: self.trace.pcs(),
-            rob: self.cfg.rob_entries,
-            renames: self.writer_ring.len(),
-            issue_width,
-            fetch_width: self.cfg.fetch_width,
             rob_i: 0,
             rob_full: false,
             writer_i: 0,
@@ -949,25 +947,18 @@ impl<'a, 's> Engine<'a, 's> {
             slots: 0,
             rings,
             live_const,
-            fast_units,
-            pbase,
-            fbase_tu,
-            ports4,
-            fu16,
+            ports: self.ports[t.tu],
+            fus: self.fu_free[t.tu],
             end,
         }
     }
 
-    /// Writes the window-local port/FU availability copies back to the flat
-    /// columns and flushes trailing store touches (stores after the last
-    /// load of the window still become resident); the epilogue of every
-    /// `process_window` variant.
+    /// Writes the window-local port/FU availability copies back and
+    /// flushes trailing store touches (stores after the last load of the
+    /// window still become resident); the epilogue of `process_window`.
     fn finish_window(&mut self, t: &PendingThread, st: &WinState<'_>) {
-        if st.fast_units {
-            self.ports[st.pbase..st.pbase + 4].copy_from_slice(&st.ports4);
-            self.fu_free[st.fbase_tu..st.fbase_tu + self.fu_total]
-                .copy_from_slice(&st.fu16[..self.fu_total]);
-        }
+        self.ports[t.tu] = st.ports;
+        self.fu_free[t.tu] = st.fus;
         if !self.touch_run.is_empty() {
             self.caches[t.tu].touch_run(&mut self.touch_run);
         }
@@ -986,10 +977,6 @@ impl<'a, 's> Engine<'a, 's> {
         let trace = self.trace;
         let pc = st.pcs[k];
         let pi = self.pre[pc as usize];
-        let rob = st.rob;
-        let renames = st.renames;
-        let issue_width = st.issue_width;
-        let fetch_width = st.fetch_width;
 
         // --- Fetch ---------------------------------------------------
         // Stall checks select with cmov: whether the structural hazard
@@ -1009,7 +996,7 @@ impl<'a, 's> Engine<'a, 's> {
                 st.slots = if stall { 0 } else { st.slots };
             }
         }
-        if st.slots == fetch_width {
+        if st.slots == FETCH_WIDTH {
             st.fetch_cycle += 1;
             st.slots = 0;
         }
@@ -1074,48 +1061,28 @@ impl<'a, 's> Engine<'a, 's> {
         let class = pi.class as usize;
         let off = self.fu_offset[class];
         let cnt = self.fu_count[class];
-        let t2 = if st.fast_units {
-            // Tournament min for the 4-wide machine: three cmov
-            // selects instead of a scan, earliest index winning ties
-            // exactly like `min_index`, over the window-local copies.
-            let ports = &mut st.ports4;
-            let (i0, v0) = if ports[1] < ports[0] {
-                (1, ports[1])
-            } else {
-                (0, ports[0])
-            };
-            let (i1, v1) = if ports[3] < ports[2] {
-                (3, ports[3])
-            } else {
-                (2, ports[2])
-            };
-            let (port, pv) = if v1 < v0 { (i1, v1) } else { (i0, v0) };
-            let t1 = ready.max(pv);
-            ports[port] = t1 + 1;
-            let units = &mut st.fu16[off..off + cnt];
-            // Every ISA class fields one or two units; pick with a
-            // single compare instead of a scan.
-            let unit = if cnt == 2 && units[1] < units[0] { 1 } else { 0 };
-            let t2 = t1.max(units[unit]);
-            units[unit] = t2 + self.fu_incr[class];
-            t2
+        // Tournament min over the four ports: three cmov selects instead
+        // of a scan, the earliest index winning ties.
+        let ports = &mut st.ports;
+        let (i0, v0) = if ports[1] < ports[0] {
+            (1, ports[1])
         } else {
-            let ports = &mut self.ports[st.pbase..st.pbase + issue_width];
-            let port = min_index(ports);
-            let t1 = ready.max(ports[port]);
-            ports[port] = t1 + 1;
-            let units = &mut self.fu_free[st.fbase_tu + off..st.fbase_tu + off + cnt];
-            let unit = if cnt == 2 && units[1] < units[0] {
-                1
-            } else if cnt <= 2 {
-                0
-            } else {
-                min_index(units)
-            };
-            let t2 = t1.max(units[unit]);
-            units[unit] = t2 + self.fu_incr[class];
-            t2
+            (0, ports[0])
         };
+        let (i1, v1) = if ports[3] < ports[2] {
+            (3, ports[3])
+        } else {
+            (2, ports[2])
+        };
+        let (port, pv) = if v1 < v0 { (i1, v1) } else { (i0, v0) };
+        let t1 = ready.max(pv);
+        ports[port] = t1 + 1;
+        let units = &mut st.fus[off..off + cnt];
+        // Every class fields one or two units (`FU_TOTAL`): pick with a
+        // single compare instead of a scan.
+        let unit = usize::from(cnt == 2 && units[1] < units[0]);
+        let t2 = t1.max(units[unit]);
+        units[unit] = t2 + self.fu_incr[class];
         let mut done = t2 + u64::from(pi.latency);
 
         // --- Memory --------------------------------------------------
@@ -1156,9 +1123,8 @@ impl<'a, 's> Engine<'a, 's> {
                     // thread executes after this load issued. Squash
                     // and restart here.
                     self.result.violations += 1;
-                    let restart = u64::from(self.complete[mp])
-                        + self.cfg.forward_latency
-                        + self.cfg.squash_penalty;
+                    let restart =
+                        u64::from(self.complete[mp]) + self.cfg.forward_latency + SQUASH_PENALTY;
                     data = data.max(restart);
                     st.fetch_cycle = restart;
                     st.slots = 0;
@@ -1195,14 +1161,14 @@ impl<'a, 's> Engine<'a, 's> {
         if st.rings {
             self.rob_ring[st.rob_i] = st.last_commit;
             st.rob_i += 1;
-            if st.rob_i == rob {
+            if st.rob_i == ROB_ENTRIES {
                 st.rob_i = 0;
                 st.rob_full = true;
             }
             if writes_reg {
                 self.writer_ring[st.writer_i] = st.last_commit;
                 st.writer_i += 1;
-                if st.writer_i == renames {
+                if st.writer_i == RENAME_REGS {
                     st.writer_i = 0;
                     st.writer_full = true;
                 }
@@ -1224,7 +1190,7 @@ impl<'a, 's> Engine<'a, 's> {
             let redirect = if hit {
                 if taken { f + 1 } else { st.fetch_cycle }
             } else {
-                done + self.cfg.mispredict_penalty
+                done + MISPREDICT_PENALTY
             };
             st.fetch_cycle = st.fetch_cycle.max(redirect);
             st.slots = if hit && !taken { st.slots } else { 0 };
@@ -1829,77 +1795,126 @@ mod tests {
         assert!(r.branch_hit_ratio() > 0.8, "{}", r.branch_hit_ratio());
     }
 
-    /// Straight-line independent code is fetch-bound: doubling the fetch
-    /// width must cut cycles substantially.
+    /// Straight-line independent code mixing integer, load/store and FP
+    /// work, whose functional units could issue six per cycle.
+    fn mixed_straight_line(n: usize) -> Trace {
+        let mut b = ProgramBuilder::new();
+        for i in 0..n {
+            let r = Reg::new(1 + (i % 8) as u8).unwrap();
+            match i % 3 {
+                0 => b.addi(r, Reg::ZERO, 1),
+                1 => b.st(Reg::ZERO, Reg::ZERO, 8 * i as i64),
+                _ => b.fadd(r, Reg::ZERO, Reg::ZERO),
+            };
+        }
+        b.halt();
+        Trace::generate(b.build().unwrap(), 10_000).unwrap()
+    }
+
+    /// Fetch delivers `FETCH_WIDTH` instructions per cycle: straight-line
+    /// code whose functional units could go faster runs at that rate, and
+    /// a spawning point `k` instructions in is reached, and fires, at cycle
+    /// `k / FETCH_WIDTH`.
     #[test]
     fn fetch_width_bounds_straight_line_code() {
-        let mut b = ProgramBuilder::new();
-        for i in 0..400 {
-            // Independent adds across 8 registers.
-            let r = Reg::new(1 + (i % 8) as u8).unwrap();
-            b.addi(r, r, 1);
-        }
-        b.halt();
-        let trace = Trace::generate(b.build().unwrap(), 10_000).unwrap();
-        let run = |fetch: u32, issue: usize| {
-            let mut cfg = SimConfig::single_threaded();
-            cfg.fetch_width = fetch;
-            cfg.issue_width = issue;
-            Simulator::new(&trace, cfg).run().expect("simulation").cycles
-        };
-        let narrow = run(1, 4);
-        let wide = run(4, 4);
-        // Narrow is fetch-bound at 1 IPC; wide is bound by the two simple
-        // integer units at ~2 IPC.
-        assert!(narrow > wide * 3 / 2, "narrow {narrow} vs wide {wide}");
-        assert!(wide < 260, "wide run not FU-bound: {wide}");
-        // And at fetch width 1, IPC cannot exceed 1.
-        assert!(narrow as usize >= trace.len());
+        let trace = mixed_straight_line(400);
+        let n = trace.len() as u64;
+        let cycles = single_threaded_cycles(&trace);
+        let floor = n / u64::from(FETCH_WIDTH);
+        assert!(
+            cycles >= floor && cycles <= floor + 8,
+            "{cycles} cycles for {n}"
+        );
+
+        let table = SpawnTable::from_pairs(vec![pair(200, 300)]);
+        let mut log = specmt_obs::EventLog::new();
+        Simulator::with_table(&trace, SimConfig::paper(2), &table)
+            .run_with_sink(&mut log)
+            .expect("simulation");
+        let spawned: Vec<u64> = log
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                Event::ThreadSpawned {
+                    cycle,
+                    speculative: true,
+                    ..
+                } => Some(cycle),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(spawned, [200 / u64::from(FETCH_WIDTH)]);
     }
 
-    /// §4.1's 64 physical registers are a real constraint: shrinking the
-    /// rename pool below the in-flight writer count costs cycles.
+    /// Dependent FP divides (17 cycles each) at the head of
+    /// [`divides_then`]'s program, at trace indices `1..=DIVIDES`.
+    const DIVIDES: usize = 3;
+
+    /// An `li`, a chain of [`DIVIDES`] dependent FP divides, `n` independent
+    /// instructions built by `filler`, and a `halt`.
+    fn divides_then(n: usize, filler: impl Fn(&mut ProgramBuilder, usize)) -> Trace {
+        let mut b = ProgramBuilder::new();
+        b.li(Reg::R1, 3);
+        for _ in 0..DIVIDES {
+            b.fdiv(Reg::R1, Reg::R1, Reg::R1);
+        }
+        for i in 0..n {
+            filler(&mut b, i);
+        }
+        b.halt();
+        Trace::generate(b.build().unwrap(), 10_000).unwrap()
+    }
+
+    fn single_threaded_cycles(trace: &Trace) -> u64 {
+        Simulator::new(trace, SimConfig::single_threaded())
+            .run()
+            .expect("simulation")
+            .cycles
+    }
+
+    /// §4.1's 64 physical registers leave 32 rename registers: a register
+    /// writer cannot fetch until the writer 32 before it commits. Behind a
+    /// long divide chain, more writers than the pool (but fewer
+    /// instructions than the ROB) queue, and those past the pool wait for
+    /// the chain instead of finishing under its shadow.
     #[test]
     fn physical_registers_throttle_renaming() {
-        let mut b = ProgramBuilder::new();
-        for _ in 0..60 {
-            b.muli(Reg::R1, Reg::R1, 3); // long-latency writers pile up
-            for i in 0..7 {
-                let r = Reg::new(2 + i).unwrap();
-                b.addi(r, r, 1);
-            }
-        }
-        b.halt();
-        let trace = Trace::generate(b.build().unwrap(), 10_000).unwrap();
-        let run = |phys: usize| {
-            let mut cfg = SimConfig::single_threaded();
-            cfg.phys_regs = phys;
-            cfg.rob_entries = 256; // isolate the rename constraint
-            Simulator::new(&trace, cfg).run().expect("simulation").cycles
-        };
-        assert!(run(36) > run(64), "36: {} vs 64: {}", run(36), run(64));
-        assert!(run(64) >= run(256));
+        let n = 56;
+        let trace = divides_then(n, |b, i| {
+            b.addi(Reg::new(2 + (i % 8) as u8).unwrap(), Reg::ZERO, 1);
+        });
+        assert!(trace.len() < ROB_ENTRIES);
+        let head = single_threaded_cycles(&divides_then(0, |_, _| {}));
+        // Writers are the `li`, the divides and the adds; the one at index
+        // `DIVIDES + RENAME_REGS` waits for the last divide. The adds from
+        // there on issue after it, two per cycle (two simple integer units).
+        let writers = 1 + DIVIDES + n;
+        let tail = (writers - (DIVIDES + RENAME_REGS)) as u64 / 2;
+        let cycles = single_threaded_cycles(&trace);
+        assert!(
+            cycles >= head + tail,
+            "{cycles} cycles vs chain {head} + tail {tail}"
+        );
     }
 
-    /// A tiny reorder buffer throttles a long-latency dependency chain's
-    /// neighbours: cycles grow when the window shrinks.
+    /// The 64-entry ROB bounds how far fetch runs ahead of commit: stores
+    /// (which write no register, so renaming never binds) behind a long
+    /// divide chain fill it, and those past it wait for the chain to commit.
     #[test]
     fn rob_pressure_slows_execution() {
-        let mut b = ProgramBuilder::new();
-        for _ in 0..100 {
-            b.muli(Reg::R1, Reg::R1, 3); // 4-cycle serial chain
-            for _ in 0..6 {
-                b.addi(Reg::R2, Reg::R2, 1); // independent filler
-            }
-        }
-        b.halt();
-        let trace = Trace::generate(b.build().unwrap(), 10_000).unwrap();
-        let run = |rob: usize| {
-            let mut cfg = SimConfig::single_threaded();
-            cfg.rob_entries = rob;
-            Simulator::new(&trace, cfg).run().expect("simulation").cycles
-        };
-        assert!(run(4) > run(64), "rob4 {} vs rob64 {}", run(4), run(64));
+        let trace = divides_then(100, |b, i| {
+            b.st(Reg::ZERO, Reg::ZERO, 8 * i as i64);
+        });
+        let head = single_threaded_cycles(&divides_then(0, |_, _| {}));
+        // The instruction at index `DIVIDES + ROB_ENTRIES` waits for the
+        // last divide; the stores from there on (all but the `halt`) issue
+        // after it, two per cycle (two load/store units).
+        let tail = (trace.len() - (DIVIDES + ROB_ENTRIES) - 1) as u64 / 2;
+        let cycles = single_threaded_cycles(&trace);
+        assert!(
+            cycles >= head + tail,
+            "{cycles} cycles vs chain {head} + tail {tail}"
+        );
     }
 
     /// The init overhead delays the first fetch of every spawned thread;

@@ -170,8 +170,8 @@ mod tests {
         assert!(memslice_pairs(&looped_mem_trace(200, 15)).is_empty());
         // ~136 instructions per iteration: above the 128-instruction cap.
         assert!(memslice_pairs(&looped_mem_trace(200, 130)).is_empty());
-        // Rare sites: 10 trips miss both the 16-occurrence floor and the
-        // 0.95 recurrence probability (which needs at least 20 trips).
+        // Rare sites: the 0.95 recurrence probability needs at least 20
+        // trips, so 10 and 19 miss it and 20 meets it.
         assert!(memslice_pairs(&looped_mem_trace(10, 40)).is_empty());
         assert!(memslice_pairs(&looped_mem_trace(19, 40)).is_empty());
         assert!(!memslice_pairs(&looped_mem_trace(20, 40)).is_empty());

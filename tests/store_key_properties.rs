@@ -50,15 +50,12 @@ fn profile_config_strategy() -> impl Strategy<Value = ProfileConfig> {
 }
 
 fn sim_config_strategy() -> impl Strategy<Value = SimConfig> {
-    (1usize..32, 1u32..16, 1u64..64, 1u64..64).prop_map(
-        |(units, fetch, init_overhead, squash_penalty)| {
-            let mut cfg = SimConfig::paper(units);
-            cfg.fetch_width = fetch;
-            cfg.init_overhead = init_overhead;
-            cfg.squash_penalty = squash_penalty;
-            cfg
-        },
-    )
+    (1usize..32, 1u64..64, 1u64..64).prop_map(|(units, init_overhead, forward_latency)| {
+        let mut cfg = SimConfig::paper(units);
+        cfg.init_overhead = init_overhead;
+        cfg.forward_latency = forward_latency;
+        cfg
+    })
 }
 
 proptest! {
