@@ -56,7 +56,6 @@
 #![warn(missing_debug_implementations)]
 
 mod bbs;
-mod bitset;
 mod blockstream;
 mod cfg;
 mod markov;
@@ -68,7 +67,6 @@ mod reach;
 pub const CODE_REV: u32 = 1;
 
 pub use bbs::BasicBlocks;
-pub use bitset::BitSet;
 pub use blockstream::{BlockEvent, BlockStream};
 pub use cfg::{CfgEdge, CfgNode, DynCfg, PruneSummary};
 pub use markov::MarkovReach;

@@ -1,7 +1,7 @@
 //! Empirical reaching probabilities and distances, measured on the block
 //! stream.
 
-use crate::{BitSet, BlockId, BlockStream};
+use crate::{BlockId, BlockStream};
 
 /// Reaching statistics for one ordered pair of blocks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,14 +39,14 @@ pub struct PairStat {
 ///
 /// Two implementations produce bit-identical results:
 ///
-/// * [`ReachingAnalysis::compute`] — the production path. Open-window and
-///   credited-this-window state is held as packed `u64` words over the
-///   *sources*, so each event costs `O(tracked / 64)` word operations
-///   (`AND`/`ANDN` + trailing-zeros extraction of the newly credited bits)
-///   plus one unit of work per actual credit. Tracked sources are
-///   additionally sharded across [`std::thread::scope`] workers when the
-///   problem is large enough; each worker scans the stream once over its
-///   slice of sources.
+/// * [`ReachingAnalysis::compute`] — the production path. Tracked sources
+///   are taken 64 at a time, and one single-threaded pass over the stream
+///   per 64-source word holds that word's open-window and
+///   credited-this-window state as packed `u64` bits over the *sources*.
+///   Each event costs one `AND`/`ANDN` plus trailing-zeros extraction of
+///   the newly credited bits, one unit of work per actual credit, and a
+///   bit-clear sweep over the `tracked` credited words when the event
+///   reopens a window of that word.
 /// * [`ReachingAnalysis::compute_naive`] — the retained reference: the
 ///   direct per-event scalar scan over every open source,
 ///   `O(events × tracked)` time. The differential test suite pits the two
@@ -108,7 +108,7 @@ impl ReachingAnalysis {
 
         // Pre-filter the stream once: untracked events only advance the
         // instruction counter, so fold them into precomputed cumulative
-        // offsets and hand the workers a dense (source-id, offset) list.
+        // offsets and hand the kernel a dense (source-id, offset) list.
         let mut events: Vec<(u32, u64)> = Vec::new();
         let mut occurrences = vec![0u64; n];
         let mut cum = 0u64;
@@ -121,56 +121,15 @@ impl ReachingAnalysis {
             cum += e.len as u64;
         }
 
-        let mut reach = vec![0u64; n * n];
-        let mut dist_sum = vec![0u64; n * n];
-
-        let words = n.div_ceil(64);
-        // Shard whole words of sources across workers. Sharding only pays
-        // once both dimensions are big; small problems run inline.
-        let threads = if n >= 192 && events.len() >= 1 << 13 {
-            std::thread::available_parallelism()
-                .map_or(1, |p| p.get())
-                .min(words)
-                .min(8)
-        } else {
-            1
-        };
-
-        if threads <= 1 {
-            Shard::new(0, words, n).scan(&events, &mut reach, &mut dist_sum);
-        } else {
-            let words_per = words.div_ceil(threads);
-            // Split the output matrices at shard boundaries so each worker
-            // writes its own rows without synchronisation.
-            let mut reach_slices: Vec<&mut [u64]> = Vec::with_capacity(threads);
-            let mut dist_slices: Vec<&mut [u64]> = Vec::with_capacity(threads);
-            let mut reach_rest: &mut [u64] = &mut reach;
-            let mut dist_rest: &mut [u64] = &mut dist_sum;
-            let mut bounds = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let w0 = (t * words_per).min(words);
-                let w1 = ((t + 1) * words_per).min(words);
-                let lo = (w0 * 64).min(n);
-                let hi = (w1 * 64).min(n);
-                bounds.push((w0, w1));
-                let (a, b) = reach_rest.split_at_mut((hi - lo) * n);
-                reach_slices.push(a);
-                reach_rest = b;
-                let (a, b) = dist_rest.split_at_mut((hi - lo) * n);
-                dist_slices.push(a);
-                dist_rest = b;
-            }
-            let events = &events;
-            std::thread::scope(|s| {
-                for (((w0, w1), r), d) in bounds
-                    .into_iter()
-                    .zip(reach_slices)
-                    .zip(dist_slices)
-                {
-                    s.spawn(move || Shard::new(w0, w1, n).scan(events, r, d));
-                }
-            });
+        // The two counters live interleaved as `[reach, dist]` cells, so
+        // each credit touches a single cache line; they are split into the
+        // output matrices once, at the end.
+        let mut cells = vec![[0u64; 2]; n * n];
+        for lo in (0..n).step_by(64) {
+            let count = (n - lo).min(64);
+            scan_word(lo, count, n, &events, &mut cells[lo * n..(lo + count) * n]);
         }
+        let (reach, dist_sum) = cells.into_iter().map(|[r, d]| (r, d)).unzip();
 
         ReachingAnalysis {
             tracked: tracked.to_vec(),
@@ -198,7 +157,8 @@ impl ReachingAnalysis {
         let mut occurrences = vec![0u64; n];
         let mut open = vec![false; n];
         let mut win_start = vec![0u64; n];
-        let mut seen: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
+        // seen[i * n + j]: source i's open window has already seen j.
+        let mut seen = vec![false; n * n];
 
         let mut cum = 0u64;
         for e in stream.events() {
@@ -206,13 +166,14 @@ impl ReachingAnalysis {
             if dense >= 0 {
                 let j = dense as usize;
                 for (i, open_i) in open.iter().enumerate() {
-                    if *open_i && seen[i].insert(j) {
+                    if *open_i && !seen[i * n + j] {
+                        seen[i * n + j] = true;
                         reach[i * n + j] += 1;
                         dist_sum[i * n + j] += cum - win_start[i];
                     }
                 }
                 occurrences[j] += 1;
-                seen[j].clear();
+                seen[j * n..(j + 1) * n].fill(false);
                 win_start[j] = cum;
                 open[j] = true;
             }
@@ -318,130 +279,22 @@ impl ReachingAnalysis {
     }
 }
 
-/// One worker's slice of the word-parallel scan: it owns the whole-word
-/// range `[w0, w1)` of source bits (sources `w0 * 64 .. min(w1 * 64, n)`).
-///
-/// The shard decomposes its sources into 64-wide words and runs one pass of
-/// a *single-source-word* kernel per word ([`scan_word_wide`], or the
-/// fixed-grid [`scan_word_small`] when the whole problem fits 64
-/// destinations). Every pass keeps its open-window set in one scalar `u64`
-/// and its credited bits in a flat `credited[j]` column (one word per
-/// destination), so multi-word problems (n > 64 tracked blocks — big pruned
-/// CFGs) pay exactly the same branchless per-event cost as the single-word
-/// case, once per owned word, instead of falling back to a general kernel
-/// with per-credit bookkeeping. Re-reading the (pre-filtered, dense) event
-/// list once per 64 sources is sequential and cheap; the per-credit work —
-/// one `[reach, dist]` cell bump found by trailing-zeros extraction — is
-/// identical to what the naive path performs.
-struct Shard {
-    /// First source owned by this shard.
-    lo: usize,
-    /// Sources owned (shard-local indices are `0..count`).
-    count: usize,
-    /// Total tracked blocks (row length of the output matrices).
-    n: usize,
-}
-
-impl Shard {
-    fn new(w0: usize, w1: usize, n: usize) -> Shard {
-        let lo = (w0 * 64).min(n);
-        let hi = (w1 * 64).min(n);
-        Shard {
-            lo,
-            count: hi - lo,
-            n,
-        }
-    }
-
-    /// Scans `events` (pre-filtered `(dense source id, cumulative
-    /// instructions)` pairs), accumulating into this shard's rows of the
-    /// `reach` / `dist_sum` matrices (`count * n` elements each). The two
-    /// counters live interleaved in one scratch `cells` array (`[reach,
-    /// dist]` pairs) so each credit touches a single cache line; the pairs
-    /// are split into the output matrices once, at the end.
-    fn scan(self, events: &[(u32, u64)], reach: &mut [u64], dist_sum: &mut [u64]) {
-        if self.count == 0 {
-            return;
-        }
-        debug_assert_eq!(reach.len(), self.count * self.n);
-        let mut cells = vec![[0u64; 2]; self.count * self.n];
-        let mut w = 0;
-        while w * 64 < self.count {
-            let lo = self.lo + w * 64;
-            let cnt = (self.count - w * 64).min(64);
-            let word_cells = &mut cells[w * 64 * self.n..][..cnt * self.n];
-            if self.n <= 64 {
-                scan_word_small(lo, cnt, self.n, events, word_cells);
-            } else {
-                scan_word_wide(lo, cnt, self.n, events, word_cells);
-            }
-            w += 1;
-        }
-        for (k, &[r, d]) in cells.iter().enumerate() {
-            reach[k] = r;
-            dist_sum[k] = d;
-        }
-    }
-}
-
 /// One pass over the events for the source word `lo .. lo + count`
-/// (`count <= 64`), with at most 64 destinations: every bitset in play is a
-/// scalar word. Un-crediting a reopened window is a branchless bit-clear
-/// sweep over the (at most 64-word) credited array, which vectorises — so
-/// the per-credit loop carries no bookkeeping at all. All hot state lives
-/// in fixed 64-wide arrays indexed through `& 63` masks, keeping every
-/// index provably in range so no bounds checks survive in the loop.
-fn scan_word_small(lo: usize, count: usize, n: usize, events: &[(u32, u64)], cells: &mut [[u64; 2]]) {
-    let hi = lo + count;
-    let mut open = 0u64;
-    let mut credited = [0u64; 64];
-    let mut win_start = [0u64; 64];
-    let mut grid: Box<[[u64; 2]; 64 * 64]> = vec![[0u64; 2]; 64 * 64]
-        .into_boxed_slice()
-        .try_into()
-        .expect("fixed grid size");
-    for &(j, cum) in events {
-        debug_assert!((j as usize) < n);
-        let j = (j as usize) & 63;
-        // Credit every open word source that has not yet seen `j`.
-        // `credited[j] | newly == credited[j] | open` because credited
-        // bits only ever belong to open sources.
-        let cw = credited[j];
-        let mut newly = open & !cw;
-        credited[j] = cw | open;
-        while newly != 0 {
-            let i = newly.trailing_zeros() as usize & 63;
-            newly &= newly - 1;
-            let cell = &mut grid[(i << 6) | j];
-            cell[0] += 1;
-            cell[1] += cum - win_start[i];
-        }
-        // If this word owns `j` as a source, close its previous window
-        // and open a fresh one: un-credit it everywhere.
-        if (lo..hi).contains(&j) {
-            let i = (j - lo) & 63;
-            let bit = 1u64 << i;
-            for cred in credited[..n].iter_mut() {
-                *cred &= !bit;
-            }
-            win_start[i] = cum;
-            open |= bit;
-        }
-    }
-    for i in 0..count {
-        for j in 0..n {
-            cells[i * n + j] = grid[(i << 6) | j];
-        }
-    }
-}
-
-/// As [`scan_word_small`] for any number of destinations (n > 64): the
-/// credited column grows to one `u64` per destination, the open set stays a
-/// scalar word, and the un-credit sweep on window reopen is the same
-/// branchless bit-clear, now over `n` words. The output cells are written
-/// in place (no fixed grid), with `i < count` guaranteed because open bits
-/// are only ever set for sources this word owns.
-fn scan_word_wide(lo: usize, count: usize, n: usize, events: &[(u32, u64)], cells: &mut [[u64; 2]]) {
+/// (`count <= 64`), accumulating into that word's rows of the `[reach,
+/// dist]` cells (`count * n` of them, row-major by source).
+///
+/// The open-window set is one scalar `u64` over the word's sources, and
+/// the credited bits are a flat column of one `u64` per destination:
+/// `credited[j]` holds the open sources whose window has already seen `j`.
+/// An event for `j` credits `open & !credited[j]`, extracting each newly
+/// credited source by trailing zeros, one `[reach, dist]` cell bump per
+/// credit, exactly the work the naive path performs. When the word owns
+/// `j` as a source, its previous window closes and a fresh one opens: a
+/// branchless bit-clear sweep over the credited column, which vectorises.
+/// Open bits are only ever set for sources this word owns, so every
+/// credited row is below `count`. Re-reading the pre-filtered, dense event
+/// list once per 64 sources is sequential and cheap.
+fn scan_word(lo: usize, count: usize, n: usize, events: &[(u32, u64)], cells: &mut [[u64; 2]]) {
     let hi = lo + count;
     let mut open = 0u64;
     let mut credited = vec![0u64; n];
@@ -587,11 +440,9 @@ mod tests {
     }
 
     #[test]
-    fn word_parallel_matches_naive_across_shard_boundaries() {
+    fn word_parallel_matches_naive_across_source_words() {
         // A chain of many small loops yields enough blocks to span several
-        // 64-bit source words, exercising the per-word credit masks (the
-        // sharded path itself needs >=192 sources and a long stream; the
-        // multi-word single-shard kernel is the same code).
+        // 64-bit source words, exercising the per-word credit masks.
         let mut b = ProgramBuilder::new();
         for k in 0..70 {
             let top = b.fresh_label(&format!("top{k}"));
@@ -623,10 +474,9 @@ mod tests {
     #[test]
     fn multi_word_fast_path_matches_naive_at_word_boundaries() {
         // A chain of small loops yields > 200 blocks; tracking exactly
-        // n = 63/64/65/200 of them straddles the one-word/multi-word
-        // boundary of the per-word kernels (63/64 run the fixed-grid
-        // kernel, 65/200 the wide-destination kernel across 2/4 source
-        // words).
+        // n of them puts the last source word at every fill: one source,
+        // a word one short of full, exactly full, and one source spilling
+        // into the next word (1 to 4 words in all).
         let mut b = ProgramBuilder::new();
         for k in 0..110 {
             let top = b.fresh_label(&format!("top{k}"));
@@ -643,7 +493,7 @@ mod tests {
         let stream = BlockStream::new(&trace, &bbs);
         let all: Vec<BlockId> = (0..bbs.num_blocks() as BlockId).collect();
         assert!(all.len() >= 200, "want >= 200 blocks, got {}", all.len());
-        for n in [63usize, 64, 65, 200] {
+        for n in [1usize, 63, 64, 65, 128, 129, 200] {
             let subset: Vec<BlockId> = all[..n].to_vec();
             assert_identical(
                 &ReachingAnalysis::compute(&stream, &subset),

@@ -250,9 +250,13 @@ fn run(raw: Vec<String>) -> Result<(), CliError> {
         }
         "simulate" => {
             let input = input.ok_or("simulate needs an input")?;
+            let tus = args.number("tus", "a thread-unit count")?.unwrap_or(16);
+            // Only the unit count varies here, so any rejection is --tus's.
+            SimConfig::paper(tus)
+                .validate()
+                .map_err(|e| format!("invalid --tus `{tus}` ({e})"))?;
             let trace = load_trace(input, scale)?;
             let table = build_table(&args, &trace)?;
-            let tus = args.number("tus", "a thread-unit count")?.unwrap_or(16);
             let vp = match args.flag("vp").unwrap_or("perfect") {
                 "perfect" => ValuePredictorKind::Perfect,
                 "stride" => ValuePredictorKind::Stride,

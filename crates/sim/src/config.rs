@@ -76,6 +76,11 @@ pub const L1_MISS_LATENCY: u64 = 8;
 /// Outstanding L1 misses (MSHRs) per thread unit (§4.1).
 pub const L1_MSHRS: usize = 4;
 
+/// Most thread units a [`SimConfig`] may ask for: the engine tracks free
+/// units in one `u64` mask. The paper evaluates at most 16, the ablation
+/// sweep at most 32.
+pub const MAX_THREAD_UNITS: usize = 64;
+
 const _: () = assert!(FETCH_WIDTH >= 1 && ISSUE_WIDTH >= 1 && ROB_ENTRIES >= 1);
 const _: () = assert!(
     PHYS_REGS > specmt_isa::NUM_REGS,
@@ -99,7 +104,8 @@ const _: () = assert!(
 /// in the paper is measured against.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Number of thread units (1 disables speculation entirely).
+    /// Number of thread units (1 disables speculation entirely; at most
+    /// [`MAX_THREAD_UNITS`]).
     pub thread_units: usize,
     /// Live-in value predictor.
     pub value_predictor: ValuePredictorKind,
@@ -263,11 +269,15 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for zero thread units, and
-    /// [`SimError::InvalidFaultPlan`] for an out-of-range fault rate.
+    /// Returns [`SimError::InvalidConfig`] for zero thread units or more than
+    /// [`MAX_THREAD_UNITS`], and [`SimError::InvalidFaultPlan`] for an
+    /// out-of-range fault rate.
     pub fn validate(&self) -> Result<(), SimError> {
-        if self.thread_units < 1 {
-            return Err(SimError::invalid_config("need at least one thread unit"));
+        if !(1..=MAX_THREAD_UNITS).contains(&self.thread_units) {
+            return Err(SimError::invalid_config(format!(
+                "need 1 to {MAX_THREAD_UNITS} thread units, got {}",
+                self.thread_units
+            )));
         }
         if let Some(plan) = &self.faults {
             plan.validate()?;
@@ -403,10 +413,14 @@ mod tests {
 
     #[test]
     fn zero_units_invalid() {
-        let mut c = SimConfig::paper(4);
-        c.thread_units = 0;
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("thread unit"), "{err}");
+        // And one past the engine's 64-bit free-unit mask.
+        for n in [0, MAX_THREAD_UNITS + 1] {
+            let err = SimConfig::paper(n).validate().unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("thread units, got {n}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

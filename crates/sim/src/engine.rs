@@ -340,12 +340,11 @@ struct Engine<'a, 's> {
     /// guards the narrowing).
     complete: Vec<u32>,
     // --- Hot per-thread-unit columns, scanned every cycle ---------------
-    tu_busy: Vec<bool>,
     tu_free_at: Vec<u64>,
-    /// Bitmask of non-busy units (bit `i` ⟺ `!tu_busy[i]`), valid only
-    /// when the machine has at most 64 units: free-unit searches iterate
-    /// set bits instead of scanning every unit. Kept in sync with
-    /// `tu_busy` by `tu_claim`/`tu_release`.
+    /// Bitmask of non-busy units (bit `i` set ⟺ unit `i` is free; a
+    /// machine has at most `MAX_THREAD_UNITS` = 64): free-unit searches
+    /// iterate set bits instead of scanning every unit. Updated by
+    /// `tu_claim`/`tu_release`.
     tu_free_mask: u64,
     /// Number of non-busy units, and the minimum `tu_free_at` over them
     /// (`u64::MAX` when none): a spawn attempt that cannot possibly find a
@@ -571,13 +570,8 @@ impl<'a, 's> Engine<'a, 's> {
             cqip_active: vec![0; occ_offsets.len() - 1],
             occ_offsets,
             occ_values,
-            tu_busy: vec![false; n_tus],
             tu_free_at: vec![0; n_tus],
-            tu_free_mask: if n_tus >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << n_tus) - 1
-            },
+            tu_free_mask: u64::MAX >> (64 - n_tus),
             tu_free_count: n_tus,
             tu_min_free: 0,
             fast_decline: faults.is_none() && !adaptive.is_active(),
@@ -618,10 +612,7 @@ impl<'a, 's> Engine<'a, 's> {
     /// summary used by the spawn fast-decline check.
     #[inline]
     fn tu_release(&mut self, tu: usize, free_at: u64) {
-        self.tu_busy[tu] = false;
-        if tu < 64 {
-            self.tu_free_mask |= 1 << tu;
-        }
+        self.tu_free_mask |= 1 << tu;
         self.tu_free_at[tu] = free_at;
         self.tu_free_count += 1;
         self.tu_min_free = self.tu_min_free.min(free_at);
@@ -631,47 +622,31 @@ impl<'a, 's> Engine<'a, 's> {
     /// when the claimed unit may have carried the minimum).
     #[inline]
     fn tu_claim(&mut self, tu: usize) {
-        self.tu_busy[tu] = true;
-        if tu < 64 {
-            self.tu_free_mask &= !(1 << tu);
-        }
+        self.tu_free_mask &= !(1 << tu);
         self.tu_free_count -= 1;
         if self.tu_free_at[tu] <= self.tu_min_free {
             let mut m = u64::MAX;
-            if self.tu_busy.len() <= 64 {
-                let mut bits = self.tu_free_mask;
-                while bits != 0 {
-                    m = m.min(self.tu_free_at[bits.trailing_zeros() as usize]);
-                    bits &= bits - 1;
-                }
-            } else {
-                for i in 0..self.tu_busy.len() {
-                    if !self.tu_busy[i] {
-                        m = m.min(self.tu_free_at[i]);
-                    }
-                }
+            let mut bits = self.tu_free_mask;
+            while bits != 0 {
+                m = m.min(self.tu_free_at[bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
             }
             self.tu_min_free = m;
         }
     }
 
-    /// Lowest-numbered unit that is free no later than cycle `f`, exactly
-    /// the unit a linear scan of `tu_busy`/`tu_free_at` would pick.
+    /// Lowest-numbered unit that is free no later than cycle `f`.
     #[inline]
     fn tu_find_free(&self, f: u64) -> Option<usize> {
-        if self.tu_busy.len() <= 64 {
-            let mut bits = self.tu_free_mask;
-            while bits != 0 {
-                let i = bits.trailing_zeros() as usize;
-                if self.tu_free_at[i] <= f {
-                    return Some(i);
-                }
-                bits &= bits - 1;
+        let mut bits = self.tu_free_mask;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            if self.tu_free_at[i] <= f {
+                return Some(i);
             }
-            None
-        } else {
-            (0..self.tu_busy.len()).find(|&i| !self.tu_busy[i] && self.tu_free_at[i] <= f)
+            bits &= bits - 1;
         }
+        None
     }
 
     /// Fan one event out to the metrics registry and the external sink.
@@ -852,8 +827,11 @@ impl<'a, 's> Engine<'a, 's> {
                 ),
             });
         }
-        if let Some(unit) = self.tu_busy.iter().position(|&b| b) {
-            return Err(SimError::ThreadUnitLeak { unit });
+        let busy = !self.tu_free_mask & (u64::MAX >> (64 - self.tu_free_at.len()));
+        if busy != 0 {
+            return Err(SimError::ThreadUnitLeak {
+                unit: busy.trailing_zeros() as usize,
+            });
         }
         // Every successful spawn either committed or squashed; the root
         // thread committed without a spawn.
@@ -1661,6 +1639,23 @@ mod tests {
         let c4 = Simulator::with_table(&trace, SimConfig::paper(4), &table).run().expect("simulation");
         let c16 = Simulator::with_table(&trace, SimConfig::paper(16), &table).run().expect("simulation");
         assert!(c16.cycles <= c4.cycles);
+    }
+
+    #[test]
+    fn sixty_four_units_run_and_sixty_five_are_rejected() {
+        // 64 units fill the free-unit mask exactly; 65 fail validation
+        // before any engine state is built.
+        let trace = independent_loop(200);
+        let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
+        let c16 = Simulator::with_table(&trace, SimConfig::paper(16), &table).run().expect("simulation");
+        let c64 = Simulator::with_table(&trace, SimConfig::paper(64), &table).run().expect("simulation");
+        assert_eq!(c64.committed_instructions, trace.len() as u64);
+        assert!(c64.cycles <= c16.cycles);
+        // Over 32 threads in flight on average: the high half of the mask
+        // is claimed and released, not just carried.
+        assert!(c64.avg_active_threads() > 32.0, "{}", c64.avg_active_threads());
+        let err = Simulator::with_table(&trace, SimConfig::paper(65), &table).run().unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
     }
 
     #[test]

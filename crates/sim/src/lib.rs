@@ -90,8 +90,8 @@ pub const CODE_REV: u32 = 3;
 pub use cache::L1Cache;
 pub use config::{
     ConfigDelta, RemovalPolicy, SimConfig, FETCH_WIDTH, GSHARE_BITS, ISSUE_WIDTH, L1_BLOCK_BYTES,
-    L1_HIT_LATENCY, L1_MISS_LATENCY, L1_MSHRS, L1_SIZE_BYTES, L1_WAYS, MISPREDICT_PENALTY,
-    PHYS_REGS, ROB_ENTRIES, SQUASH_PENALTY,
+    L1_HIT_LATENCY, L1_MISS_LATENCY, L1_MSHRS, L1_SIZE_BYTES, L1_WAYS, MAX_THREAD_UNITS,
+    MISPREDICT_PENALTY, PHYS_REGS, ROB_ENTRIES, SQUASH_PENALTY,
 };
 pub use engine::Simulator;
 pub use error::SimError;

@@ -113,6 +113,7 @@ fn malformed_numeric_flags_name_the_flag_and_value() {
     let cases = [
         ("bench", "fig3", "--jobs", "-1"),
         ("simulate", "compress", "--tus", "four"),
+        ("simulate", "compress", "--tus", "65"),
         ("simulate", "compress", "--overhead", "1.5"),
         ("simulate", "compress", "--min-size", "x9"),
     ];
