@@ -60,9 +60,13 @@ type PairId = u32;
 #[derive(Debug, Clone, Copy)]
 struct PreInst {
     flags: u8,
-    /// Source register index per operand slot (`NO_SRC` = absent or the
-    /// hardwired zero register, which never has a producer).
+    /// Source register index per operand slot; an absent operand reads
+    /// the hardwired zero register, whose last writer is always
+    /// `NO_PRODUCER`.
     src: [u8; 2],
+    /// Destination register index; 0 (the zero register) when the
+    /// instruction writes no register.
+    dst: u8,
     /// Functional-unit class index (into the `fu_*` layout tables).
     class: u8,
     /// Result latency of that class.
@@ -77,7 +81,6 @@ const F_COND_BRANCH: u8 = 1 << 3;
 const F_CONTROL: u8 = 1 << 4;
 /// The pc is a spawning point *and* the config has units to spawn into.
 const F_SPAWN: u8 = 1 << 5;
-const NO_SRC: u8 = u8::MAX;
 
 /// SoA arena of per-pair dynamic state, indexed by [`PairId`].
 ///
@@ -413,6 +416,11 @@ struct Engine<'a, 's> {
     /// the one cursor into the sparse address and memory-producer columns.
     /// Windows partition the trace in order, so it only ever advances.
     mem_next: usize,
+    /// Last writer of each architectural register among the records
+    /// processed so far (`NO_PRODUCER` before the first write; the zero
+    /// register's entry never changes). For the same in-order reason, its
+    /// entries are exactly the register producers of the next record.
+    reg_writer: [u32; specmt_isa::NUM_REGS],
 }
 
 impl<'a, 's> Engine<'a, 's> {
@@ -444,18 +452,17 @@ impl<'a, 's> Engine<'a, 's> {
             } else if inst.is_control() {
                 flags |= F_CONTROL;
             }
-            let mut src = [NO_SRC; 2];
+            let mut src = [0u8; 2];
             for (s, r) in inst.srcs().into_iter().enumerate() {
                 if let Some(r) = r {
-                    if !r.is_zero() {
-                        src[s] = r.index() as u8;
-                    }
+                    src[s] = r.index() as u8;
                 }
             }
             let class = inst.fu_class();
             pre.push(PreInst {
                 flags,
                 src,
+                dst: inst.dst().map_or(0, |d| d.index() as u8),
                 class: class.index() as u8,
                 latency: class.latency() as u8,
             });
@@ -602,6 +609,7 @@ impl<'a, 's> Engine<'a, 's> {
             observing,
             next_thread_id: 1,
             mem_next: 0,
+            reg_writer: [NO_PRODUCER; specmt_isa::NUM_REGS],
             trace,
             deps,
             cfg,
@@ -1000,7 +1008,17 @@ impl<'a, 's> Engine<'a, 's> {
 
         // --- Operand readiness --------------------------------------
         let mut ready = f + 1;
-        let prods = self.deps.reg_producers(k);
+        // Register indices are below `NUM_REGS` by construction; reducing
+        // them modulo it anyway (a mask) lets the compiler drop the bounds
+        // checks, which cost about 2 % of engine time.
+        let prods = pi
+            .src
+            .map(|r| self.reg_writer[usize::from(r) % specmt_isa::NUM_REGS]);
+        // Only then is `k` its destination's writer. An instruction with no
+        // destination names the zero register and stores `NO_PRODUCER`
+        // there, which keeps that entry unchanged.
+        self.reg_writer[usize::from(pi.dst) % specmt_isa::NUM_REGS] =
+            if pi.dst == 0 { NO_PRODUCER } else { k as u32 };
         if let Some(v) = st.live_const {
             // Spawned thread under perfect prediction: every live-in is
             // available at `init_done` unconditionally, so resolution
@@ -1022,7 +1040,7 @@ impl<'a, 's> Engine<'a, 's> {
             }
         } else {
             for (&r, &p) in pi.src.iter().zip(&prods) {
-                if r == NO_SRC || p == NO_PRODUCER {
+                if p == NO_PRODUCER {
                     continue;
                 }
                 let p = p as usize;

@@ -316,18 +316,28 @@ impl<'a> DepScorer<'a> {
     /// dependence mask on the spawn region `[sp_dyn, cqip_dyn)`: one bit per
     /// live-in register plus [`MEM_BIT`]; zero means independent. Also
     /// records each live-in register's value for predictability training.
+    ///
+    /// Register producers come from one forward last-writer pass over
+    /// `[sp_dyn, end)`. A source whose producer precedes `sp_dyn` finds no
+    /// writer in the table, and such a producer adds nothing to the mask
+    /// either way.
     fn analyse_window(&self, sp_dyn: usize, cqip_dyn: usize, end: usize) -> SampleWindow {
         let mut masks = vec![0u64; end - cqip_dyn];
         let mut live_in_values = [None; specmt_isa::NUM_REGS];
+        let mut writer = [NO_PRODUCER; specmt_isa::NUM_REGS];
+        for k in sp_dyn..cqip_dyn {
+            if let Some(d) = self.trace.inst(k).dst() {
+                writer[d.index()] = k as u32;
+            }
+        }
         for k in cqip_dyn..end {
             let inst = self.trace.inst(k);
             let mut mask = 0u64;
-            for (s, src) in inst.srcs().into_iter().enumerate() {
-                let Some(r) = src else { continue };
+            for r in inst.srcs().into_iter().flatten() {
                 if r.is_zero() {
                     continue;
                 }
-                let p = self.deps.reg_producer(k, s);
+                let p = writer[r.index()];
                 if p == NO_PRODUCER {
                     continue;
                 }
@@ -351,6 +361,9 @@ impl<'a> DepScorer<'a> {
                 }
             }
             masks[k - cqip_dyn] = mask;
+            if let Some(d) = inst.dst() {
+                writer[d.index()] = k as u32;
+            }
         }
         SampleWindow {
             masks,
@@ -542,6 +555,127 @@ mod tests {
             // escape it.
             assert!(p.score < 10.0, "{criterion:?} score {}", p.score);
         }
+    }
+
+    /// The reference for [`DepScorer::analyse_window`]: each source's
+    /// producer is found by a backward search through the whole trace
+    /// prefix, for the last writer of the register or the last store to the
+    /// loaded address.
+    fn analyse_window_naive(
+        trace: &Trace,
+        sp_dyn: usize,
+        cqip_dyn: usize,
+        end: usize,
+    ) -> SampleWindow {
+        let insts = trace.program().insts();
+        let before = |k: usize| trace.pcs()[..k].iter().map(|&pc| &insts[pc as usize]);
+        let last_writer = |k: usize, r: Reg| before(k).rposition(|i| i.dst() == Some(r));
+        let last_store = |k: usize| {
+            let addr = trace.addr_at(k);
+            (0..k)
+                .rev()
+                .find(|&j| trace.inst(j).is_store() && trace.addr_at(j) == addr)
+        };
+        let mut masks = vec![0u64; end - cqip_dyn];
+        let mut live_in_values = [None; specmt_isa::NUM_REGS];
+        for k in cqip_dyn..end {
+            let inst = trace.inst(k);
+            let mut mask = 0u64;
+            for r in inst.srcs().into_iter().flatten().filter(|r| !r.is_zero()) {
+                match last_writer(k, r) {
+                    Some(p) if p >= cqip_dyn => mask |= masks[p - cqip_dyn],
+                    Some(p) if p >= sp_dyn => {
+                        mask |= 1 << r.index();
+                        live_in_values[r.index()].get_or_insert(trace.result_at(p));
+                    }
+                    _ => {}
+                }
+            }
+            if inst.is_load() {
+                match last_store(k) {
+                    Some(p) if p >= cqip_dyn => mask |= masks[p - cqip_dyn],
+                    Some(p) if p >= sp_dyn => mask |= MEM_BIT,
+                    _ => {}
+                }
+            }
+            masks[k - cqip_dyn] = mask;
+        }
+        SampleWindow {
+            masks,
+            live_in_values,
+        }
+    }
+
+    fn assert_window_matches_naive(trace: &Trace, scorer: &DepScorer, win: (usize, usize, usize)) {
+        let (sp_dyn, cqip_dyn, end) = win;
+        let fast = scorer.analyse_window(sp_dyn, cqip_dyn, end);
+        let naive = analyse_window_naive(trace, sp_dyn, cqip_dyn, end);
+        assert_eq!(fast.masks, naive.masks, "masks of window {win:?}");
+        assert_eq!(
+            fast.live_in_values, naive.live_in_values,
+            "live-ins of window {win:?}"
+        );
+    }
+
+    /// Windows shaped as [`DepScorer::score`] shapes them: the thread
+    /// extends past the CQIP by the spawn distance, capped at
+    /// `MAX_SCORE_WINDOW` and at the trace end.
+    fn window(trace: &Trace, sp_dyn: usize, dist: usize) -> (usize, usize, usize) {
+        let cqip_dyn = (sp_dyn + dist).min(trace.len());
+        let end = (cqip_dyn + dist.min(MAX_SCORE_WINDOW)).min(trace.len());
+        (sp_dyn, cqip_dyn, end)
+    }
+
+    fn check_windows_against_naive(trace: &Trace, samples: usize) {
+        let bbs = BasicBlocks::of(trace.program());
+        let stream = BlockStream::new(trace, &bbs);
+        let scorer = DepScorer::new(trace, &bbs, &stream);
+        let n = trace.len();
+        // A fixed xorshift sequence spreads the windows over the trace.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ n as u64;
+        for _ in 0..samples {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let sp_dyn = (x % n as u64) as usize;
+            let dist = ((x >> 32) % 400) as usize;
+            assert_window_matches_naive(trace, &scorer, window(trace, sp_dyn, dist));
+        }
+        // A spawn region longer than the thread window it feeds.
+        let dist = MAX_SCORE_WINDOW + 500;
+        assert_window_matches_naive(trace, &scorer, window(trace, n / 4, dist));
+        // Degenerate windows: an empty spawn region, and one at the end.
+        assert_window_matches_naive(trace, &scorer, (n / 2, n / 2, (n / 2 + 100).min(n)));
+        assert_window_matches_naive(trace, &scorer, (n - 1, n, n));
+    }
+
+    #[test]
+    fn analyse_window_matches_backward_search_on_suite_traces() {
+        for w in specmt_workloads::suite(specmt_workloads::Scale::Tiny) {
+            let trace = Trace::generate(w.program, w.step_budget).unwrap();
+            check_windows_against_naive(&trace, 24);
+        }
+    }
+
+    #[test]
+    fn analyse_window_matches_backward_search_on_independent_loop() {
+        let trace = independent_loop(100);
+        check_windows_against_naive(&trace, 64);
+        // Iteration `i` starts at dyn 3 + 44 i. With SP at iteration 10 and
+        // CQIP at iteration 11, the induction variable r1 is a live-in: it
+        // was first written before the SP (dyn 1) and last written in the
+        // spawn region, whose value (11) is the one recorded. The base
+        // pointer r14, written only at dyn 0, is not.
+        let (sp_dyn, cqip_dyn) = (3 + 44 * 10, 3 + 44 * 11);
+        let bbs = BasicBlocks::of(trace.program());
+        let stream = BlockStream::new(&trace, &bbs);
+        let scorer = DepScorer::new(&trace, &bbs, &stream);
+        let w = scorer.analyse_window(sp_dyn, cqip_dyn, cqip_dyn + 44);
+        assert_eq!(w.live_in_values[1], Some(11));
+        assert_eq!(w.live_in_values[14], None);
+        assert!(w.masks.iter().all(|&m| m & !(1 << 1) == 0));
+        assert!(w.masks.iter().any(|&m| m != 0));
+        assert_window_matches_naive(&trace, &scorer, (sp_dyn, cqip_dyn, cqip_dyn + 44));
     }
 
     #[test]

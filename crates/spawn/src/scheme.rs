@@ -314,8 +314,9 @@ impl SchemeRegistry {
     /// pairs, and the two adaptive wrappers over the profile scheme
     /// (names in [`BUILTIN_SCHEME_NAMES`]).
     pub fn builtin() -> SchemeRegistry {
-        let mut r = SchemeRegistry::new();
-        let builtins: Vec<Box<dyn SpawnScheme>> = vec![
+        // The names are distinct by construction (a unit test checks), so
+        // the list is taken whole rather than through `register`.
+        let schemes: Vec<Box<dyn SpawnScheme>> = vec![
             Box::new(ProfileScheme {
                 criterion: OrderCriterion::MaxDistance,
             }),
@@ -360,10 +361,7 @@ impl SchemeRegistry {
                 DEFAULT_CONFIDENCE_THRESHOLD,
             )),
         ];
-        for s in builtins {
-            r.register(s).expect("builtin names are unique");
-        }
-        r
+        SchemeRegistry { schemes }
     }
 
     /// Registers a scheme.
@@ -486,6 +484,15 @@ mod tests {
             assert_eq!(s.name(), name);
             assert!(!s.describe().is_empty());
         }
+    }
+
+    #[test]
+    fn builtin_names_are_unique() {
+        let r = SchemeRegistry::builtin();
+        let mut names = r.names();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), r.len());
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Dynamic data-dependence graphs over traces.
 
+use std::sync::Arc;
+
 use crate::record::MemRank;
 use crate::Trace;
 
@@ -8,25 +10,21 @@ use crate::Trace;
 /// memory).
 pub const NO_PRODUCER: u32 = u32::MAX;
 
-/// For every dynamic instruction of a [`Trace`], the dynamic indices of the
-/// instructions that produced its operands.
+/// For every load of a [`Trace`], the dynamic index of the most recent
+/// earlier store to the same word address ([`DepGraph::mem_producer`]), or
+/// [`NO_PRODUCER`].
 ///
-/// * `reg_producer(k, s)` — producer of the `s`-th register source operand
-///   of dynamic instruction `k` (matching [`Inst::srcs`]), or
-///   [`NO_PRODUCER`].
-/// * `mem_producer(k)` — for loads, the most recent earlier store to the
-///   same word address, or [`NO_PRODUCER`].
+/// Memory producers are kept for loads and stores only (stores hold
+/// [`NO_PRODUCER`]), on the same rank as the trace's [`Trace::mem_addrs`]
+/// and through the trace's own rank index, so the graph costs 4 bytes per
+/// memory record and nothing per other record. Register producers are not
+/// stored: a register's producer is its last writer, which the passes that
+/// need it (the simulator and the dependence scorer) track with a
+/// 32-entry table as they walk the trace forward.
 ///
-/// Reads of the hardwired-zero register have no producer. Register
-/// producers take 8 bytes per record; memory producers are kept for loads
-/// and stores only (stores hold [`NO_PRODUCER`]), on the same rank as the
-/// trace's [`Trace::mem_addrs`], so they cost 4 bytes per memory record.
-///
-/// This is the raw material for the paper's *independent* and *predictable*
-/// CQIP-ordering criteria (§3.1 criteria b/c) and for the simulator's
-/// inter-thread register/memory communication model.
-///
-/// [`Inst::srcs`]: specmt_isa::Inst::srcs
+/// This is the memory half of the raw material for the paper's
+/// *independent* and *predictable* CQIP-ordering criteria (§3.1 criteria
+/// b/c) and for the simulator's inter-thread memory communication model.
 ///
 /// # Examples
 ///
@@ -35,21 +33,24 @@ pub const NO_PRODUCER: u32 = u32::MAX;
 /// use specmt_trace::{DepGraph, Trace, NO_PRODUCER};
 ///
 /// let mut b = ProgramBuilder::new();
-/// b.li(Reg::R1, 2); // dyn 0
-/// b.addi(Reg::R2, Reg::R1, 1); // dyn 1: consumes dyn 0
+/// b.li(Reg::R1, 0x100); // dyn 0
+/// b.st(Reg::R1, Reg::R1, 0); // dyn 1: store to 0x100
+/// b.ld(Reg::R2, Reg::R1, 0); // dyn 2: reads what dyn 1 stored
+/// b.ld(Reg::R3, Reg::R1, 8); // dyn 3: untouched memory
 /// b.halt();
 /// let trace = Trace::generate(b.build()?, 100)?;
 /// let deps = DepGraph::build(&trace);
-/// assert_eq!(deps.reg_producer(1, 0), 0);
-/// assert_eq!(deps.reg_producer(0, 0), NO_PRODUCER);
+/// assert_eq!(deps.mem_producer(2), 1);
+/// assert_eq!(deps.mem_producer(3), NO_PRODUCER);
+/// assert_eq!(deps.mem_producers().len(), trace.mem_addrs().len());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct DepGraph {
-    reg_producers: Vec<[u32; 2]>,
     /// One entry per load or store, in trace order; `mem` ranks them.
     mem_producers: Vec<u32>,
-    mem: MemRank,
+    /// The trace's rank index, shared rather than copied.
+    mem: Arc<MemRank>,
     /// Largest address in the trace, computed once at build so consumers
     /// sizing address-indexed structures (e.g. the compact cache tag
     /// store) need no extra scan per simulation run.
@@ -57,20 +58,13 @@ pub struct DepGraph {
 }
 
 /// Per-static-instruction facts predecoded once per [`DepGraph::build`],
-/// so the per-dynamic-instruction pass reads one flat byte-packed entry
-/// instead of interrogating the `Inst` enum four times.
+/// so the per-dynamic-instruction pass reads one flat entry instead of
+/// interrogating the `Inst` enum.
 #[derive(Clone, Copy)]
 struct DepPre {
-    /// Source register index per operand slot (`NO_REG` = absent or the
-    /// hardwired zero register, which never has a producer).
-    src: [u8; 2],
-    /// Destination register index, or `NO_REG`.
-    dst: u8,
     is_load: bool,
     is_store: bool,
 }
-
-const NO_REG: u8 = u8::MAX;
 
 /// Open-addressing `address -> last store index` map with linear probing.
 /// Exact-key semantics only (no iteration), so it computes exactly what the
@@ -143,42 +137,25 @@ impl AddrMap {
 }
 
 impl DepGraph {
-    /// Computes producers for every dynamic instruction of `trace`.
+    /// Computes the memory producer of every load of `trace`.
     ///
-    /// Runs in a single pass: `O(len)` time, `O(len + distinct addresses)`
-    /// space. Static instructions are predecoded up front and the
-    /// last-store map is a purpose-built open-addressing table, so the
-    /// pass itself is a tight scan over the trace's pc column, with one
+    /// Runs in a single pass: `O(len)` time, `O(memory records + distinct
+    /// store addresses)` space. Static instructions are predecoded up front
+    /// and the last-store map is a purpose-built open-addressing table, so
+    /// the pass itself is a tight scan over the trace's pc column, with one
     /// cursor into its memory column that advances on each load or store.
     pub fn build(trace: &Trace) -> DepGraph {
-        let n = trace.len();
         let addrs = trace.mem_addrs();
-        let mut reg_producers = vec![[NO_PRODUCER; 2]; n];
         let mut mem_producers = vec![NO_PRODUCER; addrs.len()];
-        let mut last_reg_write = [NO_PRODUCER; specmt_isa::NUM_REGS];
 
         let program = trace.program();
         let mut pre: Vec<DepPre> = Vec::with_capacity(program.len());
         let mut store_pcs = 0usize;
         for inst in program.insts() {
-            let mut p = DepPre {
-                src: [NO_REG; 2],
-                dst: NO_REG,
+            let p = DepPre {
                 is_load: inst.is_load(),
                 is_store: inst.is_store(),
             };
-            for (s, r) in inst.srcs().into_iter().enumerate() {
-                if let Some(r) = r {
-                    if !r.is_zero() {
-                        p.src[s] = r.index() as u8;
-                    }
-                }
-            }
-            if let Some(d) = inst.dst() {
-                if !d.is_zero() {
-                    p.dst = d.index() as u8;
-                }
-            }
             store_pcs += usize::from(p.is_store);
             pre.push(p);
         }
@@ -198,12 +175,6 @@ impl DepGraph {
         let mut m = 0usize;
         for (k, &pc) in trace.pcs().iter().enumerate() {
             let p = pre[pc as usize];
-            if p.src[0] != NO_REG {
-                reg_producers[k][0] = last_reg_write[p.src[0] as usize];
-            }
-            if p.src[1] != NO_REG {
-                reg_producers[k][1] = last_reg_write[p.src[1] as usize];
-            }
             if p.is_load {
                 if let Some(v) = last_store.get(addrs[m]) {
                     mem_producers[m] = v;
@@ -213,15 +184,11 @@ impl DepGraph {
                 last_store.insert(addrs[m], k as u32);
                 m += 1;
             }
-            if p.dst != NO_REG {
-                last_reg_write[p.dst as usize] = k as u32;
-            }
         }
 
         DepGraph {
-            reg_producers,
             mem_producers,
-            mem: trace.mem_index().clone(),
+            mem: Arc::clone(trace.mem_index()),
             max_addr: addrs.iter().copied().max().unwrap_or(0),
         }
     }
@@ -230,27 +197,6 @@ impl DepGraph {
     /// trace).
     pub fn max_addr(&self) -> u64 {
         self.max_addr
-    }
-
-    /// Number of dynamic instructions covered.
-    pub fn len(&self) -> usize {
-        self.reg_producers.len()
-    }
-
-    /// Whether the graph covers an empty trace.
-    pub fn is_empty(&self) -> bool {
-        self.reg_producers.is_empty()
-    }
-
-    /// Producer of the `s`-th register source operand of dynamic
-    /// instruction `k` (`s` in `0..2`), or [`NO_PRODUCER`].
-    pub fn reg_producer(&self, k: usize, s: usize) -> u32 {
-        self.reg_producers[k][s]
-    }
-
-    /// Both register-operand producers of dynamic instruction `k`.
-    pub fn reg_producers(&self, k: usize) -> [u32; 2] {
-        self.reg_producers[k]
     }
 
     /// Producer store of a load at dynamic index `k`, or [`NO_PRODUCER`].
@@ -300,25 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn register_producers_follow_last_writer() {
-        let trace = mem_chain_trace();
-        let deps = DepGraph::build(&trace);
-        // Store at dyn 4: srcs = [R3 (from load 3), R1 (from li 0)]
-        assert_eq!(deps.reg_producer(4, 0), 3);
-        assert_eq!(deps.reg_producer(4, 1), 0);
-    }
-
-    #[test]
     fn producers_always_precede_consumers() {
         let trace = mem_chain_trace();
         let deps = DepGraph::build(&trace);
-        for k in 0..deps.len() {
-            for s in 0..2 {
-                let p = deps.reg_producer(k, s);
-                if p != NO_PRODUCER {
-                    assert!((p as usize) < k);
-                }
-            }
+        for k in 0..trace.len() {
             let m = deps.mem_producer(k);
             if m != NO_PRODUCER {
                 assert!((m as usize) < k);
@@ -327,14 +258,29 @@ mod tests {
     }
 
     #[test]
-    fn zero_register_reads_have_no_producer() {
+    fn graph_grows_with_memory_records_only() {
+        // No loads or stores: the producer column is empty however long
+        // the trace.
         let mut b = ProgramBuilder::new();
-        b.li(Reg::R1, 1); // dyn 0 (irrelevant)
-        b.add(Reg::R2, Reg::ZERO, Reg::ZERO); // dyn 1
+        let top = b.fresh_label("top");
+        b.li(Reg::R1, 0);
+        b.li(Reg::R2, 500);
+        b.bind(top);
+        b.addi(Reg::R1, Reg::R1, 1);
+        b.blt(Reg::R1, Reg::R2, top);
         b.halt();
-        let trace = Trace::generate(b.build().unwrap(), 100).unwrap();
+        let trace = Trace::generate(b.build().unwrap(), 10_000).unwrap();
+        assert!(trace.len() > 1000);
         let deps = DepGraph::build(&trace);
-        assert_eq!(deps.reg_producer(1, 0), NO_PRODUCER);
-        assert_eq!(deps.reg_producer(1, 1), NO_PRODUCER);
+        assert!(deps.mem_producers().is_empty());
+        assert!((0..trace.len()).all(|k| deps.mem_producer(k) == NO_PRODUCER));
+
+        // In general, one entry per load or store.
+        let trace = mem_chain_trace();
+        let deps = DepGraph::build(&trace);
+        assert_eq!(trace.mem_addrs().len(), 5);
+        assert_eq!(deps.mem_producers().len(), trace.mem_addrs().len());
+        // The rank index is the trace's own, not a copy.
+        assert!(Arc::ptr_eq(&deps.mem, trace.mem_index()));
     }
 }

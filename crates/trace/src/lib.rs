@@ -12,10 +12,11 @@
 //! * [`Trace`] is the recorded dynamic instruction stream — one
 //!   [`DynInst`] per executed instruction, carrying the branch outcome, the
 //!   effective address and the produced value, and
-//! * [`DepGraph`] precomputes, for every dynamic instruction, which earlier
-//!   dynamic instruction produced each of its register operands and (for
-//!   loads) its memory operand — the raw material for both the
-//!   independence/predictability spawning criteria and the timing model.
+//! * [`DepGraph`] precomputes, for every load, which earlier store
+//!   produced its memory operand — the memory half of the raw material for
+//!   both the independence/predictability spawning criteria and the timing
+//!   model. Register producers are not stored: each is its register's last
+//!   writer, which those passes track themselves as they walk the trace.
 //!
 //! # Examples
 //!

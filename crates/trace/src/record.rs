@@ -84,7 +84,9 @@ pub struct Trace {
     /// Effective addresses of the loads and stores only, in execution
     /// order; `mem` maps a dynamic index to its entry.
     addrs: Vec<u64>,
-    mem: MemRank,
+    /// Shared with the dependence graph, which ranks its memory producers
+    /// by the same index.
+    mem: Arc<MemRank>,
     results: Vec<u64>,
     final_regs: [u64; specmt_isa::NUM_REGS],
     /// The dependence graph, built on the first [`Trace::deps`] call.
@@ -255,7 +257,7 @@ impl Trace {
             pcs: Vec::new(),
             taken: Vec::new(),
             addrs: Vec::new(),
-            mem: MemRank::default(),
+            mem: Arc::default(),
             results: Vec::new(),
             final_regs: [0u64; specmt_isa::NUM_REGS],
             deps: OnceLock::new(),
@@ -284,7 +286,7 @@ impl Trace {
             }
         }
         trace.addrs.shrink_to_fit();
-        trace.mem = MemRank::build(&is_mem, &trace.pcs);
+        trace.mem = Arc::new(MemRank::build(&is_mem, &trace.pcs));
         for r in Reg::all() {
             trace.final_regs[r.index()] = emu.reg(r);
         }
@@ -319,7 +321,7 @@ impl Trace {
             pcs,
             taken,
             addrs,
-            mem,
+            mem: Arc::new(mem),
             results,
             final_regs,
             deps: OnceLock::new(),
@@ -340,7 +342,7 @@ impl Trace {
     }
 
     /// The memory-record rank index.
-    pub(crate) fn mem_index(&self) -> &MemRank {
+    pub(crate) fn mem_index(&self) -> &Arc<MemRank> {
         &self.mem
     }
 

@@ -154,14 +154,11 @@ proptest! {
         for k in 0..trace.len() {
             let rec = trace.record(k).expect("in range");
             prop_assert_eq!(emu.step(), Ok(StepOutcome::Executed(rec)), "record {}", k);
-            for s in 0..2 {
-                let p = deps.reg_producer(k, s);
-                if p != NO_PRODUCER {
-                    prop_assert!((p as usize) < k, "producer after consumer");
-                }
-            }
             let inst = trace.inst(k);
             let m = deps.mem_producer(k);
+            if m != NO_PRODUCER {
+                prop_assert!((m as usize) < k, "producer after consumer");
+            }
             if inst.is_load() {
                 let naive = last_store.get(&rec.addr).copied().unwrap_or(NO_PRODUCER);
                 prop_assert_eq!(m, naive, "load {}", k);
@@ -173,6 +170,8 @@ proptest! {
             }
         }
         prop_assert_eq!(emu.step(), Ok(StepOutcome::Halted));
+        // One producer entry per load or store, none for other records.
+        prop_assert_eq!(deps.mem_producers().len(), trace.mem_addrs().len());
     }
 
     #[test]
