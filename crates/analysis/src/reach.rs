@@ -458,7 +458,11 @@ mod tests {
         let trace = Trace::generate(program, 1_000_000).unwrap();
         let stream = BlockStream::new(&trace, &bbs);
         let all: Vec<BlockId> = (0..bbs.num_blocks() as BlockId).collect();
-        assert!(all.len() > 128, "want multiple source words, got {}", all.len());
+        assert!(
+            all.len() > 128,
+            "want multiple source words, got {}",
+            all.len()
+        );
         assert_identical(
             &ReachingAnalysis::compute(&stream, &all),
             &ReachingAnalysis::compute_naive(&stream, &all),

@@ -648,7 +648,13 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
             "min probability",
             "min_prob",
             [0.5, 0.8, 0.9, 0.95, 0.99]
-                .map(|p| (format!("{p:.2}"), json!(p), profile_params(|c| c.min_prob = p)))
+                .map(|p| {
+                    (
+                        format!("{p:.2}"),
+                        json!(p),
+                        profile_params(|c| c.min_prob = p),
+                    )
+                })
                 .to_vec(),
         ),
         (
@@ -657,7 +663,13 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
             "min distance",
             "min_distance",
             [8.0, 16.0, 32.0, 64.0, 128.0]
-                .map(|d| (format!("{d}"), json!(d), profile_params(|c| c.min_distance = d)))
+                .map(|d| {
+                    (
+                        format!("{d}"),
+                        json!(d),
+                        profile_params(|c| c.min_distance = d),
+                    )
+                })
                 .to_vec(),
         ),
         (
@@ -678,7 +690,13 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
             "CFG coverage",
             "coverage",
             [0.5, 0.7, 0.9, 0.99]
-                .map(|c| (format!("{c:.2}"), json!(c), profile_params(|p| p.coverage = c)))
+                .map(|c| {
+                    (
+                        format!("{c:.2}"),
+                        json!(c),
+                        profile_params(|p| p.coverage = c),
+                    )
+                })
                 .to_vec(),
         ),
     ];
@@ -738,7 +756,11 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     let mut rows = Vec::new();
     for (i, kb) in kbs.into_iter().enumerate() {
         let (hm, acc) = (grid.means[i], mean_hit_ratio(&grid.results[i]));
-        t.row_owned(vec![format!("{kb} KB"), f2(hm), format!("{:.1}%", 100.0 * acc)]);
+        t.row_owned(vec![
+            format!("{kb} KB"),
+            f2(hm),
+            format!("{:.1}%", 100.0 * acc),
+        ]);
         rows.push(json!({"budget_kb": kb, "hmean": hm, "accuracy": acc}));
     }
     figs.push(ablation(
@@ -780,7 +802,11 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     let variants = kinds
         .iter()
         .map(|&kind| {
-            Variant::speedup(kind.to_string(), "profile", vec![ConfigDelta::ValuePredictor(kind)])
+            Variant::speedup(
+                kind.to_string(),
+                "profile",
+                vec![ConfigDelta::ValuePredictor(kind)],
+            )
         })
         .collect();
     let grid = ExperimentSpec::new(base.clone(), variants).run(h)?;
@@ -788,10 +814,19 @@ pub fn ablations(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     let mut rows = Vec::new();
     for (i, kind) in kinds.into_iter().enumerate() {
         let (hm, acc) = (grid.means[i], mean_hit_ratio(&grid.results[i]));
-        t.row_owned(vec![kind.to_string(), f2(hm), format!("{:.1}%", 100.0 * acc)]);
+        t.row_owned(vec![
+            kind.to_string(),
+            f2(hm),
+            format!("{:.1}%", 100.0 * acc),
+        ]);
         rows.push(json!({"predictor": kind.to_string(), "hmean": hm, "accuracy": acc}));
     }
-    figs.push(ablation("abl-predictors", "Ablation: value-predictor kinds", t, rows));
+    figs.push(ablation(
+        "abl-predictors",
+        "Ablation: value-predictor kinds",
+        t,
+        rows,
+    ));
 
     // --- Policy shootout via the scheme registry ------------------------
     let schemes = ["profile", "heuristics", "memslice", "return-pairs"];
@@ -880,7 +915,8 @@ pub fn crossinput(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
         title: "Cross-input validation: training-selected pairs on the reference input".into(),
         table,
         notes: vec![
-            "transfer = speed-up with training-selected pairs relative to self-profiled pairs".into(),
+            "transfer = speed-up with training-selected pairs relative to self-profiled pairs"
+                .into(),
             "on the reference input; overlap = training pairs also selected by a reference".into(),
             "profile. High transfer validates the paper's profile-once methodology.".into(),
         ],
@@ -910,16 +946,13 @@ pub fn fig_adaptation(h: &Harness) -> Result<Vec<Figure>, HarnessError> {
     // re-keys the adaptive tables without touching the base scheme's.
     let grid = ExperimentSpec::new(
         crate::best_profile_config(16),
-        SCHEMES.iter().map(|&s| Variant::speedup(s, s, vec![])).collect(),
+        SCHEMES
+            .iter()
+            .map(|&s| Variant::speedup(s, s, vec![]))
+            .collect(),
     )
     .run_on(h, &reference)?;
-    let mut table = Table::new(&[
-        "bench",
-        "profile",
-        "scoreboard",
-        "conf-gated",
-        "best gain",
-    ]);
+    let mut table = Table::new(&["bench", "profile", "scoreboard", "conf-gated", "best gain"]);
     let mut rows = Vec::new();
     for (bi, name) in grid.bench_names.iter().enumerate() {
         let speeds: Vec<f64> = grid.values.iter().map(|col| col[bi]).collect();

@@ -178,8 +178,14 @@ impl BenchCtx {
     ) -> BenchCtx {
         let defaults = params_digest(&SchemeParams::default());
         let mut tables = HashMap::new();
-        tables.insert(("profile".to_owned(), defaults), Arc::new(profile.table.clone()));
-        tables.insert(("heuristics".to_owned(), defaults), Arc::new(heuristics.clone()));
+        tables.insert(
+            ("profile".to_owned(), defaults),
+            Arc::new(profile.table.clone()),
+        );
+        tables.insert(
+            ("heuristics".to_owned(), defaults),
+            Arc::new(heuristics.clone()),
+        );
         BenchCtx {
             bench,
             profile,
@@ -231,7 +237,9 @@ impl BenchCtx {
             .map_err(|e| HarnessError::bench(name, e))?;
 
         let profile_cfg = ProfileConfig::default();
-        let pkey = trace_key.as_ref().map(|t| cache::profile_stage(t, &profile_cfg));
+        let pkey = trace_key
+            .as_ref()
+            .map(|t| cache::profile_stage(t, &profile_cfg));
         let profile =
             cache::read_through(&store, Namespace::Profile, &label, pkey.as_ref(), || {
                 Ok(bench.profile_table(&profile_cfg))
@@ -450,7 +458,9 @@ fn load_suite(
         .iter()
         .map(|&name| {
             let store = Arc::clone(store);
-            Task::new(name, move || BenchCtx::load_input(name, scale, input, store))
+            Task::new(name, move || {
+                BenchCtx::load_input(name, scale, input, store)
+            })
         })
         .collect();
     run_supervised(&Executor::new(exec), tasks)?
@@ -690,14 +700,24 @@ mod tests {
                 .registry
                 .select("profile", ctx.bench.trace(), &params)
                 .expect("profile selects");
-            let got = ctx.table_for("profile", &h.registry, &params).expect("memo");
-            assert_eq!(*got, want, "{}: table_for ignored its params", ctx.bench.name());
+            let got = ctx
+                .table_for("profile", &h.registry, &params)
+                .expect("memo");
+            assert_eq!(
+                *got,
+                want,
+                "{}: table_for ignored its params",
+                ctx.bench.name()
+            );
             let default = ctx
                 .table_for("profile", &h.registry, &SchemeParams::default())
                 .expect("memo");
             assert_eq!(*default, ctx.profile.table, "{}", ctx.bench.name());
             changed += usize::from(want != ctx.profile.table);
         }
-        assert!(changed > 0, "min_prob 0.5 must change some benchmark's table");
+        assert!(
+            changed > 0,
+            "min_prob 0.5 must change some benchmark's table"
+        );
     }
 }

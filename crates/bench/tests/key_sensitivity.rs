@@ -10,8 +10,7 @@ use specmt_bench::cache;
 use specmt_predict::ValuePredictorKind;
 use specmt_sim::{FaultPlan, RemovalPolicy, SimConfig};
 use specmt_spawn::{
-    AdaptivePolicy,
-    HeuristicSet, OrderCriterion, ProfileConfig, SchemeParams, SpawnTable,
+    AdaptivePolicy, HeuristicSet, OrderCriterion, ProfileConfig, SchemeParams, SpawnTable,
 };
 use specmt_store::{Fingerprint, StageKey};
 use specmt_workloads::Scale;
@@ -37,13 +36,34 @@ fn every_profile_config_field_is_keyed() {
     let base = ProfileConfig::default();
     let variants = vec![
         base.clone(),
-        ProfileConfig { min_prob: base.min_prob + 0.01, ..base.clone() },
-        ProfileConfig { min_distance: base.min_distance + 1.0, ..base.clone() },
-        ProfileConfig { max_distance: base.max_distance.map(|d| d + 1.0), ..base.clone() },
-        ProfileConfig { max_distance: None, ..base.clone() },
-        ProfileConfig { coverage: base.coverage / 2.0, ..base.clone() },
-        ProfileConfig { criterion: OrderCriterion::Independent, ..base.clone() },
-        ProfileConfig { criterion: OrderCriterion::Predictable, ..base.clone() },
+        ProfileConfig {
+            min_prob: base.min_prob + 0.01,
+            ..base.clone()
+        },
+        ProfileConfig {
+            min_distance: base.min_distance + 1.0,
+            ..base.clone()
+        },
+        ProfileConfig {
+            max_distance: base.max_distance.map(|d| d + 1.0),
+            ..base.clone()
+        },
+        ProfileConfig {
+            max_distance: None,
+            ..base.clone()
+        },
+        ProfileConfig {
+            coverage: base.coverage / 2.0,
+            ..base.clone()
+        },
+        ProfileConfig {
+            criterion: OrderCriterion::Independent,
+            ..base.clone()
+        },
+        ProfileConfig {
+            criterion: OrderCriterion::Predictable,
+            ..base.clone()
+        },
     ];
     all_distinct("ProfileConfig", &variants);
 
@@ -78,9 +98,24 @@ fn every_sim_config_field_is_keyed() {
     variant!(min_observed_size = Some(32));
     variant!(observe = !base.observe);
     variant!(faults = Some(FaultPlan::with_seed(7)));
-    variant!(removal = Some(RemovalPolicy { alone_cycles: 50, occurrences: 1 }));
-    variant!(removal = Some(RemovalPolicy { alone_cycles: 51, occurrences: 1 }));
-    variant!(removal = Some(RemovalPolicy { alone_cycles: 50, occurrences: 2 }));
+    variant!(
+        removal = Some(RemovalPolicy {
+            alone_cycles: 50,
+            occurrences: 1
+        })
+    );
+    variant!(
+        removal = Some(RemovalPolicy {
+            alone_cycles: 51,
+            occurrences: 1
+        })
+    );
+    variant!(
+        removal = Some(RemovalPolicy {
+            alone_cycles: 50,
+            occurrences: 2
+        })
+    );
     for kind in [
         ValuePredictorKind::Perfect,
         ValuePredictorKind::LastValue,
@@ -105,7 +140,10 @@ fn every_sim_config_field_is_keyed() {
     assert_eq!(keys.len(), variants.len());
     let p = cache::profile_stage(&t, &ProfileConfig::default());
     let tab = cache::table_stage(&t, "builtin/profile", &SchemeParams::default());
-    assert_eq!(p.key, cache::profile_stage(&t, &ProfileConfig::default()).key);
+    assert_eq!(
+        p.key,
+        cache::profile_stage(&t, &ProfileConfig::default()).key
+    );
     assert_eq!(
         tab.key,
         cache::table_stage(&t, "builtin/profile", &SchemeParams::default()).key
@@ -128,7 +166,10 @@ fn scheme_params_and_identity_key_the_table_stage() {
     insert(&base, "builtin/memslice");
     insert(
         &SchemeParams {
-            profile: ProfileConfig { min_prob: 0.5, ..ProfileConfig::default() },
+            profile: ProfileConfig {
+                min_prob: 0.5,
+                ..ProfileConfig::default()
+            },
         },
         "builtin/profile",
     );
@@ -159,16 +200,32 @@ fn adaptive_gate_thresholds_re_key_table_and_sim_stages_only() {
         .iter()
         .map(|id| cache::table_stage(&t, id, &params).key.hex())
         .collect();
-    assert_eq!(table_keys.len(), identities.len(), "gate thresholds must re-key the table stage");
+    assert_eq!(
+        table_keys.len(),
+        identities.len(),
+        "gate thresholds must re-key the table stage"
+    );
 
     // The policy rides the table into the sim stage's closure.
     let base = SpawnTable::empty();
     let policies = [
         None,
-        Some(AdaptivePolicy { demote_threshold: Some(2), confidence_threshold: None }),
-        Some(AdaptivePolicy { demote_threshold: Some(3), confidence_threshold: None }),
-        Some(AdaptivePolicy { demote_threshold: None, confidence_threshold: Some(3) }),
-        Some(AdaptivePolicy { demote_threshold: None, confidence_threshold: Some(6) }),
+        Some(AdaptivePolicy {
+            demote_threshold: Some(2),
+            confidence_threshold: None,
+        }),
+        Some(AdaptivePolicy {
+            demote_threshold: Some(3),
+            confidence_threshold: None,
+        }),
+        Some(AdaptivePolicy {
+            demote_threshold: None,
+            confidence_threshold: Some(3),
+        }),
+        Some(AdaptivePolicy {
+            demote_threshold: None,
+            confidence_threshold: Some(6),
+        }),
     ];
     let cfg = SimConfig::paper(4);
     let sim_keys: HashSet<String> = policies
@@ -181,7 +238,11 @@ fn adaptive_gate_thresholds_re_key_table_and_sim_stages_only() {
             cache::sim_stage(&t, &table, &cfg).key.hex()
         })
         .collect();
-    assert_eq!(sim_keys.len(), policies.len(), "gate thresholds must re-key the sim stage");
+    assert_eq!(
+        sim_keys.len(),
+        policies.len(),
+        "gate thresholds must re-key the sim stage"
+    );
 
     // Stages upstream of the gate parameters are oblivious to all of it.
     assert_eq!(trace_key().key, t.key);
@@ -193,9 +254,18 @@ fn heuristic_set_members_are_keyed() {
     let all = HeuristicSet::all();
     let variants = [
         all,
-        HeuristicSet { loop_iteration: false, ..all },
-        HeuristicSet { loop_continuation: false, ..all },
-        HeuristicSet { subroutine_continuation: false, ..all },
+        HeuristicSet {
+            loop_iteration: false,
+            ..all
+        },
+        HeuristicSet {
+            loop_continuation: false,
+            ..all
+        },
+        HeuristicSet {
+            subroutine_continuation: false,
+            ..all
+        },
     ];
     all_distinct("HeuristicSet", &variants);
 }
@@ -233,11 +303,26 @@ fn fault_plan_fields_are_keyed() {
     let variants = [
         base,
         FaultPlan { seed: 2, ..base },
-        FaultPlan { squash_rate: 0.1, ..base },
-        FaultPlan { drop_spawn_rate: 0.1, ..base },
-        FaultPlan { corrupt_value_rate: 0.1, ..base },
-        FaultPlan { cache_jitter: 3, ..base },
-        FaultPlan { remove_pair_rate: 0.1, ..base },
+        FaultPlan {
+            squash_rate: 0.1,
+            ..base
+        },
+        FaultPlan {
+            drop_spawn_rate: 0.1,
+            ..base
+        },
+        FaultPlan {
+            corrupt_value_rate: 0.1,
+            ..base
+        },
+        FaultPlan {
+            cache_jitter: 3,
+            ..base
+        },
+        FaultPlan {
+            remove_pair_rate: 0.1,
+            ..base
+        },
     ];
     all_distinct("FaultPlan", &variants);
 }

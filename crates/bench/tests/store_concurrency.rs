@@ -52,7 +52,10 @@ fn eight_way_concurrent_population_is_bit_identical_and_clean() {
                 (i % BENCHES.len(), run_one(&ctx))
             }));
         }
-        handles.into_iter().map(|h| h.join().expect("thread")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("thread"))
+            .collect()
     });
     for (bench_idx, products) in &results {
         assert_eq!(

@@ -272,7 +272,12 @@ fn sim_config_change_invalidates_only_the_simulate_stage() {
     let _ = ctx.sim(changed, &table).expect("changed sim");
 
     // Upstream stages never miss...
-    for ns in [Namespace::Trace, Namespace::Profile, Namespace::SpawnTable, Namespace::Analysis] {
+    for ns in [
+        Namespace::Trace,
+        Namespace::Profile,
+        Namespace::SpawnTable,
+        Namespace::Analysis,
+    ] {
         assert_eq!(store.misses(ns), 0, "{ns:?} must not be invalidated");
         assert_eq!(store.invalidations(ns), 0);
     }

@@ -173,11 +173,7 @@ fn build_table(args: &Args, trace: &Trace) -> Result<SpawnTable, CliError> {
     let policy = args.flag("policy").unwrap_or("profile");
     match policy {
         "none" => Ok(SpawnTable::empty()),
-        "help" => Err(format!(
-            "registered schemes: {}",
-            BUILTIN_SCHEME_NAMES.join(", ")
-        )
-        .into()),
+        "help" => Err(format!("registered schemes: {}", BUILTIN_SCHEME_NAMES.join(", ")).into()),
         name => Ok(SchemeRegistry::builtin().select(name, trace, &SchemeParams::default())?),
     }
 }
@@ -500,12 +496,11 @@ fn write_metrics(h: &Harness, mode: &str) -> Result<(), Box<dyn std::error::Erro
                 ctx.bench
                     .run_observed(SimConfig::paper(16), &table, &mut log)?;
                 let path = dir.join(format!("trace_{}.json", ctx.bench.name()));
-                std::fs::write(&path, specmt::obs::chrome::trace_string(log.events())? + "\n")?;
-                eprintln!(
-                    "wrote {} ({} events)",
-                    path.display(),
-                    log.len()
-                );
+                std::fs::write(
+                    &path,
+                    specmt::obs::chrome::trace_string(log.events())? + "\n",
+                )?;
+                eprintln!("wrote {} ({} events)", path.display(), log.len());
             }
         }
         other => return Err(format!("--metrics wants json or chrome, got `{other}`").into()),

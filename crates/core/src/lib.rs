@@ -49,8 +49,8 @@
 #![warn(missing_debug_implementations)]
 
 pub use specmt_analysis as analysis;
-pub use specmt_isa as isa;
 pub use specmt_exec as exec;
+pub use specmt_isa as isa;
 pub use specmt_obs as obs;
 pub use specmt_predict as predict;
 pub use specmt_sim as sim;

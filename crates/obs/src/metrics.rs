@@ -222,7 +222,10 @@ impl MetricsRegistry {
         .filter(|(_, h)| h.count > 0)
         .map(|(name, h)| h.snapshot(name))
         .collect();
-        Metrics { counters, histograms }
+        Metrics {
+            counters,
+            histograms,
+        }
     }
 }
 
@@ -243,15 +246,28 @@ impl EventSink for MetricsRegistry {
                 self.add(Slot::squashed(reason), 1);
                 self.in_flight = self.in_flight.saturating_sub(1);
             }
-            Event::ThreadCommitted { cycle, spawn_cycle, size, .. } => {
+            Event::ThreadCommitted {
+                cycle,
+                spawn_cycle,
+                size,
+                ..
+            } => {
                 self.add(Slot::ThreadsCommitted, 1);
                 self.thread_size.observe(size);
-                self.spawn_to_commit_cycles.observe(cycle.saturating_sub(spawn_cycle));
+                self.spawn_to_commit_cycles
+                    .observe(cycle.saturating_sub(spawn_cycle));
                 self.in_flight = self.in_flight.saturating_sub(1);
             }
             Event::ViolationDetected { .. } => self.add(Slot::Violations, 1),
             Event::CacheAccess { hit, .. } => {
-                self.add(if hit { Slot::CacheHits } else { Slot::CacheMisses }, 1);
+                self.add(
+                    if hit {
+                        Slot::CacheHits
+                    } else {
+                        Slot::CacheMisses
+                    },
+                    1,
+                );
             }
             Event::SpawnGated { reason, .. } => {
                 self.add(Slot::SpawnsGated, 1);
@@ -298,7 +314,14 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<u64>,
 }
 
-serde::impl_serde_struct!(HistogramSnapshot { name, count, sum, min, max, buckets });
+serde::impl_serde_struct!(HistogramSnapshot {
+    name,
+    count,
+    sum,
+    min,
+    max,
+    buckets
+});
 
 impl HistogramSnapshot {
     /// Mean observed value, or 0.0 when empty.
@@ -321,12 +344,18 @@ pub struct Metrics {
     pub histograms: Vec<HistogramSnapshot>,
 }
 
-serde::impl_serde_struct!(Metrics { counters, histograms });
+serde::impl_serde_struct!(Metrics {
+    counters,
+    histograms
+});
 
 impl Metrics {
     /// Value of a counter (zero if absent from the snapshot).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value)
+        self.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
     }
 
     /// Look up a histogram by name.
@@ -361,9 +390,24 @@ mod tests {
     #[test]
     fn registry_folds_lifecycle_events() {
         let mut reg = MetricsRegistry::new();
-        reg.record(&Event::ThreadSpawned { thread: 0, unit: 0, cycle: 0, speculative: false });
-        reg.record(&Event::ThreadSpawned { thread: 1, unit: 1, cycle: 4, speculative: true });
-        reg.record(&Event::ThreadSpawned { thread: 2, unit: 2, cycle: 6, speculative: true });
+        reg.record(&Event::ThreadSpawned {
+            thread: 0,
+            unit: 0,
+            cycle: 0,
+            speculative: false,
+        });
+        reg.record(&Event::ThreadSpawned {
+            thread: 1,
+            unit: 1,
+            cycle: 4,
+            speculative: true,
+        });
+        reg.record(&Event::ThreadSpawned {
+            thread: 2,
+            unit: 2,
+            cycle: 6,
+            speculative: true,
+        });
         reg.record(&Event::ThreadSquashed {
             thread: 2,
             unit: 2,
@@ -384,8 +428,18 @@ mod tests {
             spawn_cycle: 4,
             size: 16,
         });
-        reg.record(&Event::CacheAccess { thread: 0, unit: 0, cycle: 3, hit: true });
-        reg.record(&Event::CacheAccess { thread: 0, unit: 0, cycle: 5, hit: false });
+        reg.record(&Event::CacheAccess {
+            thread: 0,
+            unit: 0,
+            cycle: 3,
+            hit: true,
+        });
+        reg.record(&Event::CacheAccess {
+            thread: 0,
+            unit: 0,
+            cycle: 5,
+            hit: false,
+        });
         reg.record(&Event::FaultInjected {
             thread: 1,
             unit: 1,
@@ -398,8 +452,19 @@ mod tests {
             cycle: 7,
             reason: GateReason::LowConfidence,
         });
-        reg.record(&Event::SpawnGated { thread: 0, unit: 0, cycle: 8, reason: GateReason::Demoted });
-        reg.record(&Event::PairDemoted { thread: 2, unit: 2, cycle: 9, sp: 3, cqip: 8 });
+        reg.record(&Event::SpawnGated {
+            thread: 0,
+            unit: 0,
+            cycle: 8,
+            reason: GateReason::Demoted,
+        });
+        reg.record(&Event::PairDemoted {
+            thread: 2,
+            unit: 2,
+            cycle: 9,
+            sp: 3,
+            cqip: 8,
+        });
 
         let m = reg.snapshot();
         assert_eq!(m.counter("threads_spawned"), 3);
@@ -429,20 +494,43 @@ mod tests {
 
     #[test]
     fn snapshot_lists_only_what_the_run_produced() {
-        let names = |m: &Metrics| m.counters.iter().map(|c| c.name.clone()).collect::<Vec<_>>();
+        let names = |m: &Metrics| {
+            m.counters
+                .iter()
+                .map(|c| c.name.clone())
+                .collect::<Vec<_>>()
+        };
         let mut reg = MetricsRegistry::new();
         let empty = reg.snapshot();
-        assert_eq!(names(&empty), ["threads_in_flight", "threads_in_flight_peak"]);
+        assert_eq!(
+            names(&empty),
+            ["threads_in_flight", "threads_in_flight_peak"]
+        );
         assert!(empty.histograms.is_empty());
 
-        reg.record(&Event::ThreadSpawned { thread: 0, unit: 0, cycle: 0, speculative: false });
-        reg.record(&Event::CacheAccess { thread: 0, unit: 0, cycle: 1, hit: false });
+        reg.record(&Event::ThreadSpawned {
+            thread: 0,
+            unit: 0,
+            cycle: 0,
+            speculative: false,
+        });
+        reg.record(&Event::CacheAccess {
+            thread: 0,
+            unit: 0,
+            cycle: 1,
+            hit: false,
+        });
         let m = reg.snapshot();
         // Never-touched counters (speculative_spawns, cache_hits, ...) stay
         // absent, and no histogram exists before the first commit.
         assert_eq!(
             names(&m),
-            ["cache_misses", "threads_in_flight", "threads_in_flight_peak", "threads_spawned"]
+            [
+                "cache_misses",
+                "threads_in_flight",
+                "threads_in_flight_peak",
+                "threads_spawned"
+            ]
         );
         assert!(m.histograms.is_empty());
 
@@ -460,10 +548,19 @@ mod tests {
             kind: FaultKind::CacheJitter { cycles: 0 },
         });
         let m = reg.snapshot();
-        assert!(names(&m).contains(&"fault_jitter_cycles".to_string()), "touched at zero");
+        assert!(
+            names(&m).contains(&"fault_jitter_cycles".to_string()),
+            "touched at zero"
+        );
         assert_eq!(m.counter("fault_jitter_cycles"), 0);
 
-        reg.record(&Event::ThreadCommitted { thread: 0, unit: 0, cycle: 9, spawn_cycle: 0, size: 4 });
+        reg.record(&Event::ThreadCommitted {
+            thread: 0,
+            unit: 0,
+            cycle: 9,
+            spawn_cycle: 0,
+            size: 4,
+        });
         let m = reg.snapshot();
         let hist: Vec<&str> = m.histograms.iter().map(|h| h.name.as_str()).collect();
         assert_eq!(hist, ["spawn_to_commit_cycles", "thread_size"]);
@@ -504,7 +601,12 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_serde() {
         let mut reg = MetricsRegistry::new();
-        reg.record(&Event::ThreadSpawned { thread: 0, unit: 0, cycle: 0, speculative: false });
+        reg.record(&Event::ThreadSpawned {
+            thread: 0,
+            unit: 0,
+            cycle: 0,
+            speculative: false,
+        });
         reg.record(&Event::ThreadCommitted {
             thread: 0,
             unit: 0,

@@ -78,8 +78,17 @@ mod tests {
     fn event_log_preserves_order() {
         let mut log = EventLog::new();
         assert!(log.is_empty());
-        let a = Event::ThreadSpawned { thread: 0, unit: 0, cycle: 0, speculative: false };
-        let b = Event::ViolationDetected { thread: 0, unit: 0, cycle: 9 };
+        let a = Event::ThreadSpawned {
+            thread: 0,
+            unit: 0,
+            cycle: 0,
+            speculative: false,
+        };
+        let b = Event::ViolationDetected {
+            thread: 0,
+            unit: 0,
+            cycle: 9,
+        };
         log.record(&a);
         log.record(&b);
         assert_eq!(log.len(), 2);
@@ -90,7 +99,11 @@ mod tests {
     #[test]
     fn null_sink_ignores_everything() {
         let mut sink = NullSink;
-        sink.record(&Event::ViolationDetected { thread: 1, unit: 0, cycle: 3 });
+        sink.record(&Event::ViolationDetected {
+            thread: 1,
+            unit: 0,
+            cycle: 3,
+        });
         assert_eq!(sink, NullSink);
     }
 }

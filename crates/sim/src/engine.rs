@@ -560,10 +560,7 @@ impl<'a, 's> Engine<'a, 's> {
         let max_block = deps.max_addr() / L1_BLOCK_BYTES as u64;
         let max_accesses = trace.len() as u64 + 1;
         let predictor = cfg.value_predictor.build(cfg.predictor_budget);
-        let faults = cfg
-            .faults
-            .filter(|p| p.is_active())
-            .map(FaultInjector::new);
+        let faults = cfg.faults.filter(|p| p.is_active()).map(FaultInjector::new);
         let metrics = cfg.observe.then(MetricsRegistry::new);
         let observing = sink.is_some() || metrics.is_some();
         Engine {
@@ -1184,7 +1181,11 @@ impl<'a, 's> Engine<'a, 's> {
                 self.confs[t.tu].record(hit);
             }
             let redirect = if hit {
-                if taken { f + 1 } else { st.fetch_cycle }
+                if taken {
+                    f + 1
+                } else {
+                    st.fetch_cycle
+                }
             } else {
                 done + MISPREDICT_PENALTY
             };
@@ -1231,8 +1232,10 @@ impl<'a, 's> Engine<'a, 's> {
                         };
                         let mut guess = predictor.predict(key);
                         predictor.train(key, actual);
-                        let corrupted =
-                            self.faults.as_mut().is_some_and(FaultInjector::roll_corrupt_value);
+                        let corrupted = self
+                            .faults
+                            .as_mut()
+                            .is_some_and(FaultInjector::roll_corrupt_value);
                         if corrupted {
                             let delta = self.faults.as_mut().map_or(0, FaultInjector::corruption);
                             guess = guess.wrapping_add(delta);
@@ -1287,7 +1290,10 @@ impl<'a, 's> Engine<'a, 's> {
         }
         // Chaos: the spawn opportunity is silently lost (a flaky spawn
         // unit), before any candidate is even considered.
-        let spawn_dropped = self.faults.as_mut().is_some_and(FaultInjector::roll_drop_spawn);
+        let spawn_dropped = self
+            .faults
+            .as_mut()
+            .is_some_and(FaultInjector::roll_drop_spawn);
         if spawn_dropped {
             self.result.fault_dropped_spawns += 1;
             self.result.spawns_declined += 1;
@@ -1315,7 +1321,11 @@ impl<'a, 's> Engine<'a, 's> {
             // Scoreboard demotion: a runtime blacklist fed by squashes,
             // consulted like removal but permanent and with its own
             // accounting (the gate is the sole decider for this decline).
-            if self.scoreboard.as_ref().is_some_and(|sb| sb.is_demoted(pid)) {
+            if self
+                .scoreboard
+                .as_ref()
+                .is_some_and(|sb| sb.is_demoted(pid))
+            {
                 if self.cfg.reassign {
                     continue;
                 }
@@ -1518,7 +1528,10 @@ impl<'a, 's> Engine<'a, 's> {
 
         // Chaos: condemn the retiring thread's pair as if a dynamic policy
         // had removed it.
-        let forced_removal = self.faults.as_mut().is_some_and(FaultInjector::roll_remove_pair);
+        let forced_removal = self
+            .faults
+            .as_mut()
+            .is_some_and(FaultInjector::roll_remove_pair);
         if forced_removal && !self.pairs.removed[pid] {
             self.pairs.removed[pid] = true;
             self.result.pairs_removed += 1;
@@ -1615,7 +1628,9 @@ mod tests {
     #[test]
     fn single_threaded_baseline_is_sane() {
         let trace = independent_loop(50);
-        let r = Simulator::new(&trace, SimConfig::single_threaded()).run().expect("simulation");
+        let r = Simulator::new(&trace, SimConfig::single_threaded())
+            .run()
+            .expect("simulation");
         assert_eq!(r.committed_instructions, trace.len() as u64);
         assert_eq!(r.threads_committed, 1);
         let ipc = r.ipc();
@@ -1627,10 +1642,14 @@ mod tests {
     #[test]
     fn loop_iteration_spawning_speeds_up() {
         let trace = independent_loop(200);
-        let baseline = Simulator::new(&trace, SimConfig::single_threaded()).run().expect("simulation");
+        let baseline = Simulator::new(&trace, SimConfig::single_threaded())
+            .run()
+            .expect("simulation");
         // Self pair at the loop head (@3).
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let spec = Simulator::with_table(&trace, SimConfig::paper(8), &table).run().expect("simulation");
+        let spec = Simulator::with_table(&trace, SimConfig::paper(8), &table)
+            .run()
+            .expect("simulation");
         assert_eq!(spec.committed_instructions, trace.len() as u64);
         assert!(spec.threads_spawned > 100);
         assert!(
@@ -1645,8 +1664,12 @@ mod tests {
     #[test]
     fn empty_table_matches_single_threaded_cycles() {
         let trace = independent_loop(30);
-        let a = Simulator::new(&trace, SimConfig::single_threaded()).run().expect("simulation");
-        let b = Simulator::new(&trace, SimConfig::paper(16)).run().expect("simulation");
+        let a = Simulator::new(&trace, SimConfig::single_threaded())
+            .run()
+            .expect("simulation");
+        let b = Simulator::new(&trace, SimConfig::paper(16))
+            .run()
+            .expect("simulation");
         assert_eq!(a.cycles, b.cycles);
     }
 
@@ -1654,8 +1677,12 @@ mod tests {
     fn more_thread_units_never_slow_down_this_loop() {
         let trace = independent_loop(100);
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let c4 = Simulator::with_table(&trace, SimConfig::paper(4), &table).run().expect("simulation");
-        let c16 = Simulator::with_table(&trace, SimConfig::paper(16), &table).run().expect("simulation");
+        let c4 = Simulator::with_table(&trace, SimConfig::paper(4), &table)
+            .run()
+            .expect("simulation");
+        let c16 = Simulator::with_table(&trace, SimConfig::paper(16), &table)
+            .run()
+            .expect("simulation");
         assert!(c16.cycles <= c4.cycles);
     }
 
@@ -1665,14 +1692,24 @@ mod tests {
         // before any engine state is built.
         let trace = independent_loop(200);
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let c16 = Simulator::with_table(&trace, SimConfig::paper(16), &table).run().expect("simulation");
-        let c64 = Simulator::with_table(&trace, SimConfig::paper(64), &table).run().expect("simulation");
+        let c16 = Simulator::with_table(&trace, SimConfig::paper(16), &table)
+            .run()
+            .expect("simulation");
+        let c64 = Simulator::with_table(&trace, SimConfig::paper(64), &table)
+            .run()
+            .expect("simulation");
         assert_eq!(c64.committed_instructions, trace.len() as u64);
         assert!(c64.cycles <= c16.cycles);
         // Over 32 threads in flight on average: the high half of the mask
         // is claimed and released, not just carried.
-        assert!(c64.avg_active_threads() > 32.0, "{}", c64.avg_active_threads());
-        let err = Simulator::with_table(&trace, SimConfig::paper(65), &table).run().unwrap_err();
+        assert!(
+            c64.avg_active_threads() > 32.0,
+            "{}",
+            c64.avg_active_threads()
+        );
+        let err = Simulator::with_table(&trace, SimConfig::paper(65), &table)
+            .run()
+            .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
     }
 
@@ -1682,7 +1719,9 @@ mod tests {
         // never executes again: every spawn is a control misspeculation.
         let trace = independent_loop(20);
         let table = SpawnTable::from_pairs(vec![pair(3, 0)]);
-        let r = Simulator::with_table(&trace, SimConfig::paper(4), &table).run().expect("simulation");
+        let r = Simulator::with_table(&trace, SimConfig::paper(4), &table)
+            .run()
+            .expect("simulation");
         assert!(r.threads_spawned >= 1);
         assert_eq!(r.threads_squashed, r.threads_spawned);
         assert_eq!(r.committed_instructions, trace.len() as u64);
@@ -1698,7 +1737,8 @@ mod tests {
                 SimConfig::paper(8).with_value_predictor(kind),
                 &table,
             )
-            .run().expect("simulation")
+            .run()
+            .expect("simulation")
         };
         let perfect = run(ValuePredictorKind::Perfect);
         let stride = run(ValuePredictorKind::Stride);
@@ -1737,11 +1777,15 @@ mod tests {
         b.halt();
         let trace = Trace::generate(b.build().unwrap(), 100_000).unwrap();
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let r = Simulator::with_table(&trace, SimConfig::paper(8), &table).run().expect("simulation");
+        let r = Simulator::with_table(&trace, SimConfig::paper(8), &table)
+            .run()
+            .expect("simulation");
         assert!(r.violations > 0, "expected memory violations");
         assert_eq!(r.committed_instructions, trace.len() as u64);
         // The serial chain caps the benefit.
-        let baseline = Simulator::new(&trace, SimConfig::single_threaded()).run().expect("simulation");
+        let baseline = Simulator::new(&trace, SimConfig::single_threaded())
+            .run()
+            .expect("simulation");
         assert!(r.cycles * 3 > baseline.cycles);
     }
 
@@ -1749,9 +1793,13 @@ mod tests {
     fn init_overhead_costs_cycles() {
         let trace = independent_loop(100);
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let free = Simulator::with_table(&trace, SimConfig::paper(8), &table).run().expect("simulation");
+        let free = Simulator::with_table(&trace, SimConfig::paper(8), &table)
+            .run()
+            .expect("simulation");
         let taxed =
-            Simulator::with_table(&trace, SimConfig::paper(8).with_init_overhead(8), &table).run().expect("simulation");
+            Simulator::with_table(&trace, SimConfig::paper(8).with_init_overhead(8), &table)
+                .run()
+                .expect("simulation");
         assert!(taxed.cycles > free.cycles);
     }
 
@@ -1781,7 +1829,9 @@ mod tests {
                 alone_cycles: 10,
                 occurrences: 1,
             });
-        let r = Simulator::with_table(&trace, cfg, &table).run().expect("simulation");
+        let r = Simulator::with_table(&trace, cfg, &table)
+            .run()
+            .expect("simulation");
         assert!(r.pairs_removed >= 1, "pair should be removed: {r:?}");
     }
 
@@ -1791,10 +1841,14 @@ mod tests {
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
         let mut cfg = SimConfig::paper(8);
         cfg.min_observed_size = Some(100); // iterations are ~36 instructions
-        let r = Simulator::with_table(&trace, cfg, &table).run().expect("simulation");
+        let r = Simulator::with_table(&trace, cfg, &table)
+            .run()
+            .expect("simulation");
         assert_eq!(r.pairs_removed, 1);
         // After removal, spawning stops.
-        let unlimited = Simulator::with_table(&trace, SimConfig::paper(8), &table).run().expect("simulation");
+        let unlimited = Simulator::with_table(&trace, SimConfig::paper(8), &table)
+            .run()
+            .expect("simulation");
         assert!(r.threads_spawned < unlimited.threads_spawned);
     }
 
@@ -1802,7 +1856,9 @@ mod tests {
     fn branch_predictor_tables_persist_across_threads() {
         let trace = independent_loop(300);
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let r = Simulator::with_table(&trace, SimConfig::paper(4), &table).run().expect("simulation");
+        let r = Simulator::with_table(&trace, SimConfig::paper(4), &table)
+            .run()
+            .expect("simulation");
         // The loop branch is overwhelmingly taken; persistent gshare state
         // should predict it well despite thread switches.
         assert!(r.branch_hit_ratio() > 0.8, "{}", r.branch_hit_ratio());
@@ -1936,9 +1992,13 @@ mod tests {
     fn init_overhead_is_charged_to_the_spawned_thread() {
         let trace = independent_loop(2);
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let base = Simulator::with_table(&trace, SimConfig::paper(2), &table).run().expect("simulation");
+        let base = Simulator::with_table(&trace, SimConfig::paper(2), &table)
+            .run()
+            .expect("simulation");
         let taxed =
-            Simulator::with_table(&trace, SimConfig::paper(2).with_init_overhead(40), &table).run().expect("simulation");
+            Simulator::with_table(&trace, SimConfig::paper(2).with_init_overhead(40), &table)
+                .run()
+                .expect("simulation");
         assert!(taxed.cycles >= base.cycles);
         assert!(
             taxed.cycles <= base.cycles + 40 * (base.threads_spawned + 1),
@@ -1955,7 +2015,9 @@ mod tests {
     fn cqip_conflicts_decline_spawns() {
         let trace = independent_loop(50);
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let r = Simulator::with_table(&trace, SimConfig::paper(16), &table).run().expect("simulation");
+        let r = Simulator::with_table(&trace, SimConfig::paper(16), &table)
+            .run()
+            .expect("simulation");
         assert!(r.spawns_declined > 0, "{r:?}");
         // Committed thread count can never exceed iterations + 1.
         assert!(r.threads_committed <= 51);
@@ -1967,10 +2029,14 @@ mod tests {
     fn reassign_spawns_at_least_as_often() {
         let trace = independent_loop(100);
         let table = SpawnTable::from_pairs(vec![pair(3, 3), pair(3, 41)]);
-        let base = Simulator::with_table(&trace, SimConfig::paper(8), &table).run().expect("simulation");
+        let base = Simulator::with_table(&trace, SimConfig::paper(8), &table)
+            .run()
+            .expect("simulation");
         let mut cfg = SimConfig::paper(8);
         cfg.reassign = true;
-        let re = Simulator::with_table(&trace, cfg, &table).run().expect("simulation");
+        let re = Simulator::with_table(&trace, cfg, &table)
+            .run()
+            .expect("simulation");
         assert!(re.threads_spawned >= base.threads_spawned);
         assert_eq!(re.committed_instructions, trace.len() as u64);
     }
@@ -1995,9 +2061,13 @@ mod tests {
             b.halt();
             Trace::generate(b.build().unwrap(), 100_000).unwrap()
         };
-        let dense = Simulator::new(&build(8), SimConfig::single_threaded()).run().expect("simulation");
+        let dense = Simulator::new(&build(8), SimConfig::single_threaded())
+            .run()
+            .expect("simulation");
         // 4 KiB stride: every access a fresh block, conflict misses galore.
-        let sparse = Simulator::new(&build(4096), SimConfig::single_threaded()).run().expect("simulation");
+        let sparse = Simulator::new(&build(4096), SimConfig::single_threaded())
+            .run()
+            .expect("simulation");
         // Dense: one miss per four accesses (8B stride in 32B blocks).
         // Sparse: every access misses (4 KiB stride cycles few sets).
         assert!(sparse.cache_misses > dense.cache_misses * 3);
@@ -2011,7 +2081,9 @@ mod tests {
         let trace = independent_loop(200);
         let table = SpawnTable::from_pairs(vec![pair(3, 3)]);
         for tus in [2usize, 4, 8] {
-            let r = Simulator::with_table(&trace, SimConfig::paper(tus), &table).run().expect("simulation");
+            let r = Simulator::with_table(&trace, SimConfig::paper(tus), &table)
+                .run()
+                .expect("simulation");
             let act = r.avg_active_threads();
             assert!(act <= tus as f64 + 1e-9, "{act} > {tus}");
             assert!(act >= 1.0);
@@ -2029,8 +2101,10 @@ mod tests {
         // never recurs, so its child squashes at every one of those
         // retires — the squash-heavy pair the scoreboard exists to kill.
         let plain = SpawnTable::from_pairs(vec![pair(3, 3), pair(5, 0)]);
-        let policy =
-            AdaptivePolicy { demote_threshold: Some(2), confidence_threshold: None };
+        let policy = AdaptivePolicy {
+            demote_threshold: Some(2),
+            confidence_threshold: None,
+        };
         let table = plain.clone().with_adaptive(policy);
         let base = Simulator::with_table(&trace, SimConfig::paper(4), &plain)
             .run()
@@ -2053,9 +2127,10 @@ mod tests {
         use specmt_spawn::AdaptivePolicy;
         let trace = independent_loop(100);
         let plain = SpawnTable::from_pairs(vec![pair(3, 3)]);
-        let gated = plain
-            .clone()
-            .with_adaptive(AdaptivePolicy { demote_threshold: None, confidence_threshold: Some(0) });
+        let gated = plain.clone().with_adaptive(AdaptivePolicy {
+            demote_threshold: None,
+            confidence_threshold: Some(0),
+        });
         let a = Simulator::with_table(&trace, SimConfig::paper(8), &plain)
             .run()
             .expect("simulation");

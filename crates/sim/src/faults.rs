@@ -138,9 +138,8 @@ impl FaultPlan {
             };
             let (key, value) = (key.trim(), value.trim());
             let rate = |v: &str| {
-                v.parse::<f64>().map_err(|_| {
-                    SimError::invalid_fault_plan(format!("`{key}={v}`: not a number"))
-                })
+                v.parse::<f64>()
+                    .map_err(|_| SimError::invalid_fault_plan(format!("`{key}={v}`: not a number")))
             };
             match key {
                 "seed" => {
@@ -256,8 +255,9 @@ mod tests {
 
     #[test]
     fn parse_full_spec() {
-        let p = FaultPlan::parse("seed=42, squash=0.01,drop=0.02,corrupt=0.1,jitter=3,remove=0.005")
-            .unwrap();
+        let p =
+            FaultPlan::parse("seed=42, squash=0.01,drop=0.02,corrupt=0.1,jitter=3,remove=0.005")
+                .unwrap();
         assert_eq!(p.seed, 42);
         assert_eq!(p.squash_rate, 0.01);
         assert_eq!(p.drop_spawn_rate, 0.02);

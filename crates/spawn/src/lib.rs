@@ -67,14 +67,12 @@ pub mod scheme;
 pub const CODE_REV: u32 = 1;
 
 pub use adaptive::{
-    AdaptivePolicy, AdaptiveState, ConfGatedScheme, ScoreboardScheme,
-    DEFAULT_CONFIDENCE_THRESHOLD, DEFAULT_DEMOTE_THRESHOLD,
+    AdaptivePolicy, AdaptiveState, ConfGatedScheme, ScoreboardScheme, DEFAULT_CONFIDENCE_THRESHOLD,
+    DEFAULT_DEMOTE_THRESHOLD,
 };
 pub use heuristics::{heuristic_pairs, HeuristicSet};
 pub use memslice::memslice_pairs;
 pub use pair::{PairOrigin, SpawnPair, SpawnTable};
 pub use profile::{profile_pairs, OrderCriterion, ProfileConfig, ProfileResult};
 pub use returns::{return_pairs, ReturnPairStats};
-pub use scheme::{
-    SchemeError, SchemeParams, SchemeRegistry, SpawnScheme, BUILTIN_SCHEME_NAMES,
-};
+pub use scheme::{SchemeError, SchemeParams, SchemeRegistry, SpawnScheme, BUILTIN_SCHEME_NAMES};

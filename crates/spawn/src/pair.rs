@@ -208,7 +208,10 @@ impl SpawnTable {
         for list in by_sp.values_mut() {
             list.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.cqip.cmp(&b.cqip)));
         }
-        SpawnTable { by_sp, adaptive: None }
+        SpawnTable {
+            by_sp,
+            adaptive: None,
+        }
     }
 
     /// Attaches runtime gate parameters (used by the adaptive schemes).
@@ -324,14 +327,20 @@ mod tests {
     }
 
     fn policy() -> AdaptivePolicy {
-        AdaptivePolicy { demote_threshold: Some(2), confidence_threshold: Some(6) }
+        AdaptivePolicy {
+            demote_threshold: Some(2),
+            confidence_threshold: Some(6),
+        }
     }
 
     #[test]
     fn policy_free_tables_serialise_as_the_legacy_bare_array() {
         let t = SpawnTable::from_pairs(vec![mk(1, 10, 1.0)]);
         let v = serde::Serialize::to_value(&t);
-        assert!(matches!(v, serde::Value::Array(_)), "legacy form must survive: {v:?}");
+        assert!(
+            matches!(v, serde::Value::Array(_)),
+            "legacy form must survive: {v:?}"
+        );
         let s = serde_json::to_string(&t).expect("serialize");
         let back: SpawnTable = serde_json::from_str(&s).expect("deserialize");
         assert_eq!(t, back);
@@ -340,7 +349,8 @@ mod tests {
 
     #[test]
     fn adaptive_tables_round_trip_with_their_policy() {
-        let t = SpawnTable::from_pairs(vec![mk(1, 10, 1.0), mk(2, 20, 3.0)]).with_adaptive(policy());
+        let t =
+            SpawnTable::from_pairs(vec![mk(1, 10, 1.0), mk(2, 20, 3.0)]).with_adaptive(policy());
         let s = serde_json::to_string(&t).expect("serialize");
         let back: SpawnTable = serde_json::from_str(&s).expect("deserialize");
         assert_eq!(t, back);

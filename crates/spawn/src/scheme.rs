@@ -399,8 +399,7 @@ impl SchemeRegistry {
             // Sorted so the suggestion list is deterministic regardless of
             // registration order.
             known: {
-                let mut known: Vec<String> =
-                    self.names().iter().map(|&n| n.to_owned()).collect();
+                let mut known: Vec<String> = self.names().iter().map(|&n| n.to_owned()).collect();
                 known.sort_unstable();
                 known
             },
@@ -514,8 +513,7 @@ mod tests {
         assert_eq!(via_registry, direct);
 
         let via_registry = r.select("return-pairs", &trace, &params).unwrap();
-        let direct =
-            SpawnTable::from_pairs(return_pairs(&trace, params.profile.min_distance).0);
+        let direct = SpawnTable::from_pairs(return_pairs(&trace, params.profile.min_distance).0);
         assert_eq!(via_registry, direct);
     }
 
@@ -596,7 +594,10 @@ mod tests {
         assert_eq!(Everything.cache_identity(), None);
         // And an adaptive wrapper over an uncacheable base is itself
         // uncacheable — the wrapper cannot out-promise its base.
-        assert_eq!(ScoreboardScheme::new(Box::new(Everything), 2).cache_identity(), None);
+        assert_eq!(
+            ScoreboardScheme::new(Box::new(Everything), 2).cache_identity(),
+            None
+        );
     }
 
     #[test]
@@ -630,7 +631,10 @@ mod tests {
         let cg = r.select("conf-gated", &trace, &params).unwrap();
         let policy = cg.adaptive().expect("conf-gated attaches a policy");
         assert_eq!(policy.demote_threshold, None);
-        assert_eq!(policy.confidence_threshold, Some(DEFAULT_CONFIDENCE_THRESHOLD));
+        assert_eq!(
+            policy.confidence_threshold,
+            Some(DEFAULT_CONFIDENCE_THRESHOLD)
+        );
 
         // Same pairs as the base scheme — only the runtime policy differs.
         let sb_pairs: Vec<_> = sb.iter().copied().collect();

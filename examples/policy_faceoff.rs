@@ -15,9 +15,7 @@
 //! ```
 
 use specmt::sim::SimConfig;
-use specmt::spawn::{
-    SchemeError, SchemeParams, SchemeRegistry, SpawnScheme, SpawnTable,
-};
+use specmt::spawn::{SchemeError, SchemeParams, SchemeRegistry, SpawnScheme, SpawnTable};
 use specmt::stats::{harmonic_mean, Table};
 use specmt::trace::Trace;
 use specmt::workloads::Scale;

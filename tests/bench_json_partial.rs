@@ -24,8 +24,8 @@ fn str_field<'v>(v: &'v Value, key: &str) -> &'v str {
 fn failing_figure_keeps_partial_results_in_the_summary() {
     // Run against a disabled store so this test neither depends on nor
     // pollutes shared state.
-    let h = Harness::load_at_with(Scale::Tiny, Store::disabled())
-        .expect("suite loads at tiny scale");
+    let h =
+        Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("suite loads at tiny scale");
 
     let boom = FigureDef {
         id: "boom",
@@ -47,7 +47,11 @@ fn failing_figure_keeps_partial_results_in_the_summary() {
 
     // The summary covers every *attempted* definition, in order, with the
     // failure recorded rather than omitted.
-    assert_eq!(outcome.summary.len(), 3, "one summary entry per attempted figure");
+    assert_eq!(
+        outcome.summary.len(),
+        3,
+        "one summary entry per attempted figure"
+    );
     assert_eq!(str_field(&outcome.summary[0], "id"), "fig2");
     assert_eq!(str_field(&outcome.summary[1], "id"), "boom");
     assert_eq!(str_field(&outcome.summary[2], "id"), "fig3");
@@ -56,8 +60,14 @@ fn failing_figure_keeps_partial_results_in_the_summary() {
         "failed entry must carry the error message"
     );
     for ok in [&outcome.summary[0], &outcome.summary[2]] {
-        assert!(ok.get("error").is_none(), "successful entries carry no error field");
-        assert!(ok.get("data").is_some(), "successful entries carry their figure data");
+        assert!(
+            ok.get("error").is_none(),
+            "successful entries carry no error field"
+        );
+        assert!(
+            ok.get("data").is_some(),
+            "successful entries carry their figure data"
+        );
     }
 
     // And the failure is surfaced to the caller so the CLI can still exit

@@ -69,8 +69,7 @@ fn suite_traces() -> Vec<(&'static str, Trace, SpawnTable)> {
     specmt::workloads::suite(Scale::Tiny)
         .into_iter()
         .map(|w| {
-            let trace =
-                Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
+            let trace = Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
             let table = profile_pairs(&trace, &ProfileConfig::default()).table;
             (w.name, trace, table)
         })
@@ -102,8 +101,8 @@ fn invariants_survive_one_hundred_fault_storms() {
                 "{name} under {plan:?}: thread accounting leak"
             );
             // The event stream must independently reproduce those totals.
-            let report = audit(log.events())
-                .unwrap_or_else(|e| panic!("{name} under {plan:?}: {e}"));
+            let report =
+                audit(log.events()).unwrap_or_else(|e| panic!("{name} under {plan:?}: {e}"));
             report
                 .verify(&r.observed_totals())
                 .unwrap_or_else(|e| panic!("{name} under {plan:?}: {e}"));
@@ -160,7 +159,10 @@ fn different_seeds_usually_differ() {
     };
     let a = run(heavy(1));
     let b = run(heavy(2));
-    assert_ne!((a.cycles, a.fault_jitter_cycles), (b.cycles, b.fault_jitter_cycles));
+    assert_ne!(
+        (a.cycles, a.fault_jitter_cycles),
+        (b.cycles, b.fault_jitter_cycles)
+    );
 }
 
 #[test]

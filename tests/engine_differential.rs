@@ -26,9 +26,9 @@
 
 use std::collections::BTreeMap;
 
+use specmt::predict::ValuePredictorKind;
 use specmt::sim::{FaultPlan, RemovalPolicy, SimConfig, SimResult, Simulator};
 use specmt::spawn::{SchemeParams, SchemeRegistry, SpawnTable, BUILTIN_SCHEME_NAMES};
-use specmt::predict::ValuePredictorKind;
 use specmt::trace::Trace;
 use specmt::workloads::Scale;
 
@@ -98,7 +98,9 @@ fn run_grid() -> BTreeMap<String, SimResult> {
             .map(|&name| {
                 (
                     name,
-                    registry.select(name, &trace, &params).expect("scheme selects"),
+                    registry
+                        .select(name, &trace, &params)
+                        .expect("scheme selects"),
                 )
             })
             .collect();
@@ -147,7 +149,10 @@ fn adaptive_schemes_bit_identical_across_jobs_and_reruns() {
 
     // Two same-seed runs at the same width are the degenerate rerun case.
     let again = run_at(8);
-    assert_eq!(wide.results, again.results, "same-seed adaptive rerun diverged");
+    assert_eq!(
+        wide.results, again.results,
+        "same-seed adaptive rerun diverged"
+    );
     assert_eq!(wide.values, again.values);
 
     // The determinism claim is vacuous if the gates never fired: across
@@ -158,7 +163,10 @@ fn adaptive_schemes_bit_identical_across_jobs_and_reruns() {
         .flatten()
         .map(|r| r.spawns_gated + r.pairs_demoted)
         .sum();
-    assert!(influenced > 0, "adaptive grid never gated a spawn or demoted a pair");
+    assert!(
+        influenced > 0,
+        "adaptive grid never gated a spawn or demoted a pair"
+    );
 }
 
 #[test]
@@ -179,10 +187,11 @@ fn sim_results_match_pre_refactor_golden() {
         panic!("regenerated {GOLDEN_PATH}; rerun without SPECMT_REGEN_ENGINE_GOLDEN");
     }
 
-    let golden: BTreeMap<String, SimResult> = serde_json::from_str::<Vec<(String, SimResult)>>(GOLDEN)
-        .expect("golden parses")
-        .into_iter()
-        .collect();
+    let golden: BTreeMap<String, SimResult> =
+        serde_json::from_str::<Vec<(String, SimResult)>>(GOLDEN)
+            .expect("golden parses")
+            .into_iter()
+            .collect();
     assert_eq!(
         golden.len(),
         results.len(),

@@ -44,7 +44,10 @@ fn grid_results_bit_identical_across_jobs() {
     };
     let serial = run_at(1);
     let wide = run_at(8);
-    assert_eq!(serial.results, wide.results, "SimResults must not depend on --jobs");
+    assert_eq!(
+        serial.results, wide.results,
+        "SimResults must not depend on --jobs"
+    );
     assert_eq!(serial.values, wide.values);
     assert_eq!(serial.means, wide.means);
 }
@@ -54,11 +57,16 @@ fn metrics_report_identical_across_jobs() {
     // A disabled store, so the wide run re-simulates every cell instead of
     // reading the narrow run's results back.
     let report_at = |jobs: usize| {
-        let mut h = Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("tiny suite loads");
+        let mut h =
+            Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("tiny suite loads");
         h.exec.jobs = jobs;
-        let report = specmt::bench::metrics_report(&h, &SimConfig::paper(16), &BUILTIN_SCHEME_NAMES)
-            .expect("metrics report builds");
-        (h.benches.iter().map(|c| c.bench.name()).collect::<Vec<_>>(), report)
+        let report =
+            specmt::bench::metrics_report(&h, &SimConfig::paper(16), &BUILTIN_SCHEME_NAMES)
+                .expect("metrics report builds");
+        (
+            h.benches.iter().map(|c| c.bench.name()).collect::<Vec<_>>(),
+            report,
+        )
     };
     let (benches, serial) = report_at(1);
     let (_, wide) = report_at(4);
@@ -75,7 +83,11 @@ fn metrics_report_identical_across_jobs() {
     assert_eq!(rows.len(), benches.len() * n);
     for (i, row) in rows.iter().enumerate() {
         assert_eq!(text(row, "bench"), benches[i / n], "row {i} bench");
-        assert_eq!(text(row, "scheme"), BUILTIN_SCHEME_NAMES[i % n], "row {i} scheme");
+        assert_eq!(
+            text(row, "scheme"),
+            BUILTIN_SCHEME_NAMES[i % n],
+            "row {i} scheme"
+        );
     }
 }
 

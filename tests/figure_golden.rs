@@ -51,8 +51,8 @@ fn every_paper_figure_matches_golden_output() {
     // Run against a disabled store so this test neither depends on nor
     // pollutes shared state (tests/store_golden_differential.rs covers the
     // store-on path against the same capture).
-    let h = Harness::load_at_with(Scale::Tiny, Store::disabled())
-        .expect("suite loads at tiny scale");
+    let h =
+        Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("suite loads at tiny scale");
     let figs = figures::all(&h).expect("all figures build");
 
     let golden = blocks(GOLDEN);
@@ -107,8 +107,8 @@ fn num(v: &serde_json::Value) -> f64 {
 /// ```
 #[test]
 fn adaptation_figure_matches_golden_and_wins_under_drift() {
-    let h = Harness::load_at_with(Scale::Tiny, Store::disabled())
-        .expect("suite loads at tiny scale");
+    let h =
+        Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("suite loads at tiny scale");
     let figs = figures::fig_adaptation(&h).expect("adaptation figure builds");
     let rendered: String = figs.iter().map(|f| f.render_block()).collect();
 
@@ -128,7 +128,10 @@ fn adaptation_figure_matches_golden_and_wins_under_drift() {
     let Some(serde_json::Value::Array(rows)) = json.get("rows") else {
         panic!("fig_adaptation json carries a rows array");
     };
-    assert!(rows.len() >= 4, "the drift study must cover >= 4 cross-input pairs");
+    assert!(
+        rows.len() >= 4,
+        "the drift study must cover >= 4 cross-input pairs"
+    );
     let wins = rows
         .iter()
         .filter(|row| {
@@ -138,7 +141,10 @@ fn adaptation_figure_matches_golden_and_wins_under_drift() {
             best > 1.05 * profile
         })
         .count();
-    assert!(wins >= 1, "no adaptive scheme beat static profile on any drifted input");
+    assert!(
+        wins >= 1,
+        "no adaptive scheme beat static profile on any drifted input"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -158,8 +164,8 @@ const CROSS_GOLDEN: &str = include_str!("golden/crossinput_tiny.txt");
 /// ```
 #[test]
 fn crossinput_figure_matches_golden() {
-    let h = Harness::load_at_with(Scale::Tiny, Store::disabled())
-        .expect("suite loads at tiny scale");
+    let h =
+        Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("suite loads at tiny scale");
     let figs = figures::crossinput(&h).expect("cross-input figure builds");
     let rendered: String = figs.iter().map(|f| f.render_block()).collect();
     assert_eq!(
@@ -187,8 +193,8 @@ const ABLATIONS_GOLDEN: &str = include_str!("golden/ablations_tiny.txt");
 /// ```
 #[test]
 fn ablations_figure_matches_golden() {
-    let h = Harness::load_at_with(Scale::Tiny, Store::disabled())
-        .expect("suite loads at tiny scale");
+    let h =
+        Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("suite loads at tiny scale");
     let figs = figures::ablations(&h).expect("ablations build");
     let rendered: String = figs.iter().map(|f| f.render_block()).collect();
     assert_eq!(

@@ -44,7 +44,11 @@ fn registry_output(h: &Harness) -> (Vec<String>, Vec<(String, String)>) {
     assert!(
         outcome.errors.is_empty(),
         "registry must build cleanly at tiny scale: {:?}",
-        outcome.errors.iter().map(|(id, e)| format!("{id}: {e}")).collect::<Vec<_>>()
+        outcome
+            .errors
+            .iter()
+            .map(|(id, e)| format!("{id}: {e}"))
+            .collect::<Vec<_>>()
     );
     let summary = outcome
         .summary
@@ -63,8 +67,8 @@ fn registry_output(h: &Harness) -> (Vec<String>, Vec<(String, String)>) {
 fn figure_registry_is_bit_identical_with_observation_on() {
     // Run against a disabled store so this test neither depends on nor
     // pollutes shared state (same discipline as figure_golden.rs).
-    let h = Harness::load_at_with(Scale::Tiny, Store::disabled())
-        .expect("suite loads at tiny scale");
+    let h =
+        Harness::load_at_with(Scale::Tiny, Store::disabled()).expect("suite loads at tiny scale");
 
     let (summary_off, blocks_off) = registry_output(&h);
     h.set_observe(true);
@@ -88,14 +92,19 @@ fn figure_registry_is_bit_identical_with_observation_on() {
 /// Strips the metrics snapshot (the one field allowed to differ) and
 /// asserts it was actually populated first.
 fn stripped(label: &str, mut r: SimResult) -> SimResult {
-    assert!(r.metrics.is_some(), "{label}: observe = true produced no metrics snapshot");
+    assert!(
+        r.metrics.is_some(),
+        "{label}: observe = true produced no metrics snapshot"
+    );
     r.metrics = None;
     r
 }
 
 // Tests in this workspace run with the package dir (crates/core) as CWD.
-const METRICS_GOLDEN_PATH: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/metrics_tiny.json");
+const METRICS_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/metrics_tiny.json"
+);
 const METRICS_GOLDEN: &str = include_str!("golden/metrics_tiny.json");
 
 /// `(label, scheme, config)` for every run-mode cell. The fault plan has
@@ -139,11 +148,16 @@ fn observed_snapshots() -> BTreeMap<String, Metrics> {
         let trace = Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
         for (cfg_name, scheme, cfg) in run_mode_configs() {
             let label = format!("{}/{cfg_name}", w.name);
-            let table = registry.select(scheme, &trace, &params).expect("scheme selects");
+            let table = registry
+                .select(scheme, &trace, &params)
+                .expect("scheme selects");
             let r = Simulator::with_table(&trace, cfg.with_observe(true), &table)
                 .run()
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
-            out.insert(label.clone(), r.metrics.unwrap_or_else(|| panic!("{label}: no metrics")));
+            out.insert(
+                label.clone(),
+                r.metrics.unwrap_or_else(|| panic!("{label}: no metrics")),
+            );
         }
     }
     out
@@ -162,15 +176,30 @@ fn metrics_snapshots_match_golden() {
     }
     let golden: Vec<(String, Metrics)> =
         serde_json::from_str(METRICS_GOLDEN).expect("golden parses");
-    assert_eq!(golden.len(), pairs.len(), "golden and run cover the same cells");
+    assert_eq!(
+        golden.len(),
+        pairs.len(),
+        "golden and run cover the same cells"
+    );
     for ((want_label, want), (label, got)) in golden.iter().zip(&pairs) {
         assert_eq!(want_label, label, "golden and run disagree on cell order");
-        assert_eq!(want, got, "{label}: metrics snapshot diverged from the golden");
+        assert_eq!(
+            want, got,
+            "{label}: metrics snapshot diverged from the golden"
+        );
     }
-    assert_eq!(json, METRICS_GOLDEN, "metrics JSON differs from the golden byte for byte");
+    assert_eq!(
+        json, METRICS_GOLDEN,
+        "metrics JSON differs from the golden byte for byte"
+    );
     // The golden is only a pin on every counter if every counter occurs.
     let seen = |name: &str| pairs.iter().any(|(_, m)| m.counter(name) > 0);
-    for name in ["spawns_gated", "pairs_demoted", "fault_jitter_cycles", "threads_squashed"] {
+    for name in [
+        "spawns_gated",
+        "pairs_demoted",
+        "fault_jitter_cycles",
+        "threads_squashed",
+    ] {
         assert!(seen(name), "no golden cell ever touched {name}");
     }
 }
@@ -184,7 +213,9 @@ fn sim_results_are_bit_identical_across_run_modes() {
         let trace = Trace::generate(w.program.clone(), w.step_budget).expect("suite trace");
         for (cfg_name, scheme, cfg) in &run_mode_configs() {
             let label = format!("{}/{cfg_name}", w.name);
-            let table = registry.select(scheme, &trace, &params).expect("scheme selects");
+            let table = registry
+                .select(scheme, &trace, &params)
+                .expect("scheme selects");
             let plain = Simulator::with_table(&trace, cfg.clone(), &table)
                 .run()
                 .expect("plain run");

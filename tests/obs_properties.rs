@@ -28,8 +28,8 @@ const DATA: i64 = 0x2_0000;
 #[derive(Debug, Clone)]
 enum Op {
     Alu(u8, u8, u8, u8), // kind, dst, a, b
-    Load(u8, u8),  // dst, slot
-    Store(u8, u8), // src, slot
+    Load(u8, u8),        // dst, slot
+    Store(u8, u8),       // src, slot
 }
 
 #[derive(Debug, Clone)]
@@ -61,7 +61,14 @@ fn reg(i: u8) -> Reg {
 
 fn emit_op(b: &mut ProgramBuilder, op: &Op) {
     use specmt::isa::AluOp;
-    let kinds = [AluOp::Add, AluOp::Sub, AluOp::Mul, AluOp::Xor, AluOp::And, AluOp::Or];
+    let kinds = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::Mul,
+        AluOp::Xor,
+        AluOp::And,
+        AluOp::Or,
+    ];
     match op {
         Op::Alu(k, d, a, x) => {
             b.alu(kinds[*k as usize], reg(*d), reg(*a), reg(*x));

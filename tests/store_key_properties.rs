@@ -23,7 +23,10 @@ use specmt::store::{Fingerprint, KeyBuilder, StageKey};
 fn trace_key_strategy() -> impl Strategy<Value = StageKey> {
     (any::<u64>(), any::<u64>(), 1u64..1_000_000).prop_map(|(a, b, budget)| {
         KeyBuilder::new("trace")
-            .component("program", [a.to_le_bytes(), b.to_le_bytes()].concat().as_slice())
+            .component(
+                "program",
+                [a.to_le_bytes(), b.to_le_bytes()].concat().as_slice(),
+            )
             .component("step-budget", &budget)
             .component("checksum", &(a ^ b))
             .code_rev(1)
@@ -33,20 +36,27 @@ fn trace_key_strategy() -> impl Strategy<Value = StageKey> {
 
 fn profile_config_strategy() -> impl Strategy<Value = ProfileConfig> {
     (
-        (0.0f64..1.0, 1.0f64..512.0, prop::option::of(32.0f64..4096.0), 0.0f64..1.0),
+        (
+            0.0f64..1.0,
+            1.0f64..512.0,
+            prop::option::of(32.0f64..4096.0),
+            0.0f64..1.0,
+        ),
         0usize..3,
     )
-        .prop_map(|((min_prob, min_distance, max_distance, coverage), crit)| ProfileConfig {
-            min_prob,
-            min_distance,
-            max_distance,
-            coverage,
-            criterion: [
-                OrderCriterion::MaxDistance,
-                OrderCriterion::Independent,
-                OrderCriterion::Predictable,
-            ][crit],
-        })
+        .prop_map(
+            |((min_prob, min_distance, max_distance, coverage), crit)| ProfileConfig {
+                min_prob,
+                min_distance,
+                max_distance,
+                coverage,
+                criterion: [
+                    OrderCriterion::MaxDistance,
+                    OrderCriterion::Independent,
+                    OrderCriterion::Predictable,
+                ][crit],
+            },
+        )
 }
 
 fn sim_config_strategy() -> impl Strategy<Value = SimConfig> {

@@ -101,10 +101,7 @@ fn huge_record_count_is_rejected_without_allocating() {
     let mut evil = data.clone();
     evil[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     let err = Trace::from_bytes(&evil).expect_err("absurd count must not parse");
-    assert!(
-        err.to_string().contains("count"),
-        "unexpected error: {err}"
-    );
+    assert!(err.to_string().contains("count"), "unexpected error: {err}");
 }
 
 /// An assembly program that touches 4,096 distinct 32 KiB pages (128 MiB)
@@ -135,7 +132,10 @@ fn assembly_input_is_memory_capped() {
         .output()
         .expect("specmt run runs");
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(!out.status.success(), "a 128 MiB program must not run to completion");
+    assert!(
+        !out.status.success(),
+        "a 128 MiB program must not run to completion"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("memory limit"),
@@ -151,15 +151,21 @@ fn assembly_input_trace_is_capped() {
     let dir = std::env::temp_dir().join(format!("specmt-tracecap-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let path = dir.join("spin.s");
-    std::fs::write(&path, "top:    addi r1, r1, 1\n        j    top\n        halt\n")
-        .expect("write program");
+    std::fs::write(
+        &path,
+        "top:    addi r1, r1, 1\n        j    top\n        halt\n",
+    )
+    .expect("write program");
     let out = Command::new(env!("CARGO_BIN_EXE_specmt"))
         .arg("run")
         .arg(&path)
         .output()
         .expect("specmt run runs");
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(!out.status.success(), "a spin loop must not run to its step budget");
+    assert!(
+        !out.status.success(),
+        "a spin loop must not run to its step budget"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("trace memory limit of 67108864 exceeded"),
