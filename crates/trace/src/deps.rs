@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::record::MemRank;
+use crate::record::Rank;
 use crate::Trace;
 
 /// Sentinel producer index meaning "no producer in the trace" (the operand's
@@ -50,7 +50,7 @@ pub struct DepGraph {
     /// One entry per load or store, in trace order; `mem` ranks them.
     mem_producers: Vec<u32>,
     /// The trace's rank index, shared rather than copied.
-    mem: Arc<MemRank>,
+    mem: Arc<Rank>,
     /// Largest address in the trace, computed once at build so consumers
     /// sizing address-indexed structures (e.g. the compact cache tag
     /// store) need no extra scan per simulation run.

@@ -29,6 +29,9 @@
 //! The addr column is dense on disk, one varint per record, while the
 //! in-memory trace keeps addresses for loads and stores only; a nonzero
 //! address on any other record cannot be held, so the reader rejects it.
+//! The result column is likewise one whole 64-bit varint per record on
+//! disk, whatever split into low and high halves the in-memory trace
+//! keeps.
 //!
 //! Typical traces compress to 3–6 bytes per dynamic instruction.
 
@@ -37,7 +40,7 @@ use std::sync::Arc;
 
 use specmt_isa::{Program, Reg, NUM_REGS};
 
-use crate::record::{mem_pcs, MemRank};
+use crate::record::{mem_pcs, Rank, Results};
 use crate::Trace;
 
 const MAGIC: &[u8; 4] = b"SMTR";
@@ -147,7 +150,7 @@ impl Trace {
         for addr in self.dense_addrs() {
             put_varint(&mut buf, addr);
         }
-        for &result in self.results_col() {
+        for result in self.dense_results() {
             put_varint(&mut buf, result);
         }
         w.write_all(&buf)
@@ -213,12 +216,15 @@ impl Trace {
                 return Err(bad("address on a record that is not a load or store"));
             }
         }
-        let mut results = Vec::with_capacity(count);
+        let mut results = Results::default();
+        results.reserve(count);
         for _ in 0..count {
             results.push(get_varint(&mut buf)?);
         }
+        results.shrink_to_fit();
+        addrs.shrink_to_fit();
         let columns = Columns {
-            mem: MemRank::build(&is_mem, &pcs),
+            mem: Rank::build(pcs.iter().map(|&pc| is_mem[pc as usize])),
             pcs,
             taken,
             addrs,
@@ -238,8 +244,8 @@ pub(crate) struct Columns {
     pub(crate) pcs: Vec<u32>,
     pub(crate) taken: Vec<u64>,
     pub(crate) addrs: Vec<u64>,
-    pub(crate) mem: MemRank,
-    pub(crate) results: Vec<u64>,
+    pub(crate) mem: Rank,
+    pub(crate) results: Results,
 }
 
 #[cfg(test)]

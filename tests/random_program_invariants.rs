@@ -154,6 +154,9 @@ proptest! {
         for k in 0..trace.len() {
             let rec = trace.record(k).expect("in range");
             prop_assert_eq!(emu.step(), Ok(StepOutcome::Executed(rec)), "record {}", k);
+            // The result column keeps most values as their low 32 bits
+            // alone; each must still read back as the emulator wrote it.
+            prop_assert_eq!(trace.result_at(k), rec.result, "result {}", k);
             let inst = trace.inst(k);
             let m = deps.mem_producer(k);
             if m != NO_PRODUCER {
