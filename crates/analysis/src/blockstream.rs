@@ -57,19 +57,29 @@ impl BlockStream {
     /// own pc rather than corrupting a neighbour's length.
     pub fn new(trace: &Trace, bbs: &BasicBlocks) -> BlockStream {
         let mut events: Vec<BlockEvent> = Vec::new();
-        for (k, &raw) in trace.pcs().iter().enumerate() {
-            let pc = specmt_isa::Pc(raw);
-            let block = bbs.block_of(pc);
-            match events.last_mut() {
-                Some(cur) if bbs.start(block) != pc && cur.block == block => cur.len += 1,
-                _ => {
-                    debug_assert_eq!(bbs.start(block), pc, "mid-block entry in trace");
-                    events.push(BlockEvent {
-                        block,
-                        len: 1,
-                        first_dyn: k as u32,
-                    });
+        // A straight-line run crosses blocks only at their ends, so it
+        // splits into one stretch per block it passes through.
+        for run in trace.runs() {
+            let mut k = run.start;
+            let mut raw = run.pcs.start;
+            while raw < run.pcs.end {
+                let pc = specmt_isa::Pc(raw);
+                let block = bbs.block_of(pc);
+                let block_end = bbs.start(block).0 + bbs.len_of(block);
+                let n = block_end.min(run.pcs.end) - raw;
+                match events.last_mut() {
+                    Some(cur) if bbs.start(block) != pc && cur.block == block => cur.len += n,
+                    _ => {
+                        debug_assert_eq!(bbs.start(block), pc, "mid-block entry in trace");
+                        events.push(BlockEvent {
+                            block,
+                            len: n,
+                            first_dyn: k as u32,
+                        });
+                    }
                 }
+                raw += n;
+                k += n as usize;
             }
         }
         BlockStream {

@@ -142,10 +142,10 @@ impl Args {
 
 /// Memory cap for `.s`/`.asm` input: 64 MiB of emulated memory (2,048 of
 /// the emulator's 32 KiB pages) and, separately, 64 MiB of recorded trace
-/// columns (8 bytes per step, 8 more per load or store, 4 more per result
-/// that does not fit in 32 signed bits, and 32 per 64 steps: about 7.9 M
-/// steps without memory operations or wide results, 3.3 M if every step
-/// loads or stores a wide value). An assembly file is untrusted, so one
+/// columns (4 bytes per step, 8 more per load or store, 4 more per result
+/// that does not fit in 32 signed bits, 4 more per return, and 40 per 64
+/// steps: about 14.5 M steps without memory operations, wide results or
+/// returns, 4.0 M if every step loads or stores a wide value). An assembly file is untrusted, so one
 /// that touches more memory, or runs long enough to outgrow its trace cap
 /// within the 100 M step budget, fails with a limit error instead of
 /// exhausting the host. Suite workloads are trusted and run uncapped.

@@ -71,6 +71,9 @@ struct PreInst {
     class: u8,
     /// Result latency of that class.
     latency: u8,
+    /// Where a taken record continues: the static target of a branch,
+    /// jump or call (unused otherwise; a return's is dynamic).
+    target: u32,
 }
 
 const F_WRITES_REG: u8 = 1;
@@ -81,6 +84,8 @@ const F_COND_BRANCH: u8 = 1 << 3;
 const F_CONTROL: u8 = 1 << 4;
 /// The pc is a spawning point *and* the config has units to spawn into.
 const F_SPAWN: u8 = 1 << 5;
+/// A return: its record continues at the trace's next return target.
+const F_RET: u8 = 1 << 6;
 
 /// SoA arena of per-pair dynamic state, indexed by [`PairId`].
 ///
@@ -271,11 +276,7 @@ impl<'a> Simulator<'a> {
 /// Per-window execution state threaded through [`Engine::step`]: the
 /// window loop's locals, hoisted into one struct so the step can be a
 /// separate (always-inlined) function.
-struct WinState<'a> {
-    /// The trace's static-pc column, hoisted once per window: reads through
-    /// a window-local field cannot alias the `&mut self` calls inside the
-    /// step (spawns, caches), so the per-instruction loads stay hoisted.
-    pcs: &'a [u32],
+struct WinState {
     rob_i: usize,
     rob_full: bool,
     writer_i: usize,
@@ -412,6 +413,13 @@ struct Engine<'a, 's> {
     observing: bool,
     /// Next per-run thread id (root took 0).
     next_thread_id: u64,
+    /// The pc of the next record to process, and the rank of the next
+    /// return among the trace's return targets: the pc cursor, derived as
+    /// the trace derives it (the next instruction, a taken record's static
+    /// target, or a return's target). Windows partition the trace in
+    /// order, so it only ever advances.
+    pc_next: u32,
+    ret_next: usize,
     /// Rank of the next load or store among the trace's memory records:
     /// the one cursor into the sparse address and memory-producer columns.
     /// Windows partition the trace in order, so it only ever advances.
@@ -452,6 +460,9 @@ impl<'a, 's> Engine<'a, 's> {
             } else if inst.is_control() {
                 flags |= F_CONTROL;
             }
+            if inst.is_ret() {
+                flags |= F_RET;
+            }
             let mut src = [0u8; 2];
             for (s, r) in inst.srcs().into_iter().enumerate() {
                 if let Some(r) = r {
@@ -465,6 +476,7 @@ impl<'a, 's> Engine<'a, 's> {
                 dst: inst.dst().map_or(0, |d| d.index() as u8),
                 class: class.index() as u8,
                 latency: class.latency() as u8,
+                target: inst.control_target().map_or(0, |t| t.0),
             });
         }
 
@@ -505,10 +517,11 @@ impl<'a, 's> Engine<'a, 's> {
             }
         }
 
-        // CQIP occurrence CSR: one scan of the trace collects the (dense
-        // CQIP, dynamic index) hits into a compact list — typically a small
-        // fraction of the trace — and a counting sort over that list builds
-        // the offsets and per-CQIP ascending values.
+        // CQIP occurrence CSR: one walk over the trace's straight-line
+        // runs collects the (dense CQIP, dynamic index) hits into a compact
+        // list — typically a small fraction of the trace — and a counting
+        // sort over that list builds the offsets and per-CQIP ascending
+        // values.
         let mut occ_offsets = vec![0u32; cqip_pcs.len() + 1];
         let mut occ_values: Vec<u32> = Vec::new();
         if !cqip_pcs.is_empty() {
@@ -520,11 +533,23 @@ impl<'a, 's> Engine<'a, 's> {
                     *d = i as u32;
                 }
             }
+            // The first CQIP pc at or after each pc (`program_len` when
+            // none): a run visits only the CQIPs inside its pc range.
+            let mut next_cqip = vec![program_len as u32; program_len + 1];
+            for pc in (0..program_len).rev() {
+                next_cqip[pc] = if dense[pc] == u32::MAX {
+                    next_cqip[pc + 1]
+                } else {
+                    pc as u32
+                };
+            }
             let mut hits: Vec<(u32, u32)> = Vec::new();
-            for (k, &pc) in trace.pcs().iter().enumerate() {
-                let d = dense[pc as usize];
-                if d != u32::MAX {
-                    hits.push((d, k as u32));
+            for run in trace.runs() {
+                let mut pc = next_cqip[run.pcs.start as usize];
+                while pc < run.pcs.end {
+                    let k = run.start + (pc - run.pcs.start) as usize;
+                    hits.push((dense[pc as usize], k as u32));
+                    pc = next_cqip[pc as usize + 1];
                 }
             }
             for &(d, _) in &hits {
@@ -605,6 +630,8 @@ impl<'a, 's> Engine<'a, 's> {
             metrics,
             observing,
             next_thread_id: 1,
+            pc_next: trace.pcs().next().map_or(0, |pc| pc.0),
+            ret_next: 0,
             mem_next: 0,
             reg_writer: [NO_PRODUCER; specmt_isa::NUM_REGS],
             trace,
@@ -884,6 +911,8 @@ impl<'a, 's> Engine<'a, 's> {
     /// in `self.doomed`.
     fn process_window(&mut self, t: &PendingThread) -> (usize, u64) {
         debug_assert_eq!(self.mem_next, self.trace.mem_rank(t.start));
+        debug_assert_eq!(Pc(self.pc_next), self.trace.pc_at(t.start));
+        debug_assert_eq!(self.ret_next, self.trace.ret_rank(t.start));
         let mut st = self.win_state(t);
         let mut k = t.start;
         // `st.end` is re-read per instruction: a spawn can shrink it.
@@ -898,7 +927,7 @@ impl<'a, 's> Engine<'a, 's> {
     /// Initial per-window state for thread `t`, including window-local
     /// copies of the unit's port/FU availability (written back by
     /// [`Engine::finish_window`]).
-    fn win_state(&mut self, t: &PendingThread) -> WinState<'a> {
+    fn win_state(&mut self, t: &PendingThread) -> WinState {
         // A perfectly predicted live-in of a spawned thread is available the
         // moment the thread is initialised, unconditionally: the whole
         // live-in path collapses to this per-window constant (no stats, no
@@ -920,7 +949,6 @@ impl<'a, 's> Engine<'a, 's> {
         // against a 64-entry ROB).
         let rings = end - t.start >= ROB_ENTRIES.min(RENAME_REGS);
         WinState {
-            pcs: self.trace.pcs(),
             rob_i: 0,
             rob_full: false,
             writer_i: 0,
@@ -939,7 +967,7 @@ impl<'a, 's> Engine<'a, 's> {
     /// Writes the window-local port/FU availability copies back and
     /// flushes trailing store touches (stores after the last load of the
     /// window still become resident); the epilogue of `process_window`.
-    fn finish_window(&mut self, t: &PendingThread, st: &WinState<'_>) {
+    fn finish_window(&mut self, t: &PendingThread, st: &WinState) {
         self.ports[t.tu] = st.ports;
         self.fu_free[t.tu] = st.fus;
         if !self.touch_run.is_empty() {
@@ -947,18 +975,18 @@ impl<'a, 's> Engine<'a, 's> {
         }
     }
 
-    /// Processes dynamic instruction `k` in one pass through fetch
-    /// hazards, spawn, operand readiness, issue, memory, write-back and
-    /// control-flow redirect.
+    /// Processes dynamic instruction `k`, at `pc_next`, in one pass through
+    /// fetch hazards, spawn, operand readiness, issue, memory, write-back
+    /// and control-flow redirect, which also advances the pc cursor.
     ///
     /// `inline(always)`: it runs once per dynamic instruction; out of line
     /// it pays a ~250-line function's call/spill traffic on the hottest
     /// path in the simulator.
     #[allow(clippy::too_many_lines)]
     #[inline(always)]
-    fn step(&mut self, t: &PendingThread, k: usize, st: &mut WinState<'_>) {
+    fn step(&mut self, t: &PendingThread, k: usize, st: &mut WinState) {
         let trace = self.trace;
-        let pc = st.pcs[k];
+        let pc = self.pc_next;
         let pi = self.pre[pc as usize];
 
         // --- Fetch ---------------------------------------------------
@@ -1168,10 +1196,12 @@ impl<'a, 's> Engine<'a, 's> {
             }
         }
 
-        // --- Control-flow redirects ----------------------------------
+        // --- Control-flow redirects and the next pc ------------------
+        let mut next = pc + 1;
         if pi.flags & F_COND_BRANCH != 0 {
             self.result.branch_predictions += 1;
             let taken = trace.taken_at(k);
+            next = if taken { pi.target } else { next };
             let pred = self.gshares[t.tu].predict_update(Pc(pc), taken);
             // Redirect selection in cmovs: prediction outcomes are the
             // canonical unpredictable branch.
@@ -1194,7 +1224,17 @@ impl<'a, 's> Engine<'a, 's> {
         } else if pi.flags & F_CONTROL != 0 {
             st.fetch_cycle = st.fetch_cycle.max(f + 1);
             st.slots = 0;
+            // Jumps, calls and returns always redirect; a return that
+            // ends the trace has no target and no successor to read one.
+            next = if pi.flags & F_RET == 0 {
+                pi.target
+            } else {
+                let to = trace.ret_targets().get(self.ret_next).copied();
+                self.ret_next += 1;
+                to.unwrap_or(0)
+            };
         }
+        self.pc_next = next;
     }
 
     /// Availability time of a live-in register value whose producer `p`

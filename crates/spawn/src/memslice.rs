@@ -73,11 +73,14 @@ const MIN_PROB: f64 = 0.95;
 pub fn memslice_pairs(trace: &Trace) -> SpawnTable {
     // Per memory pc: (occurrences, first dynamic index, last dynamic index).
     let mut sites: HashMap<u32, (u64, u64, u64)> = HashMap::new();
-    for (k, &pc) in trace.pcs().iter().enumerate() {
-        if trace.inst(k).is_mem() {
-            let e = sites.entry(pc).or_insert((0, k as u64, k as u64));
-            e.0 += 1;
-            e.2 = k as u64;
+    let insts = trace.program().insts();
+    for run in trace.runs() {
+        for (k, pc) in (run.start as u64..).zip(run.pcs) {
+            if insts[pc as usize].is_mem() {
+                let e = sites.entry(pc).or_insert((0, k, k));
+                e.0 += 1;
+                e.2 = k;
+            }
         }
     }
 

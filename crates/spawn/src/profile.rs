@@ -325,13 +325,15 @@ impl<'a> DepScorer<'a> {
         let mut masks = vec![0u64; end - cqip_dyn];
         let mut live_in_values = [None; specmt_isa::NUM_REGS];
         let mut writer = [NO_PRODUCER; specmt_isa::NUM_REGS];
-        for k in sp_dyn..cqip_dyn {
-            if let Some(d) = self.trace.inst(k).dst() {
+        let insts = self.trace.program().insts();
+        let mut pcs = self.trace.pcs_from(sp_dyn);
+        for (k, pc) in (sp_dyn..cqip_dyn).zip(&mut pcs) {
+            if let Some(d) = insts[pc.index()].dst() {
                 writer[d.index()] = k as u32;
             }
         }
-        for k in cqip_dyn..end {
-            let inst = self.trace.inst(k);
+        for (k, pc) in (cqip_dyn..end).zip(pcs) {
+            let inst = &insts[pc.index()];
             let mut mask = 0u64;
             for r in inst.srcs().into_iter().flatten() {
                 if r.is_zero() {
@@ -380,7 +382,8 @@ struct SampleWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specmt_isa::{Pc, ProgramBuilder, Reg};
+    use specmt_isa::{Inst, Pc, ProgramBuilder, Reg};
+    use specmt_trace::{Emulator, StepOutcome};
 
     /// A loop over independent array blocks: iterations only share the
     /// induction variable.
@@ -567,19 +570,25 @@ mod tests {
         cqip_dyn: usize,
         end: usize,
     ) -> SampleWindow {
-        let insts = trace.program().insts();
-        let before = |k: usize| trace.pcs()[..k].iter().map(|&pc| &insts[pc as usize]);
-        let last_writer = |k: usize, r: Reg| before(k).rposition(|i| i.dst() == Some(r));
+        // The whole prefix's instructions, from the emulator's records.
+        let mut emu = Emulator::new(trace.program().as_ref().clone());
+        let insts: Vec<Inst> = (0..end)
+            .map(|_| match emu.step() {
+                Ok(StepOutcome::Executed(rec)) => trace.program().insts()[rec.pc.index()],
+                other => panic!("the emulator stopped early: {other:?}"),
+            })
+            .collect();
+        let last_writer = |k: usize, r: Reg| insts[..k].iter().rposition(|i| i.dst() == Some(r));
         let last_store = |k: usize| {
             let addr = trace.addr_at(k);
             (0..k)
                 .rev()
-                .find(|&j| trace.inst(j).is_store() && trace.addr_at(j) == addr)
+                .find(|&j| insts[j].is_store() && trace.addr_at(j) == addr)
         };
         let mut masks = vec![0u64; end - cqip_dyn];
         let mut live_in_values = [None; specmt_isa::NUM_REGS];
         for k in cqip_dyn..end {
-            let inst = trace.inst(k);
+            let inst = &insts[k];
             let mut mask = 0u64;
             for r in inst.srcs().into_iter().flatten().filter(|r| !r.is_zero()) {
                 match last_writer(k, r) {

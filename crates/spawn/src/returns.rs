@@ -42,10 +42,10 @@ pub fn return_pairs(trace: &Trace, min_distance: f64) -> (Vec<SpawnPair>, Vec<Re
     // Per call-site: (calls, matched returns, total distance).
     let mut sites: HashMap<u32, (u64, u64, u64)> = HashMap::new();
 
-    for k in 0..trace.len() {
-        let inst = trace.inst(k);
+    let insts = trace.program().insts();
+    for (k, pc) in trace.pcs().enumerate() {
+        let inst = &insts[pc.index()];
         if inst.is_call() {
-            let pc = trace.pc_at(k);
             sites.entry(pc.0).or_default().0 += 1;
             stack.push((pc, k));
         } else if inst.is_ret() {

@@ -142,47 +142,54 @@ impl DepGraph {
     /// Runs in a single pass: `O(len)` time, `O(memory records + distinct
     /// store addresses)` space. Static instructions are predecoded up front
     /// and the last-store map is a purpose-built open-addressing table, so
-    /// the pass itself is a tight scan over the trace's pc column, with one
-    /// cursor into its memory column that advances on each load or store.
+    /// the pass itself is a tight scan over the trace's straight-line runs
+    /// of pcs, with one cursor into its memory column that advances on each
+    /// load or store.
     pub fn build(trace: &Trace) -> DepGraph {
         let addrs = trace.mem_addrs();
         let mut mem_producers = vec![NO_PRODUCER; addrs.len()];
 
         let program = trace.program();
         let mut pre: Vec<DepPre> = Vec::with_capacity(program.len());
-        let mut store_pcs = 0usize;
+        // Stores among the static instructions before each pc.
+        let mut stores_before: Vec<usize> = Vec::with_capacity(program.len() + 1);
+        stores_before.push(0);
         for inst in program.insts() {
             let p = DepPre {
                 is_load: inst.is_load(),
                 is_store: inst.is_store(),
             };
-            store_pcs += usize::from(p.is_store);
+            stores_before.push(stores_before[pre.len()] + usize::from(p.is_store));
             pre.push(p);
         }
         // Size the map by the dynamic store count — an upper bound on
-        // distinct store addresses — so it never needs to grow.
-        let dyn_stores = if store_pcs > 0 {
+        // distinct store addresses — so it never needs to grow. A run's
+        // stores are its pc range's.
+        let dyn_stores = if stores_before[program.len()] > 0 {
             trace
-                .pcs()
-                .iter()
-                .filter(|&&pc| pre[pc as usize].is_store)
-                .count()
+                .runs()
+                .map(|run| {
+                    stores_before[run.pcs.end as usize] - stores_before[run.pcs.start as usize]
+                })
+                .sum()
         } else {
             0
         };
         let mut last_store = AddrMap::with_capacity(dyn_stores);
 
         let mut m = 0usize;
-        for (k, &pc) in trace.pcs().iter().enumerate() {
-            let p = pre[pc as usize];
-            if p.is_load {
-                if let Some(v) = last_store.get(addrs[m]) {
-                    mem_producers[m] = v;
+        for run in trace.runs() {
+            for (k, pc) in (run.start..).zip(run.pcs) {
+                let p = pre[pc as usize];
+                if p.is_load {
+                    if let Some(v) = last_store.get(addrs[m]) {
+                        mem_producers[m] = v;
+                    }
+                    m += 1;
+                } else if p.is_store {
+                    last_store.insert(addrs[m], k as u32);
+                    m += 1;
                 }
-                m += 1;
-            } else if p.is_store {
-                last_store.insert(addrs[m], k as u32);
-                m += 1;
             }
         }
 

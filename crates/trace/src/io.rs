@@ -17,8 +17,9 @@
 //! ```
 //!
 //! The payload mirrors the in-memory structure-of-arrays layout, one column
-//! at a time, so encode and decode are four tight loops rather than a
-//! per-record flag dispatch:
+//! at a time, so encode is four tight loops rather than a per-record flag
+//! dispatch, and decode two walks after a skip to the taken words (pc,
+//! taken flag and address together, then results):
 //!
 //! * **pc** — zigzag-varint deltas from the previous pc (the overwhelmingly
 //!   common sequential step encodes as one byte);
@@ -26,12 +27,18 @@
 //! * **addr**, **result** — plain varints (zero, the common case for
 //!   non-memory and non-producing instructions, is one byte).
 //!
-//! The addr column is dense on disk, one varint per record, while the
-//! in-memory trace keeps addresses for loads and stores only; a nonzero
-//! address on any other record cannot be held, so the reader rejects it.
-//! The result column is likewise one whole 64-bit varint per record on
-//! disk, whatever split into low and high halves the in-memory trace
-//! keeps.
+//! The pc column is dense on disk, while the in-memory trace derives
+//! each pc from the previous record's taken flag and the program: the
+//! reader keeps only the first pc of each 64-record word and the pc each
+//! return went to, and rejects an image whose pcs the derivation would
+//! not reproduce (a taken flag on an instruction that cannot redirect
+//! fetch or a missing one on a jump, call or return, or a pc that is
+//! neither the next instruction nor the taken target). The addr column is
+//! dense on disk, one varint per record, while the in-memory trace keeps
+//! addresses for loads and stores only; a nonzero address on any other
+//! record cannot be held, so the reader rejects it. The result column is
+//! likewise one whole 64-bit varint per record on disk, whatever split
+//! into low and high halves the in-memory trace keeps.
 //!
 //! Typical traces compress to 3–6 bytes per dynamic instruction.
 
@@ -40,7 +47,7 @@ use std::sync::Arc;
 
 use specmt_isa::{Program, Reg, NUM_REGS};
 
-use crate::record::{mem_pcs, Rank, Results};
+use crate::record::{mem_pcs, taken_targets, Columns, RET_TARGET};
 use crate::Trace;
 
 const MAGIC: &[u8; 4] = b"SMTR";
@@ -81,6 +88,26 @@ fn get_varint(buf: &mut &[u8]) -> io::Result<u64> {
         }
         shift += 7;
     }
+}
+
+/// The bytes the first `n` varints of `buf` span.
+fn varints_len(buf: &[u8], n: usize) -> io::Result<usize> {
+    if n == 0 {
+        return Ok(0);
+    }
+    let mut seen = 0;
+    for (i, &byte) in buf.iter().enumerate() {
+        if byte & 0x80 == 0 {
+            seen += 1;
+            if seen == n {
+                return Ok(i + 1);
+            }
+        }
+    }
+    Err(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "truncated varint",
+    ))
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -140,9 +167,9 @@ impl Trace {
         }
 
         let mut prev = 0i64;
-        for &pc in self.pcs() {
-            put_varint(&mut buf, zigzag(i64::from(pc) - prev));
-            prev = i64::from(pc);
+        for pc in self.pcs() {
+            put_varint(&mut buf, zigzag(i64::from(pc.0) - prev));
+            prev = i64::from(pc.0);
         }
         for &word in self.taken_words() {
             buf.extend_from_slice(&word.to_le_bytes());
@@ -163,7 +190,8 @@ impl Trace {
     ///
     /// Returns an error for an unrecognised container (bad magic or
     /// version) or corrupt contents, including a nonzero address on a
-    /// record that is not a load or store.
+    /// record that is not a load or store and pcs that contradict the
+    /// taken flags and the program's static targets.
     pub fn from_bytes(data: &[u8]) -> io::Result<Trace> {
         let Some(mut buf) = data.strip_prefix(MAGIC) else {
             return Err(bad("not a specmt trace (bad magic)"));
@@ -192,60 +220,71 @@ impl Trace {
         let program: Program =
             serde_json::from_slice(program_json).map_err(|e| bad(&e.to_string()))?;
         let program_len = i64::try_from(program.len()).map_err(|_| bad("program too large"))?;
-        let mut pcs = Vec::with_capacity(count);
-        let mut prev = 0i64;
-        for _ in 0..count {
-            let pc = prev
-                .checked_add(unzigzag(get_varint(&mut buf)?))
-                .filter(|pc| (0..program_len).contains(pc))
-                .ok_or_else(|| bad("record pc outside program"))?;
-            pcs.push(pc as u32);
-            prev = pc;
-        }
+        // The pc column's varints end where the taken words begin: skip to
+        // those first, so that one walk reads each record's pc, taken flag
+        // and address (the column after the taken words).
+        let (mut pc_column, mut buf) = buf.split_at(varints_len(buf, count)?);
         let mut taken = Vec::with_capacity(count.div_ceil(64));
         for _ in 0..count.div_ceil(64) {
             taken.push(u64::from_le_bytes(take(&mut buf, "taken column")?));
         }
         let is_mem = mem_pcs(&program);
-        let mut addrs = Vec::new();
-        for &pc in &pcs {
+        let targets = taken_targets(&program);
+        // Per static instruction, the taken flag its records must carry:
+        // set on jumps, calls and returns, clear on all but branches.
+        let redirects: Vec<Option<bool>> = program
+            .insts()
+            .iter()
+            .map(|i| (!i.is_cond_branch()).then(|| i.is_control()))
+            .collect();
+        let mut columns = Columns::default();
+        columns.reserve(count, targets.contains(&RET_TARGET));
+        columns.taken = taken;
+        let mut prev = 0i64;
+        // The pc the previous record continues at; `RET_TARGET` before the
+        // first record and after a return, whose target the program leaves
+        // open.
+        let mut want = RET_TARGET;
+        for k in 0..count {
+            let pc = prev
+                .checked_add(unzigzag(get_varint(&mut pc_column)?))
+                .filter(|pc| (0..program_len).contains(pc))
+                .ok_or_else(|| bad("record pc outside program"))?;
+            prev = pc;
+            let pc = pc as u32;
+            let p = pc as usize;
+            if want == RET_TARGET {
+                if k > 0 {
+                    columns.rets.push(pc);
+                }
+            } else if want != pc {
+                return Err(bad(
+                    "record pc contradicts the taken flag and target before it",
+                ));
+            }
+            let taken = columns.taken[k / 64] & (1u64 << (k % 64)) != 0;
+            if redirects[p].is_some_and(|r| r != taken) {
+                return Err(bad("taken flag contradicts the instruction"));
+            }
+            want = if taken { targets[p] } else { pc + 1 };
+            columns.push_flow(k, pc, is_mem[p]);
             let addr = get_varint(&mut buf)?;
-            if is_mem[pc as usize] {
-                addrs.push(addr);
+            if is_mem[p] {
+                columns.addrs.push(addr);
             } else if addr != 0 {
                 return Err(bad("address on a record that is not a load or store"));
             }
         }
-        let mut results = Results::default();
-        results.reserve(count);
         for _ in 0..count {
-            results.push(get_varint(&mut buf)?);
+            columns.results.push(get_varint(&mut buf)?);
         }
-        results.shrink_to_fit();
-        addrs.shrink_to_fit();
-        let columns = Columns {
-            mem: Rank::build(pcs.iter().map(|&pc| is_mem[pc as usize])),
-            pcs,
-            taken,
-            addrs,
-            results,
-        };
+        columns.shrink_to_fit();
         Ok(Trace::from_columns(Arc::new(program), columns, final_regs))
     }
 }
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-/// A trace's columns, as [`Trace::from_columns`] takes them: `addrs` holds
-/// the loads' and stores' addresses only, ranked by `mem`.
-pub(crate) struct Columns {
-    pub(crate) pcs: Vec<u32>,
-    pub(crate) taken: Vec<u64>,
-    pub(crate) addrs: Vec<u64>,
-    pub(crate) mem: Rank,
-    pub(crate) results: Results,
 }
 
 #[cfg(test)]
@@ -353,6 +392,78 @@ mod tests {
         let mut corrupt = bytes;
         corrupt[n - 6] = 7;
         assert!(Trace::from_bytes(&corrupt).is_err());
+    }
+
+    /// The reader derives pcs from taken flags and static targets, so an
+    /// image whose pc column says otherwise is rejected, not read back as
+    /// a different trace.
+    #[test]
+    fn rejects_pcs_that_contradict_the_taken_flags() {
+        let mut b = ProgramBuilder::new();
+        let skip = b.fresh_label("skip");
+        b.li(Reg::R1, 0);
+        b.li(Reg::R2, 1);
+        b.blt(Reg::R2, Reg::R1, skip); // not taken
+        b.nop();
+        b.bind(skip);
+        b.halt();
+        let trace = Trace::generate(b.build().unwrap(), 100).unwrap();
+        assert_eq!(trace.len(), 5);
+        let mut bytes = Vec::new();
+        trace.write_to(&mut bytes).unwrap();
+        // The tail is the pc column (5 one-byte deltas), one taken word,
+        // the addr column (5 zeros) and the result column (0, 1, 0, 0, 0).
+        let n = bytes.len();
+        assert_eq!(&bytes[n - 23..n - 18], &[0, 2, 2, 2, 2]);
+        assert_eq!(&bytes[n - 18..n - 10], &[0; 8]);
+        assert!(Trace::from_bytes(&bytes).is_ok());
+        for (bit, what) in [
+            // The branch taken, yet the next pc is the `nop`, not `skip`.
+            (2, "contradicts the taken flag and target"),
+            // An `li` cannot redirect fetch.
+            (0, "contradicts the instruction"),
+            // The `halt` neither.
+            (4, "contradicts the instruction"),
+        ] {
+            let mut corrupt = bytes.clone();
+            corrupt[n - 18] = 1 << bit;
+            let err = Trace::from_bytes(&corrupt).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "bit {bit}");
+            assert!(err.to_string().contains(what), "bit {bit}: {err}");
+        }
+        // A pc column that skips the `nop` while the branch falls through.
+        let mut corrupt = bytes;
+        corrupt[n - 20] = 4;
+        corrupt[n - 19] = 0;
+        let err = Trace::from_bytes(&corrupt).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("taken flag and target"), "{err}");
+    }
+
+    /// Returns go wherever their link register says: the reader keeps each
+    /// return's target from the pc column and reads the stream back.
+    #[test]
+    fn round_trips_returns() {
+        let mut b = ProgramBuilder::new();
+        let top = b.fresh_label("top");
+        b.li(Reg::R1, 0);
+        b.li(Reg::R2, 50);
+        b.bind(top);
+        b.call("leaf");
+        b.addi(Reg::R1, Reg::R1, 1);
+        b.blt(Reg::R1, Reg::R2, top);
+        b.halt();
+        b.begin_func("leaf");
+        b.addi(Reg::R3, Reg::R3, 1);
+        b.ret();
+        b.end_func();
+        let trace = Trace::generate(b.build().unwrap(), 10_000).unwrap();
+        assert_eq!(trace.ret_targets().len(), 50);
+        let mut bytes = Vec::new();
+        trace.write_to(&mut bytes).unwrap();
+        let copy = Trace::from_bytes(&bytes).unwrap();
+        assert_eq!(copy.records_vec(), trace.records_vec());
+        assert_eq!(copy.ret_targets(), trace.ret_targets());
     }
 
     #[test]

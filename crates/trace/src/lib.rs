@@ -65,7 +65,7 @@ pub use deps::{DepGraph, NO_PRODUCER};
 pub use emulator::{Emulator, StepOutcome};
 pub use error::TraceError;
 pub use memory::Memory;
-pub use record::{DynInst, Trace, TraceMix};
+pub use record::{DynInst, Pcs, Run, Runs, Trace, TraceMix};
 
 /// Initial stack-pointer value given to every emulated program.
 ///

@@ -1,5 +1,6 @@
 //! Dynamic instruction records and traces.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use specmt_isa::{Inst, Pc, Program, Reg};
@@ -19,9 +20,10 @@ use crate::{DepGraph, Emulator, StepOutcome, TraceError};
 /// * `result` — the value written to the destination register, or the value
 ///   stored to memory for stores (zero for instructions with no result).
 ///
-/// `DynInst` is the *logical* record: [`Trace`] stores the four fields in
-/// parallel structure-of-arrays columns (see the type docs) and assembles a
-/// `DynInst` on demand. It is `Copy`; accessors hand it out by value.
+/// `DynInst` is the *logical* record: [`Trace`] stores it in parallel
+/// structure-of-arrays columns, derives the pc from control flow (see the
+/// type docs) and assembles a `DynInst` on demand. It is `Copy`; accessors
+/// hand it out by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynInst {
     /// Static instruction address.
@@ -45,11 +47,20 @@ pub struct DynInst {
 ///
 /// # Data layout
 ///
-/// Records are stored as a structure of arrays — `pc` as a `u32` column,
-/// `taken` as packed bits — instead of an array of 24-byte structs. Two
-/// columns are sparse, each found by rank through the same per-64-record
-/// index (a flag bit per record plus a `u32` count of the flagged records
-/// before each 64-record word, 12 bytes per 64 records):
+/// Records are stored as a structure of arrays instead of an array of
+/// 24-byte structs. The pc stream is not stored: control flow is the
+/// static program plus each record's `taken` flag, kept as packed bits.
+/// A record that did not redirect fetch is followed by the next static
+/// instruction, a taken branch, jump or call by its static target, and a
+/// taken return by the pc it returned to, the one target the program
+/// does not fix, kept in a `u32` column with one entry per return. A
+/// checkpoint per 64-record word, the pc of its first record and the
+/// returns before it, lets [`Trace::pc_at`] start from the nearest word
+/// and step over at most its taken records.
+///
+/// Two more columns are sparse, each found by rank through the same
+/// per-64-record index (a flag bit per record plus a `u32` count of the
+/// flagged records before each 64-record word, 12 bytes per 64 records):
 ///
 /// * only loads and stores have an address, so the address column holds
 ///   one `u64` per memory record; membership comes from the static
@@ -59,14 +70,14 @@ pub struct DynInst {
 ///   `u32` column flagged by value.
 ///
 /// [`Trace::addr_at`] and [`Trace::result_at`] stay O(1). A trace holds
-/// about 8.5 bytes per record plus 8 per load or store and 4 per result
-/// that does not fit in 32 signed bits.
+/// about 4.6 bytes per record plus 8 per load or store, 4 per result that
+/// does not fit in 32 signed bits and 4 per return.
 ///
-/// The hot consumers are column-selective: block streaming and spawn-point
-/// scans read only pcs (4 bytes/record instead of 24), the dependence
-/// builder and the timing model walk pcs and the memory column with one
-/// cursor, and the value-prediction path reads single results by index.
-/// The split keeps each scan from dragging the cold columns through cache.
+/// The hot consumers walk the stream forward: block streaming, spawn-point
+/// scans and the dependence builder step over straight-line runs
+/// ([`Trace::runs`]), the timing model and the windowed passes carry a pc
+/// cursor ([`Trace::pcs_from`]) beside one cursor into the memory column,
+/// and the value-prediction path reads single results by index.
 ///
 /// # Examples
 ///
@@ -85,9 +96,16 @@ pub struct DynInst {
 #[derive(Debug, Clone)]
 pub struct Trace {
     program: Arc<Program>,
-    pcs: Vec<u32>,
+    /// Per static instruction, where its taken records continue (see
+    /// [`taken_targets`]).
+    targets: Box<[u32]>,
     /// Taken flags, 64 records per word (bit `k % 64` of word `k / 64`).
     taken: Vec<u64>,
+    /// The pc of the first record of each 64-record word, and the returns
+    /// before it.
+    marks: Vec<Mark>,
+    /// The pc each taken return went to, in execution order.
+    rets: Vec<u32>,
     /// Effective addresses of the loads and stores only, in execution
     /// order; `mem` maps a dynamic index to its entry.
     addrs: Vec<u64>,
@@ -95,11 +113,37 @@ pub struct Trace {
     /// by the same index.
     mem: Arc<Rank>,
     /// Every record's low result half, and the high halves of the wide
-    /// results.
+    /// results; its length is the trace's.
     results: Results,
     final_regs: [u64; specmt_isa::NUM_REGS],
     /// The dependence graph, built on the first [`Trace::deps`] call.
     deps: OnceLock<Arc<DepGraph>>,
+}
+
+/// The checkpoint of one 64-record word of the pc stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Mark {
+    /// The pc of the word's first record.
+    pc: u32,
+    /// The taken returns before that record.
+    rets: u32,
+}
+
+/// [`taken_targets`]' entry for a return: its target is dynamic.
+pub(crate) const RET_TARGET: u32 = u32::MAX;
+
+/// Per static instruction, the pc its taken records continue at: the
+/// static target of a branch, jump or call, [`RET_TARGET`] for a return,
+/// and the next instruction for everything else, which never redirects
+/// fetch.
+pub(crate) fn taken_targets(program: &Program) -> Box<[u32]> {
+    (0..)
+        .zip(program.insts())
+        .map(|(pc, inst): (u32, &Inst)| match inst {
+            Inst::Ret => RET_TARGET,
+            _ => inst.control_target().map_or(pc + 1, |t| t.0),
+        })
+        .collect()
 }
 
 /// The index of a sparse column: which records own an entry, and the rank
@@ -115,16 +159,6 @@ pub(crate) struct Rank {
 }
 
 impl Rank {
-    /// The index of the records whose flags `flags` yields in order.
-    pub(crate) fn build(flags: impl ExactSizeIterator<Item = bool>) -> Rank {
-        let mut rank = Rank::default();
-        rank.reserve(flags.len());
-        for (k, flag) in flags.enumerate() {
-            rank.push(k, flag);
-        }
-        rank
-    }
-
     /// Reserves room for `records` records; a reservation the allocator
     /// refuses leaves the index to grow as it would without it.
     fn reserve(&mut self, records: usize) {
@@ -281,12 +315,94 @@ fn sign_extend(lo: u32) -> u64 {
 }
 
 /// The bytes a trace's columns hold for `records` records of which
-/// `mem_records` are loads or stores and `wide_records` keep a result's
-/// high half: 4 (pc) + 4 (result low half) per record, 8 (address) per
-/// memory record, 4 per high half, and per 64 records one taken word and,
+/// `mem_records` are loads or stores, `wide_records` keep a result's high
+/// half and `returns` are taken returns: 4 (result low half) per record,
+/// 8 (address) per memory record, 4 per high half, 4 per return target,
+/// and per 64 records one taken word, one checkpoint (two `u32`s) and,
 /// for each of the two rank indexes, one mask word and one `u32` count.
-fn column_bytes(records: u64, mem_records: u64, wide_records: u64) -> u64 {
-    8 * records + 8 * mem_records + 4 * wide_records + 32 * records.div_ceil(64)
+fn column_bytes(records: u64, mem_records: u64, wide_records: u64, returns: u64) -> u64 {
+    4 * records + 8 * mem_records + 4 * wide_records + 4 * returns + 40 * records.div_ceil(64)
+}
+
+/// A trace's columns while they are recorded or decoded, as
+/// [`Trace::from_columns`] takes them: `addrs` holds the loads' and
+/// stores' addresses only, ranked by `mem`.
+#[derive(Debug, Default)]
+pub(crate) struct Columns {
+    pub(crate) taken: Vec<u64>,
+    marks: Vec<Mark>,
+    /// Pushed when the pc a return went to is known: by the recorder at
+    /// the return, by the reader at the record after it.
+    pub(crate) rets: Vec<u32>,
+    pub(crate) addrs: Vec<u64>,
+    pub(crate) mem: Rank,
+    pub(crate) results: Results,
+}
+
+impl Columns {
+    /// Reserves every column for `records` records; `returns` says whether
+    /// the program has a return, the only records with a target entry.
+    pub(crate) fn reserve(&mut self, records: usize, returns: bool) {
+        let words = records.div_ceil(64);
+        let _ = self.taken.try_reserve_exact(words);
+        let _ = self.marks.try_reserve_exact(words);
+        if returns {
+            let _ = self.rets.try_reserve_exact(records);
+        }
+        let _ = self.addrs.try_reserve_exact(records);
+        self.mem.reserve(records);
+        self.results.reserve(records);
+    }
+
+    /// Appends the taken flag of record `k`, the number of records already
+    /// pushed.
+    #[inline]
+    fn push_taken(&mut self, k: usize, taken: bool) {
+        if k.is_multiple_of(64) {
+            self.taken.push(0);
+        }
+        if taken {
+            if let Some(w) = self.taken.last_mut() {
+                *w |= 1u64 << (k % 64);
+            }
+        }
+    }
+
+    /// Appends the rest of record `k`'s control flow: its pc, kept only as
+    /// the checkpoint of a word it opens (with the return targets pushed
+    /// so far, those of the returns before `k`), and whether it is a load
+    /// or store.
+    #[inline]
+    pub(crate) fn push_flow(&mut self, k: usize, pc: u32, is_mem: bool) {
+        if k.is_multiple_of(64) {
+            self.marks.push(Mark {
+                pc,
+                rets: self.rets.len() as u32,
+            });
+        }
+        self.mem.push(k, is_mem);
+    }
+
+    /// The bytes the columns hold: the figure
+    /// [`Trace::generate_bounded`] caps.
+    fn bytes(&self) -> u64 {
+        column_bytes(
+            self.results.len() as u64,
+            self.addrs.len() as u64,
+            self.results.wide_len() as u64,
+            self.rets.len() as u64,
+        )
+    }
+
+    /// Releases every reservation beyond the recorded records.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.taken.shrink_to_fit();
+        self.marks.shrink_to_fit();
+        self.rets.shrink_to_fit();
+        self.addrs.shrink_to_fit();
+        self.mem.shrink_to_fit();
+        self.results.shrink_to_fit();
+    }
 }
 
 impl Trace {
@@ -304,11 +420,11 @@ impl Trace {
 
     /// As [`Trace::generate`], but additionally caps both the emulated
     /// memory footprint (see [`Emulator::set_memory_limit`]) and the
-    /// recorded trace columns (about 8.5 bytes per record plus 8 per load
-    /// or store and 4 per result that does not fit in 32 signed bits) at
-    /// `max_mem_bytes` each — the bounded-resource entry point for running
-    /// untrusted or fuzzed programs, whose step budget alone would let a
-    /// spin loop record gigabytes before it ran out.
+    /// recorded trace columns (about 4.6 bytes per record plus 8 per load
+    /// or store, 4 per result that does not fit in 32 signed bits and 4 per
+    /// return) at `max_mem_bytes` each — the bounded-resource entry point
+    /// for running untrusted or fuzzed programs, whose step budget alone
+    /// would let a spin loop record gigabytes before it ran out.
     ///
     /// # Errors
     ///
@@ -362,10 +478,12 @@ impl Trace {
     ///
     /// Every column is reserved once, for the most records the recording
     /// can hold: `hint` when given, otherwise `max_steps`, and no more than
-    /// `max_trace_bytes` can hold at 8 bytes or more per record. Pages of a
+    /// `max_trace_bytes` can hold at 4 bytes or more per record. Pages of a
     /// reservation that no record reaches are never touched, so they cost
     /// address space, not memory; the columns never grow by copying, and
-    /// each is trimmed to its length when recording ends.
+    /// each is trimmed to its length when recording ends. The memory rank
+    /// index, the checkpoints and the return targets are built as the
+    /// records arrive.
     fn record_from(
         mut emu: Emulator,
         max_steps: u64,
@@ -374,39 +492,40 @@ impl Trace {
     ) -> Result<Trace, TraceError> {
         let program = Arc::clone(emu.program());
         let is_mem = mem_pcs(&program);
-        let mut trace = Trace {
-            program,
-            pcs: Vec::new(),
-            taken: Vec::new(),
-            addrs: Vec::new(),
-            mem: Arc::default(),
-            results: Results::default(),
-            final_regs: [0u64; specmt_isa::NUM_REGS],
-            deps: OnceLock::new(),
-        };
+        let targets = taken_targets(&program);
+        let mut columns = Columns::default();
         let mut bound = hint.unwrap_or(max_steps).min(max_steps);
         if let Some(limit) = max_trace_bytes {
             // The record that outgrows the cap is pushed before the check
             // fails, hence the one extra.
-            bound = bound.min(limit / 8 + 1);
+            bound = bound.min(limit / 4 + 1);
         }
         // A reservation is only a hint: one the allocator refuses leaves
         // the columns to grow as they would without it.
         let n = usize::try_from(bound).unwrap_or(usize::MAX);
-        let _ = trace.pcs.try_reserve_exact(n);
-        let _ = trace.taken.try_reserve_exact(n.div_ceil(64));
-        let _ = trace.addrs.try_reserve_exact(n);
-        trace.results.reserve(n);
+        columns.reserve(n, targets.contains(&RET_TARGET));
         loop {
-            if trace.pcs.len() as u64 >= max_steps {
+            let k = columns.results.len();
+            if k as u64 >= max_steps {
                 return Err(TraceError::StepLimitExceeded { limit: max_steps });
             }
-            match emu.step()? {
-                StepOutcome::Executed(rec) => trace.push(rec, is_mem[rec.pc.0 as usize]),
+            let rec = match emu.step()? {
+                StepOutcome::Executed(rec) => rec,
                 StepOutcome::Halted => break,
+            };
+            let pc = rec.pc.index();
+            let is_mem = is_mem[pc];
+            columns.push_taken(k, rec.taken);
+            columns.push_flow(k, rec.pc.0, is_mem);
+            if rec.taken && targets[pc] == RET_TARGET {
+                columns.rets.push(emu.pc().0);
             }
+            if is_mem {
+                columns.addrs.push(rec.addr);
+            }
+            columns.results.push(rec.result);
             if let Some(limit) = max_trace_bytes {
-                if trace.column_bytes() > limit {
+                if columns.bytes() > limit {
                     return Err(TraceError::Limit {
                         resource: "trace memory",
                         limit,
@@ -414,54 +533,59 @@ impl Trace {
                 }
             }
         }
-        trace.pcs.shrink_to_fit();
-        trace.taken.shrink_to_fit();
-        trace.addrs.shrink_to_fit();
-        trace.results.shrink_to_fit();
-        trace.mem = Arc::new(Rank::build(trace.pcs.iter().map(|&pc| is_mem[pc as usize])));
+        columns.shrink_to_fit();
+        let mut final_regs = [0u64; specmt_isa::NUM_REGS];
         for r in Reg::all() {
-            trace.final_regs[r.index()] = emu.reg(r);
+            final_regs[r.index()] = emu.reg(r);
         }
-        Ok(trace)
+        Ok(Trace::from_columns(program, columns, final_regs))
     }
 
-    /// The bytes the trace's columns hold, rank indexes included: the
-    /// figure [`Trace::generate_bounded`] caps.
+    /// The bytes the trace's columns hold, rank indexes, checkpoints and
+    /// return targets included: the figure [`Trace::generate_bounded`]
+    /// caps.
+    #[cfg(test)]
     fn column_bytes(&self) -> u64 {
         column_bytes(
-            self.pcs.len() as u64,
+            self.len() as u64,
             self.addrs.len() as u64,
             self.results.wide_len() as u64,
+            self.rets.len() as u64,
         )
     }
 
-    /// Reassembles a trace directly from its column store (used by the
-    /// binary deserializer, whose column lengths are consistent by
-    /// construction); trailing bits of the last `taken` word are masked off
-    /// so equal traces compare equal regardless of serialization history.
+    /// Reassembles a trace from its columns (recorded by
+    /// [`Trace::record_from`] or decoded by the binary reader, which checks
+    /// them against the program); trailing bits of the last `taken` word
+    /// are masked off so equal traces compare equal regardless of
+    /// serialization history.
     pub(crate) fn from_columns(
         program: Arc<Program>,
-        columns: crate::io::Columns,
+        columns: Columns,
         final_regs: [u64; specmt_isa::NUM_REGS],
     ) -> Trace {
-        let crate::io::Columns {
-            pcs,
+        let Columns {
             mut taken,
+            marks,
+            rets,
             addrs,
             mem,
             results,
         } = columns;
-        debug_assert_eq!(results.len(), pcs.len());
-        debug_assert_eq!(taken.len(), pcs.len().div_ceil(64));
-        if !pcs.len().is_multiple_of(64) {
+        let len = results.len();
+        debug_assert_eq!(taken.len(), len.div_ceil(64));
+        debug_assert_eq!(marks.len(), len.div_ceil(64));
+        if !len.is_multiple_of(64) {
             if let Some(last) = taken.last_mut() {
-                *last &= (1u64 << (pcs.len() % 64)) - 1;
+                *last &= (1u64 << (len % 64)) - 1;
             }
         }
         Trace {
+            targets: taken_targets(&program),
             program,
-            pcs,
             taken,
+            marks,
+            rets,
             addrs,
             mem: Arc::new(mem),
             results,
@@ -493,7 +617,7 @@ impl Trace {
     /// column.
     pub(crate) fn dense_addrs(&self) -> impl Iterator<Item = u64> + '_ {
         let mut addrs = self.addrs.iter();
-        (0..self.pcs.len()).map(move |k| {
+        (0..self.len()).map(move |k| {
             if self.mem.is_set(k) {
                 addrs.next().copied().unwrap_or(0)
             } else {
@@ -507,24 +631,6 @@ impl Trace {
         self.results.iter()
     }
 
-    /// Appends one record to the column store; `is_mem` says whether its
-    /// static instruction is a load or store, which alone owns an address
-    /// entry. (The memory rank index is built once recording ends.)
-    fn push(&mut self, rec: DynInst, is_mem: bool) {
-        let k = self.pcs.len();
-        self.pcs.push(rec.pc.0);
-        if k.is_multiple_of(64) {
-            self.taken.push(0);
-        }
-        if rec.taken {
-            self.taken[k / 64] |= 1u64 << (k % 64);
-        }
-        if is_mem {
-            self.addrs.push(rec.addr);
-        }
-        self.results.push(rec.result);
-    }
-
     /// The program this trace was recorded from.
     pub fn program(&self) -> &Arc<Program> {
         &self.program
@@ -532,29 +638,128 @@ impl Trace {
 
     /// Number of dynamic instructions (including the final `halt`).
     pub fn len(&self) -> usize {
-        self.pcs.len()
+        self.results.len()
     }
 
     /// Whether the trace is empty (never true for a generated trace — the
     /// `halt` itself is recorded).
     pub fn is_empty(&self) -> bool {
-        self.pcs.is_empty()
+        self.len() == 0
     }
 
-    /// The static pc column, in execution order — the cheapest way to scan
-    /// control flow (4 bytes per record).
-    pub fn pcs(&self) -> &[u32] {
-        &self.pcs
+    /// The pc that follows the record at `pc` whose taken flag is `taken`;
+    /// `ret` counts the returns already passed and advances past a taken
+    /// return. A return without a recorded target (the last record of a
+    /// trace that does not end in `halt`) continues at pc 0, which no
+    /// record reads.
+    #[inline]
+    fn successor(&self, pc: u32, taken: bool, ret: &mut usize) -> u32 {
+        if !taken {
+            return pc + 1;
+        }
+        let target = self.targets[pc as usize];
+        if target != RET_TARGET {
+            return target;
+        }
+        let to = self.rets.get(*ret).copied().unwrap_or(0);
+        *ret += 1;
+        to
     }
 
-    /// The static pc executed at dynamic index `k`.
+    /// The pc of record `k` and the returns before it, from the checkpoint
+    /// of `k`'s 64-record word; `k` may be the trace length. Steps over the
+    /// word's taken records before `k` only: at most 63.
+    fn locate(&self, k: usize) -> (u32, usize) {
+        assert!(k <= self.len(), "dynamic index out of range");
+        // An index at the end of a whole last word starts from that word.
+        let w = (k / 64).min(self.marks.len().saturating_sub(1));
+        let Some(&Mark { pc, rets }) = self.marks.get(w) else {
+            // An empty trace.
+            return (self.program.entry().0, 0);
+        };
+        let (mut pc, mut ret) = (pc, rets as usize);
+        let span = (k - w * 64) as u32;
+        let mask = if span == 64 {
+            u64::MAX
+        } else {
+            (1u64 << span) - 1
+        };
+        let mut bits = self.taken[w] & mask;
+        let mut at = 0u32;
+        while bits != 0 {
+            let b = bits.trailing_zeros();
+            pc = self.successor(pc + (b - at), true, &mut ret);
+            at = b + 1;
+            bits &= bits - 1;
+        }
+        (pc + (span - at), ret)
+    }
+
+    /// The static pc executed at dynamic index `k`: O(1) from the
+    /// checkpoint of `k`'s 64-record word plus a step per taken record
+    /// before `k` in that word. A loop over the trace should walk
+    /// [`Trace::pcs`] or [`Trace::runs`] instead.
     ///
     /// # Panics
     ///
     /// Panics if `k` is out of range.
     #[inline]
     pub fn pc_at(&self, k: usize) -> Pc {
-        Pc(self.pcs[k])
+        assert!(k < self.len(), "dynamic index out of range");
+        Pc(self.locate(k).0)
+    }
+
+    /// The pcs of records `k..`, in execution order: a cursor that starts
+    /// from `k`'s checkpoint and then follows the taken flags.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is beyond the trace length.
+    pub fn pcs_from(&self, k: usize) -> Pcs<'_> {
+        let (pc, ret) = self.locate(k);
+        Pcs {
+            trace: self,
+            k,
+            pc,
+            ret,
+        }
+    }
+
+    /// Every record's pc, in execution order.
+    pub fn pcs(&self) -> Pcs<'_> {
+        self.pcs_from(0)
+    }
+
+    /// The pc stream as straight-line runs, in execution order: each run's
+    /// records executed consecutive pcs, and only its last record may have
+    /// redirected fetch.
+    pub fn runs(&self) -> Runs<'_> {
+        let (pc, ret) = self.locate(0);
+        Runs {
+            trace: self,
+            k: 0,
+            pc,
+            ret,
+        }
+    }
+
+    /// The pc each taken return went to, one per return in execution order
+    /// (a return that ends the trace has none). The entry of a return at
+    /// dynamic index `k` is `ret_targets()[trace.ret_rank(k)]`.
+    pub fn ret_targets(&self) -> &[u32] {
+        &self.rets
+    }
+
+    /// The number of taken returns before dynamic index `k` (`k` may be the
+    /// trace length): the position of record `k`'s entry in
+    /// [`Trace::ret_targets`] when it is a return. As cheap as
+    /// [`Trace::pc_at`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is beyond the trace length.
+    pub fn ret_rank(&self, k: usize) -> usize {
+        self.locate(k).1
     }
 
     /// Whether the instruction at dynamic index `k` redirected fetch.
@@ -564,7 +769,7 @@ impl Trace {
     /// Panics if `k` is out of range.
     #[inline]
     pub fn taken_at(&self, k: usize) -> bool {
-        assert!(k < self.pcs.len(), "dynamic index out of range");
+        assert!(k < self.len(), "dynamic index out of range");
         self.taken[k / 64] & (1u64 << (k % 64)) != 0
     }
 
@@ -585,7 +790,7 @@ impl Trace {
     /// Panics if `k` is beyond the trace length.
     #[inline]
     pub fn mem_rank(&self, k: usize) -> usize {
-        assert!(k <= self.pcs.len(), "dynamic index out of range");
+        assert!(k <= self.len(), "dynamic index out of range");
         self.mem.below(k).unwrap_or(self.addrs.len())
     }
 
@@ -597,7 +802,7 @@ impl Trace {
     /// Panics if `k` is out of range.
     #[inline]
     pub fn addr_at(&self, k: usize) -> u64 {
-        assert!(k < self.pcs.len(), "dynamic index out of range");
+        assert!(k < self.len(), "dynamic index out of range");
         self.mem.rank(k).map_or(0, |r| self.addrs[r])
     }
 
@@ -614,11 +819,11 @@ impl Trace {
 
     /// The record at dynamic index `k`, assembled from the columns.
     pub fn record(&self, k: usize) -> Option<DynInst> {
-        if k >= self.pcs.len() {
+        if k >= self.len() {
             return None;
         }
         Some(DynInst {
-            pc: Pc(self.pcs[k]),
+            pc: self.pc_at(k),
             taken: self.taken_at(k),
             addr: self.addr_at(k),
             result: self.results.get(k),
@@ -627,11 +832,12 @@ impl Trace {
 
     /// Iterates over all dynamic records, in execution order.
     pub fn iter_records(&self) -> impl Iterator<Item = DynInst> + '_ {
-        self.dense_addrs()
+        self.pcs()
+            .zip(self.dense_addrs())
             .zip(self.results.iter())
             .enumerate()
-            .map(|(k, (addr, result))| DynInst {
-                pc: Pc(self.pcs[k]),
+            .map(|(k, ((pc, addr), result))| DynInst {
+                pc,
                 taken: self.taken[k / 64] & (1u64 << (k % 64)) != 0,
                 addr,
                 result,
@@ -645,7 +851,8 @@ impl Trace {
         self.iter_records().collect()
     }
 
-    /// The static instruction executed at dynamic index `k`.
+    /// The static instruction executed at dynamic index `k`, found through
+    /// [`Trace::pc_at`].
     ///
     /// Every generated or deserialized trace keeps its pcs inside the
     /// program ([`Trace::validate`] checks exactly this), so the inner
@@ -655,11 +862,11 @@ impl Trace {
     ///
     /// Panics if `k` is out of range.
     pub fn inst(&self, k: usize) -> &Inst {
-        &self.program.insts()[self.pcs[k] as usize]
+        &self.program.insts()[self.pc_at(k).index()]
     }
 
     /// Checks the structural invariant every downstream consumer relies on:
-    /// each recorded pc names an instruction of the program.
+    /// each record's pc names an instruction of the program.
     ///
     /// Generated traces satisfy this by construction and the binary reader
     /// re-checks it record by record; call this when records arrive from any
@@ -670,8 +877,9 @@ impl Trace {
     /// Returns [`TraceError::BadPc`] naming the first out-of-range pc.
     pub fn validate(&self) -> Result<(), TraceError> {
         let len = self.program.len();
-        for &pc in &self.pcs {
-            if pc as usize >= len {
+        for run in self.runs() {
+            if run.pcs.end as usize > len {
+                let pc = run.pcs.start.max(len as u32);
                 return Err(TraceError::BadPc { pc: Pc(pc), len });
             }
         }
@@ -689,8 +897,10 @@ impl Trace {
     /// static instruction.
     pub fn execution_counts(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.program.len()];
-        for &pc in &self.pcs {
-            counts[pc as usize] += 1;
+        for run in self.runs() {
+            for pc in run.pcs {
+                counts[pc as usize] += 1;
+            }
         }
         counts
     }
@@ -699,8 +909,8 @@ impl Trace {
     pub fn mix(&self) -> TraceMix {
         let mut mix = TraceMix::default();
         let insts = self.program.insts();
-        for (k, &pc) in self.pcs.iter().enumerate() {
-            let inst = &insts[pc as usize];
+        for (k, pc) in self.pcs().enumerate() {
+            let inst = &insts[pc.index()];
             mix.total += 1;
             if inst.is_load() {
                 mix.loads += 1;
@@ -716,6 +926,102 @@ impl Trace {
             }
         }
         mix
+    }
+}
+
+/// A cursor over a trace's pc stream, from [`Trace::pcs_from`]: each step
+/// reads one taken flag, and a taken record's static target or return
+/// target.
+#[derive(Debug, Clone)]
+pub struct Pcs<'a> {
+    trace: &'a Trace,
+    /// The dynamic index of the next record.
+    k: usize,
+    /// That record's pc.
+    pc: u32,
+    /// The taken returns before it.
+    ret: usize,
+}
+
+impl Iterator for Pcs<'_> {
+    type Item = Pc;
+
+    #[inline]
+    fn next(&mut self) -> Option<Pc> {
+        let k = self.k;
+        if k >= self.trace.len() {
+            return None;
+        }
+        let pc = self.pc;
+        let taken = self.trace.taken[k / 64] & (1u64 << (k % 64)) != 0;
+        self.pc = self.trace.successor(pc, taken, &mut self.ret);
+        self.k = k + 1;
+        Some(Pc(pc))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.trace.len() - self.k;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Pcs<'_> {}
+
+/// A straight-line stretch of a trace's pc stream: records
+/// `start..start + pcs.len()` executed the consecutive pcs `pcs`, and only
+/// the last of them may have redirected fetch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Run {
+    /// The dynamic index of the run's first record.
+    pub start: usize,
+    /// The pcs the run's records executed, in order.
+    pub pcs: Range<u32>,
+}
+
+/// The straight-line runs of a trace's pc stream, from [`Trace::runs`]:
+/// each step finds the next taken flag with one scan over the packed words.
+#[derive(Debug, Clone)]
+pub struct Runs<'a> {
+    trace: &'a Trace,
+    /// The dynamic index of the next run's first record.
+    k: usize,
+    /// That record's pc.
+    pc: u32,
+    /// The taken returns before it.
+    ret: usize,
+}
+
+impl Iterator for Runs<'_> {
+    type Item = Run;
+
+    #[inline]
+    fn next(&mut self) -> Option<Run> {
+        let (start, n) = (self.k, self.trace.len());
+        if start >= n {
+            return None;
+        }
+        let taken = &self.trace.taken;
+        let mut w = start / 64;
+        let mut word = taken[w] & (u64::MAX << (start % 64));
+        while word == 0 && w + 1 < taken.len() {
+            w += 1;
+            word = taken[w];
+        }
+        // The run ends after the next taken record, or at the trace end
+        // (the last word's bits beyond it are clear).
+        let (end, redirected) = if word == 0 {
+            (n, false)
+        } else {
+            (w * 64 + word.trailing_zeros() as usize + 1, true)
+        };
+        let last = self.pc + (end - start - 1) as u32;
+        let run = Run {
+            start,
+            pcs: self.pc..last + 1,
+        };
+        self.pc = self.trace.successor(last, redirected, &mut self.ret);
+        self.k = end;
+        Some(run)
     }
 }
 
@@ -777,8 +1083,9 @@ mod tests {
     /// capacity beyond its length.
     fn assert_tight(trace: &Trace, what: &str) {
         let caps = [
-            ("pcs", trace.pcs.capacity(), trace.pcs.len()),
             ("taken", trace.taken.capacity(), trace.taken.len()),
+            ("marks", trace.marks.capacity(), trace.marks.len()),
+            ("rets", trace.rets.capacity(), trace.rets.len()),
             ("addrs", trace.addrs.capacity(), trace.addrs.len()),
             ("mem.mask", trace.mem.mask.capacity(), trace.mem.mask.len()),
             (
@@ -809,7 +1116,8 @@ mod tests {
     fn held_bytes(trace: &Trace) -> u64 {
         let r = &trace.results;
         let words = trace.taken.len() + trace.mem.mask.len() + r.wide.mask.len();
-        let u32s = trace.pcs.len()
+        let u32s = 2 * trace.marks.len()
+            + trace.rets.len()
             + trace.mem.before.len()
             + r.lo.len()
             + r.hi.len()
@@ -868,12 +1176,13 @@ mod tests {
     /// refuses it.
     #[test]
     fn the_trace_cap_counts_the_columns_bytes() {
-        let mut bounded = 0;
+        let (mut bounded, mut returns) = (0, 0);
         for w in specmt_workloads::suite(specmt_workloads::Scale::Tiny) {
             let t = Trace::generate(w.program.clone(), w.step_budget).unwrap();
             let bytes = held_bytes(&t);
             assert_eq!(t.column_bytes(), bytes, "{}", w.name);
             assert!(t.results.wide_len() > 0, "{}: no wide result", w.name);
+            returns += t.rets.len();
             // The emulated-memory cap is the same figure, so it is checked
             // only as far as the workload's memory fits under it.
             let mut emu = Emulator::new(w.program.clone());
@@ -901,6 +1210,7 @@ mod tests {
             bounded > 0,
             "no workload's memory fits under its trace bytes"
         );
+        assert!(returns > 0, "no tiny workload's cap counts a return");
     }
 
     /// Every tiny suite trace reads back, through `result_at`, `record`
@@ -920,6 +1230,73 @@ mod tests {
             }
             assert_eq!(emu.step(), Ok(StepOutcome::Halted), "{}", w.name);
         }
+    }
+
+    /// Every tiny suite trace derives the emulator's pc stream: `pc_at` at
+    /// every record, a cursor started at every 64-record word boundary (the
+    /// trace end included) and at pseudo-random indices, `ret_rank`, and
+    /// the straight-line runs, each of which only its last record may
+    /// leave by a taken flag.
+    #[test]
+    fn derived_pcs_match_the_emulator_on_the_tiny_suite() {
+        let mut returns = 0;
+        for w in specmt_workloads::suite(specmt_workloads::Scale::Tiny) {
+            let trace = Trace::generate(w.program.clone(), w.step_budget).unwrap();
+            let insts = trace.program().insts();
+            let mut emu = Emulator::new(w.program.clone());
+            // The emulator's pcs, and the returns before each record.
+            let (mut pcs, mut rets_before, mut targets) = (Vec::new(), vec![0], Vec::new());
+            while let Ok(StepOutcome::Executed(rec)) = emu.step() {
+                pcs.push(rec.pc);
+                let mut r = rets_before[rets_before.len() - 1];
+                if insts[rec.pc.index()].is_ret() {
+                    targets.push(emu.pc().0);
+                    r += 1;
+                }
+                rets_before.push(r);
+            }
+            let n = trace.len();
+            assert_eq!(pcs.len(), n, "{}", w.name);
+            assert_eq!(trace.ret_targets(), &targets[..], "{}", w.name);
+            returns += targets.len();
+            for (k, &pc) in pcs.iter().enumerate() {
+                assert_eq!(trace.pc_at(k), pc, "{}: pc_at({k})", w.name);
+            }
+            assert_eq!(trace.pcs().collect::<Vec<_>>(), pcs, "{}", w.name);
+            let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ n as u64;
+            let random = (0..64).map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % (n as u64 + 1)) as usize
+            });
+            for k in (0..=n).step_by(64).chain([n]).chain(random) {
+                let from: Vec<Pc> = trace.pcs_from(k).take(130).collect();
+                let want = &pcs[k..(k + 130).min(n)];
+                assert_eq!(from, want, "{}: cursor from {k}", w.name);
+                assert_eq!(
+                    trace.ret_rank(k),
+                    rets_before[k],
+                    "{}: ret_rank({k})",
+                    w.name
+                );
+            }
+            let mut next = 0;
+            for run in trace.runs() {
+                assert_eq!(run.start, next, "{}", w.name);
+                let len = run.pcs.len();
+                assert!(len > 0, "{}: empty run at {next}", w.name);
+                for (i, pc) in run.pcs.enumerate() {
+                    assert_eq!(Pc(pc), pcs[next + i], "{}: run record {}", w.name, next + i);
+                    if i + 1 < len {
+                        assert!(!trace.taken_at(next + i), "{}: taken mid-run", w.name);
+                    }
+                }
+                next += len;
+            }
+            assert_eq!(next, n, "{}", w.name);
+        }
+        assert!(returns > 0, "no tiny workload returns");
     }
 
     /// A value is narrow exactly when it is the sign extension of its low
@@ -1039,7 +1416,7 @@ mod tests {
     #[test]
     fn bounded_generation_caps_the_trace_columns() {
         // `top: addi r1, r1, 1; j top; halt` never halts; its ten million
-        // steps would record ~200 MB of columns.
+        // steps would record ~46 MB of columns.
         let mut b = ProgramBuilder::new();
         let top = b.fresh_label("top");
         b.bind(top);
@@ -1084,10 +1461,11 @@ mod tests {
         // of exactly the records that fit runs out first; one more record
         // outgrows the cap.
         let fit = (1..)
-            .take_while(|&r| column_bytes(r, r / 2, 0) <= limit)
+            .take_while(|&r| column_bytes(r, r / 2, 0, 0) <= limit)
             .last()
             .unwrap();
-        assert!(fit < limit / 12, "stores must count: {fit} records fit");
+        // Without their addresses, about limit / 4.6 records would fit.
+        assert!(fit < limit / 8, "stores must count: {fit} records fit");
         let err = Trace::generate_bounded(spin.clone(), fit, limit).unwrap_err();
         assert_eq!(err, TraceError::StepLimitExceeded { limit: fit });
         let err = Trace::generate_bounded(spin, fit + 1, limit).unwrap_err();
@@ -1183,6 +1561,7 @@ mod tests {
             assert_eq!(trace.mem_addrs().len(), mem);
             assert_eq!(trace.record(trace.len()), None);
             assert_eq!(trace.pcs().len(), trace.len());
+            assert_eq!(trace.pcs().count(), trace.len());
         }
         let mix = Trace::generate(memory_loop_program(40), 1000)
             .unwrap()

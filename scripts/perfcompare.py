@@ -2,6 +2,7 @@
 """Compare the benchmark of two revisions in interleaved pairs.
 
     python3 scripts/perfcompare.py BASE [CHANGE] WORKLOAD... [--seconds S]
+        [--claim METRIC:WORKLOAD]...
 
 CHANGE defaults to HEAD; each WORKLOAD names a workload of
 BENCHMARK.json. Each revision is checked out into its own temporary
@@ -17,6 +18,13 @@ median of a metric is worse than the base's by more than that metric's
 or a checkout fails. A metric worse than its bound but inside the
 base's IQR is reported as unresolved: the runs cannot tell it from
 host noise.
+
+Each `--claim METRIC:WORKLOAD` (for example `--claim
+peak_rss_mb:paper_cold`) names a gain the change claims; WORKLOAD must
+be one of the workloads compared. The claim is met when the change won
+at least 9 of the 10 pairs on METRIC and its median is better than the
+base's by more than the base's IQR. The script reports each claim as
+met or not, and exits 1 if any is not.
 """
 
 import argparse
@@ -29,6 +37,8 @@ import tempfile
 from pathlib import Path
 
 PAIRS = 10
+# Pairs of PAIRS a claimed gain must win.
+CLAIM_WINS = 9
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -66,6 +76,20 @@ def compare(metric, base, change):
     return line.rstrip(), failure if verdict == "REGRESSED" else None
 
 
+def check_claim(metric, base, change):
+    """Whether `change` meets the claim on `metric`, and its report line."""
+    better = metric["better"]
+    b, c = statistics.median(base), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(base, n=4)
+    won = sum((y < x) if better == "lower" else (y > x) for x, y in zip(base, change))
+    gain = b - c if better == "lower" else c - b
+    met = won >= CLAIM_WINS and gain > q3 - q1
+    line = (f"  claim {metric['name']}: change won {won}/{len(base)} (needs {CLAIM_WINS}), "
+            f"medians {b:.6g} -> {c:.6g} ({(c - b) / b:+.1%}), gain {gain:.6g} vs base IQR "
+            f"{q3 - q1:.6g}: {'met' if met else 'NOT met'}")
+    return met, line
+
+
 def main():
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
@@ -75,12 +99,21 @@ def main():
                    help=f"optional change revision (default HEAD), then workloads: {workloads}")
     p.add_argument("--seconds", type=float, default=10,
                    help="--seconds of every perfbench run (default 10)")
+    p.add_argument("--claim", action="append", default=[], metavar="METRIC:WORKLOAD",
+                   help="a claimed gain; exit 1 unless the change wins "
+                        f"{CLAIM_WINS}/{PAIRS} pairs by more than the base IQR")
     args = p.parse_args()
     change, chosen = (("HEAD", args.rest) if args.rest[0] in workloads
                       else (args.rest[0], args.rest[1:]))
     unknown = [w for w in chosen if w not in workloads]
     if not chosen or unknown:
         p.error(f"workloads must be among {workloads}, got {chosen}")
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    claims = [tuple(c.partition(":")[::2]) for c in args.claim]
+    for name, w in claims:
+        if name not in metrics or w not in chosen:
+            p.error(f"--claim must be METRIC:WORKLOAD with METRIC among {list(metrics)} "
+                    f"and WORKLOAD among the compared {chosen}, got {name}:{w}")
 
     try:
         revs = {side: git("rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}")
@@ -118,6 +151,11 @@ def main():
                     print(line)
                     if regression:
                         failures.append(f"{w} {regression}")
+                    if (metric["name"], w) in claims:
+                        met, line = check_claim(metric, values["base"], values["change"])
+                        print(line)
+                        if not met:
+                            failures.append(f"{w} claim on {metric['name']} not met")
                 for side, rs in runs.items():
                     bad = sum(not r["correct"] for r in rs)
                     if bad:

@@ -13,6 +13,12 @@
 //! * and — the big one — the simulator commits exactly the sequential
 //!   trace under *adversarial* spawn tables built from random program
 //!   points, with random policies enabled.
+//!
+//! A second strategy adds calls to random functions that return through a
+//! link register the call set, one reloaded from the stack, or one set by
+//! `li` or moved past the next instruction by `addi`, and checks that the
+//! pc stream the trace derives from its taken flags and return targets is
+//! the emulator's.
 
 use std::collections::HashMap;
 
@@ -115,6 +121,129 @@ fn build_program(segments: &[Segment]) -> Program {
         }
     }
     b.halt();
+    b.build().expect("generated program is structurally valid")
+}
+
+/// How a generated function returns.
+#[derive(Debug, Clone, Copy)]
+enum Return {
+    /// Through the link register its call set.
+    Link,
+    /// Saves the link register on the stack, calls a leaf, reloads it.
+    Reloaded,
+    /// `addi ra, ra, 1`: skips the instruction after its call site.
+    Skip,
+    /// `li ra, ...`: to the instruction after its call site, by address.
+    Li,
+}
+
+#[derive(Debug, Clone)]
+enum CallSegment {
+    Block(Vec<Op>),
+    /// A call to a function of its own that runs the body and returns so.
+    Call(Return, Vec<Op>),
+    /// Counted loop whose body is such a call.
+    LoopCall(u8, Return, Vec<Op>),
+}
+
+fn return_strategy() -> impl Strategy<Value = Return> {
+    prop_oneof![
+        Just(Return::Link),
+        Just(Return::Reloaded),
+        Just(Return::Skip),
+        Just(Return::Li),
+    ]
+}
+
+fn call_segment_strategy() -> impl Strategy<Value = CallSegment> {
+    prop_oneof![
+        prop::collection::vec(op_strategy(), 1..12).prop_map(CallSegment::Block),
+        (
+            return_strategy(),
+            prop::collection::vec(op_strategy(), 0..8)
+        )
+            .prop_map(|(r, body)| CallSegment::Call(r, body)),
+        (
+            2u8..9,
+            return_strategy(),
+            prop::collection::vec(op_strategy(), 0..6)
+        )
+            .prop_map(|(t, r, body)| CallSegment::LoopCall(t, r, body)),
+    ]
+}
+
+/// Lowers call segments to a program that always halts: the main body first,
+/// then one function per call site (so an `li` return knows its site's
+/// address), then the leaf the `Reloaded` functions call.
+fn build_call_program(segments: &[CallSegment]) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::R26, DATA);
+    // Per call site: the callee's name, how it returns, its body and the
+    // site's address.
+    let mut sites: Vec<(String, Return, &[Op], Pc)> = Vec::new();
+    let call = |b: &mut ProgramBuilder, ret: Return, si: usize| {
+        let site = b.call(&format!("f{si}"));
+        if let Return::Skip = ret {
+            // Skipped by the return.
+            b.addi(Reg::R10, Reg::R10, 1);
+        }
+        site
+    };
+    for (si, seg) in segments.iter().enumerate() {
+        match seg {
+            CallSegment::Block(ops) => {
+                for op in ops {
+                    emit_op(&mut b, op);
+                }
+            }
+            CallSegment::Call(ret, body) => {
+                let site = call(&mut b, *ret, si);
+                sites.push((format!("f{si}"), *ret, body, site));
+            }
+            CallSegment::LoopCall(trips, ret, body) => {
+                let top = b.fresh_label(&format!("loop{si}"));
+                b.li(Reg::R27, 0);
+                b.li(Reg::R28, *trips as i64);
+                b.bind(top);
+                let site = call(&mut b, *ret, si);
+                sites.push((format!("f{si}"), *ret, body, site));
+                b.addi(Reg::R27, Reg::R27, 1);
+                b.blt(Reg::R27, Reg::R28, top);
+            }
+        }
+    }
+    b.halt();
+    for (name, ret, body, site) in sites {
+        b.begin_func(&name);
+        if let Return::Reloaded = ret {
+            b.prologue();
+        }
+        for op in body {
+            emit_op(&mut b, op);
+        }
+        match ret {
+            Return::Link => {
+                b.ret();
+            }
+            Return::Reloaded => {
+                b.call("leaf");
+                b.epilogue_ret();
+            }
+            Return::Skip => {
+                b.addi(Reg::RA, Reg::RA, 1);
+                b.ret();
+            }
+            Return::Li => {
+                b.li(Reg::RA, i64::from(site.0) + 1);
+                b.ret();
+            }
+        }
+        b.end_func();
+    }
+    b.begin_func("leaf");
+    b.addi(Reg::R11, Reg::R11, 1);
+    b.ret();
+    b.end_func();
     b.build().expect("generated program is structurally valid")
 }
 
@@ -242,5 +371,65 @@ proptest! {
         // Sequential semantics imply the cycle count is at least the
         // depth-bound of the fetch stage.
         prop_assert!(r.cycles as usize >= trace.len() / (4 * tus.max(1)) / 2);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The trace keeps no pc column: every record's pc is derived from the
+    /// taken flags, the static targets and the return targets. Whatever
+    /// way a function returns, the derived stream is the emulator's,
+    /// through the cursor, `pc_at`, the straight-line runs and the codec;
+    /// the engine's own pc cursor is checked against `pc_at` at every
+    /// window start (a debug assertion) under a table of random pairs.
+    #[test]
+    fn derived_pcs_follow_calls_and_returns(
+        segments in prop::collection::vec(call_segment_strategy(), 1..6),
+        seed_table in table_strategy(400),
+    ) {
+        let program = build_call_program(&segments);
+        let len = program.len() as u32;
+        let trace = Trace::generate(program.clone(), 50_000).expect("generated programs halt");
+        let mut emu = Emulator::new(program);
+        let mut pcs = trace.pcs();
+        let mut returns = 0;
+        for k in 0..trace.len() {
+            let Ok(StepOutcome::Executed(rec)) = emu.step() else {
+                panic!("the emulator stopped before record {k}");
+            };
+            prop_assert_eq!(pcs.next(), Some(rec.pc), "cursor at record {}", k);
+            prop_assert_eq!(trace.pc_at(k), rec.pc, "pc_at({})", k);
+            prop_assert_eq!(trace.ret_rank(k), returns, "ret_rank({})", k);
+            prop_assert_eq!(trace.record(k), Some(rec), "record {}", k);
+            if trace.program().insts()[rec.pc.index()].is_ret() {
+                prop_assert_eq!(trace.ret_targets()[returns], emu.pc().0, "return {}", returns);
+                returns += 1;
+            }
+        }
+        prop_assert_eq!(pcs.next(), None);
+        prop_assert_eq!(emu.step(), Ok(StepOutcome::Halted));
+        prop_assert_eq!(trace.ret_targets().len(), returns);
+        prop_assert_eq!(trace.ret_rank(trace.len()), returns);
+        let from_runs: Vec<Pc> = trace.runs().flat_map(|run| run.pcs.map(Pc)).collect();
+        prop_assert_eq!(from_runs, trace.pcs().collect::<Vec<_>>());
+        let mut bytes = Vec::new();
+        trace.write_to(&mut bytes).expect("serialize");
+        let copy = Trace::from_bytes(&bytes).expect("a written trace reads back");
+        prop_assert_eq!(copy.records_vec(), trace.records_vec());
+        let table = SpawnTable::from_pairs(
+            seed_table
+                .iter()
+                .map(|p| SpawnPair {
+                    sp: Pc(p.sp.0 % len),
+                    cqip: Pc(p.cqip.0 % len),
+                    ..*p
+                })
+                .collect(),
+        );
+        let r = Simulator::with_table(&trace, SimConfig::paper(4), &table)
+            .run()
+            .expect("simulation");
+        prop_assert_eq!(r.committed_instructions, trace.len() as u64);
     }
 }

@@ -144,7 +144,7 @@ fn assembly_input_is_memory_capped() {
 }
 
 /// A three-line spin loop never halts: within its 100 M step budget it
-/// would record ~2 GB of trace columns. `specmt run` must stop it at the
+/// would record ~460 MB of trace columns. `specmt run` must stop it at the
 /// CLI's 64 MiB trace cap with a limit error.
 #[test]
 fn assembly_input_trace_is_capped() {
