@@ -105,28 +105,38 @@ pub struct DynCfg {
 }
 
 impl DynCfg {
-    /// Builds the graph from a block stream and its decomposition.
+    /// Builds the graph from a block stream and its decomposition, taking
+    /// block totals and transition edges in one walk over the stream.
     pub fn build(stream: &BlockStream, bbs: &BasicBlocks) -> DynCfg {
         let n = bbs.num_blocks();
-        let totals = stream.block_totals();
-        let nodes = (0..n)
-            .map(|i| CfgNode {
-                start: bbs.start(i as BlockId),
-                static_len: bbs.len_of(i as BlockId),
-                occurrences: totals[i].0,
-                instructions: totals[i].1,
-                pruned: false,
-            })
-            .collect();
+        let mut totals = vec![(0u64, 0u64); n];
         let mut cfg = DynCfg {
-            nodes,
+            nodes: Vec::new(),
             edges: BTreeMap::new(),
             succs: vec![Vec::new(); n],
             preds: vec![Vec::new(); n],
         };
-        for w in stream.events().windows(2) {
-            cfg.add_weight(w[0].block, w[1].block, 1.0, 0.0);
+        let mut prev: Option<BlockId> = None;
+        for e in stream.events() {
+            let t = &mut totals[e.block as usize];
+            t.0 += 1;
+            t.1 += u64::from(e.len);
+            if let Some(from) = prev {
+                cfg.add_weight(from, e.block, 1.0, 0.0);
+            }
+            prev = Some(e.block);
         }
+        cfg.nodes = totals
+            .iter()
+            .enumerate()
+            .map(|(i, &(occurrences, instructions))| CfgNode {
+                start: bbs.start(i as BlockId),
+                static_len: bbs.len_of(i as BlockId),
+                occurrences,
+                instructions,
+                pruned: false,
+            })
+            .collect();
         cfg
     }
 

@@ -8,7 +8,8 @@
 //!
 //! 1. [`BasicBlocks`] — static decomposition of a program into basic blocks.
 //! 2. [`BlockStream`] — the dynamic trace re-expressed as a stream of basic
-//!    block executions.
+//!    block executions: a walk over the trace's straight-line runs, taken
+//!    afresh by each analysis that reads it, never stored as a vector.
 //! 3. [`DynCfg`] — the *dynamic control-flow graph*: blocks as nodes, edge
 //!    weights from observed transition frequencies. Supports the paper's
 //!    90 %-coverage pruning, splicing edges around pruned nodes with
@@ -48,7 +49,7 @@
 //!
 //! let trace = Trace::generate(program, 1_000)?;
 //! let stream = BlockStream::new(&trace, &bbs);
-//! assert_eq!(stream.events().len(), 1 + 8 + 1);
+//! assert_eq!(stream.events().count(), 1 + 8 + 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -40,9 +40,11 @@ pub struct PairStat {
 /// Two implementations produce bit-identical results:
 ///
 /// * [`ReachingAnalysis::compute`] — the production path. Tracked sources
-///   are taken 64 at a time, and one single-threaded pass over the stream
+///   are taken 64 at a time, and one single-threaded walk of the stream
 ///   per 64-source word holds that word's open-window and
 ///   credited-this-window state as packed `u64` bits over the *sources*.
+///   Untracked events only advance the walk; nothing is copied out of the
+///   stream.
 ///   Each event costs one `AND`/`ANDN` plus trailing-zeros extraction of
 ///   the newly credited bits, one unit of work per actual credit, and a
 ///   bit-clear sweep over the `tracked` credited words when the event
@@ -52,8 +54,10 @@ pub struct PairStat {
 ///   `O(events × tracked)` time. The differential test suite pits the two
 ///   against each other on random programs.
 ///
-/// Space is `O(tracked²)` bits for window state plus the `O(tracked²)`
-/// counter matrices. Track only the blocks kept by
+/// Space is `O(tracked²)` bits for window state plus one `O(tracked²)`
+/// matrix of interleaved `[reach, distance]` counter cells, which is also
+/// the output: nothing scales with the stream's length. Track only the
+/// blocks kept by
 /// [`DynCfg::prune_to_coverage`](crate::DynCfg) to keep both in hand —
 /// exactly why the paper prunes, too.
 ///
@@ -89,8 +93,10 @@ pub struct ReachingAnalysis {
     tracked: Vec<BlockId>,
     index_of: Vec<i32>,
     n: usize,
-    reach: Vec<u64>,
-    dist_sum: Vec<u64>,
+    /// `[reach count, distance sum]` per ordered pair, row-major by
+    /// source: both counters of a pair share a cache line, in the kernel
+    /// and in the readers alike.
+    cells: Vec<[u64; 2]>,
     occurrences: Vec<u64>,
 }
 
@@ -105,38 +111,24 @@ impl ReachingAnalysis {
     /// decomposition or a duplicate.
     pub fn compute(stream: &BlockStream, tracked: &[BlockId]) -> ReachingAnalysis {
         let (index_of, n) = Self::dense_mapping(stream, tracked);
-
-        // Pre-filter the stream once: untracked events only advance the
-        // instruction counter, so fold them into precomputed cumulative
-        // offsets and hand the kernel a dense (source-id, offset) list.
-        let mut events: Vec<(u32, u64)> = Vec::new();
-        let mut occurrences = vec![0u64; n];
-        let mut cum = 0u64;
-        for e in stream.events() {
-            let dense = index_of[e.block as usize];
-            if dense >= 0 {
-                events.push((dense as u32, cum));
-                occurrences[dense as usize] += 1;
-            }
-            cum += e.len as u64;
-        }
-
-        // The two counters live interleaved as `[reach, dist]` cells, so
-        // each credit touches a single cache line; they are split into the
-        // output matrices once, at the end.
         let mut cells = vec![[0u64; 2]; n * n];
+        let mut occurrences = vec![0u64; n];
         for lo in (0..n).step_by(64) {
             let count = (n - lo).min(64);
-            scan_word(lo, count, n, &events, &mut cells[lo * n..(lo + count) * n]);
+            scan_word(
+                lo,
+                count,
+                stream,
+                &index_of,
+                &mut cells[lo * n..(lo + count) * n],
+                &mut occurrences[lo..lo + count],
+            );
         }
-        let (reach, dist_sum) = cells.into_iter().map(|[r, d]| (r, d)).unzip();
-
         ReachingAnalysis {
             tracked: tracked.to_vec(),
             index_of,
             n,
-            reach,
-            dist_sum,
+            cells,
             occurrences,
         }
     }
@@ -152,8 +144,7 @@ impl ReachingAnalysis {
     pub fn compute_naive(stream: &BlockStream, tracked: &[BlockId]) -> ReachingAnalysis {
         let (index_of, n) = Self::dense_mapping(stream, tracked);
 
-        let mut reach = vec![0u64; n * n];
-        let mut dist_sum = vec![0u64; n * n];
+        let mut cells = vec![[0u64; 2]; n * n];
         let mut occurrences = vec![0u64; n];
         let mut open = vec![false; n];
         let mut win_start = vec![0u64; n];
@@ -168,8 +159,9 @@ impl ReachingAnalysis {
                 for (i, open_i) in open.iter().enumerate() {
                     if *open_i && !seen[i * n + j] {
                         seen[i * n + j] = true;
-                        reach[i * n + j] += 1;
-                        dist_sum[i * n + j] += cum - win_start[i];
+                        let cell = &mut cells[i * n + j];
+                        cell[0] += 1;
+                        cell[1] += cum - win_start[i];
                     }
                 }
                 occurrences[j] += 1;
@@ -184,8 +176,7 @@ impl ReachingAnalysis {
             tracked: tracked.to_vec(),
             index_of,
             n,
-            reach,
-            dist_sum,
+            cells,
             occurrences,
         }
     }
@@ -229,7 +220,7 @@ impl ReachingAnalysis {
         if self.occurrences[i] == 0 {
             return 0.0;
         }
-        self.reach[i * self.n + j] as f64 / self.occurrences[i] as f64
+        self.cells[i * self.n + j][0] as f64 / self.occurrences[i] as f64
     }
 
     /// Average instructions from `sp_block` to `cqip_block` over reaching
@@ -238,11 +229,11 @@ impl ReachingAnalysis {
         let (Some(i), Some(j)) = (self.dense(sp_block), self.dense(cqip_block)) else {
             return 0.0;
         };
-        let r = self.reach[i * self.n + j];
+        let [r, dist] = self.cells[i * self.n + j];
         if r == 0 {
             return 0.0;
         }
-        self.dist_sum[i * self.n + j] as f64 / r as f64
+        dist as f64 / r as f64
     }
 
     /// All ordered pairs whose probability is at least `min_prob` and whose
@@ -257,12 +248,12 @@ impl ReachingAnalysis {
                 continue;
             }
             for j in 0..self.n {
-                let r = self.reach[i * self.n + j];
+                let [r, dist] = self.cells[i * self.n + j];
                 if r == 0 {
                     continue;
                 }
                 let prob = r as f64 / self.occurrences[i] as f64;
-                let avg_dist = self.dist_sum[i * self.n + j] as f64 / r as f64;
+                let avg_dist = dist as f64 / r as f64;
                 if prob >= min_prob && avg_dist >= min_dist {
                     out.push(PairStat {
                         sp_block: self.tracked[i],
@@ -279,9 +270,10 @@ impl ReachingAnalysis {
     }
 }
 
-/// One pass over the events for the source word `lo .. lo + count`
+/// One walk of the stream for the source word `lo .. lo + count`
 /// (`count <= 64`), accumulating into that word's rows of the `[reach,
-/// dist]` cells (`count * n` of them, row-major by source).
+/// dist]` cells (`count * n` of them, row-major by source) and counting
+/// the word's source occurrences.
 ///
 /// The open-window set is one scalar `u64` over the word's sources, and
 /// the credited bits are a flat column of one `u64` per destination:
@@ -292,15 +284,27 @@ impl ReachingAnalysis {
 /// `j` as a source, its previous window closes and a fresh one opens: a
 /// branchless bit-clear sweep over the credited column, which vectorises.
 /// Open bits are only ever set for sources this word owns, so every
-/// credited row is below `count`. Re-reading the pre-filtered, dense event
-/// list once per 64 sources is sequential and cheap.
-fn scan_word(lo: usize, count: usize, n: usize, events: &[(u32, u64)], cells: &mut [[u64; 2]]) {
+/// credited row is below `count`. Events tile the trace, so an event's
+/// first dynamic index is the instruction count before it.
+fn scan_word(
+    lo: usize,
+    count: usize,
+    stream: &BlockStream,
+    index_of: &[i32],
+    cells: &mut [[u64; 2]],
+    occurrences: &mut [u64],
+) {
+    let n = cells.len() / count;
     let hi = lo + count;
     let mut open = 0u64;
     let mut credited = vec![0u64; n];
     let mut win_start = [0u64; 64];
-    for &(j, cum) in events {
-        let j = j as usize;
+    for e in stream.events() {
+        let dense = index_of[e.block as usize];
+        if dense < 0 {
+            continue;
+        }
+        let (j, cum) = (dense as usize, u64::from(e.first_dyn));
         let cw = credited[j];
         let mut newly = open & !cw;
         credited[j] = cw | open;
@@ -319,6 +323,7 @@ fn scan_word(lo: usize, count: usize, n: usize, events: &[(u32, u64)], cells: &m
             }
             win_start[i] = cum;
             open |= bit;
+            occurrences[i] += 1;
         }
     }
 }
@@ -420,8 +425,7 @@ mod tests {
     fn assert_identical(a: &ReachingAnalysis, b: &ReachingAnalysis) {
         assert_eq!(a.tracked, b.tracked);
         assert_eq!(a.occurrences, b.occurrences);
-        assert_eq!(a.reach, b.reach);
-        assert_eq!(a.dist_sum, b.dist_sum);
+        assert_eq!(a.cells, b.cells);
     }
 
     #[test]

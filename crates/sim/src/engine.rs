@@ -30,12 +30,13 @@
 //! The hot state lives in flat arenas / structure-of-arrays with dense
 //! index handles (DESIGN.md §13): per-pair runtime counters in a
 //! [`PairArena`] addressed by `PairId` (interned once, in sorted key
-//! order), spawn candidates and CQIP occurrences in CSR offset+value
-//! tables, per-thread-unit issue ports and functional units in fixed-size
-//! arrays, and per-static-instruction facts predecoded into a [`PreInst`]
-//! table so the cycle loop never interrogates the `Inst` enum. The machine
-//! itself is the fixed §4.1 core (see [`FETCH_WIDTH`] and its siblings), so
-//! widths and ring sizes are constants.
+//! order), spawn candidates in a CSR offset+value table, per-thread-unit
+//! issue ports and functional units in fixed-size arrays, and
+//! per-static-instruction facts predecoded into a [`PreInst`] table so the
+//! cycle loop never interrogates the `Inst` enum. Timing state is bounded
+//! by registers and memory records: no table has an entry per record. The
+//! machine itself is the fixed §4.1 core (see [`FETCH_WIDTH`] and its
+//! siblings), so widths and ring sizes are constants.
 
 use specmt_isa::{FuClass, Pc};
 use specmt_obs::{Event, EventSink, FaultKind, GateReason, MetricsRegistry, SquashReason};
@@ -49,6 +50,7 @@ use crate::config::{
     ROB_ENTRIES, SQUASH_PENALTY,
 };
 use crate::faults::FaultInjector;
+use crate::occurrences::CqipOccurrences;
 use crate::{L1Cache, SimConfig, SimError, SimResult};
 
 /// Dense handle into the [`PairArena`] columns.
@@ -317,32 +319,22 @@ struct Engine<'a, 's> {
     cand_offsets: Vec<u32>,
     /// Interned pair id per candidate.
     cand_pair: Vec<PairId>,
-    /// Dense CQIP index (into the occurrence CSR) per candidate.
+    /// Dense CQIP index (into the occurrence oracle) per candidate.
     cand_cqip: Vec<u32>,
     /// Per-pair dynamic state, indexed by `PairId`.
     pairs: PairArena,
-    /// CQIP occurrence CSR: the dynamic indices where dense CQIP `c`
-    /// occurs are `occ_values[occ_offsets[c]..occ_offsets[c + 1]]`,
-    /// ascending (built in one trace pass at construction).
-    occ_offsets: Vec<u32>,
-    occ_values: Vec<u32>,
-    /// Per-CQIP cursor into `occ_values`: the first occurrence not yet
-    /// known to be at or before the current spawn point. Spawn attempts
-    /// arrive at globally non-decreasing dynamic indices (windows are
-    /// processed in program order), so each cursor only ever advances —
-    /// the whole run's next-occurrence searches cost one amortised pass.
-    occ_cursor: Vec<u32>,
+    /// Where each dense CQIP next occurs after a spawn point.
+    occurrences: CqipOccurrences<'a>,
     /// Active (chained or doomed-this-window) thread count per dense CQIP,
     /// replacing a chain scan on every spawn attempt.
     cqip_active: Vec<u32>,
-    /// Completion time of every dynamic instruction processed so far.
-    ///
-    /// Stored as `u32`: this is the hottest randomly-indexed table
-    /// (producer lookups jump arbitrarily far back), so halving it doubles
-    /// the fraction that stays cache-resident. Completion times are far
-    /// below 2^32 for any trace the step budget admits (a debug assertion
-    /// guards the narrowing).
-    complete: Vec<u32>,
+    /// Completion time of each memory record processed so far, indexed by
+    /// its rank among the trace's loads and stores: a load finds its
+    /// producing store's time at that store's `Trace::mem_rank`. Only the
+    /// stores' entries are ever read. Stored as `u32`: completion times
+    /// are far below 2^32 for any trace the step budget admits (a debug
+    /// assertion guards the narrowing).
+    mem_done: Vec<u32>,
     // --- Hot per-thread-unit columns, scanned every cycle ---------------
     tu_free_at: Vec<u64>,
     /// Bitmask of non-busy units (bit `i` set ⟺ unit `i` is free; a
@@ -429,6 +421,10 @@ struct Engine<'a, 's> {
     /// register's entry never changes). For the same in-order reason, its
     /// entries are exactly the register producers of the next record.
     reg_writer: [u32; specmt_isa::NUM_REGS],
+    /// Completion time of each register's last writer, updated beside
+    /// `reg_writer`: a register operand's readiness. Entries of registers
+    /// never written are never read.
+    reg_done: [u64; specmt_isa::NUM_REGS],
 }
 
 impl<'a, 's> Engine<'a, 's> {
@@ -517,54 +513,7 @@ impl<'a, 's> Engine<'a, 's> {
             }
         }
 
-        // CQIP occurrence CSR: one walk over the trace's straight-line
-        // runs collects the (dense CQIP, dynamic index) hits into a compact
-        // list — typically a small fraction of the trace — and a counting
-        // sort over that list builds the offsets and per-CQIP ascending
-        // values.
-        let mut occ_offsets = vec![0u32; cqip_pcs.len() + 1];
-        let mut occ_values: Vec<u32> = Vec::new();
-        if !cqip_pcs.is_empty() {
-            let mut dense = vec![u32::MAX; program_len];
-            for (i, &pc) in cqip_pcs.iter().enumerate() {
-                // A table may name a CQIP pc beyond the program; it simply
-                // never occurs, so its occurrence range stays empty.
-                if let Some(d) = dense.get_mut(pc as usize) {
-                    *d = i as u32;
-                }
-            }
-            // The first CQIP pc at or after each pc (`program_len` when
-            // none): a run visits only the CQIPs inside its pc range.
-            let mut next_cqip = vec![program_len as u32; program_len + 1];
-            for pc in (0..program_len).rev() {
-                next_cqip[pc] = if dense[pc] == u32::MAX {
-                    next_cqip[pc + 1]
-                } else {
-                    pc as u32
-                };
-            }
-            let mut hits: Vec<(u32, u32)> = Vec::new();
-            for run in trace.runs() {
-                let mut pc = next_cqip[run.pcs.start as usize];
-                while pc < run.pcs.end {
-                    let k = run.start + (pc - run.pcs.start) as usize;
-                    hits.push((dense[pc as usize], k as u32));
-                    pc = next_cqip[pc as usize + 1];
-                }
-            }
-            for &(d, _) in &hits {
-                occ_offsets[d as usize + 1] += 1;
-            }
-            for i in 1..occ_offsets.len() {
-                occ_offsets[i] += occ_offsets[i - 1];
-            }
-            occ_values = vec![0u32; hits.len()];
-            let mut cursor = occ_offsets.clone();
-            for &(d, k) in &hits {
-                occ_values[cursor[d as usize] as usize] = k;
-                cursor[d as usize] += 1;
-            }
-        }
+        let occurrences = CqipOccurrences::new(trace, &cqip_pcs);
 
         // Functional-unit layout: identical for every thread unit.
         let mut fu_offset = [0usize; NUM_FU_CLASSES];
@@ -589,16 +538,14 @@ impl<'a, 's> Engine<'a, 's> {
         let metrics = cfg.observe.then(MetricsRegistry::new);
         let observing = sink.is_some() || metrics.is_some();
         Engine {
-            complete: vec![0; trace.len()],
+            mem_done: vec![0; trace.mem_addrs().len()],
             pre,
             cand_offsets,
             cand_pair,
             cand_cqip,
             pairs,
-            occ_cursor: occ_offsets[..occ_offsets.len() - 1].to_vec(),
-            cqip_active: vec![0; occ_offsets.len() - 1],
-            occ_offsets,
-            occ_values,
+            cqip_active: vec![0; cqip_pcs.len()],
+            occurrences,
             tu_free_at: vec![0; n_tus],
             tu_free_mask: u64::MAX >> (64 - n_tus),
             tu_free_count: n_tus,
@@ -634,6 +581,7 @@ impl<'a, 's> Engine<'a, 's> {
             ret_next: 0,
             mem_next: 0,
             reg_writer: [NO_PRODUCER; specmt_isa::NUM_REGS],
+            reg_done: [0; specmt_isa::NUM_REGS],
             trace,
             deps,
             cfg,
@@ -1039,6 +987,9 @@ impl<'a, 's> Engine<'a, 's> {
         let prods = pi
             .src
             .map(|r| self.reg_writer[usize::from(r) % specmt_isa::NUM_REGS]);
+        let times = pi
+            .src
+            .map(|r| self.reg_done[usize::from(r) % specmt_isa::NUM_REGS]);
         // Only then is `k` its destination's writer. An instruction with no
         // destination names the zero register and stores `NO_PRODUCER`
         // there, which keeps that entry unchanged.
@@ -1048,12 +999,8 @@ impl<'a, 's> Engine<'a, 's> {
             // Spawned thread under perfect prediction: every live-in is
             // available at `init_done` unconditionally, so resolution
             // collapses to selects on the producer index — no
-            // data-dependent branches. The producer index is clamped so
-            // the `complete` load is in-bounds even for `NO_PRODUCER`;
-            // the select then discards it.
-            let hi = self.complete.len() - 1;
-            for &p in &prods {
-                let c = u64::from(self.complete[(p as usize).min(hi)]);
+            // data-dependent branches.
+            for (&p, &c) in prods.iter().zip(&times) {
                 let avail = if p == NO_PRODUCER {
                     0
                 } else if (p as usize) < t.start {
@@ -1064,15 +1011,15 @@ impl<'a, 's> Engine<'a, 's> {
                 ready = ready.max(avail);
             }
         } else {
-            for (&r, &p) in pi.src.iter().zip(&prods) {
+            for ((&r, &p), &c) in pi.src.iter().zip(&prods).zip(&times) {
                 if p == NO_PRODUCER {
                     continue;
                 }
                 let p = p as usize;
                 let avail = if p >= t.start {
-                    u64::from(self.complete[p])
+                    c
                 } else {
-                    self.live_in_time(t, r as usize, p)
+                    self.live_in_time(t, r as usize, p, c)
                 };
                 ready = ready.max(avail);
             }
@@ -1136,16 +1083,16 @@ impl<'a, 's> Engine<'a, 's> {
             let mp = self.deps.mem_producers()[m];
             if mp != NO_PRODUCER {
                 let mp = mp as usize;
+                let stored = u64::from(self.mem_done[trace.mem_rank(mp)]);
                 if mp >= t.start {
                     // Same-thread store-to-load forwarding.
-                    data = data.max(u64::from(self.complete[mp]));
-                } else if u64::from(self.complete[mp]) > t2 {
+                    data = data.max(stored);
+                } else if stored > t2 {
                     // Violation: the producing store in an earlier
                     // thread executes after this load issued. Squash
                     // and restart here.
                     self.result.violations += 1;
-                    let restart =
-                        u64::from(self.complete[mp]) + self.cfg.forward_latency + SQUASH_PENALTY;
+                    let restart = stored + self.cfg.forward_latency + SQUASH_PENALTY;
                     data = data.max(restart);
                     st.fetch_cycle = restart;
                     st.slots = 0;
@@ -1158,7 +1105,7 @@ impl<'a, 's> Engine<'a, 's> {
                     }
                 } else {
                     // Cross-thread forward out of the versioning cache.
-                    data = data.max(u64::from(self.complete[mp]) + self.cfg.forward_latency);
+                    data = data.max(stored + self.cfg.forward_latency);
                 }
             }
             done = data;
@@ -1171,13 +1118,15 @@ impl<'a, 's> Engine<'a, 's> {
                 });
             }
         } else if pi.flags & F_STORE != 0 {
-            self.touch_run.push(trace.mem_addrs()[self.mem_next]);
+            let m = self.mem_next;
             self.mem_next += 1;
+            self.touch_run.push(trace.mem_addrs()[m]);
             done = t2 + 1;
+            debug_assert!(done <= u64::from(u32::MAX));
+            self.mem_done[m] = done as u32;
         }
 
-        debug_assert!(done <= u64::from(u32::MAX));
-        self.complete[k] = done as u32;
+        self.reg_done[usize::from(pi.dst) % specmt_isa::NUM_REGS] = done;
         st.last_commit = st.last_commit.max(done);
         if st.rings {
             self.rob_ring[st.rob_i] = st.last_commit;
@@ -1238,13 +1187,14 @@ impl<'a, 's> Engine<'a, 's> {
     }
 
     /// Availability time of a live-in register value whose producer `p`
-    /// lies before the thread's window.
+    /// lies before the thread's window and completed at `produced`; `p`
+    /// itself only names the value a predictor must guess.
     #[inline(never)]
-    fn live_in_time(&mut self, t: &PendingThread, reg_idx: usize, p: usize) -> u64 {
+    fn live_in_time(&mut self, t: &PendingThread, reg_idx: usize, p: usize, produced: u64) -> u64 {
         if self.live_in_valid & (1 << reg_idx) != 0 {
             return self.live_in_vals[reg_idx];
         }
-        let forwarded = u64::from(self.complete[p]) + self.cfg.forward_latency;
+        let forwarded = produced + self.cfg.forward_latency;
         let avail = match t.pair {
             // The root thread (no spawn): values flow in program order.
             None => t.init_done.max(forwarded),
@@ -1436,23 +1386,14 @@ impl<'a, 's> Engine<'a, 's> {
                     fault: true,
                 });
             }
-            // Oracle: where does this CQIP next occur? Spawn attempts
-            // arrive at non-decreasing `k`, so the per-CQIP cursor resumes
-            // where the last search for this CQIP stopped.
-            let hi = self.occ_offsets[cd + 1] as usize;
-            let mut cur = self.occ_cursor[cd] as usize;
-            while cur < hi && self.occ_values[cur] as usize <= k {
-                cur += 1;
-            }
-            self.occ_cursor[cd] = cur as u32;
-            let next = (cur < hi).then(|| self.occ_values[cur]);
-            // The spawn is a control misspeculation unless the CQIP
-            // recurs before the spawner's current immediate successor:
-            // hardware discovers the mismatch when the spawner joins a
-            // different thread first (e.g. spawning "one more iteration"
-            // exactly when the loop exits).
+            // Oracle: where does this CQIP next occur? The spawn is a
+            // control misspeculation unless the CQIP recurs before the
+            // spawner's current immediate successor: hardware discovers
+            // the mismatch when the spawner joins a different thread
+            // first (e.g. spawning "one more iteration" exactly when the
+            // loop exits).
             let bound = self.chain.front().map(|c| c.start);
-            let next = next.filter(|&j| bound.is_none_or(|b| (j as usize) < b));
+            let next = self.occurrences.next_after(cd, k, bound);
             match next {
                 None => {
                     // Control misspeculation: squashed when we join.

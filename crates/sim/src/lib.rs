@@ -79,6 +79,7 @@ mod config;
 mod engine;
 mod error;
 mod faults;
+mod occurrences;
 mod result;
 
 /// Code revision of the timing model, a component of every

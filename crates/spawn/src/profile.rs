@@ -1,6 +1,6 @@
 //! The profile-based spawning-pair selector (§3.1).
 
-use specmt_analysis::{BasicBlocks, BlockStream, DynCfg, ReachingAnalysis};
+use specmt_analysis::{BasicBlocks, BlockStream, DynCfg, PairStat, ReachingAnalysis};
 use specmt_store::{Fingerprint, FingerprintHasher};
 use specmt_trace::{DepGraph, Trace, NO_PRODUCER};
 
@@ -148,7 +148,7 @@ pub fn profile_pairs(trace: &Trace, config: &ProfileConfig) -> ProfileResult {
             })
             .collect(),
         OrderCriterion::Independent | OrderCriterion::Predictable => {
-            let scorer = DepScorer::new(trace, &bbs, &stream);
+            let scorer = DepScorer::new(trace, &stream, &candidates, |b| reach.occurrences(b));
             candidates
                 .iter()
                 .map(|c| {
@@ -187,10 +187,10 @@ pub fn profile_pairs(trace: &Trace, config: &ProfileConfig) -> ProfileResult {
 struct DepScorer<'a> {
     trace: &'a Trace,
     deps: &'a DepGraph,
-    /// Event indices per block.
+    /// Per block, the first dynamic index of each of its occurrences,
+    /// ascending; kept only for the candidates' SP and CQIP blocks (empty
+    /// for every other block).
     occ: Vec<Vec<u32>>,
-    /// `first_dyn` per event.
-    event_dyn: Vec<u32>,
 }
 
 impl std::fmt::Debug for DepScorer<'_> {
@@ -210,18 +210,35 @@ const MAX_SCORE_WINDOW: usize = 2048;
 const MEM_BIT: u64 = 1 << 32;
 
 impl<'a> DepScorer<'a> {
-    fn new(trace: &'a Trace, bbs: &BasicBlocks, stream: &BlockStream) -> DepScorer<'a> {
-        let mut occ = vec![Vec::new(); bbs.num_blocks()];
-        let mut event_dyn = Vec::with_capacity(stream.events().len());
-        for (e, ev) in stream.events().iter().enumerate() {
-            occ[ev.block as usize].push(e as u32);
-            event_dyn.push(ev.first_dyn);
+    /// Collects the occurrence lists of the candidates' blocks in one walk
+    /// of `stream`, each list allocated at its exact length, `occurrences`
+    /// of the block.
+    fn new(
+        trace: &'a Trace,
+        stream: &BlockStream,
+        candidates: &[PairStat],
+        occurrences: impl Fn(u32) -> u64,
+    ) -> DepScorer<'a> {
+        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); stream.num_blocks()];
+        for c in candidates {
+            for b in [c.sp_block, c.cqip_block] {
+                let list = &mut occ[b as usize];
+                if list.capacity() == 0 {
+                    list.reserve_exact(occurrences(b) as usize);
+                }
+            }
+        }
+        // Only a candidate's block that occurs has a reserved list.
+        for ev in stream.events() {
+            let list = &mut occ[ev.block as usize];
+            if list.capacity() > 0 {
+                list.push(ev.first_dyn);
+            }
         }
         DepScorer {
             trace,
             deps: trace.deps(),
             occ,
-            event_dyn,
         }
     }
 
@@ -237,24 +254,23 @@ impl<'a> DepScorer<'a> {
         // Evenly-spaced sample of SP occurrences.
         let stride = (sp_occ.len() / DEP_SAMPLES).max(1);
         let mut windows: Vec<SampleWindow> = Vec::new();
-        for &e_i in sp_occ.iter().step_by(stride).take(DEP_SAMPLES) {
+        for &sp_dyn in sp_occ.iter().step_by(stride).take(DEP_SAMPLES) {
             // Window closes at the next SP occurrence.
-            let next_i = match sp_occ.binary_search(&(e_i + 1)) {
+            let next_sp = match sp_occ.binary_search(&(sp_dyn + 1)) {
                 Ok(p) | Err(p) => sp_occ.get(p).copied().unwrap_or(u32::MAX),
             };
-            // First CQIP occurrence strictly after the SP event...
-            let e_j = match cqip_occ.binary_search(&(e_i + 1)) {
+            // First CQIP occurrence strictly after the SP occurrence...
+            let cqip_dyn = match cqip_occ.binary_search(&(sp_dyn + 1)) {
                 Ok(p) | Err(p) => match cqip_occ.get(p) {
                     Some(&e) => e,
                     None => continue,
                 },
             };
             // ...that still falls inside the window.
-            if sp_block != cqip_block && e_j >= next_i {
+            if sp_block != cqip_block && cqip_dyn >= next_sp {
                 continue;
             }
-            let sp_dyn = self.event_dyn[e_i as usize] as usize;
-            let cqip_dyn = self.event_dyn[e_j as usize] as usize;
+            let (sp_dyn, cqip_dyn) = (sp_dyn as usize, cqip_dyn as usize);
             let dist = cqip_dyn - sp_dyn;
             let end = (cqip_dyn + dist.min(MAX_SCORE_WINDOW)).min(self.trace.len());
             windows.push(self.analyse_window(sp_dyn, cqip_dyn, end));
@@ -638,7 +654,7 @@ mod tests {
     fn check_windows_against_naive(trace: &Trace, samples: usize) {
         let bbs = BasicBlocks::of(trace.program());
         let stream = BlockStream::new(trace, &bbs);
-        let scorer = DepScorer::new(trace, &bbs, &stream);
+        let scorer = DepScorer::new(trace, &stream, &[], |_| 0);
         let n = trace.len();
         // A fixed xorshift sequence spreads the windows over the trace.
         let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ n as u64;
@@ -678,7 +694,7 @@ mod tests {
         let (sp_dyn, cqip_dyn) = (3 + 44 * 10, 3 + 44 * 11);
         let bbs = BasicBlocks::of(trace.program());
         let stream = BlockStream::new(&trace, &bbs);
-        let scorer = DepScorer::new(&trace, &bbs, &stream);
+        let scorer = DepScorer::new(&trace, &stream, &[], |_| 0);
         let w = scorer.analyse_window(sp_dyn, cqip_dyn, cqip_dyn + 44);
         assert_eq!(w.live_in_values[1], Some(11));
         assert_eq!(w.live_in_values[14], None);

@@ -14,17 +14,22 @@
 //!   trace under *adversarial* spawn tables built from random program
 //!   points, with random policies enabled.
 //!
+//! The block stream, walked from the trace's straight-line runs, must also
+//! equal a record-by-record reference, and the dynamic CFG's totals and
+//! edges must be that reference's, on both kinds of program.
+//!
 //! A second strategy adds calls to random functions that return through a
 //! link register the call set, one reloaded from the stack, or one set by
 //! `li` or moved past the next instruction by `addi`, and checks that the
 //! pc stream the trace derives from its taken flags and return targets is
 //! the emulator's.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
+use proptest::TestCaseResult;
 
-use specmt::analysis::{BasicBlocks, BlockStream, DynCfg, ReachingAnalysis};
+use specmt::analysis::{BasicBlocks, BlockEvent, BlockStream, DynCfg, ReachingAnalysis};
 use specmt::isa::{Pc, Program, ProgramBuilder, Reg};
 use specmt::predict::ValuePredictorKind;
 use specmt::sim::{RemovalPolicy, SimConfig, Simulator};
@@ -247,6 +252,69 @@ fn build_call_program(segments: &[CallSegment]) -> Program {
     b.build().expect("generated program is structurally valid")
 }
 
+/// The block events of `trace`, one record at a time from its pc cursor: a
+/// record at its block's start opens an event, and so does one entering a
+/// block mid-way (a return to a computed address) unless the open event is
+/// of that same block, which it then extends.
+fn reference_block_events(trace: &Trace, bbs: &BasicBlocks) -> Vec<BlockEvent> {
+    let mut events: Vec<BlockEvent> = Vec::new();
+    for (k, pc) in trace.pcs().enumerate() {
+        let block = bbs.block_of(pc);
+        match events.last_mut() {
+            Some(cur) if cur.block == block && !bbs.is_block_start(pc) => cur.len += 1,
+            _ => events.push(BlockEvent {
+                block,
+                len: 1,
+                first_dyn: k as u32,
+            }),
+        }
+    }
+    events
+}
+
+/// The walked block stream equals the record-by-record reference, and the
+/// dynamic CFG's per-block totals and transition edges are the reference's.
+fn check_block_walk(program: Program) -> TestCaseResult {
+    let trace = Trace::generate(program, 50_000).expect("generated programs halt");
+    let bbs = BasicBlocks::of(trace.program());
+    let stream = BlockStream::new(&trace, &bbs);
+    let reference = reference_block_events(&trace, &bbs);
+    prop_assert_eq!(stream.events().collect::<Vec<_>>(), reference.clone());
+    // A second walk of the same view yields the same events.
+    prop_assert_eq!(stream.events().count(), reference.len());
+
+    let cfg = DynCfg::build(&stream, &bbs);
+    let mut totals = vec![(0u64, 0u64); bbs.num_blocks()];
+    let mut edges: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+    for (i, e) in reference.iter().enumerate() {
+        totals[e.block as usize].0 += 1;
+        totals[e.block as usize].1 += u64::from(e.len);
+        if let Some(prev) = i.checked_sub(1).map(|p| reference[p].block) {
+            *edges.entry((prev, e.block)).or_default() += 1;
+        }
+    }
+    for (b, &(occurrences, instructions)) in totals.iter().enumerate() {
+        let node = cfg.node(b as u32);
+        prop_assert_eq!(node.occurrences, occurrences, "occurrences of block {}", b);
+        prop_assert_eq!(
+            node.instructions,
+            instructions,
+            "instructions of block {}",
+            b
+        );
+    }
+    let mut cfg_edges: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+    for b in 0..bbs.num_blocks() as u32 {
+        for (to, edge) in cfg.out_edges(b) {
+            cfg_edges.insert((b, to), edge.weight);
+        }
+    }
+    let expected: BTreeMap<(u32, u32), f64> =
+        edges.into_iter().map(|(k, n)| (k, n as f64)).collect();
+    prop_assert_eq!(cfg_edges, expected);
+    Ok(())
+}
+
 /// Random spawn tables over arbitrary program points — far more hostile
 /// than anything the selectors produce.
 fn table_strategy(len: usize) -> impl Strategy<Value = SpawnTable> {
@@ -313,7 +381,7 @@ proptest! {
         let bbs = BasicBlocks::of(trace.program());
         let stream = BlockStream::new(&trace, &bbs);
         // Events tile the trace.
-        let total: u64 = stream.events().iter().map(|e| e.len as u64).sum();
+        let total: u64 = stream.events().map(|e| e.len as u64).sum();
         prop_assert_eq!(total, trace.len() as u64);
         // Pruning conserves (never creates) edge weight.
         let mut cfg = DynCfg::build(&stream, &bbs);
@@ -383,6 +451,18 @@ proptest! {
     /// through the cursor, `pc_at`, the straight-line runs and the codec;
     /// the engine's own pc cursor is checked against `pc_at` at every
     /// window start (a debug assertion) under a table of random pairs.
+    /// The block walk over straight-line runs against the per-record
+    /// reference, on loop programs and on call programs, whose computed
+    /// returns can enter a block mid-way.
+    #[test]
+    fn block_walk_matches_a_per_record_reference(
+        segments in prop::collection::vec(segment_strategy(), 1..5),
+        calls in prop::collection::vec(call_segment_strategy(), 1..6),
+    ) {
+        check_block_walk(build_program(&segments))?;
+        check_block_walk(build_call_program(&calls))?;
+    }
+
     #[test]
     fn derived_pcs_follow_calls_and_returns(
         segments in prop::collection::vec(call_segment_strategy(), 1..6),
