@@ -69,7 +69,7 @@ use crate::{Bench, BenchError, HarnessError};
 /// `None` if the program cannot be serialized (the store is skipped, the
 /// pipeline still runs).
 pub fn trace_stage(workload: &Workload) -> Option<StageKey> {
-    let program_json = serde_json::to_vec(&workload.program).ok()?;
+    let program_json = serde_json::to_vec(workload.program.as_ref()).ok()?;
     Some(
         KeyBuilder::new("trace")
             .component("program", program_json.as_slice())
@@ -250,6 +250,25 @@ mod tests {
         for r in specmt_isa::Reg::all() {
             assert_eq!(warm.final_reg(r), cold.final_reg(r), "{r:?}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn traces_share_their_workloads_program() {
+        let shares = |bench: &Bench| {
+            std::sync::Arc::ptr_eq(bench.trace().program(), &bench.workload().program)
+        };
+        let eager = Bench::from_workload(workload()).expect("eager load");
+        assert!(shares(&eager), "the eager path copies the program");
+        let records = eager.trace().len() as u64;
+        let lazy = Bench::from_manifest(workload(), records);
+        assert!(shares(&lazy), "the lazy path copies the program");
+
+        let (dir, store) = scratch_store("shared-program");
+        let (cold, _) = bench_via_store(&store, workload(), "li-tiny").expect("cold load");
+        let (warm, _) = bench_via_store(&store, workload(), "li-tiny").expect("warm load");
+        assert!(!warm.has_trace());
+        assert!(shares(&cold) && shares(&warm));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

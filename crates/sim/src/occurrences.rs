@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 
+use specmt_isa::Pc;
 use specmt_trace::{Run, Runs, Trace};
 
 /// For every CQIP of a spawn table, its next dynamic occurrence after a
@@ -14,8 +15,9 @@ use specmt_trace::{Run, Runs, Trace};
 /// never answer again and is dropped whenever its queue is touched. The
 /// queues therefore hold only occurrences between the latest spawn point
 /// and the walk's frontier, not the whole trace's. A CQIP's last occurrence
-/// is known from construction, so a query for one that never recurs
-/// answers at once instead of walking to the trace end.
+/// is the trace's own per-pc entry ([`Trace::last_occurrence`]), so a
+/// query for one that never recurs answers at once instead of walking to
+/// the trace end, and building the oracle walks nothing.
 #[derive(Debug)]
 pub(crate) struct CqipOccurrences<'a> {
     /// Dense CQIP index per static pc (`u32::MAX` for other pcs).
@@ -55,21 +57,18 @@ impl<'a> CqipOccurrences<'a> {
                 pc as u32
             };
         }
-        let mut oracle = CqipOccurrences {
+        CqipOccurrences {
             dense,
             next_cqip,
-            last: vec![None; cqip_pcs.len()],
+            last: cqip_pcs
+                .iter()
+                .map(|&pc| trace.last_occurrence(Pc(pc)).map(|k| k as u32))
+                .collect(),
             runs: trace.runs(),
             frontier: 0,
             queues: vec![VecDeque::new(); cqip_pcs.len()],
             floor: 0,
-        };
-        if !cqip_pcs.is_empty() {
-            for run in trace.runs() {
-                oracle.each_hit(&run, |oracle, d, k| oracle.last[d] = Some(k));
-            }
         }
-        oracle
     }
 
     /// Calls `f` with each (dense CQIP, dynamic index) occurrence in `run`.
@@ -124,7 +123,7 @@ impl<'a> CqipOccurrences<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specmt_isa::{Pc, ProgramBuilder, Reg};
+    use specmt_isa::{ProgramBuilder, Reg};
 
     /// Nested counted loops: pcs recur at short (inner body), long (outer
     /// body) and no (prologue, exit) distances.

@@ -400,6 +400,7 @@ mod tests {
     use super::*;
     use specmt_isa::{Inst, Pc, ProgramBuilder, Reg};
     use specmt_trace::{Emulator, StepOutcome};
+    use std::sync::Arc;
 
     /// A loop over independent array blocks: iterations only share the
     /// induction variable.
@@ -587,7 +588,7 @@ mod tests {
         end: usize,
     ) -> SampleWindow {
         // The whole prefix's instructions, from the emulator's records.
-        let mut emu = Emulator::new(trace.program().as_ref().clone());
+        let mut emu = Emulator::new(Arc::clone(trace.program()));
         let insts: Vec<Inst> = (0..end)
             .map(|_| match emu.step() {
                 Ok(StepOutcome::Executed(rec)) => trace.program().insts()[rec.pc.index()],

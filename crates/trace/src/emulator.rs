@@ -56,12 +56,12 @@ pub struct Emulator {
 
 impl Emulator {
     /// Creates an emulator for `program`, applying its memory image.
-    pub fn new(program: Program) -> Emulator {
-        Emulator::from_arc(Arc::new(program))
-    }
-
-    /// As [`Emulator::new`], sharing an existing [`Arc`]ed program.
-    pub fn from_arc(program: Arc<Program>) -> Emulator {
+    ///
+    /// Takes a [`Program`] or an [`Arc`] of one: an `Arc` is shared, not
+    /// copied, so a workload, its emulator and the trace recorded from it
+    /// hold one program between them.
+    pub fn new(program: impl Into<Arc<Program>>) -> Emulator {
+        let program = program.into();
         let mut mem = Memory::new();
         for &(addr, value) in program.memory_image() {
             mem.store(addr, value);

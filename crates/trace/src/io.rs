@@ -237,7 +237,7 @@ impl Trace {
             .iter()
             .map(|i| (!i.is_cond_branch()).then(|| i.is_control()))
             .collect();
-        let mut columns = Columns::default();
+        let mut columns = Columns::new(program.len());
         columns.reserve(count, targets.contains(&RET_TARGET));
         columns.taken = taken;
         let mut prev = 0i64;

@@ -115,6 +115,9 @@ pub struct Trace {
     /// Every record's low result half, and the high halves of the wide
     /// results; its length is the trace's.
     results: Results,
+    /// Per static instruction, the dynamic index of its last record
+    /// ([`NEVER`] if it never executed), recorded as the records arrive.
+    last: Box<[u32]>,
     final_regs: [u64; specmt_isa::NUM_REGS],
     /// The dependence graph, built on the first [`Trace::deps`] call.
     deps: OnceLock<Arc<DepGraph>>,
@@ -324,10 +327,14 @@ fn column_bytes(records: u64, mem_records: u64, wide_records: u64, returns: u64)
     4 * records + 8 * mem_records + 4 * wide_records + 4 * returns + 40 * records.div_ceil(64)
 }
 
+/// The last-occurrence entry of a static instruction that never executed.
+const NEVER: u32 = u32::MAX;
+
 /// A trace's columns while they are recorded or decoded, as
 /// [`Trace::from_columns`] takes them: `addrs` holds the loads' and
-/// stores' addresses only, ranked by `mem`.
-#[derive(Debug, Default)]
+/// stores' addresses only, ranked by `mem`, and `last` each static
+/// instruction's latest record.
+#[derive(Debug)]
 pub(crate) struct Columns {
     pub(crate) taken: Vec<u64>,
     marks: Vec<Mark>,
@@ -337,9 +344,23 @@ pub(crate) struct Columns {
     pub(crate) addrs: Vec<u64>,
     pub(crate) mem: Rank,
     pub(crate) results: Results,
+    last: Vec<u32>,
 }
 
 impl Columns {
+    /// Empty columns for a program of `program_len` static instructions.
+    pub(crate) fn new(program_len: usize) -> Columns {
+        Columns {
+            taken: Vec::new(),
+            marks: Vec::new(),
+            rets: Vec::new(),
+            addrs: Vec::new(),
+            mem: Rank::default(),
+            results: Results::default(),
+            last: vec![NEVER; program_len],
+        }
+    }
+
     /// Reserves every column for `records` records; `returns` says whether
     /// the program has a return, the only records with a target entry.
     pub(crate) fn reserve(&mut self, records: usize, returns: bool) {
@@ -370,8 +391,8 @@ impl Columns {
 
     /// Appends the rest of record `k`'s control flow: its pc, kept only as
     /// the checkpoint of a word it opens (with the return targets pushed
-    /// so far, those of the returns before `k`), and whether it is a load
-    /// or store.
+    /// so far, those of the returns before `k`) and as `pc`'s latest
+    /// record, and whether it is a load or store.
     #[inline]
     pub(crate) fn push_flow(&mut self, k: usize, pc: u32, is_mem: bool) {
         if k.is_multiple_of(64) {
@@ -379,6 +400,9 @@ impl Columns {
                 pc,
                 rets: self.rets.len() as u32,
             });
+        }
+        if let Some(last) = self.last.get_mut(pc as usize) {
+            *last = k as u32;
         }
         self.mem.push(k, is_mem);
     }
@@ -409,12 +433,16 @@ impl Trace {
     /// Executes `program` to completion and records its dynamic instruction
     /// stream.
     ///
+    /// `program` is a [`Program`] or an [`Arc`] of one, as
+    /// [`Emulator::new`] takes it: an `Arc` is shared, so the trace holds
+    /// the caller's program rather than a copy of it.
+    ///
     /// # Errors
     ///
     /// Returns [`TraceError::StepLimitExceeded`] if the program does not
     /// halt within `max_steps`, or any emulation fault
     /// ([`TraceError::BadPc`], [`TraceError::UnalignedAccess`]).
-    pub fn generate(program: Program, max_steps: u64) -> Result<Trace, TraceError> {
+    pub fn generate(program: impl Into<Arc<Program>>, max_steps: u64) -> Result<Trace, TraceError> {
         Trace::record_from(Emulator::new(program), max_steps, None, None)
     }
 
@@ -432,7 +460,7 @@ impl Trace {
     /// touches more memory than allowed (`"memory"`) or its trace would
     /// outgrow the cap (`"trace memory"`).
     pub fn generate_bounded(
-        program: Program,
+        program: impl Into<Arc<Program>>,
         max_steps: u64,
         max_mem_bytes: u64,
     ) -> Result<Trace, TraceError> {
@@ -465,7 +493,7 @@ impl Trace {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn generate_with_hint(
-        program: Program,
+        program: impl Into<Arc<Program>>,
         max_steps: u64,
         records: u64,
     ) -> Result<Trace, TraceError> {
@@ -493,7 +521,7 @@ impl Trace {
         let program = Arc::clone(emu.program());
         let is_mem = mem_pcs(&program);
         let targets = taken_targets(&program);
-        let mut columns = Columns::default();
+        let mut columns = Columns::new(program.len());
         let mut bound = hint.unwrap_or(max_steps).min(max_steps);
         if let Some(limit) = max_trace_bytes {
             // The record that outgrows the cap is pushed before the check
@@ -571,6 +599,7 @@ impl Trace {
             addrs,
             mem,
             results,
+            last,
         } = columns;
         let len = results.len();
         debug_assert_eq!(taken.len(), len.div_ceil(64));
@@ -589,6 +618,7 @@ impl Trace {
             addrs,
             mem: Arc::new(mem),
             results,
+            last: last.into_boxed_slice(),
             final_regs,
             deps: OnceLock::new(),
         }
@@ -634,6 +664,21 @@ impl Trace {
     /// The program this trace was recorded from.
     pub fn program(&self) -> &Arc<Program> {
         &self.program
+    }
+
+    /// The dynamic index of `pc`'s last record, or `None` if `pc` never
+    /// executed or lies beyond the program. The trace keeps one entry per
+    /// static instruction, filled as the records arrive, so no walk of the
+    /// trace answers this.
+    ///
+    /// It is public for the simulator's CQIP occurrence oracle, which
+    /// lives in `specmt-sim` and answers "this CQIP never occurs again"
+    /// from it instead of walking the trace once more per simulation.
+    pub fn last_occurrence(&self, pc: Pc) -> Option<usize> {
+        self.last
+            .get(pc.index())
+            .filter(|&&k| k != NEVER)
+            .map(|&k| k as usize)
     }
 
     /// Number of dynamic instructions (including the final `halt`).
@@ -1211,6 +1256,28 @@ mod tests {
             "no workload's memory fits under its trace bytes"
         );
         assert!(returns > 0, "no tiny workload's cap counts a return");
+    }
+
+    /// Every tiny suite trace's last-occurrence table agrees with a scan of
+    /// its pc stream, for every static pc and one beyond the program, and
+    /// a codec round trip rebuilds the same table.
+    #[test]
+    fn last_occurrences_match_a_scan_on_the_tiny_suite() {
+        for w in specmt_workloads::suite(specmt_workloads::Scale::Tiny) {
+            let trace = Trace::generate(w.program.clone(), w.step_budget).unwrap();
+            let mut want = vec![None; trace.program().len() + 1];
+            for (k, pc) in trace.pcs().enumerate() {
+                want[pc.index()] = Some(k);
+            }
+            let mut bytes = Vec::new();
+            trace.write_to(&mut bytes).unwrap();
+            let copy = Trace::from_bytes(&bytes).unwrap();
+            for (pc, &want) in want.iter().enumerate() {
+                let pc = Pc(pc as u32);
+                assert_eq!(trace.last_occurrence(pc), want, "{}: {pc:?}", w.name);
+                assert_eq!(copy.last_occurrence(pc), want, "{}: {pc:?}", w.name);
+            }
+        }
     }
 
     /// Every tiny suite trace reads back, through `result_at`, `record`

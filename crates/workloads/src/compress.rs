@@ -9,6 +9,8 @@
 //! that shape: one hot loop, a data-dependent state chain through registers
 //! and two tables, a rarely-taken hit path.
 
+use std::sync::Arc;
+
 use specmt_isa::{Program, ProgramBuilder, Reg};
 
 use crate::common::{random_words, DATA_BASE};
@@ -134,7 +136,7 @@ pub fn compress_with_input(scale: Scale, input: InputSet) -> Workload {
     let program = build(n, &data);
     Workload {
         name: "compress",
-        program,
+        program: Arc::new(program),
         expected_checksum: expected,
         step_budget: (n as u64 * 45 + 10_000) * 2,
     }

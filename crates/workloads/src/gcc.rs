@@ -7,6 +7,8 @@
 //! their return points have the low per-site reaching probability that
 //! motivates the paper's explicit return-pair injection).
 
+use std::sync::Arc;
+
 use specmt_isa::{Program, ProgramBuilder, Reg};
 
 use crate::common::{random_words, DATA_BASE};
@@ -304,7 +306,7 @@ pub fn gcc_with_input(scale: Scale, input: InputSet) -> Workload {
     let program = build(m, &arr, &sel);
     Workload {
         name: "gcc",
-        program,
+        program: Arc::new(program),
         expected_checksum: expected,
         step_budget: (m * 160 + 10_000) * 2,
     }

@@ -7,6 +7,8 @@
 //! board mutation — lots of basic blocks, mediocre branch predictability,
 //! moderate thread-level parallelism.
 
+use std::sync::Arc;
+
 use specmt_isa::{Program, ProgramBuilder, Reg};
 
 use crate::common::{random_words, DATA_BASE};
@@ -186,7 +188,7 @@ pub fn go_with_input(scale: Scale, input: InputSet) -> Workload {
     let program = build(m, &board, &move_data);
     Workload {
         name: "go",
-        program,
+        program: Arc::new(program),
         expected_checksum: expected,
         step_budget: (m * 70 + 10_000) * 2,
     }

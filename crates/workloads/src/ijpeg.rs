@@ -8,6 +8,8 @@
 //! and base addresses; partial checksums go through a per-block array and a
 //! final reduction so no serial register chain crosses iterations.
 
+use std::sync::Arc;
+
 use specmt_isa::{Program, ProgramBuilder, Reg};
 
 use crate::common::{random_words, DATA_BASE};
@@ -154,7 +156,7 @@ pub fn ijpeg_with_input(scale: Scale, input: InputSet) -> Workload {
     let program = build(nb, &data, &qtab);
     Workload {
         name: "ijpeg",
-        program,
+        program: Arc::new(program),
         expected_checksum: expected,
         step_budget: (nb as u64 * 300 + 10_000) * 2,
     }

@@ -6,6 +6,8 @@
 //! the classic subroutine-continuation spawning opportunity) with a flat
 //! mutation sweep over the node array (regular loop parallelism).
 
+use std::sync::Arc;
+
 use specmt_isa::{Program, ProgramBuilder, Reg};
 
 use crate::common::{random_words, DATA_BASE};
@@ -154,7 +156,7 @@ pub fn li_with_input(scale: Scale, input: InputSet) -> Workload {
     let program = build(depth, rounds, &values);
     Workload {
         name: "li",
-        program,
+        program: Arc::new(program),
         expected_checksum: expected,
         step_budget: (nn as u64 * 80 + 2_000) * rounds * 2 + 20_000,
     }

@@ -59,6 +59,8 @@ pub use m88ksim::{m88ksim, m88ksim_with_input};
 pub use perl::{perl, perl_with_input};
 pub use vortex::{vortex, vortex_with_input};
 
+use std::sync::Arc;
+
 use specmt_isa::Program;
 
 /// Problem-size presets.
@@ -85,8 +87,10 @@ pub enum Scale {
 pub struct Workload {
     /// Benchmark name (matches its SpecInt95 namesake).
     pub name: &'static str,
-    /// The program.
-    pub program: Program,
+    /// The program, wrapped once: pass it (or a clone of the `Arc`) to
+    /// `Trace::generate*` or `Emulator::new` and the trace shares this
+    /// allocation instead of copying the instructions and memory image.
+    pub program: Arc<Program>,
     /// Expected final value of `r10`, computed by the Rust reference
     /// implementation.
     pub expected_checksum: u64,

@@ -8,6 +8,8 @@
 //! serial through the in-memory machine state, with predictable decode
 //! control flow but data-dependent dispatch targets.
 
+use std::sync::Arc;
+
 use specmt_isa::{Program, ProgramBuilder, Reg};
 
 use crate::common::{random_words, DATA_BASE};
@@ -240,7 +242,7 @@ pub fn m88ksim_with_input(scale: Scale, input: InputSet) -> Workload {
     let program = build(r, &imem);
     Workload {
         name: "m88ksim",
-        program,
+        program: Arc::new(program),
         expected_checksum: expected,
         step_budget: (r * IMEM_WORDS as u64 * 35 + 10_000) * 2,
     }

@@ -8,6 +8,8 @@
 //! 2 of 16 opcode classes call a string-hash routine with a data-dependent
 //! trip count of 24–87 iterations.
 
+use std::sync::Arc;
+
 use specmt_isa::{Program, ProgramBuilder, Reg};
 
 use crate::common::{random_words, DATA_BASE};
@@ -156,7 +158,7 @@ pub fn perl_with_input(scale: Scale, input: InputSet) -> Workload {
     let program = build(&ops, &strdata);
     Workload {
         name: "perl",
-        program,
+        program: Arc::new(program),
         expected_checksum: expected,
         step_budget: (n as u64 * 80 + 10_000) * 2,
     }

@@ -8,6 +8,8 @@
 //! subroutine continuations and the profile-selected pairs have plenty to
 //! work with.
 
+use std::sync::Arc;
+
 use specmt_isa::{Program, ProgramBuilder, Reg};
 
 use crate::common::{random_words, DATA_BASE};
@@ -211,7 +213,7 @@ pub fn vortex_with_input(scale: Scale, input: InputSet) -> Workload {
     let program = build(m, &keys_data);
     Workload {
         name: "vortex",
-        program,
+        program: Arc::new(program),
         expected_checksum: expected,
         step_budget: (m * 60 + 10_000) * 2,
     }
