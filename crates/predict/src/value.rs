@@ -44,6 +44,16 @@ pub trait ValuePredictor: fmt::Debug {
     fn predict(&mut self, key: PredKey) -> u64;
     /// Trains the predictor with the actual observed value.
     fn train(&mut self, key: PredKey, actual: u64);
+    /// Predicts the value for `key`, then trains with `actual`; returns
+    /// the prediction. Equivalent to [`predict`](ValuePredictor::predict)
+    /// followed by [`train`](ValuePredictor::train), which is how a
+    /// simulator consults a predictor once the value is known;
+    /// implementations override it to index their tables once.
+    fn predict_and_train(&mut self, key: PredKey, actual: u64) -> u64 {
+        let guess = self.predict(key);
+        self.train(key, actual);
+        guess
+    }
     /// A short human-readable name.
     fn name(&self) -> &'static str;
 }
@@ -146,6 +156,11 @@ impl ValuePredictor for LastValuePredictor {
         self.table[i] = actual;
     }
 
+    fn predict_and_train(&mut self, key: PredKey, actual: u64) -> u64 {
+        let i = self.idx(key);
+        std::mem::replace(&mut self.table[i], actual)
+    }
+
     fn name(&self) -> &'static str {
         "last-value"
     }
@@ -183,6 +198,20 @@ impl StridePredictor {
     fn idx(&self, key: PredKey) -> usize {
         (key.hash64() & self.mask) as usize
     }
+
+    /// The two-delta update of one entry with the observed value.
+    #[inline]
+    fn update(e: &mut StrideEntry, actual: u64) {
+        let delta = actual.wrapping_sub(e.last) as i64;
+        if delta == e.stride {
+            e.confidence = (e.confidence + 1).min(3);
+        } else if e.confidence > 0 {
+            e.confidence -= 1;
+        } else {
+            e.stride = delta;
+        }
+        e.last = actual;
+    }
 }
 
 impl ValuePredictor for StridePredictor {
@@ -193,16 +222,15 @@ impl ValuePredictor for StridePredictor {
 
     fn train(&mut self, key: PredKey, actual: u64) {
         let i = self.idx(key);
+        StridePredictor::update(&mut self.table[i], actual);
+    }
+
+    fn predict_and_train(&mut self, key: PredKey, actual: u64) -> u64 {
+        let i = self.idx(key);
         let e = &mut self.table[i];
-        let delta = actual.wrapping_sub(e.last) as i64;
-        if delta == e.stride {
-            e.confidence = (e.confidence + 1).min(3);
-        } else if e.confidence > 0 {
-            e.confidence -= 1;
-        } else {
-            e.stride = delta;
-        }
-        e.last = actual;
+        let guess = e.last.wrapping_add(e.stride as u64);
+        StridePredictor::update(e, actual);
+        guess
     }
 
     fn name(&self) -> &'static str {
@@ -266,11 +294,15 @@ impl ValuePredictor for FcmPredictor {
     }
 
     fn train(&mut self, key: PredKey, actual: u64) {
+        self.predict_and_train(key, actual);
+    }
+
+    fn predict_and_train(&mut self, key: PredKey, actual: u64) -> u64 {
         let i = self.l1_idx(key);
         let ctx = self.contexts[i];
         let l2 = self.l2_idx(ctx);
-        self.values[l2] = actual;
         self.contexts[i] = FcmPredictor::fold(ctx, actual);
+        std::mem::replace(&mut self.values[l2], actual)
     }
 
     fn name(&self) -> &'static str {
@@ -560,5 +592,39 @@ mod tests {
             p.idx(key(200)),
             "hash regression: keys collided"
         );
+    }
+
+    /// The fused call answers and trains exactly as `predict` followed by
+    /// `train` does, for every predictor, over keys that alias in a small
+    /// table and values with strides, repeats and jumps.
+    #[test]
+    fn predict_and_train_equals_predict_then_train() {
+        fn check(mut fused: Box<dyn ValuePredictor>, mut split: Box<dyn ValuePredictor>) {
+            for i in 0..2_000u64 {
+                let k = key((i % 37) as u32);
+                let actual = match i % 5 {
+                    0 => i * 8,
+                    1 => 42,
+                    _ => i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (i % 61),
+                };
+                let guess = split.predict(k);
+                split.train(k, actual);
+                assert_eq!(
+                    fused.predict_and_train(k, actual),
+                    guess,
+                    "{}",
+                    fused.name()
+                );
+            }
+        }
+        for kind in [
+            ValuePredictorKind::LastValue,
+            ValuePredictorKind::Stride,
+            ValuePredictorKind::Fcm,
+            ValuePredictorKind::Hybrid,
+        ] {
+            let build = || kind.build(256).expect("a table-backed kind");
+            check(build(), build());
+        }
     }
 }

@@ -66,17 +66,33 @@ struct PreInst {
     /// the hardwired zero register, whose last writer is always
     /// `NO_PRODUCER`.
     src: [u8; 2],
-    /// Destination register index; 0 (the zero register) when the
-    /// instruction writes no register.
+    /// Destination slot in the register tables: the destination
+    /// register's index, or [`NO_REG_SLOT`], which no operand reads, when
+    /// the instruction writes no register (or only the zero register).
     dst: u8,
-    /// Functional-unit class index (into the `fu_*` layout tables).
-    class: u8,
-    /// Result latency of that class.
+    /// The first and last functional unit of the instruction's class, as
+    /// indices into a thread unit's unit array (equal for a one-unit
+    /// class): the issue step picks between the two with one compare.
+    fu_first: u8,
+    fu_last: u8,
+    /// Occupancy increment per issue on that unit: 1 for pipelined
+    /// classes, the full latency for non-pipelined ones.
+    fu_incr: u8,
+    /// Result latency of the class.
     latency: u8,
     /// Where a taken record continues: the static target of a branch,
     /// jump or call (unused otherwise; a return's is dynamic).
     target: u32,
 }
+
+/// Register-table slots: the architectural registers, then slots no
+/// operand reads, rounded up to a power of two so a destination slot
+/// reduced modulo it (a mask) needs no bounds check.
+const REG_SLOTS: usize = 2 * specmt_isa::NUM_REGS;
+/// The destination slot of an instruction that writes no register: its
+/// writes land where no source operand looks, so the zero register keeps
+/// `NO_PRODUCER` and completion time 0 without a select.
+const NO_REG_SLOT: u8 = specmt_isa::NUM_REGS as u8;
 
 const F_WRITES_REG: u8 = 1;
 const F_LOAD: u8 = 1 << 1;
@@ -88,6 +104,10 @@ const F_CONTROL: u8 = 1 << 4;
 const F_SPAWN: u8 = 1 << 5;
 /// A return: its record continues at the trace's next return target.
 const F_RET: u8 = 1 << 6;
+/// A spawning point whose candidates can no longer spawn (see
+/// `Engine::remove_pair`): where the fast-decline check applies, every
+/// attempt here is a single decline.
+const F_DECLINES: u8 = 1 << 7;
 
 /// SoA arena of per-pair dynamic state, indexed by [`PairId`].
 ///
@@ -106,6 +126,13 @@ struct PairArena {
     size_sum: Vec<u64>,
     /// Samples that were squashed spawns (size zero).
     size_zeros: Vec<u32>,
+    /// Every pair that is undersized (see [`PairArena::undersized`]),
+    /// plus pairs that stopped being so since the last pick. Only a new
+    /// sample can make a pair undersized, so a pair joins when one is
+    /// charged to it, and the pick drops those that no longer qualify.
+    suspects: Vec<PairId>,
+    /// Whether each pair is in `suspects`.
+    suspected: Vec<bool>,
 }
 
 impl PairArena {
@@ -121,11 +148,91 @@ impl PairArena {
             size_samples: vec![0; n],
             size_sum: vec![0; n],
             size_zeros: vec![0; n],
+            suspects: Vec::new(),
+            suspected: vec![false; n],
         }
     }
 
     fn id_of(&self, key: (u32, u32)) -> Option<PairId> {
         self.keys.binary_search(&key).ok().map(|i| i as PairId)
+    }
+
+    /// Charges a committed thread of `size` instructions to pair `i`
+    /// under the minimum-size policy's threshold `min`.
+    fn sample_commit(&mut self, i: usize, size: u64, min: u32) {
+        self.size_samples[i] += 1;
+        self.size_sum[i] += size;
+        self.suspect(i, min);
+    }
+
+    /// Charges a squashed child to pair `i` as a zero-size thread.
+    fn sample_squash(&mut self, i: usize, min: u32) {
+        self.size_samples[i] += 1;
+        self.size_zeros[i] += 1;
+        self.suspect(i, min);
+    }
+
+    /// Adds pair `i` to the suspects if it is undersized.
+    fn suspect(&mut self, i: usize, min: u32) {
+        if !self.suspected[i] && self.undersized(i, min) {
+            self.suspected[i] = true;
+            self.suspects.push(i as PairId);
+        }
+    }
+
+    /// Whether pair `i` is a removal candidate: still active, with enough
+    /// samples, and an average thread size below `min`.
+    fn undersized(&self, i: usize, min: u32) -> bool {
+        !self.removed[i]
+            && self.size_samples[i] >= MIN_SIZE_SAMPLES
+            && self.size_sum[i] < u64::from(min) * u64::from(self.size_samples[i])
+    }
+
+    /// Whether pair `i` is guiltier than pair `b`. Pairs whose spawns get
+    /// squashed (doomed fraction) are the offenders; short committed
+    /// threads are often their victims. So the higher zero ratio wins,
+    /// then the smaller average size, then the larger key: a strict total
+    /// order, so the guiltiest pair does not depend on visit order.
+    fn guiltier(&self, i: usize, b: usize) -> bool {
+        let ratio = |n: u32, j: usize| f64::from(n) / f64::from(self.size_samples[j]);
+        let mean = |j: usize| self.size_sum[j] as f64 / f64::from(self.size_samples[j]);
+        ratio(self.size_zeros[i], i)
+            .total_cmp(&ratio(self.size_zeros[b], b))
+            .then(mean(b).total_cmp(&mean(i)))
+            .then(self.keys[i].cmp(&self.keys[b]))
+            .is_gt()
+    }
+
+    /// The guiltiest undersized pair, if any; drops the suspects that are
+    /// no longer undersized.
+    fn pick_undersized(&mut self, min: u32) -> Option<usize> {
+        let mut suspects = std::mem::take(&mut self.suspects);
+        suspects.retain(|&p| {
+            let keep = self.undersized(p as usize, min);
+            self.suspected[p as usize] = keep;
+            keep
+        });
+        let mut worst: Option<usize> = None;
+        for &p in &suspects {
+            let p = p as usize;
+            if worst.is_none_or(|b| self.guiltier(p, b)) {
+                worst = Some(p);
+            }
+        }
+        self.suspects = suspects;
+        worst
+    }
+
+    /// Resets every pair's size statistics, so the pairs are re-measured
+    /// under a new pair mix (and none is a suspect any more).
+    fn reset_samples(&mut self) {
+        self.size_samples.fill(0);
+        self.size_sum.fill(0);
+        self.size_zeros.fill(0);
+        for &p in &self.suspects {
+            self.suspected[p as usize] = false;
+        }
+        self.suspects.clear();
     }
 }
 
@@ -173,16 +280,12 @@ struct PendingThread {
 /// remove every pair.
 const MIN_SIZE_SAMPLES: u32 = 8;
 
-/// Number of functional-unit classes (the `fu_*` layout tables are fixed
-/// arrays of this size).
-const NUM_FU_CLASSES: usize = FuClass::ALL.len();
-
 /// Functional units per thread unit (§4.1: nine). Every class fields one
 /// or two, so the issue step picks a unit with a single compare.
 const FU_TOTAL: usize = {
     let mut total = 0;
     let mut i = 0;
-    while i < NUM_FU_CLASSES {
+    while i < FuClass::ALL.len() {
         let units = FuClass::ALL[i].units();
         assert!(
             units == 1 || units == 2,
@@ -193,6 +296,11 @@ const FU_TOTAL: usize = {
     }
     total
 };
+
+/// Slots of a thread unit's functional-unit array: [`FU_TOTAL`] rounded up
+/// to a power of two, so a predecoded unit index reduced modulo it (a
+/// mask) indexes without a bounds check.
+const FU_SLOTS: usize = FU_TOTAL.next_power_of_two();
 
 /// Rename registers per thread unit: the physical registers beyond the
 /// architectural file bound the in-flight register writers.
@@ -279,29 +387,19 @@ impl<'a> Simulator<'a> {
 /// window loop's locals, hoisted into one struct so the step can be a
 /// separate (always-inlined) function.
 struct WinState {
-    rob_i: usize,
-    rob_full: bool,
-    writer_i: usize,
-    writer_full: bool,
+    /// Register writers fetched so far in this window: the next writer's
+    /// slot in the rename ring, modulo its size.
+    writers: usize,
     last_commit: u64,
     fetch_cycle: u64,
     /// Fetch slots consumed in the cycle `fetch_cycle`.
     slots: u32,
-    /// Whether the ROB / rename-ring structural hazards can bite at all:
-    /// false when the window is shorter than both rings (they reset empty
-    /// each window and can then never fill), eliding every ring store and
-    /// full-check. The window can only shrink after this is computed, so
-    /// the bound stays valid.
-    rings: bool,
-    /// Constant live-in readiness when the perfect value predictor makes
-    /// every out-of-window producer equivalent (`Some(init_done)`).
-    live_const: Option<u64>,
     /// Window-local copies of this unit's port and FU availability: nothing
     /// else touched inside the window (spawns, caches, predictors) reads
     /// them, and locals keep the per-instruction tournaments in registers
     /// instead of memory. Written back by `finish_window`.
     ports: [u64; ISSUE_WIDTH],
-    fus: [u64; FU_TOTAL],
+    fus: [u64; FU_SLOTS],
     /// Window end: the start of the next more-speculative thread (or the
     /// trace end). Only a spawn can move it.
     end: usize,
@@ -353,14 +451,10 @@ struct Engine<'a, 's> {
     fast_decline: bool,
     /// Next-free cycle per issue port, per thread unit.
     ports: Vec<[u64; ISSUE_WIDTH]>,
-    /// Next-free cycle per functional unit, per thread unit: the class-`c`
-    /// FUs are `fu_free[u][fu_offset[c]..][..fu_count[c]]`.
-    fu_free: Vec<[u64; FU_TOTAL]>,
-    fu_offset: [usize; NUM_FU_CLASSES],
-    fu_count: [usize; NUM_FU_CLASSES],
-    /// Occupancy increment per issue: 1 for pipelined classes, the full
-    /// latency for non-pipelined ones.
-    fu_incr: [u64; NUM_FU_CLASSES],
+    /// Next-free cycle per functional unit, per thread unit: an
+    /// instruction's units are `fu_free[u][pi.fu_first..=pi.fu_last]`
+    /// (slots past `FU_TOTAL` are never used).
+    fu_free: Vec<[u64; FU_SLOTS]>,
     // --- Cold per-thread-unit state (touched per branch / memory op) ----
     gshares: Vec<Gshare>,
     /// Per-unit branch-confidence estimators, updated alongside the
@@ -378,10 +472,13 @@ struct Engine<'a, 's> {
     /// processed).
     chain: std::collections::VecDeque<PendingThread>,
     // --- Reusable scratch (hoisted out of the cycle loop) ---------------
-    /// ROB commit ring; entries are only read at positions already written
-    /// this window (once `rob_full`), so it is never re-zeroed.
+    /// ROB commit ring: slot `i % ROB_ENTRIES` holds the commit time of
+    /// the window's `i`-th record, which the record `ROB_ENTRIES` later
+    /// waits for. Zeroed when a window that uses it starts, so a record
+    /// with no such predecessor reads 0 and never stalls.
     rob_ring: [u64; ROB_ENTRIES],
-    /// Rename-register commit ring; same never-re-zeroed argument.
+    /// Rename-register commit ring, indexed the same way by the window's
+    /// register writers.
     writer_ring: [u64; RENAME_REGS],
     /// Doomed children of the window being processed.
     doomed: Vec<DoomedChild>,
@@ -420,11 +517,12 @@ struct Engine<'a, 's> {
     /// processed so far (`NO_PRODUCER` before the first write; the zero
     /// register's entry never changes). For the same in-order reason, its
     /// entries are exactly the register producers of the next record.
-    reg_writer: [u32; specmt_isa::NUM_REGS],
+    /// Slots from `NO_REG_SLOT` on are write-only.
+    reg_writer: [u32; REG_SLOTS],
     /// Completion time of each register's last writer, updated beside
-    /// `reg_writer`: a register operand's readiness. Entries of registers
-    /// never written are never read.
-    reg_done: [u64; specmt_isa::NUM_REGS],
+    /// `reg_writer`: a register operand's readiness. A register never
+    /// written (the zero register included) reads 0, which never binds.
+    reg_done: [u64; REG_SLOTS],
 }
 
 impl<'a, 's> Engine<'a, 's> {
@@ -437,6 +535,15 @@ impl<'a, 's> Engine<'a, 's> {
         } = sim;
         let program = trace.program();
         let program_len = program.len();
+
+        // Functional-unit layout, identical for every thread unit: each
+        // class's units sit side by side, in `FuClass::ALL` order.
+        let mut fu_first = [0u8; FuClass::ALL.len()];
+        let mut next = 0u8;
+        for c in FuClass::ALL {
+            fu_first[c.index()] = next;
+            next += c.units() as u8;
+        }
 
         // Predecode every static instruction.
         let mut pre: Vec<PreInst> = Vec::with_capacity(program_len);
@@ -466,11 +573,21 @@ impl<'a, 's> Engine<'a, 's> {
                 }
             }
             let class = inst.fu_class();
+            let first = fu_first[class.index()];
             pre.push(PreInst {
                 flags,
                 src,
-                dst: inst.dst().map_or(0, |d| d.index() as u8),
-                class: class.index() as u8,
+                dst: inst
+                    .dst()
+                    .filter(|d| !d.is_zero())
+                    .map_or(NO_REG_SLOT, |d| d.index() as u8),
+                fu_first: first,
+                fu_last: first + class.units() as u8 - 1,
+                fu_incr: if class.pipelined() {
+                    1
+                } else {
+                    class.latency() as u8
+                },
                 latency: class.latency() as u8,
                 target: inst.control_target().map_or(0, |t| t.0),
             });
@@ -515,19 +632,6 @@ impl<'a, 's> Engine<'a, 's> {
 
         let occurrences = CqipOccurrences::new(trace, &cqip_pcs);
 
-        // Functional-unit layout: identical for every thread unit.
-        let mut fu_offset = [0usize; NUM_FU_CLASSES];
-        let mut fu_count = [0usize; NUM_FU_CLASSES];
-        let mut fu_incr = [0u64; NUM_FU_CLASSES];
-        let mut next = 0usize;
-        for c in FuClass::ALL {
-            let i = c.index();
-            fu_offset[i] = next;
-            fu_count[i] = c.units();
-            fu_incr[i] = if c.pipelined() { 1 } else { c.latency() };
-            next += c.units();
-        }
-
         let n_tus = cfg.thread_units;
         // Proven bounds for the compact cache tag store: each dynamic
         // instruction makes at most one access or touch on one unit.
@@ -552,10 +656,7 @@ impl<'a, 's> Engine<'a, 's> {
             tu_min_free: 0,
             fast_decline: faults.is_none() && !adaptive.is_active(),
             ports: vec![[0; ISSUE_WIDTH]; n_tus],
-            fu_free: vec![[0; FU_TOTAL]; n_tus],
-            fu_offset,
-            fu_count,
-            fu_incr,
+            fu_free: vec![[0; FU_SLOTS]; n_tus],
             gshares: (0..n_tus).map(|_| Gshare::new(GSHARE_BITS)).collect(),
             confs: vec![SpawnConfidence::new(); n_tus],
             scoreboard,
@@ -580,8 +681,8 @@ impl<'a, 's> Engine<'a, 's> {
             pc_next: trace.pcs().next().map_or(0, |pc| pc.0),
             ret_next: 0,
             mem_next: 0,
-            reg_writer: [NO_PRODUCER; specmt_isa::NUM_REGS],
-            reg_done: [0; specmt_isa::NUM_REGS],
+            reg_writer: [NO_PRODUCER; REG_SLOTS],
+            reg_done: [0; REG_SLOTS],
             trace,
             deps,
             cfg,
@@ -857,58 +958,85 @@ impl<'a, 's> Engine<'a, 's> {
     /// Processes one thread's window, one dynamic instruction at a time;
     /// returns `(end, exec_done)` and leaves the window's doomed children
     /// in `self.doomed`.
+    ///
+    /// Three facts hold for a whole window, so the record loop is
+    /// monomorphized over them ([`Engine::window`]) and the instance is
+    /// picked here, once: whether events are observed, whether the ROB
+    /// and rename rings can fill, and whether every live-in is a perfectly
+    /// predicted constant.
     fn process_window(&mut self, t: &PendingThread) -> (usize, u64) {
         debug_assert_eq!(self.mem_next, self.trace.mem_rank(t.start));
         debug_assert_eq!(Pc(self.pc_next), self.trace.pc_at(t.start));
         debug_assert_eq!(self.ret_next, self.trace.ret_rank(t.start));
         let mut st = self.win_state(t);
+        // Both hazard rings start empty; a window shorter than both can
+        // never fill either, so its records skip the ring bookkeeping
+        // entirely. The window can only shrink after this is computed, so
+        // the bound stays valid. Under MIN32 most windows of the medium
+        // suite are at least this long (DESIGN.md §13).
+        let rings = st.end - t.start >= ROB_ENTRIES.min(RENAME_REGS);
+        if rings {
+            self.rob_ring = [0; ROB_ENTRIES];
+            self.writer_ring = [0; RENAME_REGS];
+        }
+        // A perfectly predicted live-in of a spawned thread is available
+        // the moment the thread is initialised, unconditionally: the whole
+        // live-in path collapses to that constant (no stats, no RNG, so
+        // skipping the predictor is exact).
+        let perfect = t.pair.is_some() && self.cfg.value_predictor == ValuePredictorKind::Perfect;
+        let end = match (self.observing, rings, perfect) {
+            (false, false, false) => self.window::<false, false, false>(t, &mut st),
+            (false, false, true) => self.window::<false, false, true>(t, &mut st),
+            (false, true, false) => self.window::<false, true, false>(t, &mut st),
+            (false, true, true) => self.window::<false, true, true>(t, &mut st),
+            (true, false, false) => self.window::<true, false, false>(t, &mut st),
+            (true, false, true) => self.window::<true, false, true>(t, &mut st),
+            (true, true, false) => self.window::<true, true, false>(t, &mut st),
+            (true, true, true) => self.window::<true, true, true>(t, &mut st),
+        };
+        self.finish_window(t, &st);
+        (end, st.last_commit)
+    }
+
+    /// The record loop of one window under one [`Engine::step`] instance;
+    /// returns the window's end.
+    #[inline(never)]
+    fn window<const OBSERVE: bool, const RINGS: bool, const PERFECT: bool>(
+        &mut self,
+        t: &PendingThread,
+        st: &mut WinState,
+    ) -> usize {
         let mut k = t.start;
+        // The pc cursor, kept local while the window runs.
+        let mut pc = self.pc_next;
         // `st.end` is re-read per instruction: a spawn can shrink it.
         while k < st.end {
-            self.step(t, k, &mut st);
+            pc = self.step::<OBSERVE, RINGS, PERFECT>(t, k, pc, st);
             k += 1;
         }
-        self.finish_window(t, &st);
-        (k, st.last_commit)
+        self.pc_next = pc;
+        k
     }
 
     /// Initial per-window state for thread `t`, including window-local
     /// copies of the unit's port/FU availability (written back by
     /// [`Engine::finish_window`]).
     fn win_state(&mut self, t: &PendingThread) -> WinState {
-        // A perfectly predicted live-in of a spawned thread is available the
-        // moment the thread is initialised, unconditionally: the whole
-        // live-in path collapses to this per-window constant (no stats, no
-        // RNG, so skipping the call is exact).
-        let live_const = match (t.pair.is_some(), self.cfg.value_predictor) {
-            (true, ValuePredictorKind::Perfect) => Some(t.init_done),
-            _ => None,
-        };
         self.doomed.clear();
         self.touch_run.clear();
         // Live-in memo reset: one mask store (the value array persists).
         self.live_in_valid = 0;
-        // The window ends at the next more-speculative thread's start
-        // (or the trace end); only a spawn can move it (and only inward).
-        let end = self.chain.front().map_or(self.trace.len(), |c| c.start);
-        // Both hazard rings start empty; a window too short to wrap either
-        // can never trigger a structural stall, so its slots skip the ring
-        // bookkeeping entirely (the suite's windows average ~a dozen slots
-        // against a 64-entry ROB).
-        let rings = end - t.start >= ROB_ENTRIES.min(RENAME_REGS);
         WinState {
-            rob_i: 0,
-            rob_full: false,
-            writer_i: 0,
-            writer_full: false,
+            writers: 0,
             last_commit: t.init_done,
             fetch_cycle: t.init_done,
             slots: 0,
-            rings,
-            live_const,
             ports: self.ports[t.tu],
             fus: self.fu_free[t.tu],
-            end,
+            // The window ends at the next more-speculative thread's start
+            // (or the trace end); only a spawn can move it (and only
+            // inward).
+            end: self.chain.front().map_or(self.trace.len(), |c| c.start),
         }
     }
 
@@ -923,37 +1051,46 @@ impl<'a, 's> Engine<'a, 's> {
         }
     }
 
-    /// Processes dynamic instruction `k`, at `pc_next`, in one pass through
+    /// Processes dynamic instruction `k`, at `pc`, in one pass through
     /// fetch hazards, spawn, operand readiness, issue, memory, write-back
-    /// and control-flow redirect, which also advances the pc cursor.
+    /// and control-flow redirect, which also yields the next record's pc.
+    ///
+    /// The one engine step, compiled once per combination of three
+    /// per-window facts so none of them is tested per record: `OBSERVE`
+    /// (events are emitted), `RINGS` (the window is long enough for the
+    /// ROB or rename ring to fill) and `PERFECT` (a spawned thread under
+    /// perfect value prediction, whose live-ins are all ready at
+    /// `init_done`).
     ///
     /// `inline(always)`: it runs once per dynamic instruction; out of line
     /// it pays a ~250-line function's call/spill traffic on the hottest
     /// path in the simulator.
     #[allow(clippy::too_many_lines)]
     #[inline(always)]
-    fn step(&mut self, t: &PendingThread, k: usize, st: &mut WinState) {
+    fn step<const OBSERVE: bool, const RINGS: bool, const PERFECT: bool>(
+        &mut self,
+        t: &PendingThread,
+        k: usize,
+        pc: u32,
+        st: &mut WinState,
+    ) -> u32 {
         let trace = self.trace;
-        let pc = self.pc_next;
         let pi = self.pre[pc as usize];
 
         // --- Fetch ---------------------------------------------------
-        // Stall checks select with cmov: whether the structural hazard
-        // bites is data-dependent and defeats the branch predictor.
+        // A record waits for the one `ROB_ENTRIES` before it in the window
+        // to commit, and a register writer for the writer `RENAME_REGS`
+        // before it; the rings read 0 (no stall) until they wrap. Stall
+        // checks select with cmov: whether the structural hazard bites is
+        // data-dependent and defeats the branch predictor.
         let writes_reg = pi.flags & F_WRITES_REG != 0;
-        if st.rings {
-            if st.rob_full {
-                let oldest = self.rob_ring[st.rob_i];
-                let stall = oldest > st.fetch_cycle;
-                st.fetch_cycle = if stall { oldest } else { st.fetch_cycle };
-                st.slots = if stall { 0 } else { st.slots };
-            }
-            if writes_reg && st.writer_full {
-                let oldest = self.writer_ring[st.writer_i];
-                let stall = oldest > st.fetch_cycle;
-                st.fetch_cycle = if stall { oldest } else { st.fetch_cycle };
-                st.slots = if stall { 0 } else { st.slots };
-            }
+        if RINGS {
+            let rob = self.rob_ring[(k - t.start) % ROB_ENTRIES];
+            let writer = self.writer_ring[st.writers % RENAME_REGS];
+            let oldest = rob.max(if writes_reg { writer } else { 0 });
+            let stall = oldest > st.fetch_cycle;
+            st.fetch_cycle = if stall { oldest } else { st.fetch_cycle };
+            st.slots = if stall { 0 } else { st.slots };
         }
         if st.slots == FETCH_WIDTH {
             st.fetch_cycle += 1;
@@ -964,10 +1101,12 @@ impl<'a, 's> Engine<'a, 's> {
 
         // --- Spawn ---------------------------------------------------
         if pi.flags & F_SPAWN != 0 {
-            if self.fast_decline && (self.tu_free_count == 0 || f < self.tu_min_free) {
-                // No unit can accept a thread at `f`: every candidate
-                // path through the full attempt ends in this same
-                // single decline with no other state change.
+            if self.fast_decline
+                && (pi.flags & F_DECLINES != 0 || self.tu_free_count == 0 || f < self.tu_min_free)
+            {
+                // No candidate can spawn, or no unit can accept a thread
+                // at `f`: every path through the full attempt ends in
+                // this same single decline with no other state change.
                 self.result.spawns_declined += 1;
             } else {
                 if let Some(d) = self.try_spawn(t, k, pc, f) {
@@ -980,55 +1119,21 @@ impl<'a, 's> Engine<'a, 's> {
         }
 
         // --- Operand readiness --------------------------------------
-        let mut ready = f + 1;
         // Register indices are below `NUM_REGS` by construction; reducing
         // them modulo it anyway (a mask) lets the compiler drop the bounds
-        // checks, which cost about 2 % of engine time.
-        let prods = pi
-            .src
-            .map(|r| self.reg_writer[usize::from(r) % specmt_isa::NUM_REGS]);
-        let times = pi
-            .src
-            .map(|r| self.reg_done[usize::from(r) % specmt_isa::NUM_REGS]);
-        // Only then is `k` its destination's writer. An instruction with no
-        // destination names the zero register and stores `NO_PRODUCER`
-        // there, which keeps that entry unchanged.
-        self.reg_writer[usize::from(pi.dst) % specmt_isa::NUM_REGS] =
-            if pi.dst == 0 { NO_PRODUCER } else { k as u32 };
-        if let Some(v) = st.live_const {
-            // Spawned thread under perfect prediction: every live-in is
-            // available at `init_done` unconditionally, so resolution
-            // collapses to selects on the producer index — no
-            // data-dependent branches.
-            for (&p, &c) in prods.iter().zip(&times) {
-                let avail = if p == NO_PRODUCER {
-                    0
-                } else if (p as usize) < t.start {
-                    v
-                } else {
-                    c
-                };
-                ready = ready.max(avail);
-            }
-        } else {
-            for ((&r, &p), &c) in pi.src.iter().zip(&prods).zip(&times) {
-                if p == NO_PRODUCER {
-                    continue;
-                }
-                let p = p as usize;
-                let avail = if p >= t.start {
-                    c
-                } else {
-                    self.live_in_time(t, r as usize, p, c)
-                };
-                ready = ready.max(avail);
-            }
-        }
+        // checks.
+        let r0 = usize::from(pi.src[0]) % specmt_isa::NUM_REGS;
+        let r1 = usize::from(pi.src[1]) % specmt_isa::NUM_REGS;
+        let (p0, p1) = (self.reg_writer[r0], self.reg_writer[r1]);
+        let (c0, c1) = (self.reg_done[r0], self.reg_done[r1]);
+        // Only then is `k` its destination's writer.
+        let dst = usize::from(pi.dst) % REG_SLOTS;
+        self.reg_writer[dst] = k as u32;
+        let a0 = self.operand::<PERFECT>(t, r0, p0, c0);
+        let a1 = self.operand::<PERFECT>(t, r1, p1, c1);
+        let ready = (f + 1).max(a0).max(a1);
 
         // --- Issue: a port, then a functional unit -------------------
-        let class = pi.class as usize;
-        let off = self.fu_offset[class];
-        let cnt = self.fu_count[class];
         // Tournament min over the four ports: three cmov selects instead
         // of a scan, the earliest index winning ties.
         let ports = &mut st.ports;
@@ -1045,78 +1150,19 @@ impl<'a, 's> Engine<'a, 's> {
         let (port, pv) = if v1 < v0 { (i1, v1) } else { (i0, v0) };
         let t1 = ready.max(pv);
         ports[port] = t1 + 1;
-        let units = &mut st.fus[off..off + cnt];
-        // Every class fields one or two units (`FU_TOTAL`): pick with a
-        // single compare instead of a scan.
-        let unit = usize::from(cnt == 2 && units[1] < units[0]);
-        let t2 = t1.max(units[unit]);
-        units[unit] = t2 + self.fu_incr[class];
+        // Every class fields one or two units (`FU_TOTAL`): pick the later
+        // one only if it frees strictly earlier, with a single compare.
+        let fus = &mut st.fus;
+        let first = usize::from(pi.fu_first) % FU_SLOTS;
+        let last = usize::from(pi.fu_last) % FU_SLOTS;
+        let unit = if fus[last] < fus[first] { last } else { first };
+        let t2 = t1.max(fus[unit]);
+        fus[unit] = t2 + u64::from(pi.fu_incr);
         let mut done = t2 + u64::from(pi.latency);
 
         // --- Memory --------------------------------------------------
         if pi.flags & F_LOAD != 0 {
-            let m = self.mem_next;
-            self.mem_next += 1;
-            if !self.touch_run.is_empty() {
-                self.caches[t.tu].touch_run(&mut self.touch_run);
-            }
-            let misses_before = if self.observing {
-                self.caches[t.tu].stats().1
-            } else {
-                0
-            };
-            let mut data = self.caches[t.tu].access(trace.mem_addrs()[m], done);
-            let cache_hit = !self.observing || self.caches[t.tu].stats().1 == misses_before;
-            let jitter = self.faults.as_mut().map_or(0, |fi| fi.jitter());
-            if jitter > 0 {
-                self.result.fault_jitter_cycles += jitter;
-                data += jitter;
-                if self.observing {
-                    self.emit(Event::FaultInjected {
-                        thread: t.id,
-                        unit: t.tu as u32,
-                        cycle: done,
-                        kind: FaultKind::CacheJitter { cycles: jitter },
-                    });
-                }
-            }
-            let mp = self.deps.mem_producers()[m];
-            if mp != NO_PRODUCER {
-                let mp = mp as usize;
-                let stored = u64::from(self.mem_done[trace.mem_rank(mp)]);
-                if mp >= t.start {
-                    // Same-thread store-to-load forwarding.
-                    data = data.max(stored);
-                } else if stored > t2 {
-                    // Violation: the producing store in an earlier
-                    // thread executes after this load issued. Squash
-                    // and restart here.
-                    self.result.violations += 1;
-                    let restart = stored + self.cfg.forward_latency + SQUASH_PENALTY;
-                    data = data.max(restart);
-                    st.fetch_cycle = restart;
-                    st.slots = 0;
-                    if self.observing {
-                        self.emit(Event::ViolationDetected {
-                            thread: t.id,
-                            unit: t.tu as u32,
-                            cycle: t2,
-                        });
-                    }
-                } else {
-                    // Cross-thread forward out of the versioning cache.
-                    data = data.max(stored + self.cfg.forward_latency);
-                }
-            }
-            done = data;
-            if self.observing {
-                self.emit(Event::CacheAccess {
-                    thread: t.id,
-                    unit: t.tu as u32,
-                    cycle: done,
-                    hit: cache_hit,
-                });
-            }
+            done = self.load::<OBSERVE>(t, done, t2, st);
         } else if pi.flags & F_STORE != 0 {
             let m = self.mem_next;
             self.mem_next += 1;
@@ -1126,22 +1172,13 @@ impl<'a, 's> Engine<'a, 's> {
             self.mem_done[m] = done as u32;
         }
 
-        self.reg_done[usize::from(pi.dst) % specmt_isa::NUM_REGS] = done;
+        self.reg_done[dst] = done;
         st.last_commit = st.last_commit.max(done);
-        if st.rings {
-            self.rob_ring[st.rob_i] = st.last_commit;
-            st.rob_i += 1;
-            if st.rob_i == ROB_ENTRIES {
-                st.rob_i = 0;
-                st.rob_full = true;
-            }
+        if RINGS {
+            self.rob_ring[(k - t.start) % ROB_ENTRIES] = st.last_commit;
             if writes_reg {
-                self.writer_ring[st.writer_i] = st.last_commit;
-                st.writer_i += 1;
-                if st.writer_i == RENAME_REGS {
-                    st.writer_i = 0;
-                    st.writer_full = true;
-                }
+                self.writer_ring[st.writers % RENAME_REGS] = st.last_commit;
+                st.writers += 1;
             }
         }
 
@@ -1183,17 +1220,118 @@ impl<'a, 's> Engine<'a, 's> {
                 to.unwrap_or(0)
             };
         }
-        self.pc_next = next;
+        next
+    }
+
+    /// The memory stage of a load issued at `t2` whose address is ready at
+    /// `addr_ready`: the cache access, store-to-load forwarding and
+    /// violation detection; returns when its value is available. Out of
+    /// line: it keeps the step's common path short.
+    #[inline(never)]
+    fn load<const OBSERVE: bool>(
+        &mut self,
+        t: &PendingThread,
+        addr_ready: u64,
+        t2: u64,
+        st: &mut WinState,
+    ) -> u64 {
+        let trace = self.trace;
+        let m = self.mem_next;
+        self.mem_next += 1;
+        if !self.touch_run.is_empty() {
+            self.caches[t.tu].touch_run(&mut self.touch_run);
+        }
+        let misses_before = if OBSERVE {
+            self.caches[t.tu].stats().1
+        } else {
+            0
+        };
+        let mut data = self.caches[t.tu].access(trace.mem_addrs()[m], addr_ready);
+        let cache_hit = !OBSERVE || self.caches[t.tu].stats().1 == misses_before;
+        let jitter = self.faults.as_mut().map_or(0, |fi| fi.jitter());
+        if jitter > 0 {
+            self.result.fault_jitter_cycles += jitter;
+            data += jitter;
+            if OBSERVE {
+                self.emit(Event::FaultInjected {
+                    thread: t.id,
+                    unit: t.tu as u32,
+                    cycle: addr_ready,
+                    kind: FaultKind::CacheJitter { cycles: jitter },
+                });
+            }
+        }
+        let mp = self.deps.mem_producers()[m];
+        if mp != NO_PRODUCER {
+            let mp = mp as usize;
+            let stored = u64::from(self.mem_done[trace.mem_rank(mp)]);
+            if mp >= t.start {
+                // Same-thread store-to-load forwarding.
+                data = data.max(stored);
+            } else if stored > t2 {
+                // Violation: the producing store in an earlier
+                // thread executes after this load issued. Squash
+                // and restart here.
+                self.result.violations += 1;
+                let restart = stored + self.cfg.forward_latency + SQUASH_PENALTY;
+                data = data.max(restart);
+                st.fetch_cycle = restart;
+                st.slots = 0;
+                if OBSERVE {
+                    self.emit(Event::ViolationDetected {
+                        thread: t.id,
+                        unit: t.tu as u32,
+                        cycle: t2,
+                    });
+                }
+            } else {
+                // Cross-thread forward out of the versioning cache.
+                data = data.max(stored + self.cfg.forward_latency);
+            }
+        }
+        if OBSERVE {
+            self.emit(Event::CacheAccess {
+                thread: t.id,
+                unit: t.tu as u32,
+                cycle: data,
+                hit: cache_hit,
+            });
+        }
+        data
+    }
+
+    /// Readiness of a source operand of the window's thread `t`: register
+    /// `r`, last written by record `p` (`NO_PRODUCER` if never), which
+    /// completed at `produced`. A producer inside the window (or none)
+    /// gives `produced`; a live-in is the perfect predictor's constant,
+    /// the memo, or the out-of-line [`Engine::live_in_time`].
+    #[inline(always)]
+    fn operand<const PERFECT: bool>(
+        &mut self,
+        t: &PendingThread,
+        r: usize,
+        p: u32,
+        produced: u64,
+    ) -> u64 {
+        // `NO_PRODUCER` is above every window start, and a register never
+        // written completed at 0.
+        if p as usize >= t.start {
+            produced
+        } else if PERFECT {
+            t.init_done
+        } else if self.live_in_valid & (1 << r) != 0 {
+            self.live_in_vals[r]
+        } else {
+            self.live_in_time(t, r, p as usize, produced)
+        }
     }
 
     /// Availability time of a live-in register value whose producer `p`
     /// lies before the thread's window and completed at `produced`; `p`
-    /// itself only names the value a predictor must guess.
+    /// itself only names the value a predictor must guess. The caller has
+    /// found no memoized time for `reg_idx`; this one is memoized.
     #[inline(never)]
     fn live_in_time(&mut self, t: &PendingThread, reg_idx: usize, p: usize, produced: u64) -> u64 {
-        if self.live_in_valid & (1 << reg_idx) != 0 {
-            return self.live_in_vals[reg_idx];
-        }
         let forwarded = produced + self.cfg.forward_latency;
         let avail = match t.pair {
             // The root thread (no spawn): values flow in program order.
@@ -1220,8 +1358,7 @@ impl<'a, 's> Engine<'a, 's> {
                         } else {
                             0
                         };
-                        let mut guess = predictor.predict(key);
-                        predictor.train(key, actual);
+                        let mut guess = predictor.predict_and_train(key, actual);
                         let corrupted = self
                             .faults
                             .as_mut()
@@ -1436,51 +1573,38 @@ impl<'a, 's> Engine<'a, 's> {
     /// children count as zero) fell below the configured minimum, resetting
     /// the survivors' statistics so they are re-measured under the new pair
     /// mix.
-    fn check_min_size_removals(&mut self) {
-        let Some(min) = self.cfg.min_observed_size else {
-            return;
-        };
+    fn check_min_size_removals(&mut self, min: u32) {
         // Remove at most the single worst offender per sweep: sizes are a
         // property of the whole pair mix (interleaved spawning shortens
         // everybody), so survivors must be re-measured before judging them.
-        // Guilt metric: pairs whose spawns get squashed (doomed fraction)
-        // are the offenders; short committed threads are often their
-        // victims. Among undersized pairs, remove the most squash-prone,
-        // breaking ties by smallest average size. Ids ascend in key order,
-        // so the final key tie-break (which keeps the pick independent of
-        // visit order) is the id comparison itself.
-        let a = &self.pairs;
-        let mut worst: Option<usize> = None;
-        for i in 0..a.keys.len() {
-            if a.removed[i]
-                || a.size_samples[i] < MIN_SIZE_SAMPLES
-                || a.size_sum[i] >= u64::from(min) * u64::from(a.size_samples[i])
-            {
-                continue;
-            }
-            let better = match worst {
-                None => true,
-                Some(b) => {
-                    let zi = a.size_zeros[i] as f64 / a.size_samples[i] as f64;
-                    let zb = a.size_zeros[b] as f64 / a.size_samples[b] as f64;
-                    let si = a.size_sum[i] as f64 / a.size_samples[i] as f64;
-                    let sb = a.size_sum[b] as f64 / a.size_samples[b] as f64;
-                    zi.total_cmp(&zb)
-                        .then(sb.total_cmp(&si))
-                        .then(a.keys[i].cmp(&a.keys[b]))
-                        .is_gt()
-                }
-            };
-            if better {
-                worst = Some(i);
-            }
-        }
-        if let Some(i) = worst {
-            self.pairs.removed[i] = true;
+        // Only the pairs this retire charged can have become undersized,
+        // so the pick visits the suspects, not every pair.
+        if let Some(i) = self.pairs.pick_undersized(min) {
+            self.remove_pair(i);
+            self.pairs.reset_samples();
             self.result.pairs_removed += 1;
-            self.pairs.size_samples.fill(0);
-            self.pairs.size_sum.fill(0);
-            self.pairs.size_zeros.fill(0);
+        }
+    }
+
+    /// Removes pair `pid` for good. Once no candidate of its spawning
+    /// point can spawn (the first is removed, which declines the attempt,
+    /// or, under reassignment, every one is), the point is marked
+    /// `F_DECLINES`.
+    fn remove_pair(&mut self, pid: usize) {
+        self.pairs.removed[pid] = true;
+        let sp = self.pairs.keys[pid].0 as usize;
+        let (Some(&c0), Some(&c1)) = (self.cand_offsets.get(sp), self.cand_offsets.get(sp + 1))
+        else {
+            return;
+        };
+        let removed = |ci: u32| self.pairs.removed[self.cand_pair[ci as usize] as usize];
+        let declines = if self.cfg.reassign {
+            (c0..c1).all(removed)
+        } else {
+            c0 < c1 && removed(c0)
+        };
+        if declines {
+            self.pre[sp].flags |= F_DECLINES;
         }
     }
 
@@ -1496,12 +1620,11 @@ impl<'a, 's> Engine<'a, 's> {
         let Some(pid) = t.pair else {
             // The root thread has no pair, but its doomed children still
             // count for the minimum-size policy.
-            if self.cfg.min_observed_size.is_some() {
+            if let Some(min) = self.cfg.min_observed_size {
                 for d in doomed {
-                    self.pairs.size_samples[d.pair as usize] += 1;
-                    self.pairs.size_zeros[d.pair as usize] += 1;
+                    self.pairs.sample_squash(d.pair as usize, min);
                 }
-                self.check_min_size_removals();
+                self.check_min_size_removals(min);
             }
             return;
         };
@@ -1514,7 +1637,7 @@ impl<'a, 's> Engine<'a, 's> {
             .as_mut()
             .is_some_and(FaultInjector::roll_remove_pair);
         if forced_removal && !self.pairs.removed[pid] {
-            self.pairs.removed[pid] = true;
+            self.remove_pair(pid);
             self.result.pairs_removed += 1;
             self.result.fault_forced_removals += 1;
             if self.observing {
@@ -1527,16 +1650,14 @@ impl<'a, 's> Engine<'a, 's> {
             }
         }
 
-        if self.cfg.min_observed_size.is_some() {
+        if let Some(min) = self.cfg.min_observed_size {
             // Squashed children are the ultimate undersized thread: charge
             // them to their pair as zero-size observations.
             for d in doomed {
-                self.pairs.size_samples[d.pair as usize] += 1;
-                self.pairs.size_zeros[d.pair as usize] += 1;
+                self.pairs.sample_squash(d.pair as usize, min);
             }
-            self.pairs.size_samples[pid] += 1;
-            self.pairs.size_sum[pid] += window_len;
-            self.check_min_size_removals();
+            self.pairs.sample_commit(pid, window_len, min);
+            self.check_min_size_removals(min);
         }
 
         if let Some(policy) = self.cfg.removal {
@@ -1557,7 +1678,7 @@ impl<'a, 's> Engine<'a, 's> {
             {
                 self.pairs.alone_count[pid] += 1;
                 if self.pairs.alone_count[pid] >= policy.occurrences {
-                    self.pairs.removed[pid] = true;
+                    self.remove_pair(pid);
                     self.result.pairs_removed += 1;
                 }
             }
@@ -2141,7 +2262,77 @@ mod tests {
         assert_eq!(r.committed_instructions, trace.len() as u64);
     }
 
+    /// The minimum-size pick as a scan of every pair, in id order, with
+    /// the guilt order spelled out: the reference for the suspect list.
+    fn full_scan_pick(a: &PairArena, min: u32) -> Option<usize> {
+        let mut worst: Option<usize> = None;
+        for i in 0..a.keys.len() {
+            if a.removed[i]
+                || a.size_samples[i] < MIN_SIZE_SAMPLES
+                || a.size_sum[i] >= u64::from(min) * u64::from(a.size_samples[i])
+            {
+                continue;
+            }
+            let better = match worst {
+                None => true,
+                Some(b) => {
+                    let zi = a.size_zeros[i] as f64 / a.size_samples[i] as f64;
+                    let zb = a.size_zeros[b] as f64 / a.size_samples[b] as f64;
+                    let si = a.size_sum[i] as f64 / a.size_samples[i] as f64;
+                    let sb = a.size_sum[b] as f64 / a.size_samples[b] as f64;
+                    zi.total_cmp(&zb)
+                        .then(sb.total_cmp(&si))
+                        .then(a.keys[i].cmp(&a.keys[b]))
+                        .is_gt()
+                }
+            };
+            if better {
+                worst = Some(i);
+            }
+        }
+        worst
+    }
+
     proptest! {
+        /// The incremental minimum-size pick equals a scan of every pair
+        /// after each retire of a random sequence of committed sizes,
+        /// squashes and removals by other policies, with the engine's
+        /// removal and reset applied whenever a pair is picked.
+        #[test]
+        fn min_size_pick_matches_a_full_scan(
+            n in 1u32..10,
+            min in 1u32..48,
+            retires in proptest::collection::vec(
+                proptest::collection::vec((0u32..10, 0u8..8, 1u64..80), 0..6),
+                1..150,
+            ),
+        ) {
+            let pairs: Vec<SpawnPair> = (0..n).map(|i| pair(i, i + 1)).collect();
+            let mut arena = PairArena::new(&SpawnTable::from_pairs(pairs));
+            let mut picks = 0;
+            for retire in &retires {
+                for &(p, event, size) in retire {
+                    let i = (p % n) as usize;
+                    match event {
+                        0..=2 => arena.sample_squash(i, min),
+                        3..=6 => arena.sample_commit(i, size, min),
+                        _ => arena.removed[i] = true,
+                    }
+                }
+                let expected = full_scan_pick(&arena, min);
+                prop_assert_eq!(arena.pick_undersized(min), expected);
+                if let Some(i) = expected {
+                    arena.removed[i] = true;
+                    arena.reset_samples();
+                    picks += 1;
+                }
+                for (i, &s) in arena.suspected.iter().enumerate() {
+                    prop_assert_eq!(s, arena.suspects.contains(&(i as PairId)));
+                }
+            }
+            prop_assert!(picks <= n);
+        }
+
         /// Pair interning assigns ids in exactly the order the replaced
         /// `BTreeMap<(u32, u32), PairRuntime>` iterated: ascending by
         /// `(sp, cqip)` key, with duplicates collapsed.

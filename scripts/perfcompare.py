@@ -12,6 +12,13 @@ workload the script runs that revision's own `perfbench/run.py
 first, and prints per end-to-end metric the two medians, the pairs the
 change won and the base's IQR (the spread between its quartiles).
 
+Beside them it prints the median and the IQR of the per-pair ratios
+change/base (`ratio` and `ratio IQR`). The two runs of a pair share a
+measurement window, so host drift that widens the base IQR (slower or
+faster minutes) cancels in the ratio: a change that wins every pair
+reads a tight ratio below 1 even when the base IQR is wide. The ratio
+columns are for reading; the exit status does not use them.
+
 It exits 1 if any run reports `correct: false`, or if the change's
 median of a metric is worse than the base's by more than that metric's
 `bound` in BENCHMARK.json and by more than the base's IQR; 2 if a run
@@ -70,8 +77,11 @@ def compare(metric, base, change):
     if worse_by > bound * b:
         verdict = "REGRESSED" if worse_by > q3 - q1 else "unresolved (inside the base IQR)"
     delta = (c - b) / b
+    ratios = [y / x for x, y in zip(base, change)]
+    r1, _, r3 = statistics.quantiles(ratios, n=4)
     line = (f"  {name:12s} {metric['unit']:5s} {b:12.6g} {c:12.6g} {delta:+8.1%} "
-            f"{won:>3d}/{len(base):<3d} {q3 - q1:12.6g} {bound:6.0%}  {verdict}")
+            f"{won:>3d}/{len(base):<3d} {q3 - q1:12.6g} {bound:6.0%} "
+            f"{statistics.median(ratios):8.3f} {r3 - r1:9.3f}  {verdict}")
     failure = f"{name} {delta:+.1%}, beyond its bound {bound:.0%} and the base IQR"
     return line.rstrip(), failure if verdict == "REGRESSED" else None
 
@@ -143,7 +153,8 @@ def main():
                 print(f"== {w}: {PAIRS} interleaved pairs, base {revs['base'][:10]} "
                       f"vs change {revs['change'][:10]}, --seconds {args.seconds:g}")
                 print(f"  {'metric':12s} {'unit':5s} {'base':>12s} {'change':>12s} "
-                      f"{'delta':>8s} {'won':>7s} {'base IQR':>12s} {'bound':>6s}")
+                      f"{'delta':>8s} {'won':>7s} {'base IQR':>12s} {'bound':>6s} "
+                      f"{'ratio':>8s} {'ratio IQR':>9s}")
                 for metric in bench["end_to_end"]:
                     values = {side: [r["metrics"][metric["name"]]["value"] for r in rs]
                               for side, rs in runs.items()}

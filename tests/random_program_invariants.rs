@@ -12,7 +12,8 @@
 //! * reaching probabilities are probabilities,
 //! * and — the big one — the simulator commits exactly the sequential
 //!   trace under *adversarial* spawn tables built from random program
-//!   points, with random policies enabled.
+//!   points, with random policies enabled, and computes the same result
+//!   whether its run is plain, streamed to a sink or observed.
 //!
 //! The block stream, walked from the trace's straight-line runs, must also
 //! equal a record-by-record reference, and the dynamic CFG's totals and
@@ -31,6 +32,7 @@ use proptest::TestCaseResult;
 
 use specmt::analysis::{BasicBlocks, BlockEvent, BlockStream, DynCfg, ReachingAnalysis};
 use specmt::isa::{Pc, Program, ProgramBuilder, Reg};
+use specmt::obs::EventLog;
 use specmt::predict::ValuePredictorKind;
 use specmt::sim::{RemovalPolicy, SimConfig, Simulator};
 use specmt::spawn::{PairOrigin, SpawnPair, SpawnTable};
@@ -410,6 +412,7 @@ proptest! {
         predictor in prop_oneof![
             Just(ValuePredictorKind::Perfect),
             Just(ValuePredictorKind::Stride),
+            Just(ValuePredictorKind::Fcm),
             Just(ValuePredictorKind::None),
         ],
     ) {
@@ -433,12 +436,26 @@ proptest! {
         }
         cfg.reassign = reassign;
         cfg.min_observed_size = min_size;
-        let r = Simulator::with_table(&trace, cfg, &table).run().expect("simulation");
+        let r = Simulator::with_table(&trace, cfg.clone(), &table).run().expect("simulation");
         prop_assert_eq!(r.committed_instructions, trace.len() as u64);
         prop_assert!(r.cycles > 0);
         // Sequential semantics imply the cycle count is at least the
         // depth-bound of the fetch stage.
         prop_assert!(r.cycles as usize >= trace.len() / (4 * tus.max(1)) / 2);
+        // The engine's window loop is compiled once per combination of
+        // observed, long enough to fill the ROB or rename ring, and
+        // perfectly predicted live-ins; every observed run must compute
+        // exactly what the plain run does.
+        let mut log = EventLog::new();
+        let sunk = Simulator::with_table(&trace, cfg.clone(), &table)
+            .run_with_sink(&mut log)
+            .expect("sink run");
+        prop_assert_eq!(&sunk, &r, "streaming events changed the result");
+        let mut observed = Simulator::with_table(&trace, cfg.with_observe(true), &table)
+            .run()
+            .expect("observed run");
+        prop_assert!(observed.metrics.take().is_some(), "observe = true kept no metrics");
+        prop_assert_eq!(&observed, &r, "observe = true changed the result");
     }
 }
 
